@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import singledispatch
+from itertools import product
 from typing import Callable
 
 from . import tolerances as tol
@@ -294,12 +295,11 @@ def advantage_over_family(real: SystemGraph, ideal: SystemGraph,
     for strategy in fam.strategies:
         probe(strategy)
 
-    if fam.builder is not None:
+    if fam.builder is not None and fam.bounds:
         grids = [_grid(lo, hi, fam.grid_points) for lo, hi in fam.bounds]
-        coords = [0.0] * len(grids)
         best_grid = -1.0
         best_coords = None
-        for point in _product(grids):
+        for point in product(*grids):
             value = probe(fam.builder(*point))
             if value > best_grid:
                 best_grid, best_coords = value, point
@@ -325,18 +325,6 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
     if points < 2:
         return [lo]
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-
-
-def _product(grids):
-    if not grids:
-        return
-    if len(grids) == 1:
-        for x in grids[0]:
-            yield (x,)
-        return
-    for x in grids[0]:
-        for rest in _product(grids[1:]):
-            yield (x,) + rest
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 24) -> float:

@@ -78,6 +78,13 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run configuration.
+
+    ``params`` holds only the keys the configuration set, so an explicit
+    value wins over a scenario default even when it equals the global
+    default; :meth:`param` falls back to the global defaults.
+    """
+
     scenario: str | None
     seed: int
     params: dict
@@ -131,12 +138,7 @@ def parse_config(text: str, *, require_seed: bool = True) -> RunConfig:
     scenario = values.pop("scenario", None)
     attack = values.pop("attack", _DEFAULTS["attack"])
     out = values.pop("out", None)
-    params = dict(_DEFAULTS)
-    params.pop("scenario")
-    params.pop("attack")
-    params.pop("out")
-    params.update(values)
-    return RunConfig(scenario=scenario, seed=seed, params=params,
+    return RunConfig(scenario=scenario, seed=seed, params=values,
                      attack=attack, out=out)
 
 
@@ -188,29 +190,26 @@ _SCENARIO_DEFAULTS = {
 _SCENARIO_CAPS = {"parallel-qkd": 3, "key-expansion": 3}
 
 
+def _scenario_param(cfg: RunConfig, key):
+    if key in cfg.params:
+        return cfg.params[key]
+    return _SCENARIO_DEFAULTS.get(cfg.scenario, {}).get(key, cfg.param(key))
+
+
 def _qkd_params(cfg: RunConfig) -> bb84.QkdParams:
-    overlay = dict(_SCENARIO_DEFAULTS.get(cfg.scenario, {}))
-    overlay.update({k: v for k, v in cfg.params.items()
-                    if v != _DEFAULTS.get(k)})
     cap = _SCENARIO_CAPS.get(cfg.scenario)
-    n = overlay.get("n_qubits", cfg.param("n_qubits"))
+    n = _scenario_param(cfg, "n_qubits")
     if cap is not None and n > cap:
         raise BadValue(
             f"scenario {cfg.scenario!r} supports n_qubits <= {cap}, got {n}")
     return bb84.default_params(
         n_qubits=n,
-        t=overlay.get("t", cfg.param("t")),
-        q_tol=overlay.get("q_tol", cfg.param("q_tol")),
-        out_len=overlay.get("out_len", cfg.param("out_len")),
-        h_rows=overlay.get("h_rows", cfg.param("h_rows")),
+        t=_scenario_param(cfg, "t"),
+        q_tol=_scenario_param(cfg, "q_tol"),
+        out_len=_scenario_param(cfg, "out_len"),
+        h_rows=_scenario_param(cfg, "h_rows"),
         seed=cfg.seed,
     )
-
-
-def _scenario_param(cfg: RunConfig, key):
-    if cfg.params.get(key) != _DEFAULTS.get(key):
-        return cfg.params[key]
-    return _SCENARIO_DEFAULTS.get(cfg.scenario, {}).get(key, cfg.param(key))
 
 
 def parse_attack(spec: str, n: int):

@@ -1,8 +1,8 @@
-"""Dense Hermitian eigensolver plus small numeric helpers.
+"""Hermitian spectra, PSD square roots and factors, plus GF(2) helpers.
 
-The cyclic Jacobi routine is the reference spectral solver for state
-validation and the metric computations.  It is cross-checked against LAPACK
-in the test suite.  ``eigvals_of_factored_sum`` is the fast path for
+Every spectrum in the package comes from LAPACK through
+:func:`hermitian_eig`; the test suite cross-checks it against an independent
+cyclic-Jacobi oracle.  ``eigvals_of_factored_sum`` is the fast path for
 low-rank combinations sum_j c_j v_j v_j^dagger that arise in the protocol
 engine: the nonzero eigenvalues of V C V^dagger equal those of the small
 Hermitian matrix G^{1/2} C G^{1/2} with G = V^dagger V.
@@ -10,40 +10,20 @@ Hermitian matrix G^{1/2} C G^{1/2} with G = V^dagger V.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .tolerances import MAX_JACOBI_SWEEPS, OFF_DIAGONAL_TARGET
+from .tolerances import RANK_CUTOFF
 
 
-class NoConvergence(RuntimeError):
-    """Jacobi sweep cap was reached before meeting the off-diagonal target."""
-
-
-def _max_offdiag(a: np.ndarray) -> float:
-    n = a.shape[0]
-    if n < 2:
-        return 0.0
-    mask = ~np.eye(n, dtype=bool)
-    return float(np.abs(a[mask]).max())
-
-
-def hermitian_eig(
-    matrix,
-    *,
-    off_target: float = OFF_DIAGONAL_TARGET,
-    max_sweeps: int = MAX_JACOBI_SWEEPS,
-):
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations.
+def hermitian_eig(matrix):
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
     eigenvectors as the columns of ``v``, so ``v @ diag(w) @ v.conj().T``
-    reconstructs the input.  Raises :class:`NoConvergence` if the
-    off-diagonal mass has not dropped below the target after ``max_sweeps``
-    full sweeps.
+    reconstructs the input.  The input is symmetrised before the LAPACK
+    call; sizes 0 and 1 take the closed form.
     """
-    a = np.array(matrix, dtype=complex)
+    a = np.asarray(matrix, dtype=complex)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -51,104 +31,49 @@ def hermitian_eig(
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
     if n == 1:
         return np.array([a[0, 0].real]), np.ones((1, 1), dtype=complex)
-
-    scale = max(1.0, float(np.abs(a).max()))
-    target = off_target * scale
-    skip = target / (10.0 * n)
-    v = np.eye(n, dtype=complex)
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _max_offdiag(a) <= target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                if abs(g) <= skip:
-                    continue
-                _rotate(a, v, p, q, g)
-    else:
-        converged = _max_offdiag(a) <= target
-    if not converged:
-        raise NoConvergence(
-            f"off-diagonal {_max_offdiag(a):.3e} above target {target:.3e} "
-            f"after {max_sweeps} sweeps (dim {n})"
-        )
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(0.5 * (a + a.conj().T))
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, g: complex) -> None:
-    # Unitary 2x2 block [[c, sigma], [-conj(sigma), c]] chosen to zero a[p, q].
-    absg = abs(g)
-    phase = g / absg
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * absg)
-    sgn = 1.0 if tau >= 0.0 else -1.0
-    t = sgn / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.hypot(1.0, t)
-    sigma = (t * c) * phase
+def psd_sqrt(matrix, *, rel_cutoff: float = 0.0) -> np.ndarray:
+    """Hermitian square root of a PSD matrix.
 
-    cp = a[:, p].copy()
-    cq = a[:, q].copy()
-    a[:, p] = c * cp - np.conj(sigma) * cq
-    a[:, q] = sigma * cp + c * cq
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp - sigma * rq
-    a[q, :] = np.conj(sigma) * rp + c * rq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - np.conj(sigma) * vq
-    v[:, q] = sigma * vp + c * vq
-
-
-def hermitian_eigvals(matrix, **kwargs) -> np.ndarray:
-    return hermitian_eig(matrix, **kwargs)[0]
-
-
-def psd_sqrt(matrix, *, clip: float = 0.0) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (tiny negatives clipped)."""
+    Eigenvalues at or below ``rel_cutoff`` times the largest one (and every
+    negative one) are set to zero first.  The default only clips tiny
+    negatives; Gram matrices pass :data:`RANK_CUTOFF`, because their
+    near-null directions are float noise whose square roots would inject
+    sqrt(ulp)-sized artifacts into downstream trace norms.
+    """
     w, v = hermitian_eig(matrix)
-    w = np.clip(w, clip, None)
+    cutoff = rel_cutoff * max(float(w.max()), 0.0) if w.size else 0.0
+    w = np.where(w > cutoff, w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_factor(matrix, *, cutoff: float | None = None):
+def psd_factor(matrix):
     """Factor a PSD matrix as F F^dagger; returns (F, min_eigenvalue).
 
-    Columns of F are sqrt(lambda) * eigenvector.  The default cutoff drops
-    eigenvalues below 1e-12 times the largest one: such directions are
-    numerical junk whose square roots would otherwise pollute downstream
+    Columns of F are sqrt(lambda) * eigenvector.  Eigenvalues at or below
+    :data:`RANK_CUTOFF` times the largest one are dropped: such directions
+    are numerical junk whose square roots would otherwise pollute downstream
     trace norms at the sqrt-ulp scale.  The minimum eigenvalue is returned
     so the caller can decide whether mild negativity is within tolerance.
     """
     w, v = hermitian_eig(matrix)
     wmin = float(w.min()) if w.size else 0.0
     wmax = float(w.max()) if w.size else 0.0
-    if cutoff is None:
-        cutoff = 1e-12 * max(wmax, 0.0)
-    keep = w > max(cutoff, 0.0)
+    keep = w > RANK_CUTOFF * max(wmax, 0.0)
     f = v[:, keep] * np.sqrt(w[keep])
     if f.shape[1] == 0:
         f = np.zeros((matrix.shape[0], 1), dtype=complex)
     return f, wmin
 
 
-def eigvals_of_factored_sum(columns: np.ndarray, coeffs: np.ndarray, *, solver: str = "lapack"):
+def eigvals_of_factored_sum(columns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Nonzero eigenvalues of sum_j coeffs[j] * columns[:,j] columns[:,j]^dagger.
 
     ``columns`` is a (dim, m) array; the result is the full spectrum of the
     m x m matrix G^{1/2} C G^{1/2}, which carries every nonzero eigenvalue of
-    the dim x dim combination.  ``solver="lapack"`` uses the batched LAPACK
-    path, ``solver="jacobi"`` the in-package Jacobi routine.
+    the dim x dim combination.
     """
     cols = np.asarray(columns, dtype=complex)
     c = np.asarray(coeffs, dtype=float)
@@ -156,29 +81,13 @@ def eigvals_of_factored_sum(columns: np.ndarray, coeffs: np.ndarray, *, solver: 
         raise ValueError("one coefficient required per column")
     if cols.shape[1] == 0:
         return np.zeros(0)
-    g = cols.conj().T @ cols
-    gh = gram_sqrt(g, solver=solver)
+    gh = psd_sqrt(cols.conj().T @ cols, rel_cutoff=RANK_CUTOFF)
     h = gh @ (c[:, None] * gh)
-    h = 0.5 * (h + h.conj().T)
-    if solver == "jacobi":
-        return hermitian_eig(h)[0]
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
 
 
-def gram_sqrt(g: np.ndarray, *, solver: str = "lapack") -> np.ndarray:
-    # relative rank cutoff: near-null directions of a Gram matrix are float
-    # noise and their square roots would dominate the error budget
-    if solver == "jacobi":
-        w, v = hermitian_eig(g)
-    else:
-        w, v = np.linalg.eigh(0.5 * (g + g.conj().T))
-    cutoff = 1e-12 * max(float(w.max()), 0.0) if w.size else 0.0
-    w = np.where(w > cutoff, w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def trace_norm_of_factored_sum(columns, coeffs, *, solver: str = "lapack") -> float:
-    return float(np.abs(eigvals_of_factored_sum(columns, coeffs, solver=solver)).sum())
+def trace_norm_of_factored_sum(columns, coeffs) -> float:
+    return float(np.abs(eigvals_of_factored_sum(columns, coeffs)).sum())
 
 
 # --- GF(2) helpers -----------------------------------------------------------
@@ -216,15 +125,6 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
 
 def bits_to_int(bits) -> int:
     return int(sum(int(b) << i for i, b in enumerate(bits)))
-
-
-def popcount(values: np.ndarray) -> np.ndarray:
-    v = np.asarray(values, dtype=np.int64)
-    out = np.zeros_like(v)
-    while np.any(v):
-        out += v & 1
-        v >>= 1
-    return out
 
 
 def coset_leader_table(h: np.ndarray) -> np.ndarray:

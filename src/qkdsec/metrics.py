@@ -173,7 +173,7 @@ def cq_trace_distance(r: CQState, s: CQState) -> float:
                 np.full(a.factor.shape[1], a.weight),
                 np.full(b.factor.shape[1], -b.weight),
             ])
-            total += trace_norm_of_factored_sum(cols, coeffs, solver="jacobi")
+            total += trace_norm_of_factored_sum(cols, coeffs)
     return 0.5 * total
 
 
@@ -309,8 +309,7 @@ def pguess_exact(c: CQState, key_register=0) -> float:
             w1 = b1.weight
         if not cols:
             continue
-        norm1 = trace_norm_of_factored_sum(np.hstack(cols), np.concatenate(coeffs),
-                                           solver="jacobi")
+        norm1 = trace_norm_of_factored_sum(np.hstack(cols), np.concatenate(coeffs))
         total += 0.5 * (w0 + w1) + 0.5 * norm1
     return total / c.trace_mass
 

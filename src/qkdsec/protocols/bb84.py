@@ -33,10 +33,12 @@ from ..acframework import (
     MixtureComponent,
     PositionAttack,
     ScheduleMismatch,
+    _grid,
 )
-from ..linalg import coset_leader_table, gf2_rank
+from ..linalg import coset_leader_table, gf2_rank, psd_sqrt
 from ..metrics import BoundReport
 from ..qstate import DimensionCap, KrausChannel, make_channel
+from ..tolerances import RANK_CUTOFF
 from .hashing import default_code_matrices
 
 __all__ = [
@@ -414,7 +416,7 @@ class _RestBlock:
         else:
             self._scalars = None
         if gram is not None:
-            self._gram_sqrt = _sqrt_psd(gram)
+            self._gram_sqrt = psd_sqrt(gram, rel_cutoff=RANK_CUTOFF)
 
     def trace_norm(self, member_coeff: np.ndarray) -> float:
         """|| sum over members of coeff * (branch operator) ||_1."""
@@ -429,15 +431,6 @@ class _RestBlock:
         coeff = member_coeff[self._member_of_col]
         h = (self._gram_sqrt * coeff[None, :]) @ self._gram_sqrt
         return float(np.abs(np.linalg.eigvalsh(0.5 * (h + h.conj().T))).sum())
-
-
-def _sqrt_psd(g: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (g + g.conj().T))
-    # relative rank cutoff: spurious near-null directions would otherwise
-    # inject sqrt(ulp)-sized artifacts through the square root
-    cutoff = 1e-12 * max(float(w.max()), 0.0) if w.size else 0.0
-    w = np.where(w > cutoff, w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -689,9 +682,9 @@ def qkd_security_eval(params: QkdParams, attacks) -> SecurityEvaluation:
 
     if isinstance(attacks, AttackFamily):
         members = list(attacks.strategies)
-        if attacks.builder is not None:
-            for point in _family_grid(attacks):
-                members.append(attacks.builder(*point))
+        if attacks.builder is not None and attacks.bounds:
+            grids = [_grid(lo, hi, attacks.grid_points) for lo, hi in attacks.bounds]
+            members.extend(attacks.builder(*point) for point in product(*grids))
         attacks = members
     runs = []
     for attack in attacks:
@@ -707,21 +700,6 @@ def qkd_security_eval(params: QkdParams, attacks) -> SecurityEvaluation:
         BoundReport("secrecy-at-most-twice-distance", -worst_sec, 0.0),
     )
     return SecurityEvaluation(tuple(runs), eps_cor, eps_sec, reports)
-
-
-def _family_grid(fam):
-    grids = [[lo + (hi - lo) * i / (fam.grid_points - 1)
-              for i in range(fam.grid_points)] if fam.grid_points > 1 else [lo]
-             for lo, hi in fam.bounds]
-    if not grids:
-        return
-    if len(grids) == 1:
-        for x in grids[0]:
-            yield (x,)
-        return
-    from itertools import product as _product
-
-    yield from _product(*grids)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,14 @@ function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import tolerances as tol
-from .linalg import NoConvergence, hermitian_eig, psd_factor, psd_sqrt
+from .linalg import hermitian_eig, psd_factor, psd_sqrt
 
 __all__ = [
     "StateError",
@@ -32,7 +33,7 @@ __all__ = [
     "DuplicateAssignment",
     "AlphabetMismatch",
     "RegisterMismatch",
-    "NoConvergence",
+    "NotFinite",
     "DensityOperator",
     "ClassicalDistribution",
     "Register",
@@ -84,6 +85,10 @@ class BadTrace(StateError):
     pass
 
 
+class NotFinite(StateError):
+    """Input holds NaN or an infinity."""
+
+
 class DimMismatch(StateError):
     pass
 
@@ -125,9 +130,6 @@ class DensityOperator:
     def dim(self) -> int:
         return int(np.prod(self.dims)) if self.dims else 1
 
-    def factor_offsets(self) -> tuple[int, ...]:
-        return self.dims
-
 
 def make_density(matrix, dims=None, *, renormalize: bool = False,
                  max_dim: int = tol.DIM_CAP) -> DensityOperator:
@@ -150,6 +152,8 @@ def make_density(matrix, dims=None, *, renormalize: bool = False,
         raise DimMismatch(f"prod(dims)={int(np.prod(dims))} does not match matrix size {d}")
     if d > max_dim:
         raise DimensionCap(f"total dimension {d} exceeds cap {max_dim}")
+    if not np.isfinite(m).all():
+        raise NotFinite("density matrix has a NaN or infinite entry")
 
     herm_defect = float(np.abs(m - m.conj().T).max()) if d else 0.0
     if herm_defect > tol.HERMITIAN_TOL:
@@ -250,6 +254,8 @@ def make_channel(kraus_ops: Sequence, out_dims=None) -> KrausChannel:
     out_dim, in_dim = ops[0].shape
     if any(o.shape != (out_dim, in_dim) for o in ops):
         raise DimMismatch("all Kraus operators must share one shape")
+    if not all(np.isfinite(o).all() for o in ops):
+        raise NotFinite("Kraus operator has a NaN or infinite entry")
     total = sum(o.conj().T @ o for o in ops)
     defect = float(np.abs(total - np.eye(in_dim)).max())
     if defect > tol.CHANNEL_TOL:
@@ -367,6 +373,8 @@ def make_povm(labels, elements, dims=None) -> Povm:
     for op in ops:
         if op.shape != (d, d):
             raise DimMismatch("POVM elements must share one shape")
+        if not np.isfinite(op).all():
+            raise NotFinite("POVM element has a NaN or infinite entry")
         herm = float(np.abs(op - op.conj().T).max())
         if herm > tol.HERMITIAN_TOL:
             raise NotHermitian(f"POVM element not Hermitian (defect {herm:.3e})")
@@ -453,6 +461,9 @@ def _canonical_factor(op, qdim: int) -> tuple[np.ndarray, float]:
             arr = f
         # Square non-Hermitian input is taken to be a factor already.
     trace = float(np.einsum("ij,ij->", arr.conj(), arr).real)
+    # a NaN or infinite entry anywhere makes this sum non-finite
+    if not math.isfinite(trace):
+        raise NotFinite(f"branch operator is not finite (squared norm {trace})")
     if trace <= 0.0:
         return np.zeros((qdim, 1), dtype=complex), 0.0
     return arr / np.sqrt(trace), trace
@@ -486,6 +497,8 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
             raise DuplicateAssignment(f"assignment {assignment} appears twice")
         seen.add(assignment)
         weight = float(weight)
+        if not math.isfinite(weight):
+            raise NotFinite(f"branch weight {weight} is not finite")
         if weight < -tol.PROB_TOL:
             raise BadTrace(f"negative branch weight {weight}")
         if weight <= 0.0:

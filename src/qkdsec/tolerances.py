@@ -13,7 +13,6 @@ POVM_ELEM_TOL = 1e-9        # eigenvalue range slack for 0 <= Gamma_x <= I
 PROB_TOL = 1e-12            # classical distribution normalisation
 EXACT_TOL = 1e-12           # agreement of computations that should match exactly
 METRIC_TOL = 1e-9           # inequality slack wherever spectral round-off enters
-OFF_DIAGONAL_TARGET = 1e-12  # Jacobi sweep stopping criterion (relative to max |entry|)
-MAX_JACOBI_SWEEPS = 100
+RANK_CUTOFF = 1e-12         # PSD factors and Gram square roots drop eigenvalues below this times the largest
 DIM_CAP = 16384             # largest total Hilbert-space dimension; exceeding it is an error
 ENTROPY_EIG_CUTOFF = 1e-12  # eigenvalues below this are treated as 0 in entropy sums

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qkdsec import harness
 from qkdsec.harness import (
     BadValue,
     MissingSeed,
@@ -55,6 +56,19 @@ def test_parse_config_errors():
         parse_config("n_qubits = 4")
     with pytest.raises(BadValue):
         parse_config("seed = 1\nscenario = nonsense")
+
+
+def test_config_values_win_over_scenario_defaults():
+    # t = 2 and out_len = 1 equal the global defaults but not leaked-key's
+    cfg = parse_config("seed = 1\nscenario = leaked-key\nt = 2\nout_len = 1\nsplit = 0")
+    params = harness._qkd_params(cfg)
+    assert (params.n_qubits, params.t, params.out_len, len(params.h_matrix)) == (4, 2, 1, 1)
+    assert harness._scenario_param(cfg, "split") == 0
+    # a run without a config keeps the scenario defaults
+    bare = parse_config("seed = 1\nscenario = leaked-key")
+    params = harness._qkd_params(bare)
+    assert (params.n_qubits, params.t, params.out_len, len(params.h_matrix)) == (4, 1, 2, 1)
+    assert harness._scenario_param(bare, "split") == 1
 
 
 def test_seeded_rng_deterministic_streams():

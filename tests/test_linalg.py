@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from jacobi_oracle import NoConvergence, jacobi_eig
 from qkdsec.linalg import (
-    NoConvergence,
     coset_leader_table,
     eigvals_of_factored_sum,
     gf2_matvec,
@@ -14,13 +14,19 @@ from qkdsec.linalg import (
     psd_sqrt,
 )
 
+DIMS = [1, 2, 3, 5, 8, 16, 64]
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 64])
-def test_jacobi_matches_lapack(dim):
-    rng = np.random.default_rng(dim)
+
+def _random_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = m + m.conj().T
-    w, v = hermitian_eig(m)
+    return m + m.conj().T
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_jacobi_matches_lapack(dim):
+    m = _random_hermitian(dim, dim)
+    w, v = jacobi_eig(m)
     assert np.all(np.diff(w) >= -1e-12)
     recon = (v * w) @ v.conj().T
     assert np.abs(recon - m).max() <= 1e-9
@@ -29,11 +35,22 @@ def test_jacobi_matches_lapack(dim):
     assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-9
 
 
+@pytest.mark.parametrize("dim", DIMS)
+def test_hermitian_eig_matches_oracle(dim):
+    m = _random_hermitian(dim, 1000 + dim)
+    w, v = hermitian_eig(m)
+    assert np.all(np.diff(w) >= -1e-12)
+    assert np.abs(w - jacobi_eig(m)[0]).max() <= 1e-8
+    assert np.abs(w - np.linalg.eigvalsh(m)).max() <= 1e-8
+    assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-9
+    assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-9
+
+
 def test_jacobi_simple_values():
-    w, _ = hermitian_eig(np.diag([3.0, 1.0]))
+    w, _ = jacobi_eig(np.diag([3.0, 1.0]))
     assert np.allclose(w, [1.0, 3.0])
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    w, v = hermitian_eig(x)
+    w, v = jacobi_eig(x)
     assert np.allclose(w, [-1.0, 1.0])
     # eigenvectors reconstruct Pauli X
     assert np.abs((v * w) @ v.conj().T - x).max() <= 1e-12
@@ -43,14 +60,14 @@ def test_jacobi_trace_invariance_dim64():
     rng = np.random.default_rng(99)
     m = rng.normal(size=(64, 64))
     m = m + m.T
-    w, _ = hermitian_eig(m)
+    w, _ = jacobi_eig(m)
     assert abs(w.sum() - np.trace(m)) <= 1e-9
 
 
 def test_jacobi_sweep_cap():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NoConvergence):
-        hermitian_eig(m, max_sweeps=0)
+        jacobi_eig(m, max_sweeps=0)
 
 
 def test_factored_sum_matches_direct():
@@ -60,9 +77,8 @@ def test_factored_sum_matches_direct():
     direct = sum(c * np.outer(cols[:, j], cols[:, j].conj())
                  for j, c in enumerate(coeffs))
     want = np.abs(np.linalg.eigvalsh(direct)).sum()
-    for solver in ("lapack", "jacobi"):
-        got = np.abs(eigvals_of_factored_sum(cols, coeffs, solver=solver)).sum()
-        assert abs(got - want) <= 1e-9
+    got = np.abs(eigvals_of_factored_sum(cols, coeffs)).sum()
+    assert abs(got - want) <= 1e-9
 
 
 def test_psd_helpers():

@@ -29,6 +29,45 @@ def test_make_density_clips_tolerated_negatives():
     assert w.min() >= 0.0
 
 
+BAD_VALUES = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_make_density_rejects_non_finite(bad):
+    with pytest.raises(qs.NotFinite):
+        qs.make_density([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(qs.NotFinite):
+        qs.make_density([[0.5, bad], [bad, 0.5]])
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_make_povm_rejects_non_finite(bad):
+    with pytest.raises(qs.NotFinite):
+        qs.make_povm((0, 1), [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_make_channel_rejects_non_finite(bad):
+    with pytest.raises(qs.NotFinite):
+        qs.make_channel([[[bad, 0.0], [0.0, 1.0]]])
+
+
+# inf - inf in the Hermiticity probe warns before the finiteness check raises
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_make_cq_rejects_non_finite(bad):
+    regs = [("k", (0, 1))]
+    # density-matrix, factor and vector branch operators
+    for op in ([[bad, 0.0], [0.0, 0.5]], [[0.5, bad], [bad, 0.5]], [bad, 0.0]):
+        with pytest.raises(qs.NotFinite):
+            qs.make_cq(regs, [((0,), 0.5, op), ((1,), 0.5, [1.0, 0.0])], (2,))
+    # one-dimensional quantum part and the branch weight itself
+    with pytest.raises(qs.NotFinite):
+        qs.make_cq(regs, [((0,), 0.5, bad), ((1,), 0.5, 1.0)])
+    with pytest.raises(qs.NotFinite):
+        qs.make_cq(regs, [((0,), bad, 1.0), ((1,), 0.5, 1.0)])
+
+
 def test_tensor_product_examples():
     tau2 = qs.maximally_mixed(2)
     tau4 = qs.tensor_product(tau2, tau2)
