@@ -16,7 +16,15 @@ channels whose environments Eve keeps.  Conditioned on the classical record
 (bases, mixture labels, sample set, sample values, syndrome), the branch
 operators over Eve's environment are low-rank, and the trace distances the
 security conditions need factor into a sample-part scalar times small
-Gram-matrix eigenproblems on the key-material part.  Everything is an exact
+eigenproblems on the key-material part.  Each term of those distances is one
+coefficient row over the key-material members (one syndrome and key pair,
+real minus ideal); the rows of a quantity form one coefficient matrix, built
+once per evaluation.  A rest block (one basis/label cell of the key-material
+positions) turns the whole matrix into trace norms at once: a row-wise sum
+for one-dimensional environments, otherwise one matrix product and one
+batched ``eigvalsh``.  The per-row sums over a rest's blocks depend only on
+the attacks at the rest positions, so they are computed once per distinct
+rest and weighted by each sample subset's pass mass.  Everything is an exact
 enumeration; no sampling is involved anywhere.
 """
 
@@ -289,6 +297,10 @@ def _position_tables(attack: AttackStrategy, n: int):
 
 # --- the evaluation engine ---------------------------------------------------------
 
+# complex entries in one batch of per-row operators: the rows are chunked so
+# that each batch temporary stays near 16 MiB
+_BATCH_ENTRIES = 1 << 20
+
 
 class _Engine:
     def __init__(self, params: QkdParams, attack: AttackStrategy):
@@ -297,37 +309,27 @@ class _Engine:
         self.tables = _position_tables(attack, params.n_qubits)
         self._member_tables()
         self._rest_cache: dict = {}
+        self._sample_cache: dict = {}
+        self._rest_sums: dict = {}
 
     # key/syndrome lookup per key-material member (a_r, b_r)
     def _member_tables(self):
         p = self.params
         lx = p.width
-        h = np.array(p.h_matrix, dtype=np.uint8).reshape(p.h_rows, lx)
-        tm = np.array(p.t_matrix, dtype=np.uint8)
+        h = np.array(p.h_matrix, dtype=np.int64).reshape(p.h_rows, lx)
+        tm = np.array(p.t_matrix, dtype=np.int64)
         leaders = coset_leader_table(h) if p.h_rows else np.zeros(1, dtype=np.int64)
-        n_members = 4 ** lx
-        syn_of = np.zeros(n_members, dtype=np.int64)
-        ka_of = np.zeros(n_members, dtype=np.int64)
-        kb_of = np.zeros(n_members, dtype=np.int64)
-        for m in range(n_members):
-            a = np.zeros(lx, dtype=np.uint8)
-            b = np.zeros(lx, dtype=np.uint8)
-            for j in range(lx):
-                cell = (m >> (2 * (lx - 1 - j))) & 3
-                a[j] = cell >> 1
-                b[j] = cell & 1
-            syn_bits = (h @ a) % 2 if p.h_rows else np.zeros(0, dtype=np.uint8)
-            syn = int(sum(int(x) << i for i, x in enumerate(syn_bits)))
-            syn_of[m] = syn
-            ka_of[m] = int(sum(int(x) << i for i, x in enumerate((tm @ a) % 2)))
-            bsyn_bits = (h @ b) % 2 if p.h_rows else np.zeros(0, dtype=np.uint8)
-            diff = int(sum(int(x) << i for i, x in enumerate(bsyn_bits))) ^ syn
-            leader = int(leaders[diff]) if p.h_rows else 0
-            x_hat = b.copy()
-            for j in range(lx):
-                x_hat[j] ^= (leader >> j) & 1
-            kb_of[m] = int(sum(int(x) << i for i, x in enumerate((tm @ x_hat) % 2)))
-        self.syn_of, self.ka_of, self.kb_of = syn_of, ka_of, kb_of
+        # member m holds position j's cell 2a+b in bits 2(lx-1-j) and up
+        cells = (np.arange(4 ** lx)[:, None] >> (2 * np.arange(lx - 1, -1, -1))) & 3
+        a, b = cells >> 1, cells & 1
+
+        def pack(matrix, bits):  # GF(2) product, little-endian bits to integers
+            return ((bits @ matrix.T) % 2) @ (1 << np.arange(matrix.shape[0]))
+
+        self.syn_of = pack(h, a)
+        self.ka_of = pack(tm, a)
+        leader = leaders[pack(h, b) ^ self.syn_of]
+        self.kb_of = pack(tm, b ^ ((leader[:, None] >> np.arange(lx)) & 1))
 
     def _pos_key(self, i: int) -> int:
         # positions with identical attacks share cached rest blocks
@@ -375,6 +377,10 @@ class _Engine:
 
     def sample_stats(self, positions: tuple[int, ...]):
         """(pass_mass, abort_mass) summed over bases, labels, and values."""
+        key = tuple(self._pos_key(i) for i in positions)
+        hit = self._sample_cache.get(key)
+        if hit is not None:
+            return hit
         p = self.params
         # error-count distribution: product convolution over sample positions
         dist = np.array([1.0])
@@ -389,7 +395,9 @@ class _Engine:
             dist = np.convolve(dist, np.array([e0, e1]))
         counts = np.arange(dist.size)
         abort = counts > p.q_tol * p.t
-        return float(dist[~abort].sum()), float(dist[abort].sum())
+        hit = self._sample_cache[key] = (float(dist[~abort].sum()),
+                                         float(dist[abort].sum()))
+        return hit
 
     def rest_iter(self, rest: tuple[int, ...]):
         lx = len(rest)
@@ -397,6 +405,59 @@ class _Engine:
         for thetas in product(range(2), repeat=lx):
             for comps in product(*[range(c) for c in comp_counts]):
                 yield self._rest_block(rest, thetas, comps)
+
+    def key_rows(self, entries: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """(select, mix): indicator rows over the members, syndrome-major.
+
+        There is one row per syndrome and entry ``(ka, kb, ideal)``.  Its
+        ``select`` row marks the syndrome's members with keys (ka, kb), or with
+        K_A = ka whatever K_B when kb is None.  Its ``mix`` row is the uniform
+        key the ideal system puts in that place, the syndrome's members over
+        key_size, when ``ideal`` holds, and zero otherwise.  The branch masses
+        live inside the operators, so these indicators are the coefficients.
+        """
+        ka = np.array([e[0] for e in entries])[:, None]
+        kb = np.array([-1 if e[1] is None else e[1] for e in entries])[:, None]
+        ideal = np.array([e[2] for e in entries], dtype=bool)[:, None]
+        in_syn = np.arange(2 ** self.params.h_rows)[:, None, None] == self.syn_of
+        keys = (ka == self.ka_of) & ((kb == self.kb_of) | (kb < 0))
+        select = (in_syn & keys).reshape(-1, self.syn_of.size).astype(float)
+        mix = (in_syn & ideal).reshape(select.shape) / self.params.key_size
+        return select, mix
+
+    def evaluate(self, entries: tuple):
+        """Sums of the entries' rows over the whole protocol run.
+
+        Returns ``(p_abort, norms, masses, reached)``.  ``norms`` and
+        ``masses`` are per-row trace norms of (real - ideal) and selected
+        branch masses, weighted by each sample subset's pass mass and
+        averaged over the uniform subset choice; ``reached`` marks the rows
+        whose selection has positive mass in some rest block.
+        """
+        p = self.params
+        select, mix = self.key_rows(entries)
+        coeff = select - mix
+        subsets = list(combinations(range(p.n_qubits), p.t))
+        p_abort, norms, masses, support = 0.0, 0.0, 0.0, 0.0
+        for subset in subsets:
+            rest = tuple(i for i in range(p.n_qubits) if i not in subset)
+            # the block sums depend only on the attacks at the rest positions,
+            # so subsets whose rests share position keys share them
+            key = (tuple(self._pos_key(i) for i in rest), entries)
+            if key not in self._rest_sums:
+                blocks = list(self.rest_iter(rest))
+                self._rest_sums[key] = (sum(b.trace_norms(coeff) for b in blocks),
+                                        sum(select @ b.w_member for b in blocks))
+            rest_norms, rest_masses = self._rest_sums[key]
+            pass_mass, abort_mass = self.sample_stats(subset)
+            p_abort += abort_mass
+            norms = norms + pass_mass * rest_norms
+            masses = masses + pass_mass * rest_masses
+            support = support + rest_masses
+        # normalise by the uniform sample-subset choice once, at the end, so
+        # the exactly representable attacks keep exactly representable values
+        c = len(subsets)
+        return p_abort / c, norms / c, masses / c, support > 0.0
 
 
 class _RestBlock:
@@ -418,19 +479,27 @@ class _RestBlock:
         if gram is not None:
             self._gram_sqrt = psd_sqrt(gram, rel_cutoff=RANK_CUTOFF)
 
-    def trace_norm(self, member_coeff: np.ndarray) -> float:
-        """|| sum over members of coeff * (branch operator) ||_1."""
-        if not np.any(member_coeff):
-            return 0.0
+    def trace_norms(self, coeff: np.ndarray) -> np.ndarray:
+        """|| sum over members of coeff[r] * (branch operator) ||_1, per row r."""
         if self._scalars is not None:
-            # one-dimensional environment: the block operator is a scalar
-            return abs(float((member_coeff * self._scalars).sum()))
+            # one-dimensional environment: the block operators are scalars
+            return np.abs((coeff * self._scalars).sum(axis=1))
+        dim = (self._ops if self._ops is not None else self._gram_sqrt).shape[1]
+        step = max(1, _BATCH_ENTRIES // dim ** 2)
+        return np.concatenate([self._batch_norms(coeff[lo:lo + step])
+                               for lo in range(0, len(coeff), step)])
+
+    def _batch_norms(self, coeff: np.ndarray) -> np.ndarray:
         if self._ops is not None:
-            m = np.tensordot(member_coeff, self._ops, axes=(0, 0))
-            return float(np.abs(np.linalg.eigvalsh(0.5 * (m + m.conj().T))).sum())
-        coeff = member_coeff[self._member_of_col]
-        h = (self._gram_sqrt * coeff[None, :]) @ self._gram_sqrt
-        return float(np.abs(np.linalg.eigvalsh(0.5 * (h + h.conj().T))).sum())
+            n_members, dim, _ = self._ops.shape
+            m = (coeff @ self._ops.reshape(n_members, dim * dim)).reshape(-1, dim, dim)
+        else:
+            col_coeff = coeff[:, self._member_of_col]
+            m = (self._gram_sqrt * col_coeff[:, None, :]) @ self._gram_sqrt
+        h = m.conj().swapaxes(1, 2)
+        h += m
+        h *= 0.5
+        return np.abs(np.linalg.eigvalsh(h)).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -480,66 +549,21 @@ def qkd_run(params: QkdParams, attack: AttackStrategy, seed: int = 0,
     del seed
     engine = _Engine(params, attack)
     p = params
-    n, t = p.n_qubits, p.t
+    n = p.n_qubits
     nk = p.key_size
-    subsets = list(combinations(range(n), t))
-    c_count = len(subsets)
-
-    p_abort = 0.0
-    eps_cor = 0.0
-    eps_sec = 0.0
-    advantage = 0.0
-    key_joint: dict = {}
-
-    # rest-part sums are independent of which subset was sampled whenever the
-    # per-position attacks coincide; the cache inside the engine handles that.
-    for subset in subsets:
-        rest = tuple(i for i in range(n) if i not in subset)
-        pass_mass, abort_mass = engine.sample_stats(subset)
-        p_abort += abort_mass
-
-        cor = 0.0
-        sec = 0.0
-        dist = 0.0
-        for block in engine.rest_iter(rest):
-            wm = block.w_member
-            cor += float(wm[engine.ka_of != engine.kb_of].sum())
-            # branch masses live inside the column norms, so the variant
-            # coefficients below are indicator combinations
-            for syn in range(2 ** p.h_rows):
-                in_syn = engine.syn_of == syn
-                if not np.any(wm[in_syn] > 0.0):
-                    continue
-                mix = in_syn.astype(float) / nk
-                # secrecy: K_A against everything Eve sees
-                for k in range(nk):
-                    coeff_m = (in_syn & (engine.ka_of == k)).astype(float) - mix
-                    sec += 0.5 * block.trace_norm(coeff_m)
-                # full real-vs-ideal distance: keys (K_A, K_B) jointly
-                for ka in range(nk):
-                    sel_a = in_syn & (engine.ka_of == ka)
-                    for kb in range(nk):
-                        coeff_m = (sel_a & (engine.kb_of == kb)).astype(float)
-                        if ka == kb:
-                            coeff_m = coeff_m - mix
-                        dist += 0.5 * block.trace_norm(coeff_m)
-            for ka in range(nk):
-                for kb in range(nk):
-                    w = float(wm[(engine.ka_of == ka) & (engine.kb_of == kb)].sum())
-                    if w:
-                        key_joint[(ka, kb)] = key_joint.get((ka, kb), 0.0) \
-                            + pass_mass * w
-        eps_cor += pass_mass * cor
-        eps_sec += pass_mass * sec
-        advantage += pass_mass * dist
-
-    # normalise by the uniform sample-subset choice once, at the end, so the
-    # exactly representable attacks keep exactly representable functionals
-    p_abort /= c_count
-    eps_cor /= c_count
-    eps_sec /= c_count
-    advantage /= c_count
-    key_joint = {k: v / c_count for k, v in key_joint.items()}
+    pairs = [(ka, kb) for ka in range(nk) for kb in range(nk)]
+    # secrecy rows (K_A against everything Eve sees), then the rows of the
+    # full real-vs-ideal distance (keys (K_A, K_B) jointly)
+    entries = tuple([(k, None, True) for k in range(nk)]
+                    + [(ka, kb, ka == kb) for ka, kb in pairs])
+    p_abort, norms, masses, reached = engine.evaluate(entries)
+    by_syn = (-1, len(entries))
+    eps_sec = 0.5 * float(norms.reshape(by_syn)[:, :nk].sum())
+    advantage = 0.5 * float(norms.reshape(by_syn)[:, nk:].sum())
+    joint = masses.reshape(by_syn)[:, nk:].sum(axis=0)
+    reached = reached.reshape(by_syn)[:, nk:].any(axis=0)
+    eps_cor = float(sum(w for (ka, kb), w in zip(pairs, joint) if ka != kb))
+    key_joint = {pair: float(w) for pair, w, r in zip(pairs, joint, reached) if r}
 
     if p_abort > 0.0:
         key_joint[("abort", "abort")] = p_abort
@@ -581,40 +605,11 @@ def leaked_advantage(run: QkdRun, split: int) -> float:
     if not 0 <= split <= p.out_len:
         raise InvalidParams(f"split {split} outside [0, {p.out_len}]")
     engine = run.engine()
-    nk = p.key_size
     low_bits = p.out_len - split
-    n_low = 2 ** low_bits
-    subsets = list(combinations(range(p.n_qubits), p.t))
-
-    def hi(k):
-        return k >> low_bits
-
-    def lo(k):
-        return k & (n_low - 1)
-
-    total = 0.0
-    for subset in subsets:
-        rest = tuple(i for i in range(p.n_qubits) if i not in subset)
-        pass_mass, _ = engine.sample_stats(subset)
-        dist = 0.0
-        for block in engine.rest_iter(rest):
-            wm = block.w_member
-            for syn in range(2 ** p.h_rows):
-                in_syn = engine.syn_of == syn
-                if not np.any(wm[in_syn] > 0.0):
-                    continue
-                mix = in_syn.astype(float) / nk
-                for k1 in range(2 ** split):
-                    for k2 in range(n_low):
-                        ka = (k1 << low_bits) | k2
-                        sel = in_syn & (engine.ka_of == ka)
-                        for kb in range(nk):
-                            coeff_m = (sel & (engine.kb_of == kb)).astype(float)
-                            if kb == ka:
-                                coeff_m = coeff_m - mix
-                            dist += 0.5 * block.trace_norm(coeff_m)
-        total += pass_mass * dist / len(subsets)
-    return total
+    # K_A as (leaked prefix, kept bits), against every K_B
+    kas = [(k1 << low_bits) | k2 for k1 in range(2 ** split) for k2 in range(2 ** low_bits)]
+    entries = tuple((ka, kb, kb == ka) for ka in kas for kb in range(p.key_size))
+    return 0.5 * float(engine.evaluate(entries)[1].sum())
 
 
 def otp_composed_advantage(run: QkdRun, message: int) -> float:
@@ -631,30 +626,9 @@ def otp_composed_advantage(run: QkdRun, message: int) -> float:
     if not 0 <= message < nk:
         raise InvalidParams(f"message {message} is not a {p.out_len}-bit value")
     engine = run.engine()
-    subsets = list(combinations(range(p.n_qubits), p.t))
-    total = 0.0
-    for subset in subsets:
-        rest = tuple(i for i in range(p.n_qubits) if i not in subset)
-        pass_mass, _ = engine.sample_stats(subset)
-        dist = 0.0
-        for block in engine.rest_iter(rest):
-            wm = block.w_member
-            for syn in range(2 ** p.h_rows):
-                in_syn = engine.syn_of == syn
-                if not np.any(wm[in_syn] > 0.0):
-                    continue
-                mix = in_syn.astype(float) / nk
-                for y in range(nk):
-                    ka = message ^ y
-                    sel = in_syn & (engine.ka_of == ka)
-                    for xb in range(nk):
-                        kb = y ^ xb
-                        coeff_m = (sel & (engine.kb_of == kb)).astype(float)
-                        if xb == message:
-                            coeff_m = coeff_m - mix
-                        dist += 0.5 * block.trace_norm(coeff_m)
-        total += pass_mass * dist / len(subsets)
-    return total
+    entries = tuple((message ^ y, y ^ xb, xb == message)
+                    for y in range(nk) for xb in range(nk))
+    return 0.5 * float(engine.evaluate(entries)[1].sum())
 
 
 @dataclass(frozen=True)

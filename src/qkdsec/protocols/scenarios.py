@@ -181,6 +181,9 @@ def _diagonal_blocks(run: QkdRun):
             "diagonal export assumes position-uniform attacks")
     # uniform attacks: rest blocks are subset independent; evaluate on one
     rest = tuple(i for i in range(p.n_qubits) if i not in subsets[0])
+    # per syndrome and key pair: the real branch sum, the ideal uniform key
+    select, mix = engine.key_rows(tuple((ka, kb, ka == kb)
+                                        for ka in range(nk) for kb in range(nk)))
     reals, ideals = [], []
     for block in engine.rest_iter(rest):
         if block._ops is None:
@@ -190,25 +193,12 @@ def _diagonal_blocks(run: QkdRun):
         if float(np.abs(off).max()) > 1e-12:
             raise ScheduleMismatch("attack is not classical; no diagonal export")
         diags = np.einsum("mii->mi", ops).real
-        for syn in range(2 ** p.h_rows):
-            in_syn = engine.syn_of == syn
-            if not np.any(block.w_member[in_syn] > 0.0):
-                continue
-            mixture = diags[in_syn].sum(axis=0) / nk
-            for ka in range(nk):
-                for kb in range(nk):
-                    sel = in_syn & (engine.ka_of == ka) & (engine.kb_of == kb)
-                    real_vals = diags[sel].sum(axis=0) if np.any(sel) \
-                        else np.zeros(diags.shape[1])
-                    ideal_vals = mixture if ka == kb else np.zeros(diags.shape[1])
-                    reals.append(real_vals)
-                    ideals.append(ideal_vals)
+        reals.append((select @ diags).ravel())
+        ideals.append((mix @ diags).ravel())
     pass_mass = 1.0 - run.p_abort
     scale = pass_mass if pass_mass > 0 else 1.0
-    r = np.concatenate(reals) if reals else np.zeros(1)
-    i = np.concatenate(ideals) if ideals else np.zeros(1)
     # rest blocks hold unit mass; rescale so each side sums to 1 - p_abort
-    return r * scale, i * scale
+    return np.concatenate(reals) * scale, np.concatenate(ideals) * scale
 
 
 def product_pair_advantage(run1: QkdRun, run2: QkdRun) -> float:

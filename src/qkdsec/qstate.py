@@ -451,6 +451,11 @@ def _canonical_factor(op, qdim: int) -> tuple[np.ndarray, float]:
     if arr.shape[0] != qdim:
         raise DimMismatch(
             f"branch operator lives on dimension {arr.shape[0]}, expected {qdim}")
+    # a NaN or infinite entry anywhere makes the squared norm non-finite;
+    # checked first, so that no arithmetic below meets such an entry
+    trace = float(np.vdot(arr, arr).real)
+    if not math.isfinite(trace):
+        raise NotFinite(f"branch operator is not finite (squared norm {trace})")
     if arr.shape[0] == arr.shape[1]:
         herm = float(np.abs(arr - arr.conj().T).max())
         if herm <= tol.HERMITIAN_TOL:
@@ -459,11 +464,8 @@ def _canonical_factor(op, qdim: int) -> tuple[np.ndarray, float]:
             if wmin < -tol.PSD_TOL:
                 raise NotPSD(f"branch operator has eigenvalue {wmin:.3e}")
             arr = f
+            trace = float(np.vdot(arr, arr).real)
         # Square non-Hermitian input is taken to be a factor already.
-    trace = float(np.einsum("ij,ij->", arr.conj(), arr).real)
-    # a NaN or infinite entry anywhere makes this sum non-finite
-    if not math.isfinite(trace):
-        raise NotFinite(f"branch operator is not finite (squared norm {trace})")
     if trace <= 0.0:
         return np.zeros((qdim, 1), dtype=complex), 0.0
     return arr / np.sqrt(trace), trace

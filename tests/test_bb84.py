@@ -222,3 +222,67 @@ def test_security_eval_accepts_family():
     assert len(ev.runs) == 6  # identity plus the five grid points
     assert ev.holds
     assert ev.eps_sec > 0.0
+
+
+def _random_complex(rng, dim, cols):
+    return rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("route", ["scalar", "ops", "gram"])
+def test_trace_norms_match_per_row_eigvalsh(monkeypatch, route, chunked):
+    if chunked:
+        # one row per batch on both spectral routes
+        monkeypatch.setattr(bb84, "_BATCH_ENTRIES", 9)
+    rng = np.random.default_rng(5)
+    n_members, dim = 16, 3
+    coeff = rng.normal(size=(7, n_members))
+    coeff[2] = 0.0
+    w = rng.uniform(size=n_members)
+    if route == "gram":
+        # columns V with Gram matrix V^dagger V; member m owns columns 2m, 2m+1
+        member_of_col = np.repeat(np.arange(n_members), 2)
+        v = _random_complex(rng, dim, member_of_col.size)
+        block = bb84._RestBlock(w, gram=v.conj().T @ v, member_of_col=member_of_col)
+        ops = np.stack([v[:, member_of_col == m] @ v[:, member_of_col == m].conj().T
+                        for m in range(n_members)])
+    else:
+        d = 1 if route == "scalar" else dim
+        x = _random_complex(rng, n_members * d, d).reshape(n_members, d, d)
+        ops = x @ x.conj().swapaxes(1, 2)
+        block = bb84._RestBlock(w, ops=ops)
+    want = [float(np.abs(np.linalg.eigvalsh(np.tensordot(row, ops, axes=(0, 0)))).sum())
+            for row in coeff]
+    got = block.trace_norms(coeff)
+    assert got.shape == (len(coeff),)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+    assert got[2] == 0.0
+
+
+def test_rest_memo_with_position_dependent_attack():
+    # every sample subset leaves a different (ir, dep) pattern on the rest
+    from qkdsec.acframework import AttackStrategy
+
+    params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
+    ir = bb84.intercept_resend(1, 1.0).quantum[0]
+    dep = bb84.depolarize_attack(1, 0.3).quantum[0]
+    attack = AttackStrategy(name="ir-dep-ir", quantum=(ir, dep, ir))
+    p_abort, eps_cor, eps_sec, advantage, _ = oracle_quantities(params, attack)
+    run = bb84.qkd_run(params, attack, keep_engine=True)
+    assert abs(p_abort - run.p_abort) <= 1e-12
+    assert abs(eps_cor - run.eps_cor) <= 1e-12
+    assert abs(eps_sec - run.eps_sec) <= 1e-9
+    assert abs(advantage - run.advantage) <= 1e-9
+    assert len(run.engine()._rest_sums) == 3
+    uniform = bb84.qkd_run(params, bb84.intercept_resend(3, 1.0), keep_engine=True)
+    assert len(uniform.engine()._rest_sums) == 1
+
+
+def test_leaked_and_otp_variants_match_plain_n6():
+    params = bb84.default_params(n_qubits=6, t=2, q_tol=0.25, out_len=2, h_rows=1)
+    for attack in (bb84.steal_replace_attack(6), bb84.intercept_resend(6, 1.0)):
+        run = bb84.qkd_run(params, attack, keep_engine=True)
+        for split in (0, 1, 2):
+            assert abs(bb84.leaked_advantage(run, split) - run.advantage) <= 1e-9
+        for msg in (0, 1, 3):
+            assert abs(bb84.otp_composed_advantage(run, msg) - run.advantage) <= 1e-9

@@ -52,8 +52,8 @@ def test_make_channel_rejects_non_finite(bad):
         qs.make_channel([[[bad, 0.0], [0.0, 1.0]]])
 
 
-# inf - inf in the Hermiticity probe warns before the finiteness check raises
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# the finiteness check comes before any arithmetic that would warn on inf - inf
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", BAD_VALUES)
 def test_make_cq_rejects_non_finite(bad):
     regs = [("k", (0, 1))]
