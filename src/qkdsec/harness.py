@@ -262,11 +262,15 @@ def run_scenario(cfg: RunConfig) -> list[ReportRow]:
     """Execute one named scenario; deterministic given the config seed."""
     if cfg.scenario is None:
         raise BadValue("config does not name a scenario")
-    started = time.perf_counter()
     rows: list[ReportRow] = []
+    last = time.perf_counter()
 
     def add(case, measured, bound, holds):
-        ms = (time.perf_counter() - started) * 1000.0
+        # per case: the time since the previous row (or since the start)
+        nonlocal last
+        now = time.perf_counter()
+        ms = (now - last) * 1000.0
+        last = now
         rows.append(ReportRow(cfg.scenario, case, float(measured), float(bound),
                               bool(holds), ms))
 

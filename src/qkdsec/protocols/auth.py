@@ -8,7 +8,9 @@ interrupt switch whenever the substituted string differs from what it sent.
 
 Because tags are uniform over the key, the evaluated states branch over the
 observed tag, with acceptance probabilities obtained by exhaustive key
-counting; nothing is sampled.
+counting; nothing is sampled.  The supremum over all substitution rules is
+one array reduction per forged message: the joint tag counts of the sent
+and the forged message over every key, maximised per observed tag.
 """
 
 from __future__ import annotations
@@ -54,13 +56,16 @@ def auth_verify(fam: HashFamily, key: tuple[int, int], pair: tuple):
     return x if fam.digest(key, x) == y else None
 
 
-@lru_cache(maxsize=None)
-def _pair_counts(fam: HashFamily, x: int, x2: int) -> np.ndarray:
-    """counts[y, y2] = #keys with h(x) = y and h(x2) = y2."""
+def _count_pairs(fam: HashFamily, dx: np.ndarray, x2) -> np.ndarray:
+    """counts[y, y2] = #keys with h(x) = y and h(x2) = y2, given dx = h(x)."""
     order = fam.tag_space
-    dx = fam.digest_all_keys(x)
     dx2 = fam.digest_all_keys(x2)
     return np.bincount(dx * order + dx2, minlength=order * order).reshape(order, order)
+
+
+@lru_cache(maxsize=None)
+def _pair_counts(fam: HashFamily, x: int, x2: int) -> np.ndarray:
+    return _count_pairs(fam, fam.digest_all_keys(x), x2)
 
 
 def accept_probability(fam: HashFamily, x: int, y: int, x2: int, y2: int) -> float:
@@ -177,13 +182,18 @@ def exhaustive_substitution_advantage(fam: HashFamily, message: int = 0) -> floa
     leaving the pair alone contributes zero).
     """
     order = fam.tag_space
+    dx = fam.digest_all_keys(message)
+    # keys consistent with each observed tag: the row sums of every table
+    consistent = np.bincount(dx, minlength=order)
+    # all forgeries of one observed tag share its denominator, so the best
+    # acceptance is the largest count over it; the tables are built here and
+    # not through _pair_counts, whose cache would keep all of them
+    best_count = np.zeros(order, dtype=np.int64)
+    for x2 in range(order):
+        if x2 != message:
+            np.maximum(best_count, _count_pairs(fam, dx, x2).max(axis=1), out=best_count)
+    best = best_count / consistent
     total = 0.0
     for y in range(order):
-        best = 0.0
-        for x2 in range(order):
-            if x2 == message:
-                continue
-            for y2 in range(order):
-                best = max(best, accept_probability(fam, message, y, x2, y2))
-        total += best / order
+        total += float(best[y]) / order
     return total

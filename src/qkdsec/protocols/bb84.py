@@ -302,6 +302,26 @@ def _position_tables(attack: AttackStrategy, n: int):
 _BATCH_ENTRIES = 1 << 20
 
 
+def _key_tables(params: QkdParams, a: np.ndarray, b: np.ndarray):
+    """Syndrome, Alice's key and Bob's corrected key per row of bits.
+
+    Rows of ``a`` and ``b`` hold Alice's and Bob's bits at the key-material
+    positions.  Bob corrects by the coset leader of the syndrome difference;
+    syndromes and keys are GF(2) products packed little-endian.
+    """
+    lx = params.width
+    h = np.array(params.h_matrix, dtype=np.int64).reshape(params.h_rows, lx)
+    tm = np.array(params.t_matrix, dtype=np.int64)
+    leaders = coset_leader_table(h) if params.h_rows else np.zeros(1, dtype=np.int64)
+
+    def pack(matrix, bits):
+        return ((bits @ matrix.T) % 2) @ (1 << np.arange(matrix.shape[0]))
+
+    syn = pack(h, a)
+    leader = leaders[pack(h, b) ^ syn]
+    return syn, pack(tm, a), pack(tm, b ^ ((leader[:, None] >> np.arange(lx)) & 1))
+
+
 class _Engine:
     def __init__(self, params: QkdParams, attack: AttackStrategy):
         self.params = params
@@ -314,22 +334,10 @@ class _Engine:
 
     # key/syndrome lookup per key-material member (a_r, b_r)
     def _member_tables(self):
-        p = self.params
-        lx = p.width
-        h = np.array(p.h_matrix, dtype=np.int64).reshape(p.h_rows, lx)
-        tm = np.array(p.t_matrix, dtype=np.int64)
-        leaders = coset_leader_table(h) if p.h_rows else np.zeros(1, dtype=np.int64)
+        lx = self.params.width
         # member m holds position j's cell 2a+b in bits 2(lx-1-j) and up
         cells = (np.arange(4 ** lx)[:, None] >> (2 * np.arange(lx - 1, -1, -1))) & 3
-        a, b = cells >> 1, cells & 1
-
-        def pack(matrix, bits):  # GF(2) product, little-endian bits to integers
-            return ((bits @ matrix.T) % 2) @ (1 << np.arange(matrix.shape[0]))
-
-        self.syn_of = pack(h, a)
-        self.ka_of = pack(tm, a)
-        leader = leaders[pack(h, b) ^ self.syn_of]
-        self.kb_of = pack(tm, b ^ ((leader[:, None] >> np.arange(lx)) & 1))
+        self.syn_of, self.ka_of, self.kb_of = _key_tables(self.params, cells >> 1, cells & 1)
 
     def _pos_key(self, i: int) -> int:
         # positions with identical attacks share cached rest blocks

@@ -5,12 +5,20 @@ distinguishing advantage exactly, then checks it against the bound that the
 component failures imply.  Parallel composition pays attention to crossing
 attacks: the shipped one reroutes the quantum signals between the two
 instances (swap), which couples the runs and is evaluated jointly.
+
+The swap's joint state is enumerated with integer arrays: each run's view
+of an (a, b) word is one integer code (keys, sample bits, syndrome, abort),
+a joint cell is a pair of codes, and each (theta1, theta2) block of the
+16^n joint assignments is reduced with ``np.unique`` and ``np.bincount``.
+The reductions add in the order of the scalar enumeration they replace, so
+every mass and the crossing advantage are the same floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -228,10 +236,174 @@ def swap_joint_state(params: QkdParams):
     ``(blocks, group_mass)``: branch weights keyed by (Eve-visible label,
     key-pair-pair) and the per-label total masses.
     """
-    n, t = params.n_qubits, params.t
-    subsets = list(combinations(range(n), t))
-    c = len(subsets)
+    codes = _SwapCodes(params)
+    decode = lru_cache(maxsize=None)(codes.decode)  # cells recur in every block
+    real: dict = {}
+    group_mass: dict = {}
+    for thetas, blk in _swap_blocks(params, codes):
+        for cell, mass in zip(blk.cells.tolist(), blk.masses.tolist()):
+            label, kpair = decode(cell)
+            real[(thetas + label, kpair)] = mass
+        for cell, mass in zip(blk.label_cells.tolist(), blk.label_mass.tolist()):
+            group_mass[thetas + decode(cell)[0]] = mass
+    return real, group_mass
 
+
+def swap_crossing_advantage(params: QkdParams) -> float:
+    """Distance of the swap attack's joint state from two ideal keys.
+
+    The ideal side uniformises the surviving keys per instance; abort
+    patterns are matched per instance through the simulators' switches.
+    """
+    codes = _SwapCodes(params)
+    found, ideal_only = [], []
+    for _, blk in _swap_blocks(params, codes):
+        _, first, second = codes.split(blk.cells)
+        ideal = blk.group_of_cell * codes.key_share(first)
+        ideal = ideal * codes.key_share(second)
+        found.append(np.abs(blk.masses - ideal))
+        # ideal-only branches: per label, the option pairs (an abort, or
+        # each equal key pair, per instance) that the real run never produced
+        pair, first, second = codes.split(blk.label_cells)
+        opt1, opt2 = codes.options(first), codes.options(second)
+        cells = codes.join(pair[:, None, None], opt1[:, :, None], opt2[:, None, :])
+        missing = (opt1 >= 0)[:, :, None] & (opt2 >= 0)[:, None, :]
+        missing &= ~np.isin(cells, blk.cells)
+        share = (blk.label_mass[:, None, None] * codes.option_share(opt1)[:, :, None]
+                 * codes.option_share(opt2)[:, None, :])
+        ideal_only.append(share[missing])
+    # one running sum over the real branches and then the ideal-only ones,
+    # in dict order, so the total is the float a scalar loop adds up
+    return 0.5 * float(np.cumsum(np.concatenate(found + ideal_only))[-1])
+
+
+class _SwapCodes:
+    """Integer codes of the swap enumeration.
+
+    One instance's view of an (a, b) word is the code
+    ``(ka * (nk + 1) + kb) * evis_size + evis``: ``evis`` packs Alice's and
+    Bob's sample bits (first sample position in the high bit) and the
+    syndrome, and an aborted word has ka = kb = nk.  ``tables[s]`` maps word
+    ``(A << n) | B`` (position 0 in the high bit) to its code under sample
+    subset ``s``.  A cell of one (theta1, theta2) block is
+    ``join(s1 * subsets + s2, code1, code2)``.
+    """
+
+    def __init__(self, params: QkdParams):
+        n, t, rows = params.n_qubits, params.t, params.h_rows
+        nk = params.key_size
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        a, b = np.repeat(bits, 1 << n, axis=0), np.tile(bits, (1 << n, 1))
+
+        def high_first(x):
+            return x @ (1 << np.arange(x.shape[1] - 1, -1, -1))
+
+        self.nk = nk
+        self.abort = nk * (nk + 2)  # key index of (nk, nk)
+        self.evis_size = 4 ** t << rows
+        self.size = (nk + 1) ** 2 * self.evis_size
+        tables = []
+        for subset in combinations(range(n), t):
+            rest = [i for i in range(n) if i not in subset]
+            syn, ka, kb = bb84._key_tables(params, a[:, rest], b[:, rest])
+            passed = ~((a[:, subset] != b[:, subset]).sum(axis=1) > params.q_tol * t)
+            ka, kb = np.where(passed, ka, nk), np.where(passed, kb, nk)
+            evis = (high_first(a[:, subset]) << t | high_first(b[:, subset])) << rows | syn
+            tables.append((ka * (nk + 1) + kb) * self.evis_size + evis)
+        self.tables = np.array(tables)
+        self.subsets = len(tables)
+
+        def unpack(code):
+            keys, evis = divmod(code, self.evis_size)
+            samples, syn = divmod(evis, 1 << rows)
+            a_s, b_s = divmod(samples, 1 << t)
+            passed = keys != self.abort
+            return ((tuple((a_s >> j) & 1 for j in range(t - 1, -1, -1)),
+                     tuple((b_s >> j) & 1 for j in range(t - 1, -1, -1)), syn),
+                    divmod(keys, nk + 1) if passed else ("abort", "abort"), passed)
+
+        self._unpacked = [unpack(code) for code in range(self.size)]
+
+    def join(self, pair, code1, code2):
+        return (pair * self.size + code1) * self.size + code2
+
+    def split(self, cells: np.ndarray):
+        """(subset pair, first code, second code) of block cells."""
+        pair, first = np.divmod(cells // self.size, self.size)
+        return pair, first, cells % self.size
+
+    def decode(self, cell: int):
+        """((s1, s2) + Eve-visible label, key-pair-pair) of a cell, as dict keys."""
+        rest, second = divmod(cell, self.size)
+        pair, first = divmod(rest, self.size)
+        evis1, keys1, passed1 = self._unpacked[first]
+        evis2, keys2, passed2 = self._unpacked[second]
+        return (divmod(pair, self.subsets) + evis1 + evis2 + ((passed1, passed2),),
+                (keys1, keys2))
+
+    def labels(self, cells: np.ndarray) -> np.ndarray:
+        """Label index of block cells: subset pair, evis and pass flags."""
+        pair, first, second = self.split(cells)
+        lab1 = first % self.evis_size * 2 + (first // self.evis_size != self.abort)
+        lab2 = second % self.evis_size * 2 + (second // self.evis_size != self.abort)
+        return (pair * 2 * self.evis_size + lab1) * 2 * self.evis_size + lab2
+
+    def key_share(self, codes: np.ndarray) -> np.ndarray:
+        """Ideal weight factor of one instance's key pair: the uniform key's
+        on equal keys, one on an abort, zero otherwise."""
+        ka, kb = np.divmod(codes // self.evis_size, self.nk + 1)
+        return np.where(ka == self.nk, np.where(kb == self.nk, 1.0, 0.0),
+                        np.where(ka == kb, 1.0 / self.nk, 0.0))
+
+    def options(self, codes: np.ndarray) -> np.ndarray:
+        """Per code, the ideal key pairs of its label: each (k, k) when the
+        instance passed, else the abort alone (padded with -1)."""
+        keys, evis = np.divmod(codes, self.evis_size)
+        k = np.arange(self.nk)
+        passing = (k * (self.nk + 2) * self.evis_size)[None, :] + evis[:, None]
+        aborting = np.where(k == 0, self.abort * self.evis_size + evis[:, None], -1)
+        return np.where((keys != self.abort)[:, None], passing, aborting)
+
+    def option_share(self, options: np.ndarray) -> np.ndarray:
+        return np.where(options // self.evis_size == self.abort, 1.0, 1.0 / self.nk)
+
+
+@dataclass(frozen=True)
+class _SwapBlock:
+    """Reduced cells of one (theta1, theta2) block, all subset pairs.
+
+    ``cells`` holds the cells of positive mass, subset pair by subset pair
+    and within one in order of first occurrence over the 16^n joint
+    assignments of (a1, b1, a2, b2); ``masses`` adds each cell's weights
+    in that order.  Labels are ordered by their first cell
+    (``label_cells``), and ``label_mass`` adds a label's cell masses in
+    cell order: the orders and sums of the dicts a scalar loop builds.
+    """
+
+    cells: np.ndarray
+    masses: np.ndarray
+    group_of_cell: np.ndarray
+    label_cells: np.ndarray
+    label_mass: np.ndarray
+
+
+def _sums_by_first_seen(keys: np.ndarray, weights: np.ndarray):
+    """Add the weights of each key in input order.
+
+    Returns the positions of the distinct keys' first occurrences, in
+    order of first occurrence, their sums in that order, and the sum of
+    every input's key.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    sums = np.bincount(inverse, weights=weights)
+    order = np.argsort(first)
+    return first[order], sums[order], sums[inverse]
+
+
+def _swap_blocks(params: QkdParams, codes: _SwapCodes):
+    """Yield ((theta1, theta2), _SwapBlock) in enumeration order."""
+    n = params.n_qubits
+    pairs = codes.subsets ** 2
     # p(b | prepared a' in basis th', measured in basis th)
     overlap = np.zeros((2, 2, 2, 2))  # [th, th', b, a']
     for th in range(2):
@@ -243,138 +415,35 @@ def swap_joint_state(params: QkdParams):
     overlap[overlap < 1e-28] = 0.0
     overlap[np.abs(overlap - 1.0) < 1e-15] = 1.0
     overlap[np.abs(overlap - 0.5) < 1e-15] = 0.5
+    # one position's weights over its cell (a1, b1, a2, b2), a1 the high
+    # bit, indexed by the position's (theta1, theta2)
+    a1, b1, a2, b2 = (np.arange(16)[None, :] >> np.arange(3, -1, -1)[:, None]) & 1
+    local = 0.0625 * overlap[:, :, b1, a2] * overlap.transpose(1, 0, 2, 3)[:, :, b2, a1]
 
-    member_tabs = _swap_member_tables(params)
-    keys_cache = {
-        (s1, s2): _swap_group_keys(n, member_tabs[s1], member_tabs[s2])
-        for s1 in range(c) for s2 in range(c)
-    }
-    real: dict = {}
-    group_mass: dict = {}
+    # joint assignment m holds position i's cell in bits 4(n-1-i) and up
+    nibbles = (np.arange(16 ** n)[:, None] >> (4 * np.arange(n - 1, -1, -1))) & 15
+    place = 1 << np.arange(n - 1, -1, -1)
+
+    def word(a_bit, b_bit):
+        return (((nibbles >> a_bit) & 1) @ place) << n | (((nibbles >> b_bit) & 1) @ place)
+
+    first, second = codes.tables[:, word(3, 2)], codes.tables[:, word(1, 0)]
+    # row s1 * subsets + s2: every joint assignment's cell under (s1, s2)
+    cells = codes.join(np.arange(pairs)[:, None], np.repeat(first, codes.subsets, axis=0),
+                       np.tile(second, (codes.subsets, 1)))
     for th1 in product(range(2), repeat=n):
         for th2 in product(range(2), repeat=n):
-            # joint weights over (a1, b1, a2, b2) per position, chained
             w = np.ones(1)
             for i in range(n):
-                local = np.zeros(16)
-                for a1, b1, a2, b2 in product(range(2), repeat=4):
-                    local[(a1 << 3) | (b1 << 2) | (a2 << 1) | b2] = (
-                        0.0625
-                        * overlap[th1[i], th2[i], b1, a2]
-                        * overlap[th2[i], th1[i], b2, a1])
-                w = (w[:, None] * local[None, :]).reshape(-1)
-            for s1 in range(c):
-                for s2 in range(c):
-                    share = w / (c * c)
-                    for cell, mass in _swap_grouped(share, keys_cache[(s1, s2)]):
-                        label = (th1, th2, s1, s2) + cell[2:]
-                        kpair = cell[:2]
-                        real[(label, kpair)] = real.get((label, kpair), 0.0) + mass
-                        group_mass[label] = group_mass.get(label, 0.0) + mass
-    return real, group_mass
-
-
-def swap_crossing_advantage(params: QkdParams) -> float:
-    """Distance of the swap attack's joint state from two ideal keys.
-
-    The ideal side uniformises the surviving keys per instance; abort
-    patterns are matched per instance through the simulators' switches.
-    """
-    nk = params.key_size
-    real, group_mass = swap_joint_state(params)
-    dist = 0.0
-    seen = set()
-    for (label, kpair), value in real.items():
-        (ka1, kb1), (ka2, kb2) = kpair
-        ideal = group_mass[label]
-        for flag, ka, kb, size in (("1", ka1, kb1, nk), ("2", ka2, kb2, nk)):
-            if ka == "abort":
-                ideal *= 1.0 if kb == "abort" else 0.0
-            else:
-                ideal *= (1.0 / size) if ka == kb else 0.0
-        dist += abs(value - ideal)
-        seen.add((label, kpair))
-    # ideal-only blocks: key pairs the real run never produced
-    for label, mass in group_mass.items():
-        flags = label[-1]
-        options1 = [("abort", "abort")] if not flags[0] else \
-            [(k, k) for k in range(nk)]
-        options2 = [("abort", "abort")] if not flags[1] else \
-            [(k, k) for k in range(nk)]
-        for o1 in options1:
-            for o2 in options2:
-                key = (label, (o1, o2))
-                if key in seen:
-                    continue
-                share1 = 1.0 if o1 == ("abort", "abort") else 1.0 / nk
-                share2 = 1.0 if o2 == ("abort", "abort") else 1.0 / nk
-                dist += mass * share1 * share2
-    return 0.5 * dist
-
-
-def _swap_member_tables(params: QkdParams):
-    """Per sample subset: key/syndrome/abort data for full (a, b) words."""
-    n, t = params.n_qubits, params.t
-    h = np.array(params.h_matrix, dtype=np.uint8)
-    t_mat = np.array(params.t_matrix, dtype=np.uint8)
-    from ..linalg import coset_leader_table
-
-    leaders = coset_leader_table(h) if h.size else np.zeros(1, dtype=np.int64)
-    tables = []
-    for subset in combinations(range(n), t):
-        rest = [i for i in range(n) if i not in subset]
-        entry = {}
-        for a in product(range(2), repeat=n):
-            for b in product(range(2), repeat=n):
-                errors = sum(1 for i in subset if a[i] != b[i])
-                abort = errors > params.q_tol * t
-                a_r = np.array([a[i] for i in rest], dtype=np.uint8)
-                b_r = np.array([b[i] for i in rest], dtype=np.uint8)
-                syn_bits = (h @ a_r) % 2 if h.size else np.zeros(0, dtype=np.uint8)
-                syn = int(sum(int(x) << i for i, x in enumerate(syn_bits)))
-                if abort:
-                    ka = kb = "abort"
-                else:
-                    ka = int(sum(int(x) << i for i, x in enumerate((t_mat @ a_r) % 2)))
-                    bsyn = (h @ b_r) % 2 if h.size else np.zeros(0, dtype=np.uint8)
-                    diff = int(sum(int(x) << i for i, x in enumerate(bsyn))) ^ syn
-                    leader = int(leaders[diff]) if h.size else 0
-                    xh = b_r ^ np.array([(leader >> j) & 1 for j in range(len(rest))],
-                                        dtype=np.uint8)
-                    kb = int(sum(int(x) << i for i, x in enumerate((t_mat @ xh) % 2)))
-                entry[(a, b)] = (ka, kb, tuple(a[i] for i in subset),
-                                 tuple(b[i] for i in subset), syn, not abort)
-        tables.append(entry)
-    return tables
-
-
-def _swap_group_keys(n, tab1, tab2):
-    keys = []
-    for m in range(16 ** n):
-        a1, b1, a2, b2 = [], [], [], []
-        for i in range(n):
-            cell = (m >> (4 * (n - 1 - i))) & 15
-            a1.append((cell >> 3) & 1)
-            b1.append((cell >> 2) & 1)
-            a2.append((cell >> 1) & 1)
-            b2.append(cell & 1)
-        e1 = tab1[(tuple(a1), tuple(b1))]
-        e2 = tab2[(tuple(a2), tuple(b2))]
-        keys.append((((e1[0], e1[1]), (e2[0], e2[1])),
-                     e1[2:5] + e2[2:5] + ((e1[5], e2[5]),)))
-    return keys
-
-
-def _swap_grouped(weights, keys):
-    grouped: dict = {}
-    for wval, (kpair, evis) in zip(weights, keys):
-        if wval <= 0.0:
-            continue
-        cell = (kpair[0], kpair[1]) + evis
-        grouped[cell] = grouped.get(cell, 0.0) + float(wval)
-    for cell, mass in grouped.items():
-        kpair = (cell[0], cell[1])
-        yield (kpair + cell[2:]), mass
+                w = (w[:, None] * local[th1[i], th2[i]][None, :]).reshape(-1)
+            share = w / pairs
+            live = np.flatnonzero(share > 0.0)
+            block_cells = cells[:, live].ravel()
+            at, masses, _ = _sums_by_first_seen(block_cells, np.tile(share[live], pairs))
+            block_cells = block_cells[at]
+            at, label_mass, group_of_cell = _sums_by_first_seen(codes.labels(block_cells), masses)
+            yield (th1, th2), _SwapBlock(block_cells, masses, group_of_cell,
+                                         block_cells[at], label_mass)
 
 
 def parallel_qkd_scenario(params: QkdParams, *, include_crossing: bool = True):
@@ -699,17 +768,19 @@ def key_expansion(rounds: int, fam: HashFamily, params: QkdParams,
     # measured composite: single-round attacks with the other rounds honest
     # (honest rounds have exactly equal real and ideal states, so the
     # composite distance is the attacked round's distance)
+    # every round faces the same attacks, so each distance is computed once
     specs = [{"p": 0.0}, {"p": 1.0}, {"p": 0.0, "tamper": "msg2"},
              {"p": 1.0, "tamper": "msg1"}]
+    distances = [authenticated_round_distance(params, fam, spec)["distance"]
+                 for spec in specs]
     rows = []
     worst = 0.0
     for r in range(rounds):
-        for spec in specs:
-            result = authenticated_round_distance(params, fam, spec)
+        for spec, distance in zip(specs, distances):
             name = f"round{r + 1}:p={spec.get('p', 0)}" + (
                 f"+{spec['tamper']}" if "tamper" in spec else "")
-            rows.append((name, result["distance"]))
-            worst = max(worst, result["distance"])
+            rows.append((name, distance))
+            worst = max(worst, distance)
     report = BoundReport(f"key-expansion-{rounds}rounds", worst, ledger.total)
     return KeyExpansionResult(ledger, report, tuple(rows), initial_pool_bits, output)
 

@@ -14,7 +14,9 @@ function of its inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -471,6 +473,39 @@ def _canonical_factor(op, qdim: int) -> tuple[np.ndarray, float]:
     return arr / np.sqrt(trace), trace
 
 
+def _scalar_factor(op) -> tuple[np.ndarray, float] | None:
+    """:func:`_canonical_factor` of a scalar branch when there is no quantum part.
+
+    Repeats its arithmetic bit for bit on Python floats: the squared norm,
+    the Hermiticity probe (|z - conj z| = |2 Im z|), the closed-form 1x1
+    ``psd_factor`` (the real part kept above the rank cutoff, then its
+    square root) and the trace re-taken from that root.  Returns None where
+    the general path decides: a non-finite squared norm (so that its
+    ``NotFinite`` message is the same) and a non-Hermitian scalar, which it
+    takes as a factor.
+    """
+    z = complex(op)
+    re, im = z.real, z.imag
+    if not math.isfinite(re * re + im * im) or abs(2.0 * im) > tol.HERMITIAN_TOL:
+        return None
+    if re < -tol.PSD_TOL:
+        raise NotPSD(f"branch operator has eigenvalue {re:.3e}")
+    if not re > tol.RANK_CUTOFF * max(re, 0.0):
+        return np.zeros((1, 1), dtype=complex), 0.0
+    root = math.sqrt(re)
+    trace = root * root
+    # numpy divides the complex factor root + 0j by the real sqrt(trace) as
+    # root * (1 / sqrt(trace)) (Smith's algorithm with a zero imaginary part)
+    return _unit_column(root * (1.0 / math.sqrt(trace))), trace
+
+
+@lru_cache(maxsize=64)
+def _unit_column(value: float) -> np.ndarray:
+    # the normalised 1x1 factor is within an ulp of 1, so a few shared
+    # read-only arrays serve every scalar branch
+    return _frozen(np.full((1, 1), value, dtype=complex))
+
+
 def make_cq(registers, branches, quantum_dims=()) -> CQState:
     """Build a validated classical-quantum state.
 
@@ -483,6 +518,7 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
                  for r in registers)
     qdims = tuple(int(d) for d in quantum_dims)
     qdim = int(np.prod(qdims)) if qdims else 1
+    alphabets = [frozenset(r.alphabet) for r in regs]
     seen = set()
     out = []
     mass = 0.0
@@ -492,8 +528,8 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
             raise RegisterMismatch(
                 f"assignment {assignment} has {len(assignment)} values for "
                 f"{len(regs)} registers")
-        for reg, value in zip(regs, assignment):
-            if value not in reg.alphabet:
+        for reg, alphabet, value in zip(regs, alphabets, assignment):
+            if value not in alphabet:
                 raise AlphabetMismatch(f"value {value!r} not in alphabet of register {reg.name}")
         if assignment in seen:
             raise DuplicateAssignment(f"assignment {assignment} appears twice")
@@ -505,7 +541,8 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
             raise BadTrace(f"negative branch weight {weight}")
         if weight <= 0.0:
             continue
-        factor, op_trace = _canonical_factor(op, qdim)
+        canon = _scalar_factor(op) if qdim == 1 and isinstance(op, numbers.Number) else None
+        factor, op_trace = canon if canon is not None else _canonical_factor(op, qdim)
         eff = weight * op_trace
         if eff <= 0.0:
             continue
@@ -513,7 +550,7 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
         out.append(CQBranch(assignment, eff, _frozen(factor)))
     if mass > 1.0 + tol.TRACE_TOL:
         raise BadTrace(f"branch weights sum to {mass!r} > 1")
-    out.sort(key=lambda b: tuple(str(x) for x in b.assignment))
+    out.sort(key=lambda b: tuple(map(str, b.assignment)))
     return CQState(regs, tuple(out), qdims, trace_mass=mass)
 
 

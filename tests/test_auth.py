@@ -1,9 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from qkdsec.acframework import advantage_over_family
 from qkdsec.protocols import auth
 from qkdsec.protocols.hashing import (
+    HashFamily,
     affine_family,
     default_code_matrices,
     toeplitz_matrix,
@@ -116,3 +119,113 @@ def test_larger_families_on_restricted_spaces(bits):
     worst_pair, bound, uniform = verify_asu2(fam, messages=messages)
     assert uniform
     assert worst_pair <= bound + 1e-15
+
+
+def _scalar_supremum(fam, message):
+    # brute-force oracle: the scalar triple loop over every forgery
+    order = fam.tag_space
+    total = 0.0
+    for y in range(order):
+        best = 0.0
+        for x2 in range(order):
+            if x2 == message:
+                continue
+            for y2 in range(order):
+                best = max(best, auth.accept_probability(fam, message, y, x2, y2))
+        total += best / order
+    return total
+
+
+@pytest.mark.parametrize("bits", [2, 3, 4, 5, 6])
+def test_substitution_supremum_matches_scalar_oracle(bits):
+    fam = affine_family(bits)
+    order = fam.tag_space
+    messages = sorted({0, 1, order // 2 + 1, order - 1}) if bits < 6 else [0, 45]
+    for message in messages:
+        assert auth.exhaustive_substitution_advantage(fam, message=message) == \
+            _scalar_supremum(fam, message)
+
+
+def test_substitution_sweep_leaves_pair_cache_empty():
+    auth._pair_counts.cache_clear()
+    auth.exhaustive_substitution_advantage(affine_family(5), message=3)
+    assert auth._pair_counts.cache_info().currsize == 0
+
+
+@dataclass(frozen=True)
+class _TableFamily(HashFamily):
+    """A family whose tags come from a fixed random table: far from ASU2."""
+
+    def digest_all_keys(self, message):
+        blocks = (message,) if isinstance(message, int) else tuple(message)
+        rng = np.random.default_rng([self.block_bits, len(blocks), *blocks])
+        return rng.integers(0, self.tag_space, size=self.key_count)
+
+
+@dataclass(frozen=True)
+class _CopyFamily(_TableFamily):
+    """A random-table family in which one message repeats another's tags."""
+
+    source: int = 0
+    copy: int = 1
+
+    def digest_all_keys(self, message):
+        return super().digest_all_keys(self.source if message == self.copy else message)
+
+
+@pytest.mark.parametrize("source, copy", [(0, 1), (0, 16), (4, 20), (0, 31), (30, 31)])
+def test_asu2_batched_count_reaches_every_pair(source, copy):
+    # only the pair (source, copy) collides on every key, so the worst pair
+    # count is the largest tag count of the source, wherever the pair sits
+    fam = _CopyFamily(5, source=source, copy=copy)
+    worst, _, _ = verify_asu2(fam)
+    assert worst == np.bincount(fam.digest_all_keys(source)).max() / fam.key_count
+
+
+def _direct_asu2(fam, messages, digest):
+    # pairwise oracle: one count table per message pair, as written
+    order, nkeys = fam.tag_space, fam.key_count
+    uniform = True
+    for m in messages:
+        counts = np.zeros(order, dtype=int)
+        for y in digest(m):
+            counts[y] += 1
+        uniform &= bool(np.all(counts * order == nkeys))
+    worst = 0
+    for i, m in enumerate(messages):
+        for m2 in messages[i + 1:]:
+            counts = np.zeros((order, order), dtype=int)
+            for y, y2 in zip(digest(m), digest(m2)):
+                counts[y, y2] += 1
+            worst = max(worst, int(counts.max()))
+    return worst / nkeys, fam.epsilon / order, uniform
+
+
+def _literal_digests(fam):
+    return lambda m: [fam.digest(key, m) for key in fam.keys()]
+
+
+@pytest.mark.parametrize("bits", [3, 5])
+def test_asu2_batched_count_matches_direct_pairwise_count(bits):
+    fam = affine_family(bits)
+    messages = list(range(fam.tag_space))
+    digest = _literal_digests(fam) if bits == 3 else fam.digest_all_keys
+    assert verify_asu2(fam) == _direct_asu2(fam, messages, digest)
+    # a family far from the property: the counts must track it too
+    bad = _TableFamily(bits)
+    want = _direct_asu2(bad, messages, bad.digest_all_keys)
+    assert verify_asu2(bad) == want
+    assert want[0] > want[1] and not want[2]
+
+
+def test_asu2_batched_count_on_restricted_multi_block_messages():
+    fam = affine_family(3, max_blocks=2)
+    messages = [(0, 0), (1, 2), (7, 7), (3, 0), (0, 3), (5, 1), (2, 6)]
+    assert verify_asu2(fam, messages=messages) == \
+        _direct_asu2(fam, messages, _literal_digests(fam))
+    bad = _TableFamily(3, max_blocks=2)
+    assert verify_asu2(bad, messages=messages) == \
+        _direct_asu2(bad, messages, bad.digest_all_keys)
+    # a repeated message pairs with itself and breaks the bound
+    worst, bound, _ = verify_asu2(fam, messages=messages + [(1, 2)])
+    assert worst == 1 / fam.tag_space > bound

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,17 @@ def test_channel_fixture_roundtrip(tmp_path):
         assert np.abs(a - b).max() <= 1e-15
     attack = parse_attack(f"custom:{path}", 2)
     assert len(attack.quantum) == 2
+
+
+def test_run_scenario_runtime_is_per_case():
+    cfg = parse_config("seed = 3\nscenario = key-expansion\nrounds = 2")
+    started = time.perf_counter()
+    rows = run_scenario(cfg)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    assert len(rows) == 9
+    assert all(r.runtime_ms >= 0.0 for r in rows)
+    # cumulative times would add up to several times the whole run
+    assert sum(r.runtime_ms for r in rows) <= elapsed_ms
+    # the rounds' distances are computed before the first row, so the
+    # first row carries almost all of the run
+    assert rows[0].runtime_ms >= 0.5 * sum(r.runtime_ms for r in rows)

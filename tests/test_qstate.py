@@ -68,6 +68,57 @@ def test_make_cq_rejects_non_finite(bad):
         qs.make_cq(regs, [((0,), bad, 1.0), ((1,), 0.5, 1.0)])
 
 
+def _hermitian_scalars():
+    # real, complex within the Hermiticity tolerance, zero and tolerated
+    # negative branch operators of a state with no quantum part
+    rng = np.random.default_rng(31)
+    reals = [1.0, 0.3, 1 / 3, 7, True, np.float64(0.25), np.int64(3), 5e-324,
+             1e-300, 1e150, 1.3407807929942596e154]
+    reals += list(rng.random(300)) + list(10.0 ** rng.uniform(-320, 150, 300))
+    tilted = [complex(x, y) for x in reals[:40] for y in (1e-13, -4.9e-11)]
+    tilted += [np.complex128(0.2 + 3e-11j)]
+    zeros = [0.0, -0.0, 0, complex(0.0, 1e-12), -1e-12, -1e-9, complex(-5e-10, 2e-11)]
+    return reals + tilted + zeros
+
+
+def test_scalar_cq_factor_matches_canonical_factor_bit_for_bit():
+    for z in _hermitian_scalars():
+        got = qs._scalar_factor(z)
+        want = qs._canonical_factor(z, 1)
+        assert got is not None, z
+        assert got[0].shape == want[0].shape and got[0].dtype == want[0].dtype
+        assert got[0].tobytes() == want[0].tobytes(), z
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes(), z
+    # non-Hermitian and non-finite scalars are left to the general path
+    for z in (1 + 1j, complex(0.5, 5.1e-11), np.nan, np.inf, complex(1.0, np.nan), 1e200):
+        assert qs._scalar_factor(z) is None
+
+
+def _cq_outcome(op):
+    try:
+        state = qs.make_cq([("k", (0, 1))], [((0,), 0.5, op), ((1,), 0.25, 1.0)])
+    except qs.StateError as exc:
+        return type(exc), str(exc)
+    return ([(b.assignment, b.weight, b.factor.tobytes()) for b in state.branches],
+            state.trace_mass)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_make_cq_scalar_branches_match_matrix_branches():
+    # a 1x1 array takes the general path; the scalar path must agree with it
+    # on every value and on every error, message included
+    errors = {np.nan: qs.NotFinite, np.inf: qs.NotFinite, -np.inf: qs.NotFinite,
+              complex(1.0, np.nan): qs.NotFinite, complex(np.inf, 0.0): qs.NotFinite,
+              1e200: qs.NotFinite, -1e-3: qs.NotPSD, -2e-9: qs.NotPSD,
+              complex(-1.0, 1e-12): qs.NotPSD}
+    for z in _hermitian_scalars() + [1 + 1j, complex(0.5, -2e-10)] + list(errors):
+        got = _cq_outcome(z)
+        assert got == _cq_outcome(np.array([[z]], dtype=complex)), z
+        if z in errors:
+            assert got[0] is errors[z], z
+    assert _cq_outcome(0.0)[0] == [((1,), 0.25, qs._unit_column(1.0).tobytes())]
+
+
 def test_tensor_product_examples():
     tau2 = qs.maximally_mixed(2)
     tau4 = qs.tensor_product(tau2, tau2)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import swap_oracle
 from bb84_oracle import enumerate_branches, real_and_ideal_states
 from qkdsec import metrics as mt
 from qkdsec import qstate as qs
@@ -124,6 +125,22 @@ def test_key_expansion_ledger_arithmetic(round_params):
     assert sources["qkd"] == "measured"
 
 
+def test_key_expansion_computes_each_round_distance_once(round_params, monkeypatch):
+    fam = affine_family(4)
+    specs = [{"p": 0.0}, {"p": 1.0}, {"p": 0.0, "tamper": "msg2"},
+             {"p": 1.0, "tamper": "msg1"}]
+    want = [scenarios.authenticated_round_distance(round_params, fam, spec)["distance"]
+            for spec in specs]
+    calls = []
+    real = scenarios.authenticated_round_distance
+    monkeypatch.setattr(scenarios, "authenticated_round_distance",
+                        lambda *args: calls.append(args) or real(*args))
+    result = scenarios.key_expansion(3, fam, round_params)
+    assert len(calls) == len(specs)
+    assert [value for _, value in result.rows] == want * 3
+    assert [name for name, _ in result.rows][4:6] == ["round2:p=0.0", "round2:p=1.0"]
+
+
 def test_key_expansion_budget(round_params):
     fam = affine_family(4)
     with pytest.raises(scenarios.KeyBudgetExhausted):
@@ -180,3 +197,19 @@ def test_swap_marginal_equals_steal_replace():
     for key in keys:
         assert abs(marginal.get(key, 0.0) - steal.key_joint.get(key, 0.0)) <= 1e-12
     assert abs(sum(marginal.values()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n, t, h_rows, out_len, q_tol", [
+    (2, 1, 0, 1, 0.25), (3, 1, 0, 1, 0.25), (3, 1, 1, 1, 0.25), (3, 2, 0, 1, 0.5)])
+def test_swap_joint_state_matches_scalar_oracle(n, t, h_rows, out_len, q_tol):
+    # key for key, value for value and in the same order as the pure-Python
+    # enumeration; the advantage sums the same terms in the same order
+    params = bb84.default_params(n_qubits=n, t=t, q_tol=q_tol, out_len=out_len,
+                                 h_rows=h_rows, seed=5)
+    real, group_mass = scenarios.swap_joint_state(params)
+    want_real, want_mass = swap_oracle.swap_joint_state(params)
+    assert list(real.items()) == list(want_real.items())
+    assert list(group_mass.items()) == list(want_mass.items())
+    assert all(type(v) is float for v in real.values())
+    assert scenarios.swap_crossing_advantage(params) == \
+        swap_oracle.swap_crossing_advantage(params, (want_real, want_mass))
