@@ -217,14 +217,25 @@ def parse_attack(spec: str, n: int):
     if spec == "identity":
         return bb84.identity_attack()
     if spec.startswith("intercept-resend:"):
-        return bb84.intercept_resend(n, float(spec.split(":", 1)[1]))
+        return bb84.intercept_resend(n, _attack_probability(spec))
     if spec.startswith("depolarize:"):
-        return bb84.depolarize_attack(n, float(spec.split(":", 1)[1]))
+        return bb84.depolarize_attack(n, _attack_probability(spec))
     if spec == "steal-replace":
         return bb84.steal_replace_attack(n)
     if spec.startswith("custom:"):
         return bb84.custom_attack(n, load_channel(spec.split(":", 1)[1]))
     raise BadValue(f"unknown attack spec {spec!r}")
+
+
+def _attack_probability(spec: str) -> float:
+    text = spec.split(":", 1)[1]
+    try:
+        value = float(text)
+    except ValueError:
+        raise BadValue(f"attack {spec!r}: {text!r} is not a number") from None
+    if not 0.0 <= value <= 1.0:
+        raise BadValue(f"attack {spec!r}: parameter {value} outside [0, 1]")
+    return value
 
 
 def load_channel(path):

@@ -23,6 +23,7 @@ from .qstate import (
     DimMismatch,
     Povm,
     RegisterMismatch,
+    branch_order,
     make_povm,
 )
 
@@ -145,7 +146,7 @@ def _aligned_items(r: CQState, s: CQState):
             raise RegisterMismatch(f"register {a.name} alphabets differ")
     left = r.branch_map()
     right = s.branch_map()
-    for key in sorted(set(left) | set(right), key=lambda k: tuple(str(x) for x in k)):
+    for key in sorted(set(left) | set(right), key=branch_order):
         yield key, left.get(key), right.get(key)
 
 

@@ -8,9 +8,13 @@ interrupt switch whenever the substituted string differs from what it sent.
 
 Because tags are uniform over the key, the evaluated states branch over the
 observed tag, with acceptance probabilities obtained by exhaustive key
-counting; nothing is sampled.  The supremum over all substitution rules is
-one array reduction per forged message: the joint tag counts of the sent
-and the forged message over every key, maximised per observed tag.
+counting; nothing is sampled.  The evaluators read each acceptance from
+the joint tag-count table of the sent and the forged message and its row
+sums, built once per message pair and cached, and build the classical
+states with ``make_classical_cq``.  The supremum over all substitution
+rules is one array reduction per forged message: the joint tag counts of
+the sent and the forged message over every key, maximised per observed
+tag.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..acframework import AttackFamily, AttackStrategy, SystemGraph, identity_strategy
-from ..qstate import CQState, Register, make_cq
+from ..qstate import CQState, Register, make_classical_cq
 from .hashing import HashFamily
 
 __all__ = [
@@ -64,17 +68,19 @@ def _count_pairs(fam: HashFamily, dx: np.ndarray, x2) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_counts(fam: HashFamily, x: int, x2: int) -> np.ndarray:
-    return _count_pairs(fam, fam.digest_all_keys(x), x2)
+def _pair_counts(fam: HashFamily, x: int, x2: int) -> tuple[tuple, tuple]:
+    """(counts, row sums) of x and x2 as tuples of ints: counts[y][y2] as in
+    :func:`_count_pairs` and sums[y] = #keys with h(x) = y."""
+    counts = _count_pairs(fam, fam.digest_all_keys(x), x2)
+    return tuple(map(tuple, counts.tolist())), tuple(counts.sum(axis=1).tolist())
 
 
 def accept_probability(fam: HashFamily, x: int, y: int, x2: int, y2: int) -> float:
     """Pr over keys consistent with (x, y) that the forged (x2, y2) verifies."""
     if x2 == x:
         return 1.0 if y2 == y else 0.0
-    counts = _pair_counts(fam, x, x2)
-    consistent = counts[y, :].sum()
-    return float(counts[y, y2]) / float(consistent)
+    counts, sums = _pair_counts(fam, x, x2)
+    return float(counts[y][y2]) / float(sums[y])
 
 
 def build_auth_systems(fam: HashFamily, message_space=None):
@@ -110,12 +116,17 @@ def build_auth_systems(fam: HashFamily, message_space=None):
         p_tag = 1.0 / order
         for y in range(order):
             x2, y2 = rule((x, y))
-            accept = accept_probability(fam, x, y, x2, y2)
+            # accept_probability inlined: a call per tag costs more than the lookup
+            if x2 == x:
+                accept = 1.0 if y2 == y else 0.0
+            else:
+                counts, sums = _pair_counts(fam, x, x2)
+                accept = float(counts[y][y2]) / float(sums[y])
             if accept > 0.0:
-                branches.append(((x2, x, y), p_tag * accept, 1.0))
+                branches.append(((x2, x, y), p_tag * accept))
             if accept < 1.0:
-                branches.append((("reject", x, y), p_tag * (1.0 - accept), 1.0))
-        return make_cq(registers, _merge(branches), ())
+                branches.append((("reject", x, y), p_tag * (1.0 - accept)))
+        return make_classical_cq(registers, branches)
 
     def ideal_evaluator(attack: AttackStrategy) -> CQState:
         x, rule = _common(attack)
@@ -124,19 +135,12 @@ def build_auth_systems(fam: HashFamily, message_space=None):
         for y in range(order):
             x2, y2 = rule((x, y))
             out = x if (x2, y2) == (x, y) else "reject"
-            branches.append(((out, x, y), p_tag, 1.0))
-        return make_cq(registers, _merge(branches), ())
+            branches.append(((out, x, y), p_tag))
+        return make_classical_cq(registers, branches)
 
     real = SystemGraph(name=f"auth-real-b{fam.block_bits}", evaluator=real_evaluator)
     ideal = SystemGraph(name=f"auth-ideal-b{fam.block_bits}", evaluator=ideal_evaluator)
     return real, ideal
-
-
-def _merge(branches):
-    merged: dict = {}
-    for assignment, weight, _ in branches:
-        merged[assignment] = merged.get(assignment, 0.0) + weight
-    return [(a, w, 1.0) for a, w in sorted(merged.items(), key=str)]
 
 
 def _constant_rule(target):

@@ -9,13 +9,8 @@ claim can be checked as literal equality of distributions.
 
 from __future__ import annotations
 
-import numpy as _np
-
 from ..acframework import AttackFamily, AttackStrategy, SystemGraph, identity_strategy
-from ..qstate import CQBranch, CQState, Register, make_cq
-
-_UNIT = _np.ones((1, 1), dtype=complex)
-_UNIT.setflags(write=False)
+from ..qstate import CQState, Register, make_classical_cq
 
 __all__ = [
     "LengthMismatch",
@@ -71,38 +66,28 @@ def build_otp_systems(msg_len: int, *, with_switch: bool = False):
         if x not in words:
             raise LengthMismatch(f"message {x!r} is not a {msg_len}-bit string")
         if with_switch and attack.switch("key"):
-            return make_cq(registers, [(("abort", "abort"), 1.0, 1.0)], ())
+            return make_classical_cq(registers, [(("abort", "abort"), 1.0)])
         branches = []
         p = 1.0 / len(words)
         for k in words:
             y = otp_encrypt(x, k)
             b_out = otp_decrypt(y, k)
-            branches.append(((b_out, y), p, 1.0))
-        return _merge(registers, branches)
+            branches.append(((b_out, y), p))
+        return make_classical_cq(registers, branches)
 
     def ideal_evaluator(attack: AttackStrategy) -> CQState:
         x = attack.input("message", words[0])
         if x not in words:
             raise LengthMismatch(f"message {x!r} is not a {msg_len}-bit string")
         if with_switch and attack.switch("key"):
-            return make_cq(registers, [(("abort", "abort"), 1.0, 1.0)], ())
+            return make_classical_cq(registers, [(("abort", "abort"), 1.0)])
         p = 1.0 / len(words)
-        branches = [((x, y), p, 1.0) for y in words]
-        return _merge(registers, branches)
+        branches = [((x, y), p) for y in words]
+        return make_classical_cq(registers, branches)
 
     real = SystemGraph(name=f"otp-real-{msg_len}", evaluator=real_evaluator)
     ideal = SystemGraph(name=f"otp-ideal-{msg_len}", evaluator=ideal_evaluator)
     return real, ideal
-
-
-def _merge(registers, branches) -> CQState:
-    merged: dict = {}
-    for assignment, weight, _ in branches:
-        merged[assignment] = merged.get(assignment, 0.0) + weight
-    rows = tuple(CQBranch(a, w, _UNIT) for a, w in sorted(merged.items()))
-    regs = tuple(r if isinstance(r, Register) else Register(r[0], tuple(r[1]))
-                 for r in registers)
-    return CQState(regs, rows, (), trace_mass=sum(merged.values()))
 
 
 def message_family(msg_len: int, *, switch_presses: bool = False) -> AttackFamily:

@@ -12,6 +12,16 @@ a joint cell is a pair of codes, and each (theta1, theta2) block of the
 16^n joint assignments is reduced with ``np.unique`` and ``np.bincount``.
 The reductions add in the order of the scalar enumeration they replace, so
 every mass and the crossing advantage are the same floats.
+
+An authenticated round (key expansion) is enumerated the same way: each
+(sample subset, bases) block holds Alice's bits, the attack labels, the
+per-position outcomes and the tamper branches as arrays, and each row's
+Eve-visible record and key pair are one integer code.  Keys come from one
+T-matrix product per block and tag acceptance from one count table per
+(target, forged) message; the real and sector masses are ``np.bincount``
+sums in order of first occurrence, and every total is added sequentially
+(``np.cumsum``), so the distance, abort probability and correctness error
+are the floats the scalar loop gives.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from ..metrics import BoundReport
 from ..qstate import Register, make_cq, make_povm, measure_povm
 from . import bb84
 from .bb84 import QkdParams, QkdRun, qkd_run
+from .auth import _pair_counts
 from .hashing import HashFamily
 
 __all__ = [
@@ -274,7 +285,18 @@ def swap_crossing_advantage(params: QkdParams) -> float:
         ideal_only.append(share[missing])
     # one running sum over the real branches and then the ideal-only ones,
     # in dict order, so the total is the float a scalar loop adds up
-    return 0.5 * float(np.cumsum(np.concatenate(found + ideal_only))[-1])
+    return 0.5 * _running_sum(found + ideal_only)
+
+
+def _running_sum(parts) -> float:
+    """Sum of the concatenated parts, added one at a time from the first."""
+    terms = np.concatenate(parts)
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def _digits(base: int, n: int) -> np.ndarray:
+    """Rows of all n-digit words in ``base``, in product order (digit 0 slowest)."""
+    return np.arange(base ** n)[:, None] // base ** np.arange(n - 1, -1, -1) % base
 
 
 class _SwapCodes:
@@ -292,7 +314,7 @@ class _SwapCodes:
     def __init__(self, params: QkdParams):
         n, t, rows = params.n_qubits, params.t, params.h_rows
         nk = params.key_size
-        bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        bits = _digits(2, n)
         a, b = np.repeat(bits, 1 << n, axis=0), np.tile(bits, (1 << n, 1))
 
         def high_first(x):
@@ -421,7 +443,7 @@ def _swap_blocks(params: QkdParams, codes: _SwapCodes):
     local = 0.0625 * overlap[:, :, b1, a2] * overlap.transpose(1, 0, 2, 3)[:, :, b2, a1]
 
     # joint assignment m holds position i's cell in bits 4(n-1-i) and up
-    nibbles = (np.arange(16 ** n)[:, None] >> (4 * np.arange(n - 1, -1, -1))) & 15
+    nibbles = _digits(16, n)
     place = 1 << np.arange(n - 1, -1, -1)
 
     def word(a_bit, b_bit):
@@ -488,6 +510,73 @@ def parallel_qkd_scenario(params: QkdParams, *, include_crossing: bool = True):
 
 # --- authenticated rounds and key expansion -------------------------------------------
 
+def authenticated_round_distance(params: QkdParams, fam: HashFamily,
+                                 attack_spec) -> dict:
+    """Exact real-vs-ideal distance of one authenticated QKD round.
+
+    The round sends two authenticated messages over insecure classical
+    channels: msg1 = (bases, sample set, sample values) from Alice and
+    msg2 = (Bob's sample values) back.  ``attack_spec`` is a dict with keys
+    ``p`` (classical intercept-resend probability, in [0, 1]) and optional
+    ``tamper`` in {"msg1", "msg2"} flipping the last payload bit of that
+    message.  Tag registers of untampered messages are identical on both
+    sides and are omitted; the tampered message branches over its observed
+    tag with exact acceptance counting over the hash keys.
+
+    Each (sample subset, bases) block is enumerated as integer codes
+    (:func:`_round_blocks`) and reduced with ``np.bincount`` in order of
+    first occurrence; the sums run sequentially (``np.cumsum``), in the
+    order of the scalar enumeration, so every value is the same float.
+
+    Requires h_rows = 0 (no syndrome phase) to keep the enumeration small.
+    """
+    if params.h_rows != 0:
+        raise ScheduleMismatch("authenticated rounds are modelled without syndromes")
+    p_ir = float(attack_spec.get("p", 0.0))
+    if not 0.0 <= p_ir <= 1.0:
+        raise bb84.InvalidParams(f"intercept probability {p_ir} outside [0, 1]")
+    tamper = attack_spec.get("tamper")
+    if tamper not in (None, "msg1", "msg2"):
+        raise ScheduleMismatch(f"unknown tamper target {tamper!r}")
+    nk = params.key_size
+    pairs = (nk + 1) ** 2
+    k = np.arange(nk)
+    aborts, errors, found, ideal_only = [], [], [], []
+    for keys, weights in _round_blocks(params, fam, p_ir, tamper):
+        # real branches: (Eve-visible record, key pair) cells in order of
+        # first occurrence; an aborted key is nk
+        at, masses, _ = _sums_by_first_seen(keys, weights)
+        cells = keys[at]
+        evis, kpair = np.divmod(cells, pairs)
+        ka, kb = np.divmod(kpair, nk + 1)
+        fa, fb = ka == nk, kb == nk
+        aborts.append(masses[fa & fb])
+        errors.append(masses[ka != kb])
+        # Ideal: key resource with one delivery switch per party.  The
+        # simulator runs the round internally and presses the switches
+        # according to which parties its run aborted, so within each
+        # Eve-visible group the ideal abort pattern matches the real one and
+        # the delivered keys are a shared uniform value.  (A both-or-neither
+        # resource cannot track the interruption asymmetry any two-message
+        # flow necessarily has.)
+        at, sector_mass, mass = _sums_by_first_seen(evis * 4 + fa * 2 + fb, masses)
+        ideal = np.where(fa & fb, mass, np.where(fa | fb | (ka == kb), mass / nk, 0.0))
+        found.append(np.abs(masses - ideal))
+        # ideal-only branches: per sector, the key pairs of its options (each
+        # (abort, k), (k, abort) or (k, k)) that the real run never produced
+        fa, fb = fa[at], fb[at]
+        options = np.where(fa[:, None], nk * (nk + 1) + k,
+                           np.where(fb[:, None], k * (nk + 1) + nk, k * (nk + 2)))
+        missing = ~np.isin(evis[at, None] * pairs + options, cells)
+        missing &= ~(fa & fb)[:, None]
+        ideal_only.append(np.broadcast_to(sector_mass[:, None] / nk, missing.shape)[missing])
+    return {
+        "distance": 0.5 * _running_sum(found + ideal_only),
+        "p_abort": _running_sum(aborts),
+        "eps_cor": _running_sum(errors),
+    }
+
+
 def _ir_classical_components(p: float):
     comps = []
     if p < 1.0:
@@ -519,203 +608,134 @@ def _classical_position_model(comp_label: str, theta: int, a: int):
     return out
 
 
-def authenticated_round_distance(params: QkdParams, fam: HashFamily,
-                                 attack_spec) -> dict:
-    """Exact real-vs-ideal distance of one authenticated QKD round.
+# Eve's record of one position: passed, or measured in Z or X with outcome m
+_RECORD_CODES = {("pass", "-"): 0, ("Z", 0): 1, ("Z", 1): 2, ("X", 0): 3, ("X", 1): 4}
 
-    The round sends two authenticated messages over insecure classical
-    channels: msg1 = (bases, sample set, sample values) from Alice and
-    msg2 = (Bob's sample values) back.  ``attack_spec`` is a dict with keys
-    ``p`` (classical intercept-resend probability) and optional ``tamper``
-    in {"msg1", "msg2"} flipping the last payload bit of that message.
-    Tag registers of untampered messages are identical on both sides and are
-    omitted; the tampered message branches over its observed tag with exact
-    acceptance counting over the hash keys.
 
-    Requires h_rows = 0 (no syndrome phase) to keep the enumeration small.
+def _round_blocks(params: QkdParams, fam: HashFamily, p_ir: float, tamper):
+    """Yield the (cell codes, weights) of each (sample subset, bases) block.
+
+    Rows follow the scalar enumeration: Alice's bits, then the attack
+    component of each position, then each position's (record, b) outcome,
+    then the tamper branch, each in product order with position 0 the
+    slowest; each weight is multiplied in that order.  A cell packs the
+    Eve-visible record within the block (records, sample values and the
+    observed tag of a tampered message) and the key pair
+    ``ka * (nk + 1) + kb``.  Bases and sample subset are part of the record,
+    so no cell occurs in two blocks.
     """
-    if params.h_rows != 0:
-        raise ScheduleMismatch("authenticated rounds are modelled without syndromes")
     n, t = params.n_qubits, params.t
     nk = params.key_size
-    t_mat = np.array(params.t_matrix, dtype=np.uint8)
-    p_ir = float(attack_spec.get("p", 0.0))
-    tamper = attack_spec.get("tamper")
-    order = fam.tag_space
-    if tamper not in (None, "msg1", "msg2"):
-        raise ScheduleMismatch(f"unknown tamper target {tamper!r}")
-
+    order = fam.tag_space if tamper else 1
     comps = _ir_classical_components(p_ir)
-    subsets = list(combinations(range(n), t))
-    real: dict = {}
-    groups: dict = {}
+    # per (component, theta, a): the (record, b) outcomes and their weights
+    shape = (len(comps), 2, 2, 4)
+    count = np.zeros(shape[:3], dtype=np.int64)
+    rec_of, bit_of, pw_of = np.zeros(shape, np.int64), np.zeros(shape, np.int64), np.zeros(shape)
+    for c, (label, _) in enumerate(comps):
+        for theta, a in product(range(2), repeat=2):
+            items = list(_classical_position_model(label, theta, a).items())
+            count[c, theta, a] = len(items)
+            for j, ((record, b), pw) in enumerate(items):
+                rec_of[c, theta, a, j], bit_of[c, theta, a, j] = _RECORD_CODES[record], b
+                pw_of[c, theta, a, j] = pw
+    # (a, labels) rows and their weights, base weight times each component's
+    labels = _digits(len(comps), n)
+    comp_w = np.array([w for _, w in comps])
+    lw = np.full(len(labels), 0.25 ** n / math.comb(n, t))
+    for i in range(n):
+        lw = lw * comp_w[labels[:, i]]
+    a_rows = np.repeat(_digits(2, n), len(labels), axis=0)
+    comp_rows = np.tile(labels, (2 ** n, 1))
+    lw = np.tile(lw, 2 ** n)
 
-    def add(evis, ka, kb, w):
-        real[(evis, (ka, kb))] = real.get((evis, (ka, kb)), 0.0) + w
-        groups[evis] = groups.get(evis, 0.0) + w
+    def outcomes(theta):
+        src, w, rec, b = np.arange(len(lw)), lw, [], []
+        for i in range(n):
+            comp, a = comp_rows[src, i], a_rows[src, i]
+            rep, j = _expand(count[comp, theta[i], a])
+            comp, a = comp[rep], a[rep]
+            src, w = src[rep], w[rep] * pw_of[comp, theta[i], a, j]
+            rec = [r[rep] for r in rec] + [rec_of[comp, theta[i], a, j]]
+            b = [x[rep] for x in b] + [bit_of[comp, theta[i], a, j]]
+        live = w > 0.0
+        return (a_rows[src[live]], np.stack(b, axis=1)[live],
+                np.stack(rec, axis=1)[live] @ 5 ** np.arange(n - 1, -1, -1), w[live])
 
-    from .auth import accept_probability
-
-    for s_idx, subset in enumerate(subsets):
+    accept = _AcceptTable(fam) if tamper else None
+    thr = params.q_tol * t
+    place = 1 << np.arange(t - 1, -1, -1)
+    for s_idx, subset in enumerate(combinations(range(n), t)):
         rest = [i for i in range(n) if i not in subset]
-        for theta in product(range(2), repeat=n):
-            for a in product(range(2), repeat=n):
-                base_w = 0.25 ** n / len(subsets)
-                for labels in product(range(len(comps)), repeat=n):
-                    lw = base_w
-                    for i in range(n):
-                        lw *= comps[labels[i]][1]
-                    pos_models = [
-                        _classical_position_model(comps[labels[i]][0], theta[i], a[i])
-                        for i in range(n)]
-                    for outcome in product(*[m.items() for m in pos_models]):
-                        w = lw
-                        records, b = [], []
-                        for (rec, bit), pw in outcome:
-                            w *= pw
-                            records.append(rec)
-                            b.append(bit)
-                        if w <= 0.0:
-                            continue
-                        a_s = tuple(a[i] for i in subset)
-                        b_s = tuple(b[i] for i in subset)
-                        msg1 = _encode_msg1(theta, s_idx, a_s)
-                        msg2 = _encode_bits(b_s)
-                        for evis_extra, wfrac, got1, got2 in _tamper_branches(
-                                fam, tamper, msg1, msg2, order, accept_probability):
-                            ww = w * wfrac
-                            if ww <= 0.0:
-                                continue
-                            # the forged payload flips the lowest bit, which
-                            # encodes the last announced sample value
-                            if got1 is None:
-                                kb = "abort"
-                            else:
-                                a_s_bob = list(a_s)
-                                if got1 == "forged":
-                                    a_s_bob[-1] ^= 1
-                                err_b = sum(1 for i, pos in enumerate(subset)
-                                            if a_s_bob[i] != b[pos])
-                                kb = "abort" if err_b > params.q_tol * t else \
-                                    _hash_key(t_mat, [b[i] for i in rest])
-                            if got2 is None:
-                                ka = "abort"
-                            else:
-                                b_s_alice = list(b_s)
-                                if got2 == "forged":
-                                    b_s_alice[-1] ^= 1
-                                err_a = sum(1 for i, pos in enumerate(subset)
-                                            if a[pos] != b_s_alice[i])
-                                ka = "abort" if err_a > params.q_tol * t else \
-                                    _hash_key(t_mat, [a[i] for i in rest])
-                            evis = (theta, tuple(records), s_idx, a_s, b_s,
-                                    evis_extra)
-                            add(evis, ka, kb, ww)
-
-    p_abort = 0.0
-    eps_cor = 0.0
-    for (evis, kpair), value in real.items():
-        ka, kb = kpair
-        if ka == "abort" and kb == "abort":
-            p_abort += value
-        if ka != kb:
-            eps_cor += value
-
-    # Ideal: key resource with one delivery switch per party.  The simulator
-    # runs the round internally and presses the switches according to which
-    # parties its run aborted, so within each Eve-visible group the ideal
-    # abort pattern matches the real one and the delivered keys are a shared
-    # uniform value.  (A both-or-neither resource cannot track the
-    # interruption asymmetry any two-message flow necessarily has.)
-    sector: dict = {}
-    for (evis, kpair), value in real.items():
-        fa = kpair[0] == "abort"
-        fb = kpair[1] == "abort"
-        sector[(evis, fa, fb)] = sector.get((evis, fa, fb), 0.0) + value
-
-    dist = 0.0
-    seen = set()
-    for (evis, kpair), value in real.items():
-        ka, kb = kpair
-        fa, fb = ka == "abort", kb == "abort"
-        mass = sector[(evis, fa, fb)]
-        if fa and fb:
-            ideal = mass
-        elif fa or fb:
-            ideal = mass / nk
-        else:
-            ideal = mass / nk if ka == kb else 0.0
-        dist += abs(value - ideal)
-        seen.add((evis, kpair))
-    for (evis, fa, fb), mass in sector.items():
-        if fa and fb:
-            continue
-        if fa:
-            options = [("abort", k) for k in range(nk)]
-        elif fb:
-            options = [(k, "abort") for k in range(nk)]
-        else:
-            options = [(k, k) for k in range(nk)]
-        for kpair in options:
-            if (evis, kpair) not in seen:
-                dist += mass / nk
-    return {
-        "distance": 0.5 * dist,
-        "p_abort": p_abort,
-        "eps_cor": eps_cor,
-    }
+        # theta_code packs the bases with position 0 in the high bit
+        for theta_code, theta in enumerate(product(range(2), repeat=n)):
+            a, b, rec, w = outcomes(theta)
+            _, key_a, key_b = bb84._key_tables(params, a[:, rest], b[:, rest])
+            a_s, b_s = a[:, subset] @ place, b[:, subset] @ place
+            mism = a[:, subset] != b[:, subset]
+            err = mism.sum(axis=1)
+            # a party's key under the other's untouched sample announcement
+            ka, kb = np.where(err > thr, nk, key_a), np.where(err > thr, nk, key_b)
+            evis = (rec << 2 * t) + (a_s << t) + b_s
+            if tamper is not None:
+                # the forged payload flips the lowest bit, which encodes the
+                # last announced sample value; a reject aborts the receiver
+                msg1 = ((s_idx << n | theta_code) << t) + a_s
+                target = (msg1 if tamper == "msg1" else b_s) % order
+                rep, y, forged, wfrac = accept.branches(target)
+                flipped = (err + 1 - 2 * mism[:, -1]) > thr
+                key = key_b if tamper == "msg1" else key_a
+                hit = np.where(forged, np.where(flipped[rep], nk, key[rep]), nk)
+                ka, kb = (ka[rep], hit) if tamper == "msg1" else (hit, kb[rep])
+                evis, w = evis[rep] * order + y, w[rep] * wfrac
+                live = w > 0.0
+                ka, kb, evis, w = ka[live], kb[live], evis[live], w[live]
+            yield (evis * (nk + 1) + ka) * (nk + 1) + kb, w
 
 
-def _encode_msg1(theta, s_idx, a_s) -> int:
-    out = s_idx
-    for bit in theta:
-        out = (out << 1) | bit
-    for bit in a_s:
-        out = (out << 1) | bit
-    return out
+def _expand(counts: np.ndarray):
+    """Row r repeated counts[r] times: (source row, index within its group)."""
+    rep = np.repeat(np.arange(len(counts)), counts)
+    return rep, np.arange(len(rep)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _encode_bits(bits) -> int:
-    out = 0
-    for bit in bits:
-        out = (out << 1) | bit
-    return out
+class _AcceptTable:
+    """Tamper branches of a flipped-bit substitution, per target message.
 
-
-def _hash_key(t_mat, bits) -> int:
-    vec = np.array(bits, dtype=np.uint8)
-    return int(sum(int(x) << i for i, x in enumerate((t_mat @ vec) % 2)))
-
-
-def _tamper_branches(fam, tamper, msg1, msg2, order, accept_probability):
-    """Yield (eve_registers, weight, bob_msg1, alice_msg2) branches.
-
-    Payloads are returned decoded: ``bob_msg1`` is None on an authentication
-    reject, else the (theta, s_idx, a_s) triple Bob accepted; ``alice_msg2``
-    likewise Bob's sample values as seen by Alice.  Untampered messages pass
-    through with weight one and no extra Eve registers (their tags are
-    identically distributed on the real and ideal sides).
+    For target x the forger sends x ^ 1 with the observed tag y; per y in
+    order the branch ``(y, accepted, 2^-b * Pr[accept])`` and then
+    ``(y, rejected, 2^-b * Pr[reject])``, each kept when its probability is
+    positive.  Rows are filled from the auth count table on first use.
     """
-    msg1 %= order
-    msg2 %= order
-    if tamper is None:
-        yield ((), 1.0, "same", "same")
-        return
-    # substitution rule: flip the low payload bit, keep the observed tag
-    target = msg1 if tamper == "msg1" else msg2
-    forged = target ^ 1
-    for y in range(order):
+
+    def __init__(self, fam: HashFamily):
+        self.fam = fam
+        order = fam.tag_space
+        self.count = np.full(order, -1, dtype=np.int64)
+        self.y = np.zeros((order, 2 * order), dtype=np.int64)
+        self.forged = np.zeros((order, 2 * order), dtype=bool)
+        self.wfrac = np.zeros((order, 2 * order))
+
+    def _fill(self, x: int):
+        order = self.fam.tag_space
+        counts, sums = _pair_counts(self.fam, x, x ^ 1)
         p_tag = 1.0 / order
-        acc = accept_probability(fam, target, y, forged, y)
-        branches = [(acc, "forged"), (1.0 - acc, None)]
-        for weight, verdict in branches:
-            if weight <= 0.0:
-                continue
-            record = ((tamper, y, forged),)
-            if tamper == "msg1":
-                yield (record, p_tag * weight, verdict, "same")
-            else:
-                yield (record, p_tag * weight, "same", verdict)
+        row = []
+        for y in range(order):
+            acc = float(counts[y][y]) / float(sums[y])
+            row += [(y, verdict, p_tag * weight)
+                    for weight, verdict in ((acc, True), (1.0 - acc, False)) if weight > 0.0]
+        self.count[x] = len(row)
+        for j, (y, verdict, wfrac) in enumerate(row):
+            self.y[x, j], self.forged[x, j], self.wfrac[x, j] = y, verdict, wfrac
+
+    def branches(self, target: np.ndarray):
+        """(row index, tag, accepted, weight factor) of each expanded row."""
+        for x in np.unique(target[self.count[target] < 0]).tolist():
+            self._fill(x)
+        rep, j = _expand(self.count[target])
+        x = target[rep]
+        return rep, self.y[x, j], self.forged[x, j], self.wfrac[x, j]
 
 
 @dataclass(frozen=True)

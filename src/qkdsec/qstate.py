@@ -5,7 +5,9 @@ explicit trace mass, so subnormalised conditional states are first-class.
 Classical-quantum states are stored as weighted classical branches whose
 quantum parts are kept in factored form ``F F^dagger`` — pure branches are a
 single column, mixed branches several — which keeps every downstream distance
-computation a small Gram-matrix eigenproblem.
+computation a small Gram-matrix eigenproblem.  Branches are kept in
+:func:`branch_order` (their values as strings); :func:`make_classical_cq`
+builds a state with no quantum part from scalar weights.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -53,6 +55,8 @@ __all__ = [
     "apply_channel",
     "measure_povm",
     "make_cq",
+    "make_classical_cq",
+    "branch_order",
     "flatten_cq",
     "cq_from_density",
     "tensor_cq",
@@ -506,6 +510,65 @@ def _unit_column(value: float) -> np.ndarray:
     return _frozen(np.full((1, 1), value, dtype=complex))
 
 
+def branch_order(assignment) -> tuple:
+    """Sort key of cq branches: the assignment's values as strings."""
+    return tuple(map(str, assignment))
+
+
+def _registers(registers) -> tuple[Register, ...]:
+    return tuple(r if isinstance(r, Register) else Register(r[0], tuple(r[1]))
+                 for r in registers)
+
+
+def _branch_checker(regs):
+    """Return ``check(assignment, weight)``, make_cq's per-branch validation.
+
+    ``check`` wants one alphabet value per register, no assignment it has
+    seen before and a finite weight not below ``-PROB_TOL``; it returns the
+    assignment as a tuple and the weight as a float.
+    """
+    alphabets = [frozenset(r.alphabet) for r in regs]
+    width = len(regs)
+    contains, isfinite, floor = frozenset.__contains__, math.isfinite, -tol.PROB_TOL
+    seen: set = set()
+
+    def check(assignment, weight) -> tuple[tuple, float]:
+        if type(assignment) is not tuple:
+            assignment = tuple(assignment) if isinstance(assignment, (tuple, list)) \
+                else (assignment,)
+        if len(assignment) != width:
+            raise RegisterMismatch(
+                f"assignment {assignment} has {len(assignment)} values for "
+                f"{width} registers")
+        if not all(map(contains, alphabets, assignment)):
+            reg, value = next((r, v) for r, a, v in zip(regs, alphabets, assignment)
+                              if v not in a)
+            raise AlphabetMismatch(f"value {value!r} not in alphabet of register {reg.name}")
+        size = len(seen)
+        seen.add(assignment)
+        if len(seen) == size:
+            raise DuplicateAssignment(f"assignment {assignment} appears twice")
+        weight = float(weight)
+        if not isfinite(weight):
+            raise NotFinite(f"branch weight {weight} is not finite")
+        if weight < floor:
+            raise BadTrace(f"negative branch weight {weight}")
+        return assignment, weight
+
+    return check
+
+
+def _cq_state(regs, out, qdims) -> CQState:
+    """The state of the branches ``out``: mass added in input order, then sorted."""
+    mass = 0.0
+    for b in out:
+        mass += b.weight
+    if mass > 1.0 + tol.TRACE_TOL:
+        raise BadTrace(f"branch weights sum to {mass!r} > 1")
+    out.sort(key=lambda b: branch_order(b.assignment))
+    return CQState(regs, tuple(out), qdims, trace_mass=mass)
+
+
 def make_cq(registers, branches, quantum_dims=()) -> CQState:
     """Build a validated classical-quantum state.
 
@@ -514,44 +577,40 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
     where ``op`` is a density matrix on the quantum factors or a factor with
     columns (pure branches may pass a vector).
     """
-    regs = tuple(r if isinstance(r, Register) else Register(r[0], tuple(r[1]))
-                 for r in registers)
+    regs = _registers(registers)
     qdims = tuple(int(d) for d in quantum_dims)
     qdim = int(np.prod(qdims)) if qdims else 1
-    alphabets = [frozenset(r.alphabet) for r in regs]
-    seen = set()
+    check = _branch_checker(regs)
     out = []
-    mass = 0.0
     for assignment, weight, op in branches:
-        assignment = tuple(assignment) if isinstance(assignment, (tuple, list)) else (assignment,)
-        if len(assignment) != len(regs):
-            raise RegisterMismatch(
-                f"assignment {assignment} has {len(assignment)} values for "
-                f"{len(regs)} registers")
-        for reg, alphabet, value in zip(regs, alphabets, assignment):
-            if value not in alphabet:
-                raise AlphabetMismatch(f"value {value!r} not in alphabet of register {reg.name}")
-        if assignment in seen:
-            raise DuplicateAssignment(f"assignment {assignment} appears twice")
-        seen.add(assignment)
-        weight = float(weight)
-        if not math.isfinite(weight):
-            raise NotFinite(f"branch weight {weight} is not finite")
-        if weight < -tol.PROB_TOL:
-            raise BadTrace(f"negative branch weight {weight}")
+        assignment, weight = check(assignment, weight)
         if weight <= 0.0:
             continue
         canon = _scalar_factor(op) if qdim == 1 and isinstance(op, numbers.Number) else None
         factor, op_trace = canon if canon is not None else _canonical_factor(op, qdim)
         eff = weight * op_trace
-        if eff <= 0.0:
-            continue
-        mass += eff
-        out.append(CQBranch(assignment, eff, _frozen(factor)))
-    if mass > 1.0 + tol.TRACE_TOL:
-        raise BadTrace(f"branch weights sum to {mass!r} > 1")
-    out.sort(key=lambda b: tuple(map(str, b.assignment)))
-    return CQState(regs, tuple(out), qdims, trace_mass=mass)
+        if eff > 0.0:
+            out.append(CQBranch(assignment, eff, _frozen(factor)))
+    return _cq_state(regs, out, qdims)
+
+
+def make_classical_cq(registers, branches) -> CQState:
+    """A classical state: :func:`make_cq` of scalar branches with unit trace.
+
+    Each branch is ``(assignment, weight)``.  The checks, the dropped zero
+    weights, the trace mass (added in input order) and the branch order are
+    make_cq's for ``(assignment, weight, 1.0)``, and every branch shares the
+    read-only unit factor make_cq gives such a branch.
+    """
+    regs = _registers(registers)
+    check = _branch_checker(regs)
+    unit = _unit_column(1.0)
+    out = []
+    for assignment, weight in branches:
+        assignment, weight = check(assignment, weight)
+        if weight > 0.0:
+            out.append(CQBranch(assignment, weight, unit))
+    return _cq_state(regs, out, ())
 
 
 def flatten_cq(c: CQState, *, max_dim: int = tol.DIM_CAP) -> DensityOperator:
@@ -581,8 +640,7 @@ def cq_from_density(rho: DensityOperator, registers) -> CQState:
     Off-diagonal classical blocks must vanish within the Hermitian tolerance;
     this inverts :func:`flatten_cq`.
     """
-    regs = tuple(r if isinstance(r, Register) else Register(r[0], tuple(r[1]))
-                 for r in registers)
+    regs = _registers(registers)
     reg_dims = tuple(len(r.alphabet) for r in regs)
     k = len(reg_dims)
     if rho.dims[:k] != reg_dims:
@@ -629,7 +687,7 @@ def tensor_cq(a: CQState, b: CQState, *, sep: str = ".") -> CQState:
             factor = _frozen(np.kron(x.factor, y.factor))
             branches.append(CQBranch(x.assignment + y.assignment,
                                      x.weight * y.weight, factor))
-    branches.sort(key=lambda br: tuple(str(v) for v in br.assignment))
+    branches.sort(key=lambda br: branch_order(br.assignment))
     return CQState(regs, tuple(branches), qdims,
                    trace_mass=a.trace_mass * b.trace_mass)
 

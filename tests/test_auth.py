@@ -229,3 +229,54 @@ def test_asu2_batched_count_on_restricted_multi_block_messages():
     # a repeated message pairs with itself and breaks the bound
     worst, bound, _ = verify_asu2(fam, messages=messages + [(1, 2)])
     assert worst == 1 / fam.tag_space > bound
+
+
+def _make_cq_auth_states(fam, strategy):
+    # the former construction: accept_probability per observed tag, branches
+    # merged and sorted by str of (assignment, weight), then make_cq
+    from qkdsec.qstate import make_cq
+
+    order = fam.tag_space
+    registers = [("B_out", tuple(range(order)) + ("reject",)),
+                 ("E_msg", tuple(range(order))), ("E_tag", tuple(range(order)))]
+    x = strategy.input("message", 0)
+    rule = strategy.tamper_rule("auth") or (lambda pair: pair)
+    real, ideal = {}, {}
+    p_tag = 1.0 / order
+    for y in range(order):
+        x2, y2 = rule((x, y))
+        accept = auth.accept_probability(fam, x, y, x2, y2)
+        if accept > 0.0:
+            real[(x2, x, y)] = real.get((x2, x, y), 0.0) + p_tag * accept
+        if accept < 1.0:
+            real[("reject", x, y)] = real.get(("reject", x, y), 0.0) + p_tag * (1.0 - accept)
+        out = x if (x2, y2) == (x, y) else "reject"
+        ideal[(out, x, y)] = ideal.get((out, x, y), 0.0) + p_tag
+    return tuple(make_cq(registers, [(a, w, 1.0) for a, w in sorted(merged.items(), key=str)])
+                 for merged in (real, ideal))
+
+
+def _assert_same_state(got, want):
+    assert got.registers == want.registers and got.quantum_dims == want.quantum_dims
+    assert [b.assignment for b in got.branches] == [b.assignment for b in want.branches]
+    assert [b.weight for b in got.branches] == [b.weight for b in want.branches]
+    assert all(type(b.weight) is float for b in got.branches)
+    assert got.trace_mass == want.trace_mass
+    for b, w in zip(got.branches, want.branches):
+        assert b.factor.shape == (1, 1) and b.factor[0, 0] == w.factor[0, 0]
+    # every branch shares one read-only unit factor
+    assert len({id(b.factor) for b in got.branches}) <= 1
+    assert not any(b.factor.flags.writeable for b in got.branches)
+
+
+@pytest.mark.parametrize("bits", [3, 4, 5])
+def test_auth_states_match_make_cq_path(bits):
+    from qkdsec.acframework import evaluate
+
+    fam = affine_family(bits)
+    real, ideal = auth.build_auth_systems(fam)
+    for message in (0, 1, fam.tag_space - 1):
+        for strategy in auth.substitution_family(fam, message=message).strategies:
+            want_real, want_ideal = _make_cq_auth_states(fam, strategy)
+            _assert_same_state(evaluate(real, strategy), want_real)
+            _assert_same_state(evaluate(ideal, strategy), want_ideal)

@@ -126,6 +126,14 @@ def test_parse_attack_specs():
         parse_attack("teleport", 4)
 
 
+@pytest.mark.parametrize("spec", [
+    "intercept-resend:abc", "intercept-resend:", "intercept-resend:1.5",
+    "intercept-resend:nan", "depolarize:-0.2", "depolarize:inf", "depolarize:0x1"])
+def test_parse_attack_rejects_bad_parameters(spec):
+    with pytest.raises(BadValue, match="attack"):
+        parse_attack(spec, 4)
+
+
 def test_channel_fixture_roundtrip(tmp_path):
     from qkdsec.qstate import depolarizing_channel
 

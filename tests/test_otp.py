@@ -57,3 +57,39 @@ def test_switch_aborts_identically():
                                 switches=(("key", 1),))
     state = evaluate(real, pressed)
     assert state.branches[0].assignment == ("abort", "abort")
+
+
+def _merged_otp_state(registers, branches):
+    # the former construction: merged branches sorted by (assignment,
+    # weight), a unit factor each, the mass summed in insertion order
+    import numpy as np
+
+    from qkdsec.qstate import CQBranch, CQState
+
+    merged = {}
+    for assignment, weight in branches:
+        merged[assignment] = merged.get(assignment, 0.0) + weight
+    unit = np.ones((1, 1), dtype=complex)
+    rows = tuple(CQBranch(a, w, unit) for a, w in sorted(merged.items()))
+    return CQState(tuple(registers), rows, (), trace_mass=sum(merged.values()))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_otp_states_unchanged(length):
+    real, ideal = build_otp_systems(length)
+    words = ["".join(bits) for bits in itertools.product("01", repeat=length)]
+    for x in words:
+        attack = identity_strategy(inputs=(("message", x),))
+        got_real, got_ideal = evaluate(real, attack), evaluate(ideal, attack)
+        p = 1.0 / len(words)
+        want_real = _merged_otp_state(got_real.registers,
+                                      [((x, otp_encrypt(x, k)), p) for k in words])
+        want_ideal = _merged_otp_state(got_ideal.registers, [((x, y), p) for y in words])
+        for got, want in ((got_real, want_real), (got_ideal, want_ideal)):
+            assert got.registers[0].alphabet == tuple(words) + ("abort",)
+            assert [b.assignment for b in got.branches] == \
+                [b.assignment for b in want.branches]
+            assert [b.weight for b in got.branches] == [b.weight for b in want.branches]
+            assert all(b.factor.shape == (1, 1) and b.factor[0, 0] == 1.0
+                       and not b.factor.flags.writeable for b in got.branches)
+            assert got.trace_mass == want.trace_mass and got.quantum_dims == ()

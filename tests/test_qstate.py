@@ -119,6 +119,53 @@ def test_make_cq_scalar_branches_match_matrix_branches():
     assert _cq_outcome(0.0)[0] == [((1,), 0.25, qs._unit_column(1.0).tobytes())]
 
 
+def _classical_outcome(build, registers, branches):
+    try:
+        state = build(registers, branches)
+    except qs.StateError as exc:
+        return type(exc), str(exc)
+    return ([(b.assignment, b.weight, b.factor.tobytes(), b.factor.flags.writeable)
+             for b in state.branches], state.registers, state.quantum_dims, state.trace_mass)
+
+
+def test_make_classical_cq_matches_make_cq():
+    # same branches, order, weights, factors, mass and errors as make_cq
+    # with a unit scalar quantum part
+    regs = [("x", (0, 1, 10, "a")), qs.Register("y", ("p", "q", 2))]
+    rng = np.random.default_rng(7)
+    words = [(x, y) for x in (0, 1, 10, "a") for y in ("p", "q", 2)]
+    cases = []
+    for _ in range(40):
+        picked = rng.permutation(len(words))[:rng.integers(1, len(words) + 1)]
+        weights = rng.random(len(picked)) / len(picked)
+        weights[rng.random(len(picked)) < 0.2] = 0.0
+        cases.append([(words[i], w) for i, w in zip(picked, weights)])
+    cases += [
+        [((0, "p"), 0.5), ([1, "q"], 0.5)],            # list assignment
+        [((0, "p"), -1e-13), ((1, "q"), 0.5)],         # tolerated negative weight
+        [((0, "p"), -1e-3)],                           # negative weight
+        [((0, "p"), np.nan)], [((0, "p"), np.inf)],    # non-finite weights
+        [((0, "p"), 0.7), ((1, "q"), 0.4)],            # mass above one
+        [((0, "p"), 0.5), ((0, "p"), 0.5)],            # duplicate
+        [((3, "p"), 0.5)], [((0, "r"), 0.5)],          # outside the alphabets
+        [((0,), 0.5)], [(0, 0.5)],                     # wrong number of values
+        [],
+    ]
+    for branches in cases:
+        got = _classical_outcome(qs.make_classical_cq, regs, branches)
+        want = _classical_outcome(qs.make_cq, regs, [(a, w, 1.0) for a, w in branches])
+        assert got == want, branches
+    state = qs.make_classical_cq(regs, cases[0])
+    assert len({id(b.factor) for b in state.branches}) == 1
+
+
+def test_branch_order_key():
+    assert qs.branch_order((10, "a", 2)) == ("10", "a", "2")
+    state = qs.make_classical_cq([("x", (2, 10, "b"))], [((2,), 0.25), ((10,), 0.25),
+                                                        (("b",), 0.25)])
+    assert [b.assignment for b in state.branches] == [(10,), (2,), ("b",)]
+
+
 def test_tensor_product_examples():
     tau2 = qs.maximally_mixed(2)
     tau4 = qs.tensor_product(tau2, tau2)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import round_oracle
 import swap_oracle
 from bb84_oracle import enumerate_branches, real_and_ideal_states
 from qkdsec import metrics as mt
@@ -102,6 +103,38 @@ def test_authenticated_round_tamper_bounded(round_params):
                  {"p": 1.0, "tamper": "msg1"}, {"p": 1.0, "tamper": "msg2"}):
         res = scenarios.authenticated_round_distance(round_params, fam, spec)
         assert res["distance"] <= eps_auth + eps_qkd + 1e-9
+
+
+_KEY_EXPANSION_SPECS = [{"p": 0.0}, {"p": 1.0}, {"p": 0.0, "tamper": "msg2"},
+                        {"p": 1.0, "tamper": "msg1"}]
+
+
+@pytest.mark.parametrize("bits", [3, 4])
+@pytest.mark.parametrize("spec", _KEY_EXPANSION_SPECS + [
+    {"p": 0.5, "tamper": "msg1"}, {"p": 0.5, "tamper": "msg2"}])
+def test_authenticated_round_matches_scalar_oracle(round_params, bits, spec):
+    # the same floats as the scalar enumeration: every sum adds the same
+    # terms in the same order
+    fam = affine_family(bits)
+    got = scenarios.authenticated_round_distance(round_params, fam, spec)
+    assert got == round_oracle.authenticated_round_distance(round_params, fam, spec)
+    assert all(type(value) is float for value in got.values())
+
+
+@pytest.mark.parametrize("t, out_len, spec", [
+    (1, 1, {"p": 0.0}), (1, 2, {"p": 1.0}), (1, 1, {"p": 0.0, "tamper": "msg2"}),
+    (1, 1, {"p": 0.5}), (2, 1, {"p": 1.0}), (2, 1, {"p": 0.3})])
+def test_authenticated_round_matches_scalar_oracle_n3(t, out_len, spec):
+    params = bb84.default_params(n_qubits=3, t=t, q_tol=0.25, out_len=out_len, h_rows=0)
+    fam = affine_family(4)
+    assert scenarios.authenticated_round_distance(params, fam, spec) == \
+        round_oracle.authenticated_round_distance(params, fam, spec)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.5, math.nan, math.inf])
+def test_authenticated_round_rejects_bad_probability(round_params, p):
+    with pytest.raises(bb84.InvalidParams, match="intercept probability"):
+        scenarios.authenticated_round_distance(round_params, affine_family(3), {"p": p})
 
 
 def test_key_expansion_ledger_arithmetic(round_params):
