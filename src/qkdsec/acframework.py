@@ -165,6 +165,17 @@ class AttackFamily:
         if self.builder is not None and len(self.bounds) != len(self.parameter_names):
             raise ScheduleMismatch("one bounds pair per parameter required")
 
+    def grid(self) -> tuple[list[list[float]], list[tuple[float, ...]]]:
+        """The parameter grid as ``(axes, points)``.
+
+        ``axes`` holds each parameter's uniform grid and ``points`` their
+        product; both are empty for a finite family.
+        """
+        if self.builder is None or not self.bounds:
+            return [], []
+        axes = [_grid(lo, hi, self.grid_points) for lo, hi in self.bounds]
+        return axes, list(product(*axes))
+
 
 @dataclass(frozen=True)
 class SystemGraph:
@@ -183,12 +194,10 @@ class SystemGraph:
     accepts_crossing: bool = False
 
 
-def evaluate(sys: SystemGraph, attack: AttackStrategy, seed: int = 0):
+def evaluate(sys: SystemGraph, attack: AttackStrategy):
     """Run the system against one attack; exact and deterministic.
 
-    All probabilistic branching is enumerated into the returned cq state, so
-    the seed has no effect on the result; it is accepted for interface
-    compatibility and threaded to evaluators that want it for caching.
+    All probabilistic branching is enumerated into the returned cq state.
     """
     quantum = getattr(attack, "quantum", ())
     if quantum and len(quantum) != sys.quantum_slots:
@@ -197,7 +206,6 @@ def evaluate(sys: SystemGraph, attack: AttackStrategy, seed: int = 0):
             f"{sys.name!r} has {sys.quantum_slots}")
     if getattr(attack, "crossing", False) and not sys.accepts_crossing:
         raise ScheduleMismatch(f"system {sys.name!r} does not accept crossing attacks")
-    del seed
     return sys.evaluator(attack)
 
 
@@ -273,8 +281,7 @@ def _(a: CQState, b) -> float:
     return cq_trace_distance(a, b)
 
 
-def advantage_over_family(real: SystemGraph, ideal: SystemGraph,
-                          fam: AttackFamily, *, seed: int = 0):
+def advantage_over_family(real: SystemGraph, ideal: SystemGraph, fam: AttackFamily):
     """Max distinguishing advantage over the family; a certified lower bound.
 
     Returns ``(value, name_of_maximiser)``.  Parameterised families are
@@ -286,8 +293,7 @@ def advantage_over_family(real: SystemGraph, ideal: SystemGraph,
 
     def probe(strategy):
         nonlocal best, best_name
-        value = state_distance(evaluate(real, strategy, seed),
-                               evaluate(ideal, strategy, seed))
+        value = state_distance(evaluate(real, strategy), evaluate(ideal, strategy))
         if value > best:
             best, best_name = value, strategy.name
         return value
@@ -295,23 +301,22 @@ def advantage_over_family(real: SystemGraph, ideal: SystemGraph,
     for strategy in fam.strategies:
         probe(strategy)
 
-    if fam.builder is not None and fam.bounds:
-        grids = [_grid(lo, hi, fam.grid_points) for lo, hi in fam.bounds]
-        best_grid = -1.0
-        best_coords = None
-        for point in product(*grids):
-            value = probe(fam.builder(*point))
-            if value > best_grid:
-                best_grid, best_coords = value, point
-        if fam.refine and best_coords is not None:
-            coords = list(best_coords)
-            for axis, grid in enumerate(grids):
-                idx = grid.index(coords[axis])
-                lo = grid[max(idx - 1, 0)]
-                hi = grid[min(idx + 1, len(grid) - 1)]
-                if hi > lo:
-                    coords[axis] = _golden_max(
-                        lambda x: probe(fam.builder(*_subst(coords, axis, x))), lo, hi)
+    axes, points = fam.grid()
+    best_grid = -1.0
+    best_coords = None
+    for point in points:
+        value = probe(fam.builder(*point))
+        if value > best_grid:
+            best_grid, best_coords = value, point
+    if fam.refine and best_coords is not None:
+        coords = list(best_coords)
+        for axis, grid in enumerate(axes):
+            idx = grid.index(coords[axis])
+            lo = grid[max(idx - 1, 0)]
+            hi = grid[min(idx + 1, len(grid) - 1)]
+            if hi > lo:
+                coords[axis] = _golden_max(
+                    lambda x: probe(fam.builder(*_subst(coords, axis, x))), lo, hi)
     return best, best_name
 
 

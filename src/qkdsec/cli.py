@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import tolerances as tol
 from .harness import (
@@ -20,6 +21,7 @@ from .harness import (
     parse_attack,
     parse_config,
     run_scenario,
+    write_csv,
 )
 from .metrics import property_suite
 from .protocols import bb84, scenarios
@@ -27,28 +29,17 @@ from .protocols.auth import exhaustive_substitution_advantage
 from .protocols.hashing import affine_family, verify_asu2
 
 
-def _write(path, header, lines):
-    text = header + "\n" + "".join(line + "\n" for line in lines)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    """The config file's values (if any), with ``--seed`` and ``--out`` winning."""
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read(), require_seed=args.seed is None)
     else:
         cfg = parse_config("", require_seed=False)
     if args.seed is not None:
-        cfg = RunConfig(scenario=cfg.scenario, seed=args.seed, params=cfg.params,
-                        attack=cfg.attack, out=cfg.out)
+        cfg = replace(cfg, seed=args.seed)
+    if args.out is not None:
+        cfg = replace(cfg, out=args.out)
     return cfg
 
 
@@ -56,9 +47,8 @@ def cmd_metrics(args) -> int:
     cfg = _load_config(args)
     results = property_suite(cfg.seed, getattr(args, "trials", None)
                              or cfg.param("trials"))
-    lines = [f"{r.name},{r.trials},{_fmt(r.max_violation)},"
-             f"{'true' if r.passed else 'false'}" for r in results]
-    _write(args.out, "property_name,trials,max_violation,pass", lines)
+    write_csv(cfg.out, ("property_name", "trials", "max_violation", "pass"),
+              [(r.name, r.trials, r.max_violation, r.passed) for r in results])
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -70,41 +60,39 @@ def cmd_qkd(args) -> int:
     attack = parse_attack(args.attack or cfg.attack, params.n_qubits)
     run = bb84.qkd_run(params, attack)
     holds = run.advantage <= run.decomposition_bound + tol.METRIC_TOL
-    line = (f"{params.n_qubits},{attack.name},{_fmt(run.p_abort)},"
-            f"{_fmt(run.eps_cor)},{_fmt(run.eps_sec)},{_fmt(run.advantage)},"
-            f"{'true' if holds else 'false'}")
-    _write(args.out, "n,attack,p_abort,eps_cor,eps_sec,advantage,thm1_holds", [line])
+    write_csv(cfg.out, ("n", "attack", "p_abort", "eps_cor", "eps_sec", "advantage",
+                        "thm1_holds"),
+              [(params.n_qubits, attack.name, run.p_abort, run.eps_cor, run.eps_sec,
+                run.advantage, holds)])
     return 0 if holds else 2
 
 
 def cmd_auth(args) -> int:
+    cfg = _load_config(args)
     fam = affine_family(args.b)
     worst_pair, bound, uniform = verify_asu2(fam)
     advantage = exhaustive_substitution_advantage(fam)
     rows = [
-        ("asu2-pair-probability", worst_pair, bound, worst_pair <= bound + tol.EXACT_TOL),
-        ("asu2-tag-uniformity", 0.0 if uniform else 1.0, 0.0, uniform),
-        ("substitution-advantage", advantage, fam.epsilon,
+        (args.b, "asu2-pair-probability", worst_pair, bound,
+         worst_pair <= bound + tol.EXACT_TOL),
+        (args.b, "asu2-tag-uniformity", 0.0 if uniform else 1.0, 0.0, uniform),
+        (args.b, "substitution-advantage", advantage, fam.epsilon,
          advantage <= fam.epsilon + tol.EXACT_TOL),
     ]
-    lines = [f"{args.b},{name},{_fmt(m)},{_fmt(b)},{'true' if h else 'false'}"
-             for name, m, b, h in rows]
-    _write(args.out, "b,case,measured,bound,holds", lines)
+    write_csv(cfg.out, ("b", "case", "measured", "bound", "holds"), rows)
     return 0 if all(h for *_, h in rows) else 2
 
 
 def cmd_compose(args) -> int:
-    cfg = _load_config(args)
-    cfg = RunConfig(scenario=args.name, seed=cfg.seed, params=cfg.params,
-                    attack=cfg.attack, out=cfg.out)
+    cfg = replace(_load_config(args), scenario=args.name)
     rows = run_scenario(cfg)
-    lines = [f"{r.scenario},{r.case},{_fmt(r.measured)},{_fmt(r.bound)},"
-             f"{'true' if r.holds else 'false'}" for r in rows]
-    _write(args.out, "scenario,attack_id,advantage,bound,holds", lines)
+    write_csv(cfg.out, ("scenario", "attack_id", "advantage", "bound", "holds"),
+              [(r.scenario, r.case, r.measured, r.bound, r.holds) for r in rows])
     return 0 if all(r.holds for r in rows) else 2
 
 
 def cmd_lockdemo(args) -> int:
+    cfg = _load_config(args)
     report = scenarios.locking_demo(args.m)
     rows = [
         ReportRow("lockdemo", "post-reveal-bits", report.post_reveal_info,
@@ -115,11 +103,11 @@ def cmd_lockdemo(args) -> int:
                   float(args.m), True),
         ReportRow("lockdemo", "locking-gap", report.gap, float(args.m), True),
     ]
-    if args.out:
-        emit_csv(rows, args.out)
+    if cfg.out:
+        emit_csv(rows, cfg.out)
     else:
         for r in rows:
-            sys.stdout.write(f"{r.case}: {_fmt(r.measured)}\n")
+            sys.stdout.write(f"{r.case}: {r.measured:.12g}\n")
     return 0 if all(r.holds for r in rows) else 2
 
 

@@ -8,9 +8,9 @@ exact enumerations; the seed only feeds the randomised property checks.
 
 from __future__ import annotations
 
-import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "parse_config",
     "run_scenario",
     "ReportRow",
+    "write_csv",
     "emit_csv",
     "seeded_rng",
     "SCENARIOS",
@@ -90,7 +91,6 @@ class RunConfig:
     params: dict
     attack: str = "identity"
     out: str | None = None
-    tolerance_overrides: dict = field(default_factory=dict)
 
     def param(self, key, default=None):
         return self.params.get(key, _DEFAULTS.get(key, default))
@@ -157,26 +157,37 @@ class ReportRow:
     runtime_ms: float = 0.0
 
 
-def _fmt(value: float) -> str:
-    if value == math.inf:
-        return "inf"
-    return f"{value:.12g}"
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.12g}"
+    return str(value)
 
 
-def emit_csv(rows, path, *, include_timing: bool = False) -> None:
-    """Write rows with the fixed header; floats get 12 significant digits.
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table to ``path``, or to stdout when ``path`` is empty.
 
-    Timing is zeroed by default so reruns with the same seed produce
-    byte-identical files; pass ``include_timing=True`` to keep wall-clock
-    numbers.
+    ``header`` and each row are tuples of cells.  Floats get 12 significant
+    digits (``inf`` and ``nan`` as Python spells them), booleans are
+    ``true``/``false`` and any other cell is ``str``.
     """
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("scenario,case,measured,bound,holds,runtime_ms\n")
-        for row in rows:
-            ms = row.runtime_ms if include_timing else 0.0
-            fh.write(f"{row.scenario},{row.case},{_fmt(row.measured)},"
-                     f"{_fmt(row.bound)},{'true' if row.holds else 'false'},"
-                     f"{_fmt(ms)}\n")
+        fh.write(text)
+
+
+def emit_csv(rows, path) -> None:
+    """Write report rows with the fixed header.
+
+    ``runtime_ms`` is written as 0 so reruns with the same seed produce
+    byte-identical files.
+    """
+    write_csv(path, ("scenario", "case", "measured", "bound", "holds", "runtime_ms"),
+              [(r.scenario, r.case, r.measured, r.bound, r.holds, 0.0) for r in rows])
 
 
 # scenario-appropriate protocol sizes; config values still win

@@ -391,6 +391,7 @@ def uniform_key_twin(c: CQState, key_register=0) -> CQState:
         for k in key_alphabet:
             assignment = rest[:ki] + (k,) + rest[ki:]
             branches.append((assignment, weight / nk, cols))
+    branches.sort(key=lambda br: branch_order(br[0]))
     return CQState(
         registers=c.registers,
         branches=tuple(

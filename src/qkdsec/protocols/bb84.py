@@ -41,7 +41,6 @@ from ..acframework import (
     MixtureComponent,
     PositionAttack,
     ScheduleMismatch,
-    _grid,
 )
 from ..linalg import coset_leader_table, gf2_rank, psd_sqrt
 from ..metrics import BoundReport
@@ -546,15 +545,13 @@ _TRANSCRIPT = ("bases", "labels", "sample_set", "sample_a", "sample_b",
                "syndrome", "accepted")
 
 
-def qkd_run(params: QkdParams, attack: AttackStrategy, seed: int = 0,
-            *, keep_engine: bool = False) -> QkdRun:
+def qkd_run(params: QkdParams, attack: AttackStrategy, *,
+            keep_engine: bool = False) -> QkdRun:
     """Evaluate the protocol against one attack; exact and deterministic.
 
     All randomness (bit/basis choices, sampling, attack mixtures, Born
-    outcomes) is enumerated into the classical-quantum branch structure, so
-    ``seed`` does not influence the result.
+    outcomes) is enumerated into the classical-quantum branch structure.
     """
-    del seed
     engine = _Engine(params, attack)
     p = params
     n = p.n_qubits
@@ -663,11 +660,8 @@ def qkd_security_eval(params: QkdParams, attacks) -> SecurityEvaluation:
     from ..acframework import AttackFamily
 
     if isinstance(attacks, AttackFamily):
-        members = list(attacks.strategies)
-        if attacks.builder is not None and attacks.bounds:
-            grids = [_grid(lo, hi, attacks.grid_points) for lo, hi in attacks.bounds]
-            members.extend(attacks.builder(*point) for point in product(*grids))
-        attacks = members
+        _, points = attacks.grid()
+        attacks = list(attacks.strategies) + [attacks.builder(*p) for p in points]
     runs = []
     for attack in attacks:
         runs.append(qkd_run(params, attack))

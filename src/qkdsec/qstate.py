@@ -621,7 +621,6 @@ def flatten_cq(c: CQState, *, max_dim: int = tol.DIM_CAP) -> DensityOperator:
     if total > max_dim:
         raise DimensionCap(f"flattened dimension {total} exceeds cap {max_dim}")
     qdim = c.quantum_dim
-    cdim = total // qdim
     matrix = np.zeros((total, total), dtype=complex)
     for b in c.branches:
         idx = 0
@@ -630,7 +629,6 @@ def flatten_cq(c: CQState, *, max_dim: int = tol.DIM_CAP) -> DensityOperator:
         op = b.operator()
         lo = idx * qdim
         matrix[lo:lo + qdim, lo:lo + qdim] += op
-    del cdim
     return _wrap(matrix, dims if dims else (1,), min(c.trace_mass, 1.0))
 
 

@@ -1,4 +1,51 @@
+import pytest
+
 from qkdsec.cli import main
+
+# output of every CSV-writing subcommand, pinned byte for byte; the values
+# are dyadic or print the same at 12 digits on any IEEE-754 platform
+AUTH_B3 = ("b,case,measured,bound,holds\n"
+           "3,asu2-pair-probability,0.015625,0.015625,true\n"
+           "3,asu2-tag-uniformity,0,0,true\n"
+           "3,substitution-advantage,0.125,0.125,true\n")
+QKD_IR = ("n,attack,p_abort,eps_cor,eps_sec,advantage,thm1_holds\n"
+          "4,intercept-resend:p=0.5,0.234375,0.095703125,0.16748046875,"
+          "0.2392578125,true\n")
+KEY_EXPANSION = ("scenario,attack_id,advantage,bound,holds\n"
+                 "key-expansion,round1:p=0.0,0,0.5,true\n"
+                 "key-expansion,round1:p=1.0,0.375,0.5,true\n"
+                 "key-expansion,round1:p=0.0+msg2,0,0.5,true\n"
+                 "key-expansion,round1:p=1.0+msg1,0.19140625,0.5,true\n"
+                 "key-expansion,ledger-total,0.5,0.5,true\n")
+LOCKDEMO_CSV = ("scenario,case,measured,bound,holds,runtime_ms\n"
+                "lockdemo,post-reveal-bits,2,2,true,0\n"
+                "lockdemo,pre-reveal-k2-bits,0.451205059305,2,true,0\n"
+                "lockdemo,pre-reveal-key-bits,1,2,true,0\n"
+                "lockdemo,locking-gap,1.5487949407,2,true,0\n")
+LOCKDEMO_TEXT = ("post-reveal-bits: 2\n"
+                 "pre-reveal-k2-bits: 0.451205059305\n"
+                 "pre-reveal-key-bits: 1\n"
+                 "locking-gap: 1.5487949407\n")
+
+GOLDEN = {
+    "auth": (["auth", "sweep", "--b", "3"], AUTH_B3, AUTH_B3),
+    "qkd": (["qkd", "run", "--attack", "intercept-resend:0.5", "--seed", "9"],
+            QKD_IR, QKD_IR),
+    "compose": (["compose", "scenario", "--name", "key-expansion", "--seed", "6"],
+                KEY_EXPANSION, KEY_EXPANSION),
+    "lockdemo": (["lockdemo", "--m", "2"], LOCKDEMO_CSV, LOCKDEMO_TEXT),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(tmp_path, capsys, command):
+    argv, csv_text, stdout_text = GOLDEN[command]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == csv_text.encode()
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout_text
 
 
 def test_qkd_run_csv(tmp_path):
@@ -39,7 +86,14 @@ def test_metrics_check(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "property_name,trials,max_violation,pass"
-    assert len(lines) > 10
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "tv-alternative-formula", "metric-identity", "metric-symmetry",
+        "metric-triangle", "data-processing", "product-invariance",
+        "helstrom-equality", "helstrom-optimality-audit", "coupling-equality",
+        "coupling-marginals", "coupling-alternative-audit", "pguess-bound",
+        "alicki-fannes", "pinsker-type", "relative-entropy-quadratic",
+        "alternative-secrecy-factor2"]
+    assert all(line.split(",")[1:4:2] == ["5", "true"] for line in lines[1:])
 
 
 def test_compose_scenario(tmp_path):
@@ -67,6 +121,27 @@ def test_config_file_drives_run(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert out.read_text().splitlines()[1].startswith("3,identity,0,0,0,0,true")
+
+
+def test_config_out_writes_file(tmp_path, capsys):
+    target = tmp_path / "from-config.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 9\nattack = intercept-resend:0.5\nout = {target}\n")
+    assert main(["qkd", "run", "--config", str(cfg)]) == 0
+    assert target.read_bytes() == QKD_IR.encode()
+    assert capsys.readouterr().out == ""
+
+
+def test_out_flag_overrides_config_out(tmp_path, capsys):
+    target = tmp_path / "from-config.csv"
+    flag = tmp_path / "from-flag.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 9\nout = {target}\n")
+    assert main(["auth", "sweep", "--b", "3", "--config", str(cfg),
+                 "--out", str(flag)]) == 0
+    assert flag.read_bytes() == AUTH_B3.encode()
+    assert not target.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_and_config_errors(tmp_path):

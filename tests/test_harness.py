@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ from qkdsec.harness import (
     run_scenario,
     save_channel,
     seeded_rng,
+    write_csv,
 )
 
 
@@ -93,6 +95,19 @@ def test_emit_csv_format(tmp_path):
     # header-only file for no rows
     emit_csv([], path)
     assert path.read_text() == "scenario,case,measured,bound,holds,runtime_ms\n"
+
+
+def test_write_csv_cells(tmp_path, capsys):
+    rows = [(np.bool_(True), np.bool_(False), True, 3, -0.0),
+            (math.inf, -math.inf, np.float64(0.1), "x", 2 ** 70)]
+    path = tmp_path / "cells.csv"
+    write_csv(path, ("a", "b", "c", "d", "e"), rows)
+    assert path.read_text() == ("a,b,c,d,e\n"
+                                "true,false,true,3,-0\n"
+                                "inf,-inf,0.1,x,1180591620717411303424\n")
+    assert capsys.readouterr().out == ""
+    write_csv(None, ("a",), [(1 / 3,)])
+    assert capsys.readouterr().out == "a\n0.333333333333\n"
 
 
 def test_run_scenario_deterministic_csv(tmp_path):

@@ -166,6 +166,21 @@ def test_branch_order_key():
     assert [b.assignment for b in state.branches] == [(10,), (2,), ("b",)]
 
 
+def test_constructors_keep_branch_order():
+    regs = [("K", (0, 1)), ("E", (2, 10))]
+    # rest-major input, and an alphabet whose string order is not numeric
+    pairs = [(k, e) for e in (10, 2) for k in (0, 1)]
+    quantum = qs.make_cq(regs, [(a, 0.25, np.eye(2) / 2) for a in pairs], (2,))
+    classical = qs.make_classical_cq(regs, [(a, 0.25) for a in pairs])
+    _, measured = qs.measure_povm(qs.basis_povm(2), quantum)
+    states = [quantum, classical, qs.tensor_cq(classical, quantum), measured,
+              mt.uniform_key_twin(classical), mt.uniform_key_twin(quantum)]
+    for state in states:
+        keys = [qs.branch_order(b.assignment) for b in state.branches]
+        assert len(keys) > 1
+        assert keys == sorted(keys)
+
+
 def test_tensor_product_examples():
     tau2 = qs.maximally_mixed(2)
     tau4 = qs.tensor_product(tau2, tau2)
