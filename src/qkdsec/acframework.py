@@ -96,7 +96,6 @@ class AttackStrategy:
     tamper: tuple[tuple[str, Callable], ...] = ()
     switches: tuple[tuple[str, int], ...] = ()
     inputs: tuple[tuple[str, object], ...] = ()
-    passive_read: bool = True
     crossing: bool = False
 
     @property

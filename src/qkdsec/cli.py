@@ -45,8 +45,8 @@ def _load_config(args) -> RunConfig:
 
 def cmd_metrics(args) -> int:
     cfg = _load_config(args)
-    results = property_suite(cfg.seed, getattr(args, "trials", None)
-                             or cfg.param("trials"))
+    trials = args.trials if args.trials is not None else cfg.param("trials")
+    results = property_suite(cfg.seed, trials)
     write_csv(cfg.out, ("property_name", "trials", "max_violation", "pass"),
               [(r.name, r.trials, r.max_violation, r.passed) for r in results])
     return 0 if all(r.passed for r in results) else 2

@@ -54,7 +54,7 @@ class MissingSeed(ConfigError):
 SCENARIOS = ("leaked-key", "qkd-otp", "parallel-qkd", "key-expansion", "metrics-suite")
 
 _INT_KEYS = {"n_qubits", "t", "out_len", "h_rows", "seed", "split", "msg",
-             "rounds", "b", "m", "trials"}
+             "rounds", "b", "trials"}
 _FLOAT_KEYS = {"q_tol"}
 _STR_KEYS = {"scenario", "attack", "out"}
 KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
@@ -72,7 +72,6 @@ _DEFAULTS = {
     "msg": 0,
     "rounds": 1,
     "b": 4,
-    "m": 2,
     "trials": None,
 }
 

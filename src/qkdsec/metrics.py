@@ -30,6 +30,7 @@ from .qstate import (
 __all__ = [
     "BoundReport",
     "Coupling",
+    "InvalidTrials",
     "PropertyResult",
     "total_variation",
     "trace_distance",
@@ -540,13 +541,19 @@ def _random_cq_key_state(rng, n_key, dim_e):
     return make_cq([("K", tuple(range(n_key)))], branches, (dim_e,))
 
 
+class InvalidTrials(ValueError):
+    pass
+
+
 def property_suite(seed: int, trials: int | None = None) -> list[PropertyResult]:
     """Run every named metric property; one result row per property."""
+    if trials is not None and trials < 1:
+        raise InvalidTrials(f"trials = {trials} must be at least 1")
     results = []
     rng = np.random.default_rng([seed, 0x6D657472])
 
     def scaled(n):
-        return n if trials is None else max(1, min(trials, n))
+        return n if trials is None else min(trials, n)
 
     # total-variation alternative formula
     worst = 0.0

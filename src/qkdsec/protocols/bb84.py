@@ -22,16 +22,18 @@ real minus ideal); the rows of a quantity form one coefficient matrix, built
 once per evaluation.  A rest block (one basis/label cell of the key-material
 positions) turns the whole matrix into trace norms at once: a row-wise sum
 for one-dimensional environments, otherwise one matrix product and one
-batched ``eigvalsh``.  The per-row sums over a rest's blocks depend only on
-the attacks at the rest positions, so they are computed once per distinct
-rest and weighted by each sample subset's pass mass.  Everything is an exact
-enumeration; no sampling is involved anywhere.
+batched ``eigvalsh``.  Blocks are streamed: each one is built from per-position
+operators made once with the position tables, folded into its rest's sums and
+dropped, so memory holds one block at a time.  The per-row sums over a rest's
+blocks depend only on the attacks at the rest positions, so they are computed
+once per distinct rest and weighted by each sample subset's pass mass.
+Everything is an exact enumeration; no sampling is involved anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
@@ -222,11 +224,14 @@ _BASIS = (
 @dataclass
 class _ComponentTables:
     label: str
-    # per theta: pruned column matrix (env_dim, ncols), member cell of each
-    # column (0..3 encoding 2a+b), and weight per (a, b) cell
-    cols: list
+    # per theta, for the pruned environment columns x (env_dim, ncols): member
+    # cell of each column (0..3 encoding 2a+b), and weight per (a, b) cell
     col_ab: list
     w4: np.ndarray  # (2, 4) -> [theta, 2a+b], includes the 1/4 basis/bit prior
+    # per theta: environment operator of each cell (4, env_dim, env_dim), and
+    # the Gram matrix x^dagger x
+    cell_ops: list
+    gram: list
 
 
 def _component_tables(comp: MixtureComponent) -> _ComponentTables:
@@ -272,7 +277,10 @@ def _component_tables(comp: MixtureComponent) -> _ComponentTables:
         cols.append(np.array(vecs, dtype=complex).T if vecs
                     else np.zeros((env_dim, 0), dtype=complex))
         col_ab.append(np.array(cells, dtype=np.int64))
-    return _ComponentTables(comp.label, cols, col_ab, w4)
+    cell_ops = [np.stack([x[:, ab == c] @ x[:, ab == c].conj().T for c in range(4)])
+                for x, ab in zip(cols, col_ab)]
+    gram = [x.conj().T @ x for x in cols]
+    return _ComponentTables(comp.label, col_ab, w4, cell_ops, gram)
 
 
 def _position_tables(attack: AttackStrategy, n: int):
@@ -284,7 +292,7 @@ def _position_tables(attack: AttackStrategy, n: int):
         raise ScheduleMismatch(
             f"attack supplies {len(quantum)} positions, protocol uses {n}")
     # positions sharing one PositionAttack object share one table object, so
-    # the engine's rest-block cache is hit across sample subsets
+    # sample subsets whose rests share table objects share the rest sums
     built: dict[int, list] = {}
     out = []
     for pos in quantum:
@@ -324,10 +332,8 @@ def _key_tables(params: QkdParams, a: np.ndarray, b: np.ndarray):
 class _Engine:
     def __init__(self, params: QkdParams, attack: AttackStrategy):
         self.params = params
-        self.attack = attack
         self.tables = _position_tables(attack, params.n_qubits)
         self._member_tables()
-        self._rest_cache: dict = {}
         self._sample_cache: dict = {}
         self._rest_sums: dict = {}
 
@@ -339,48 +345,35 @@ class _Engine:
         self.syn_of, self.ka_of, self.kb_of = _key_tables(self.params, cells >> 1, cells & 1)
 
     def _pos_key(self, i: int) -> int:
-        # positions with identical attacks share cached rest blocks
+        # positions with identical attacks share rest sums and sample stats
         return id(self.tables[i])
 
     def _rest_block(self, positions: tuple[int, ...], thetas: tuple[int, ...],
                     comps: tuple[int, ...]):
-        key = (tuple(self._pos_key(i) for i in positions), thetas, comps)
-        hit = self._rest_cache.get(key)
-        if hit is not None:
-            return hit
         w_member = np.ones(1)
         env_dim = 1
         for i, theta, ci in zip(positions, thetas, comps):
             tab = self.tables[i][ci]
             w_member = (w_member[:, None] * tab.w4[theta][None, :]).reshape(-1)
-            env_dim *= tab.cols[theta].shape[0]
+            env_dim *= tab.cell_ops[theta].shape[1]
         n_members = w_member.size
         if env_dim == 1 or n_members * env_dim ** 2 <= 1 << 22:
             # materialise the per-member environment operators directly
             ops = np.ones((1, 1, 1), dtype=complex)
             for i, theta, ci in zip(positions, thetas, comps):
-                tab = self.tables[i][ci]
-                x = tab.cols[theta]
-                d = x.shape[0]
-                cell_ops = np.zeros((4, d, d), dtype=complex)
-                for c in range(4):
-                    sel = x[:, tab.col_ab[theta] == c]
-                    cell_ops[c] = sel @ sel.conj().T
+                cell_ops = self.tables[i][ci].cell_ops[theta]
+                d = cell_ops.shape[1]
                 ops = np.einsum("mij,ckl->mcikjl", ops, cell_ops).reshape(
                     ops.shape[0] * 4, ops.shape[1] * d, ops.shape[2] * d)
-            block = _RestBlock(w_member, ops=ops)
-        else:
-            member_of_col = np.zeros(1, dtype=np.int64)
-            gram = np.ones((1, 1), dtype=complex)
-            for i, theta, ci in zip(positions, thetas, comps):
-                tab = self.tables[i][ci]
-                x = tab.cols[theta]
-                gram = np.kron(gram, x.conj().T @ x)
-                member_of_col = (member_of_col[:, None] * 4
-                                 + tab.col_ab[theta][None, :]).reshape(-1)
-            block = _RestBlock(w_member, gram=gram, member_of_col=member_of_col)
-        self._rest_cache[key] = block
-        return block
+            return _RestBlock(w_member, ops=ops)
+        member_of_col = np.zeros(1, dtype=np.int64)
+        gram = np.ones((1, 1), dtype=complex)
+        for i, theta, ci in zip(positions, thetas, comps):
+            tab = self.tables[i][ci]
+            gram = np.kron(gram, tab.gram[theta])
+            member_of_col = (member_of_col[:, None] * 4
+                             + tab.col_ab[theta][None, :]).reshape(-1)
+        return _RestBlock(w_member, gram=gram, member_of_col=member_of_col)
 
     def sample_stats(self, positions: tuple[int, ...]):
         """(pass_mass, abort_mass) summed over bases, labels, and values."""
@@ -452,9 +445,12 @@ class _Engine:
             # so subsets whose rests share position keys share them
             key = (tuple(self._pos_key(i) for i in rest), entries)
             if key not in self._rest_sums:
-                blocks = list(self.rest_iter(rest))
-                self._rest_sums[key] = (sum(b.trace_norms(coeff) for b in blocks),
-                                        sum(select @ b.w_member for b in blocks))
+                # each block is folded in and dropped, in rest_iter order
+                rest_norms, rest_masses = 0, 0
+                for b in self.rest_iter(rest):
+                    rest_norms = rest_norms + b.trace_norms(coeff)
+                    rest_masses = rest_masses + select @ b.w_member
+                self._rest_sums[key] = (rest_norms, rest_masses)
             rest_norms, rest_masses = self._rest_sums[key]
             pass_mass, abort_mass = self.sample_stats(subset)
             p_abort += abort_mass
@@ -516,37 +512,26 @@ class QkdRun:
     The final classical-quantum state is represented implicitly through the
     engine's factorised blocks; the scalar fields below are the functionals
     the security conditions need, each computed without any sampling.
+    Composed quantities re-evaluate ``attack`` on a fresh engine.
     """
 
     params: QkdParams
-    attack_name: str
+    attack: AttackStrategy = field(repr=False, compare=False)
     p_abort: float
     eps_cor: float
     eps_sec: float
     advantage: float
     eq12_rhs: float
     error_rate: float
-    transcript_registers: tuple[str, ...]
     key_joint: dict
-    _engine: object = None
 
     @property
     def decomposition_bound(self) -> float:
         """eps_cor + eps_sec: the analytic ceiling on the advantage."""
         return self.eps_cor + self.eps_sec
 
-    def engine(self) -> _Engine:
-        if self._engine is None:
-            raise ValueError("run was evaluated without keep_engine=True")
-        return self._engine
 
-
-_TRANSCRIPT = ("bases", "labels", "sample_set", "sample_a", "sample_b",
-               "syndrome", "accepted")
-
-
-def qkd_run(params: QkdParams, attack: AttackStrategy, *,
-            keep_engine: bool = False) -> QkdRun:
+def qkd_run(params: QkdParams, attack: AttackStrategy) -> QkdRun:
     """Evaluate the protocol against one attack; exact and deterministic.
 
     All randomness (bit/basis choices, sampling, attack mixtures, Born
@@ -586,16 +571,14 @@ def qkd_run(params: QkdParams, attack: AttackStrategy, *,
 
     return QkdRun(
         params=params,
-        attack_name=attack.name,
+        attack=attack,
         p_abort=p_abort,
         eps_cor=eps_cor,
         eps_sec=eps_sec,
         advantage=advantage,
         eq12_rhs=eq12_rhs,
         error_rate=err,
-        transcript_registers=_TRANSCRIPT,
         key_joint=key_joint,
-        _engine=engine if keep_engine else None,
     )
 
 
@@ -609,7 +592,7 @@ def leaked_advantage(run: QkdRun, split: int) -> float:
     p = run.params
     if not 0 <= split <= p.out_len:
         raise InvalidParams(f"split {split} outside [0, {p.out_len}]")
-    engine = run.engine()
+    engine = _Engine(p, run.attack)
     low_bits = p.out_len - split
     # K_A as (leaked prefix, kept bits), against every K_B
     kas = [(k1 << low_bits) | k2 for k1 in range(2 ** split) for k2 in range(2 ** low_bits)]
@@ -630,7 +613,7 @@ def otp_composed_advantage(run: QkdRun, message: int) -> float:
     nk = p.key_size
     if not 0 <= message < nk:
         raise InvalidParams(f"message {message} is not a {p.out_len}-bit value")
-    engine = run.engine()
+    engine = _Engine(p, run.attack)
     entries = tuple((message ^ y, y ^ xb, xb == message)
                     for y in range(nk) for xb in range(nk))
     return 0.5 * float(engine.evaluate(entries)[1].sum())

@@ -128,7 +128,7 @@ def leaked_key_scenario(params: QkdParams, split: int, attacks) -> BoundReport:
     """
     worst = 0.0
     for attack in attacks:
-        run = qkd_run(params, attack, keep_engine=True)
+        run = qkd_run(params, attack)
         leaked = bb84.leaked_advantage(run, split)
         worst = max(worst, abs(leaked - run.advantage))
     return BoundReport(f"leaked-key-split{split}", worst, 0.0)
@@ -142,7 +142,7 @@ def qkd_otp_scenario(params: QkdParams, message: int, attacks) -> BoundReport:
     """
     worst = -math.inf
     for attack in attacks:
-        run = qkd_run(params, attack, keep_engine=True)
+        run = qkd_run(params, attack)
         composed = bb84.otp_composed_advantage(run, message)
         worst = max(worst, composed - run.advantage)
     return BoundReport("qkd-otp-compose", worst, 0.0)
@@ -191,8 +191,8 @@ def _diagonal_blocks(run: QkdRun):
     Only valid when every environment operator is diagonal (classical
     attacks); values are subnormalised by the non-abort mass.
     """
-    engine = run.engine()
     p = run.params
+    engine = bb84._Engine(p, run.attack)
     nk = p.key_size
     subsets = list(combinations(range(p.n_qubits), p.t))
     if len({id(t) for t in engine.tables}) != 1:
@@ -235,7 +235,12 @@ def product_pair_advantage(run1: QkdRun, run2: QkdRun) -> float:
         return run1.advantage
     r1, i1 = _diagonal_blocks(run1)
     r2, i2 = _diagonal_blocks(run2)
-    pair = 0.5 * float(np.abs(np.outer(r1, r2) - np.outer(i1, i2)).sum())
+    # sum |r1 (x) r2 - i1 (x) i2| over row chunks of r1, one engine batch each
+    step = max(1, bb84._BATCH_ENTRIES // r2.size)
+    pair = 0.5 * sum(
+        float(np.abs(np.outer(r1[lo:lo + step], r2)
+                     - np.outer(i1[lo:lo + step], i2)).sum())
+        for lo in range(0, r1.size, step))
     return run1.p_abort * run2.advantage + run2.p_abort * run1.advantage + pair
 
 
@@ -482,7 +487,7 @@ def parallel_qkd_scenario(params: QkdParams, *, include_crossing: bool = True):
         bb84.intercept_resend(n, 1.0),
         bb84.steal_replace_attack(n),
     ]
-    runs = {a.name: qkd_run(params, a, keep_engine=True) for a in singles}
+    runs = {a.name: qkd_run(params, a) for a in singles}
     eps_single = max(r.advantage for r in runs.values())
 
     rows = []

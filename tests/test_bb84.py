@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -131,14 +133,13 @@ def test_robustness_matched_delta():
 def test_leaked_and_otp_variants_match_plain():
     params = bb84.default_params(n_qubits=4, t=1, q_tol=0.25, out_len=2, h_rows=1)
     for attack in (bb84.intercept_resend(4, 1.0), bb84.depolarize_attack(4, 0.4)):
-        run = bb84.qkd_run(params, attack, keep_engine=True)
+        run = bb84.qkd_run(params, attack)
         for split in (0, 1, 2):
             assert abs(bb84.leaked_advantage(run, split) - run.advantage) <= 1e-9
         for msg in (0, 3):
             assert abs(bb84.otp_composed_advantage(run, msg) - run.advantage) <= 1e-9
     with pytest.raises(bb84.InvalidParams):
-        bb84.leaked_advantage(bb84.qkd_run(params, bb84.identity_attack(),
-                                           keep_engine=True), 3)
+        bb84.leaked_advantage(bb84.qkd_run(params, bb84.identity_attack()), 3)
 
 
 def test_attack_input_validation():
@@ -268,20 +269,45 @@ def test_rest_memo_with_position_dependent_attack():
     dep = bb84.depolarize_attack(1, 0.3).quantum[0]
     attack = AttackStrategy(name="ir-dep-ir", quantum=(ir, dep, ir))
     p_abort, eps_cor, eps_sec, advantage, _ = oracle_quantities(params, attack)
-    run = bb84.qkd_run(params, attack, keep_engine=True)
+    run = bb84.qkd_run(params, attack)
     assert abs(p_abort - run.p_abort) <= 1e-12
     assert abs(eps_cor - run.eps_cor) <= 1e-12
     assert abs(eps_sec - run.eps_sec) <= 1e-9
     assert abs(advantage - run.advantage) <= 1e-9
-    assert len(run.engine()._rest_sums) == 3
-    uniform = bb84.qkd_run(params, bb84.intercept_resend(3, 1.0), keep_engine=True)
-    assert len(uniform.engine()._rest_sums) == 1
+    entries = ((0, None, True), (0, 0, True), (0, 1, False))
+    engine = bb84._Engine(params, attack)
+    engine.evaluate(entries)
+    assert len(engine._rest_sums) == 3
+    uniform = bb84._Engine(params, bb84.intercept_resend(3, 1.0))
+    uniform.evaluate(entries)
+    assert len(uniform._rest_sums) == 1
+
+
+def test_engine_streams_rest_blocks(monkeypatch):
+    # 2^3 bases x 3^3 labels = 216 blocks per rest; only the block being
+    # folded in and the one being built may be alive at once
+    live = weakref.WeakSet()
+    built, peak = [0], [0]
+    init = bb84._RestBlock.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+        built[0] += 1
+        peak[0] = max(peak[0], len(live))
+
+    monkeypatch.setattr(bb84._RestBlock, "__init__", counting_init)
+    params = bb84.default_params(n_qubits=4, t=1, q_tol=0.25, out_len=1, h_rows=1)
+    engine = bb84._Engine(params, bb84.intercept_resend(4, 0.5))
+    engine.evaluate(((0, None, True), (0, 0, True), (0, 1, False)))
+    assert built[0] == 216
+    assert peak[0] <= 2
 
 
 def test_leaked_and_otp_variants_match_plain_n6():
     params = bb84.default_params(n_qubits=6, t=2, q_tol=0.25, out_len=2, h_rows=1)
     for attack in (bb84.steal_replace_attack(6), bb84.intercept_resend(6, 1.0)):
-        run = bb84.qkd_run(params, attack, keep_engine=True)
+        run = bb84.qkd_run(params, attack)
         for split in (0, 1, 2):
             assert abs(bb84.leaked_advantage(run, split) - run.advantage) <= 1e-9
         for msg in (0, 1, 3):

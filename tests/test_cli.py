@@ -96,6 +96,15 @@ def test_metrics_check(tmp_path):
     assert all(line.split(",")[1:4:2] == ["5", "true"] for line in lines[1:])
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_metrics_check_rejects_nonpositive_trials(tmp_path, capsys, trials):
+    out = tmp_path / "metrics.csv"
+    assert main(["metrics", "check", "--seed", "2", "--trials", trials,
+                 "--out", str(out)]) == 1
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compose_scenario(tmp_path):
     out = tmp_path / "compose.csv"
     rc = main(["compose", "scenario", "--name", "key-expansion",

@@ -60,6 +60,8 @@ def test_parse_config_errors():
         parse_config("n_qubits = 4")
     with pytest.raises(BadValue):
         parse_config("seed = 1\nscenario = nonsense")
+    with pytest.raises(UnknownKey):  # lockdemo reads only --m
+        parse_config("seed = 1\nm = 3")
 
 
 def test_config_values_win_over_scenario_defaults():

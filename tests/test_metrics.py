@@ -341,3 +341,9 @@ def test_trace_distance_range_property(seed, dim):
     d = mt.trace_distance(a, b)
     assert -1e-12 <= d <= 1.0 + 1e-12
     assert mt.guessing_probability(a, b) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_property_suite_rejects_nonpositive_trials(trials):
+    with pytest.raises(mt.InvalidTrials):
+        mt.property_suite(1, trials)

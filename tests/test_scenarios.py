@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import round_oracle
@@ -49,17 +50,33 @@ def test_product_pair_against_brute_tensor(round_params):
     br, envd = enumerate_branches(round_params, ir)
     real, ideal = real_and_ideal_states(br, envd, round_params)
     brute = mt.cq_trace_distance(qs.tensor_cq(real, real), qs.tensor_cq(ideal, ideal))
-    run = bb84.qkd_run(round_params, ir, keep_engine=True)
+    run = bb84.qkd_run(round_params, ir)
     fast = scenarios.product_pair_advantage(run, run)
     assert abs(brute - fast) <= 1e-9
 
 
 def test_product_pair_identity_shortcut(round_params):
-    ident = bb84.qkd_run(round_params, bb84.identity_attack(), keep_engine=True)
-    noisy = bb84.qkd_run(round_params, bb84.intercept_resend(2, 0.5), keep_engine=True)
+    ident = bb84.qkd_run(round_params, bb84.identity_attack())
+    noisy = bb84.qkd_run(round_params, bb84.intercept_resend(2, 0.5))
     assert scenarios.product_pair_advantage(ident, noisy) == noisy.advantage
     assert scenarios.product_pair_advantage(noisy, ident) == noisy.advantage
     assert scenarios.product_pair_advantage(ident, ident) == 0.0
+
+
+def test_product_pair_chunks_match_dense(monkeypatch):
+    params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
+    run1 = bb84.qkd_run(params, bb84.intercept_resend(3, 1.0))
+    run2 = bb84.qkd_run(params, bb84.intercept_resend(3, 0.5))
+    r1, i1 = scenarios._diagonal_blocks(run1)
+    r2, i2 = scenarios._diagonal_blocks(run2)
+    dense = (run1.p_abort * run2.advantage + run2.p_abort * run1.advantage
+             + 0.5 * float(np.abs(np.outer(r1, r2) - np.outer(i1, i2)).sum()))
+    # a batch of a few rows forces many chunks, including a ragged last one
+    monkeypatch.setattr(bb84, "_BATCH_ENTRIES", 3 * r2.size + 1)
+    assert r1.size % 3 != 0
+    assert abs(scenarios.product_pair_advantage(run1, run2) - dense) <= 1e-12
+    monkeypatch.undo()
+    assert abs(scenarios.product_pair_advantage(run1, run2) - dense) <= 1e-12
 
 
 def test_swap_crossing_structural_bounds():
