@@ -1,8 +1,12 @@
 """Three-interface composable systems, converters, and distinguishing advantage.
 
 A system is an evaluator from an attack strategy to the exact final
-classical-quantum state gathered at the A/B/E interfaces; the interaction
-schedule is fixed per system, which makes evaluation terminating and exact.
+classical-quantum state (a ``CQState``) gathered at the A/B/E interfaces;
+the interaction schedule is fixed per system, which makes evaluation
+terminating and exact.  Two evaluated states are told apart by their cq
+trace distance (``state_distance``).  Protocols with their own exact path
+(the BB84 engine, the swap crossing attack) are called directly, not
+wrapped as systems.
 Converters wrap an evaluator (rewriting the attack on the way in, the state
 on the way out), so attachment is ordinary function composition and the
 composition axioms hold by construction — the tests check them numerically
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import singledispatch
 from itertools import product
 from typing import Callable
 
@@ -154,7 +157,6 @@ class AttackFamily:
     builder: Callable[..., AttackStrategy] | None = None
     bounds: tuple[tuple[float, float], ...] = ()
     grid_points: int = 64
-    refine: bool = True
 
     def __post_init__(self):
         has_identity = any(getattr(s, "is_identity", False) for s in self.strategies)
@@ -265,18 +267,8 @@ def compose_parallel(s1: SystemGraph, s2: SystemGraph, *,
     )
 
 
-@singledispatch
-def state_distance(a, b) -> float:
-    """Distinguishing advantage between two evaluated states.
-
-    The generic case handles cq states; protocol modules register faster
-    representations.
-    """
-    raise TypeError(f"no distance rule for {type(a).__name__}")
-
-
-@state_distance.register
-def _(a: CQState, b) -> float:
+def state_distance(a: CQState, b: CQState) -> float:
+    """Distinguishing advantage between two evaluated cq states."""
     return cq_trace_distance(a, b)
 
 
@@ -307,7 +299,7 @@ def advantage_over_family(real: SystemGraph, ideal: SystemGraph, fam: AttackFami
         value = probe(fam.builder(*point))
         if value > best_grid:
             best_grid, best_coords = value, point
-    if fam.refine and best_coords is not None:
+    if best_coords is not None:
         coords = list(best_coords)
         for axis, grid in enumerate(axes):
             idx = grid.index(coords[axis])

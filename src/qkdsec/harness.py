@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .metrics import property_suite
+from .qstate import make_channel, read_rows, write_rows
 from .protocols import bb84, scenarios
 from .protocols.hashing import affine_family
 
@@ -250,23 +251,19 @@ def _attack_probability(spec: str) -> float:
 
 def load_channel(path):
     """Channel fixture: ``env D kraus K`` then K stacked (2*D) x 2 blocks."""
-    from .qstate import make_channel
-
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != "env" or header[2] != "kraus":
-            raise BadValue(f"{path}: first line must be 'env D kraus K'")
-        env_dim, kraus = int(header[1]), int(header[3])
-        ops = []
-        for _ in range(kraus):
-            rows = []
-            for _ in range(2 * env_dim):
-                parts = fh.readline().split()
-                if len(parts) != 2:
-                    raise BadValue(f"{path}: expected 2 entries per row")
-                rows.append([complex(float(re), float(im))
-                             for re, im in (p.split(",") for p in parts)])
-            ops.append(np.array(rows))
+        try:
+            if len(header) != 4 or header[0] != "env" or header[2] != "kraus":
+                raise ValueError
+            env_dim, kraus = int(header[1]), int(header[3])
+            if env_dim < 1 or kraus < 1:
+                raise ValueError
+        except ValueError:
+            raise BadValue(f"{path}, line 1: first line must be 'env D kraus K' "
+                           f"with D, K >= 1") from None
+        block = 2 * env_dim
+        ops = [read_rows(fh, path, 2 + k * block, block, 2) for k in range(kraus)]
     return make_channel(ops, out_dims=(2, env_dim))
 
 
@@ -275,8 +272,7 @@ def save_channel(path, channel) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"env {env_dim} kraus {len(channel.kraus_ops)}\n")
         for op in channel.kraus_ops:
-            for row in op:
-                fh.write(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")
+            write_rows(fh, op)
 
 
 def run_scenario(cfg: RunConfig) -> list[ReportRow]:

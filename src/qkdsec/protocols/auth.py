@@ -83,17 +83,17 @@ def accept_probability(fam: HashFamily, x: int, y: int, x2: int, y2: int) -> flo
     return float(counts[y][y2]) / float(sums[y])
 
 
-def build_auth_systems(fam: HashFamily, message_space=None):
+def build_auth_systems(fam: HashFamily):
     """Real and ideal single-message authentication systems.
 
-    The distinguisher picks the transmitted message via
-    ``inputs=(("message", x),)`` and tampers through a substitution rule
-    named ``auth`` mapping the observed (x, y) to the injected (x', y').
-    The joint message/tag space must stay at desk scale (<= 2^10).
+    Messages range over ``range(fam.tag_space)``.  The distinguisher picks
+    the transmitted message via ``inputs=(("message", x),)`` and tampers
+    through a substitution rule named ``auth`` mapping the observed (x, y)
+    to the injected (x', y').  The joint message/tag space must stay at desk
+    scale (<= 2^10).
     """
     order = fam.tag_space
-    if message_space is None:
-        message_space = tuple(range(order))
+    message_space = tuple(range(order))
     if len(message_space) * order > 1024:
         raise LengthOverflow("joint message/tag space above the 2^10 desk-scale cap")
     b_alphabet = tuple(message_space) + ("reject",)

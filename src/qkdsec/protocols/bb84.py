@@ -87,7 +87,6 @@ class QkdParams:
     q_tol: float
     h_matrix: tuple[tuple[int, ...], ...]
     t_matrix: tuple[tuple[int, ...], ...]
-    pa_seed: int = 0
 
     def __post_init__(self):
         n, t = self.n_qubits, self.t
@@ -138,7 +137,6 @@ def default_params(n_qubits: int = 4, t: int = 2, q_tol: float = 0.25,
         n_qubits=n_qubits, t=t, q_tol=q_tol,
         h_matrix=tuple(tuple(int(x) for x in row) for row in h),
         t_matrix=tuple(tuple(int(x) for x in row) for row in tm),
-        pa_seed=seed,
     )
 
 

@@ -1,10 +1,12 @@
 """Composition scenarios: leaked key, QKD+OTP, parallel QKD, key expansion.
 
-Each scenario builds the composed real and ideal systems and measures the
-distinguishing advantage exactly, then checks it against the bound that the
-component failures imply.  Parallel composition pays attention to crossing
-attacks: the shipped one reroutes the quantum signals between the two
-instances (swap), which couples the runs and is evaluated jointly.
+Each scenario measures the distinguishing advantage of the composed real
+and ideal protocols exactly, straight from ``qkd_run`` results and the
+enumerations below, then checks it against the bound that the component
+failures imply.  Parallel composition pays attention to crossing attacks:
+the shipped one reroutes the quantum signals between the two instances
+(swap), which couples the runs, so ``swap_crossing_advantage`` evaluates
+the joint state of both runs at once.
 
 The swap's joint state is enumerated with integer arrays: each run's view
 of an (a, b) word is one integer code (keys, sample bits, syndrome, abort),
@@ -33,17 +35,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ..acframework import (
-    AttackStrategy,
-    EpsilonLedger,
-    LedgerEntry,
-    ScheduleMismatch,
-    SystemGraph,
-    compose_parallel,
-    evaluate,
-    serial_compose,
-    state_distance,
-)
+from ..acframework import EpsilonLedger, LedgerEntry, ScheduleMismatch, serial_compose
 from ..metrics import BoundReport
 from ..qstate import Register, make_cq, make_povm, measure_povm
 from . import bb84
@@ -53,11 +45,8 @@ from .hashing import HashFamily
 
 __all__ = [
     "KeyBudgetExhausted",
-    "build_qkd_systems",
-    "parallel_qkd_systems",
     "leaked_key_scenario",
     "qkd_otp_scenario",
-    "swap_crossing_attack",
     "swap_crossing_advantage",
     "swap_joint_state",
     "product_pair_advantage",
@@ -72,49 +61,6 @@ __all__ = [
 
 class KeyBudgetExhausted(ValueError):
     pass
-
-
-# --- system wrappers ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QkdSystemState:
-    """Evaluated state of the (real or ideal) QKD system, engine-backed."""
-
-    run: QkdRun
-    side: str
-
-
-@state_distance.register
-def _(a: QkdSystemState, b) -> float:
-    if not isinstance(b, QkdSystemState):
-        raise TypeError("cannot mix engine-backed and generic states")
-    if a.run is not b.run:
-        raise ValueError("states come from different evaluations")
-    if a.side == b.side:
-        return 0.0
-    return a.run.advantage
-
-
-def build_qkd_systems(params: QkdParams):
-    """Real system and ideal (key resource + simulator) system, run-cached."""
-    cache: dict = {}
-
-    def run_for(attack: AttackStrategy) -> QkdRun:
-        if attack.name not in cache:
-            cache[attack.name] = qkd_run(params, attack)
-        return cache[attack.name]
-
-    real = SystemGraph(
-        name=f"qkd-real-n{params.n_qubits}",
-        evaluator=lambda attack: QkdSystemState(run_for(attack), "real"),
-        quantum_slots=params.n_qubits,
-    )
-    ideal = SystemGraph(
-        name=f"qkd-ideal-n{params.n_qubits}",
-        evaluator=lambda attack: QkdSystemState(run_for(attack), "ideal"),
-        quantum_slots=params.n_qubits,
-    )
-    return real, ideal
 
 
 # --- sequential composition examples -------------------------------------------------
@@ -149,41 +95,6 @@ def qkd_otp_scenario(params: QkdParams, message: int, attacks) -> BoundReport:
 
 
 # --- parallel composition -------------------------------------------------------------
-
-def swap_crossing_attack(n: int) -> AttackStrategy:
-    """Crossing attack on two parallel runs: exchange the quantum signals."""
-    return AttackStrategy(name="swap-crossing", crossing=True, quantum=(),
-                          inputs=(("positions", n),))
-
-
-@dataclass(frozen=True)
-class SwapCrossingState:
-    """Joint state of two parallel instances under the swap attack."""
-
-    params: QkdParams
-    side: str
-
-
-@state_distance.register
-def _(a: SwapCrossingState, b) -> float:
-    if not isinstance(b, SwapCrossingState) or a.params is not b.params:
-        raise ValueError("states come from different evaluations")
-    if a.side == b.side:
-        return 0.0
-    return swap_crossing_advantage(a.params)
-
-
-def parallel_qkd_systems(params: QkdParams):
-    """Two instances in parallel, with the swap crossing attack routed jointly."""
-    real, ideal = build_qkd_systems(params)
-    real_pair = compose_parallel(
-        real, real,
-        crossing_evaluator=lambda attack: SwapCrossingState(params, "real"))
-    ideal_pair = compose_parallel(
-        ideal, ideal,
-        crossing_evaluator=lambda attack: SwapCrossingState(params, "ideal"))
-    return real_pair, ideal_pair
-
 
 def _diagonal_blocks(run: QkdRun):
     """Flattened (real, ideal) scalar block values of a classical run.
@@ -473,13 +384,14 @@ def _swap_blocks(params: QkdParams, codes: _SwapCodes):
                                          block_cells[at], label_mass)
 
 
-def parallel_qkd_scenario(params: QkdParams, *, include_crossing: bool = True):
+def parallel_qkd_scenario(params: QkdParams):
     """Advantage of two parallel runs against twice the single-run bound.
 
-    The family holds product attacks (pairs over identity, full
-    intercept-resend, steal-and-replace) and, when requested, the swap
-    crossing attack evaluated jointly.  Every composite value must stay
-    within 2 * eps_single where eps_single is the single-run family maximum.
+    The rows are the product attacks (pairs over identity, full
+    intercept-resend, steal-and-replace), each from ``product_pair_advantage``,
+    followed by the swap crossing attack from ``swap_crossing_advantage``.
+    Every composite value must stay within 2 * eps_single where eps_single
+    is the single-run family maximum.
     """
     n = params.n_qubits
     singles = [
@@ -502,12 +414,7 @@ def parallel_qkd_scenario(params: QkdParams, *, include_crossing: bool = True):
                 continue  # pair term needs classical sides; covered by IR pairs
             value = product_pair_advantage(r1, r2)
             rows.append((name, value))
-    if include_crossing:
-        real_pair, ideal_pair = parallel_qkd_systems(params)
-        attack = swap_crossing_attack(n)
-        value = state_distance(evaluate(real_pair, attack),
-                               evaluate(ideal_pair, attack))
-        rows.append(("swap-crossing", value))
+    rows.append(("swap-crossing", swap_crossing_advantage(params)))
     worst = max(v for _, v in rows)
     report = BoundReport("parallel-qkd-two-instances", worst, 2.0 * eps_single)
     return report, rows, eps_single

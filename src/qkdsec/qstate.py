@@ -16,7 +16,6 @@ function of its inputs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -38,6 +37,7 @@ __all__ = [
     "AlphabetMismatch",
     "RegisterMismatch",
     "NotFinite",
+    "MalformedFixture",
     "DensityOperator",
     "ClassicalDistribution",
     "Register",
@@ -68,6 +68,8 @@ __all__ = [
     "maximally_mixed",
     "pure_state",
     "basis_povm",
+    "write_rows",
+    "read_rows",
     "save_matrix",
     "load_matrix",
     "save_cq_fixture",
@@ -119,6 +121,10 @@ class RegisterMismatch(StateError):
     pass
 
 
+class MalformedFixture(StateError):
+    """A text fixture line that does not parse; the message names file and line."""
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -137,13 +143,11 @@ class DensityOperator:
         return int(np.prod(self.dims)) if self.dims else 1
 
 
-def make_density(matrix, dims=None, *, renormalize: bool = False,
-                 max_dim: int = tol.DIM_CAP) -> DensityOperator:
+def make_density(matrix, dims=None, *, max_dim: int = tol.DIM_CAP) -> DensityOperator:
     """Validate and build a :class:`DensityOperator`.
 
     The input is symmetrised to (M + M^dagger)/2 before validation; eigenvalues
-    in [-PSD_TOL, 0) are clipped to zero without renormalising unless
-    ``renormalize`` is set, in which case the state is scaled to trace one.
+    in [-PSD_TOL, 0) are clipped to zero without renormalising.
     """
     m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -180,11 +184,6 @@ def make_density(matrix, dims=None, *, renormalize: bool = False,
         m = 0.5 * (m + m.conj().T)
 
     trace = float(np.trace(m).real)
-    if renormalize:
-        if trace <= 0.0:
-            raise BadTrace("cannot renormalise a zero-trace matrix")
-        m = m / trace
-        trace = 1.0
     if trace < -tol.TRACE_TOL or trace > 1.0 + tol.TRACE_TOL:
         raise BadTrace(
             f"trace {trace:.12g} outside [0, 1] by more than {tol.TRACE_TOL:.0e}")
@@ -477,36 +476,10 @@ def _canonical_factor(op, qdim: int) -> tuple[np.ndarray, float]:
     return arr / np.sqrt(trace), trace
 
 
-def _scalar_factor(op) -> tuple[np.ndarray, float] | None:
-    """:func:`_canonical_factor` of a scalar branch when there is no quantum part.
-
-    Repeats its arithmetic bit for bit on Python floats: the squared norm,
-    the Hermiticity probe (|z - conj z| = |2 Im z|), the closed-form 1x1
-    ``psd_factor`` (the real part kept above the rank cutoff, then its
-    square root) and the trace re-taken from that root.  Returns None where
-    the general path decides: a non-finite squared norm (so that its
-    ``NotFinite`` message is the same) and a non-Hermitian scalar, which it
-    takes as a factor.
-    """
-    z = complex(op)
-    re, im = z.real, z.imag
-    if not math.isfinite(re * re + im * im) or abs(2.0 * im) > tol.HERMITIAN_TOL:
-        return None
-    if re < -tol.PSD_TOL:
-        raise NotPSD(f"branch operator has eigenvalue {re:.3e}")
-    if not re > tol.RANK_CUTOFF * max(re, 0.0):
-        return np.zeros((1, 1), dtype=complex), 0.0
-    root = math.sqrt(re)
-    trace = root * root
-    # numpy divides the complex factor root + 0j by the real sqrt(trace) as
-    # root * (1 / sqrt(trace)) (Smith's algorithm with a zero imaginary part)
-    return _unit_column(root * (1.0 / math.sqrt(trace))), trace
-
-
 @lru_cache(maxsize=64)
 def _unit_column(value: float) -> np.ndarray:
-    # the normalised 1x1 factor is within an ulp of 1, so a few shared
-    # read-only arrays serve every scalar branch
+    # the normalised 1x1 factor of a unit scalar branch, shared read-only
+    # by every branch of a classical state
     return _frozen(np.full((1, 1), value, dtype=complex))
 
 
@@ -586,8 +559,7 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
         assignment, weight = check(assignment, weight)
         if weight <= 0.0:
             continue
-        canon = _scalar_factor(op) if qdim == 1 and isinstance(op, numbers.Number) else None
-        factor, op_trace = canon if canon is not None else _canonical_factor(op, qdim)
+        factor, op_trace = _canonical_factor(op, qdim)
         eff = weight * op_trace
         if eff > 0.0:
             out.append(CQBranch(assignment, eff, _frozen(factor)))
@@ -599,8 +571,8 @@ def make_classical_cq(registers, branches) -> CQState:
 
     Each branch is ``(assignment, weight)``.  The checks, the dropped zero
     weights, the trace mass (added in input order) and the branch order are
-    make_cq's for ``(assignment, weight, 1.0)``, and every branch shares the
-    read-only unit factor make_cq gives such a branch.
+    make_cq's for ``(assignment, weight, 1.0)``, and every branch shares one
+    read-only copy of the unit factor make_cq gives such a branch.
     """
     regs = _registers(registers)
     check = _branch_checker(regs)
@@ -673,10 +645,10 @@ def cq_from_density(rho: DensityOperator, registers) -> CQState:
     return make_cq(regs, branches, qdims)
 
 
-def tensor_cq(a: CQState, b: CQState, *, sep: str = ".") -> CQState:
+def tensor_cq(a: CQState, b: CQState) -> CQState:
     """Parallel composition of cq states; register names get 1./2. prefixes."""
-    regs = tuple(Register(f"1{sep}{r.name}", r.alphabet) for r in a.registers) + \
-        tuple(Register(f"2{sep}{r.name}", r.alphabet) for r in b.registers)
+    regs = tuple(Register(f"1.{r.name}", r.alphabet) for r in a.registers) + \
+        tuple(Register(f"2.{r.name}", r.alphabet) for r in b.registers)
     qdims = a.quantum_dims + b.quantum_dims
     branches = []
     for x in a.branches:
@@ -816,28 +788,55 @@ def random_channel(seed: int, in_dim: int, out_dim=None, kraus: int = 2) -> Krau
 
 # --- text fixtures --------------------------------------------------------------
 
+def write_rows(fh, matrix) -> None:
+    """Write a matrix one row per line, each entry as ``re,im``."""
+    for row in matrix:
+        fh.write(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")
+
+
+def read_rows(fh, path, first_line: int, count: int, width: int) -> np.ndarray:
+    """Read ``count`` rows of ``width`` ``re,im`` entries, as :func:`write_rows` writes.
+
+    ``first_line`` is the file line number of the first row; a short row, a
+    missing line or an entry that is not two comma-separated numbers raises
+    :class:`MalformedFixture` naming ``path`` and the line.
+    """
+    rows = []
+    for line in range(first_line, first_line + count):
+        parts = fh.readline().split()
+        if len(parts) != width:
+            raise MalformedFixture(
+                f"{path}, line {line}: expected {width} entries, got {len(parts)}")
+        row = []
+        for entry in parts:
+            try:
+                re, im = entry.split(",")
+                row.append(complex(float(re), float(im)))
+            except ValueError:
+                raise MalformedFixture(
+                    f"{path}, line {line}: entry {entry!r} is not 're,im'") from None
+        rows.append(row)
+    return np.array(rows, dtype=complex)
+
+
 def save_matrix(path, state: DensityOperator) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("dims " + " ".join(str(d) for d in state.dims) + "\n")
-        for row in state.matrix:
-            fh.write(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")
+        write_rows(fh, state.matrix)
 
 
 def load_matrix(path) -> DensityOperator:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if not header or header[0] != "dims":
-            raise DimMismatch(f"{path}: first line must be 'dims d1 d2 ...'")
-        dims = tuple(int(x) for x in header[1:])
+        try:
+            if not header or header[0] != "dims":
+                raise ValueError
+            dims = tuple(int(x) for x in header[1:])
+        except ValueError:
+            raise DimMismatch(
+                f"{path}, line 1: first line must be 'dims d1 d2 ...'") from None
         d = int(np.prod(dims))
-        rows = []
-        for _ in range(d):
-            parts = fh.readline().split()
-            if len(parts) != d:
-                raise DimMismatch(f"{path}: expected {d} entries per row")
-            rows.append([complex(float(re), float(im))
-                         for re, im in (p.split(",") for p in parts)])
-    return make_density(np.array(rows), dims)
+        return make_density(read_rows(fh, path, 2, d, d), dims)
 
 
 def save_cq_fixture(path, c: CQState, *, prefix: str = "branch") -> None:
@@ -861,12 +860,18 @@ def load_cq_fixture(path) -> CQState:
     base = os.path.dirname(os.path.abspath(path))
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, 1):
+            fields = [p.strip() for p in line.split("|")]
+            if fields == [""]:
                 continue
-            assignment, weight, name = (p.strip() for p in line.split("|"))
-            rows.append((tuple(assignment.split(",")), float(weight),
+            try:
+                assignment, weight, name = fields
+                weight = float(weight)
+            except ValueError:
+                raise MalformedFixture(
+                    f"{path}, line {number}: expected 'assignment | weight | "
+                    f"matrix-file'") from None
+            rows.append((tuple(assignment.split(",")), weight,
                          load_matrix(os.path.join(base, name))))
     if not rows:
         raise RegisterMismatch(f"{path}: no branches")

@@ -17,6 +17,14 @@ KEY_EXPANSION = ("scenario,attack_id,advantage,bound,holds\n"
                  "key-expansion,round1:p=0.0+msg2,0,0.5,true\n"
                  "key-expansion,round1:p=1.0+msg1,0.19140625,0.5,true\n"
                  "key-expansion,ledger-total,0.5,0.5,true\n")
+PARALLEL_QKD = ("scenario,attack_id,advantage,bound,holds\n"
+                "parallel-qkd,identity||identity,0,0.75,true\n"
+                "parallel-qkd,identity||intercept-resend:p=1,0.375,0.75,true\n"
+                "parallel-qkd,identity||steal-replace,0.25,0.75,true\n"
+                "parallel-qkd,intercept-resend:p=1||identity,0.375,0.75,true\n"
+                "parallel-qkd,intercept-resend:p=1||intercept-resend:p=1,0.5390625,0.75,true\n"
+                "parallel-qkd,steal-replace||identity,0.25,0.75,true\n"
+                "parallel-qkd,swap-crossing,0.435763888889,0.75,true\n")
 LOCKDEMO_CSV = ("scenario,case,measured,bound,holds,runtime_ms\n"
                 "lockdemo,post-reveal-bits,2,2,true,0\n"
                 "lockdemo,pre-reveal-k2-bits,0.451205059305,2,true,0\n"
@@ -33,6 +41,8 @@ GOLDEN = {
             QKD_IR, QKD_IR),
     "compose": (["compose", "scenario", "--name", "key-expansion", "--seed", "6"],
                 KEY_EXPANSION, KEY_EXPANSION),
+    "compose-parallel": (["compose", "scenario", "--name", "parallel-qkd", "--seed", "6"],
+                         PARALLEL_QKD, PARALLEL_QKD),
     "lockdemo": (["lockdemo", "--m", "2"], LOCKDEMO_CSV, LOCKDEMO_TEXT),
 }
 
@@ -162,6 +172,14 @@ def test_usage_and_config_errors(tmp_path):
     assert main(["qkd", "run", "--attack", "teleport", "--seed", "1"]) == 1
     assert main(["compose", "scenario", "--name", "parallel-qkd",
                  "--config", str(bad), "--seed", "1"]) == 1
+
+
+def test_malformed_custom_channel_exits_1(tmp_path, capsys):
+    chan = tmp_path / "bad.chan"
+    chan.write_text("env 1 kraus 1\n1,0 0,0\n0,0 x,0\n")
+    assert main(["qkd", "run", "--attack", f"custom:{chan}", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"{chan}, line 3:" in err and "Traceback" not in err
 
 
 def test_violated_bound_exits_2(tmp_path, monkeypatch):

@@ -165,6 +165,30 @@ def test_channel_fixture_roundtrip(tmp_path):
     assert len(attack.quantum) == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("env 1 kraus 1\n1,0 0,0\n0,0 x,0\n", 3),                       # non-numeric
+    ("env 1 kraus 2\n1,0 0,0\n0,0 1,0\n0,0 0,0\n0,0 0\n", 5),      # no comma
+    ("env 1 kraus 1\n1,0\n0,0 1,0\n", 2),                           # short row
+    ("env 1 kraus 2\n1,0 0,0\n0,0 1,0\n", 4),                       # missing rows
+], ids=["non-numeric", "no-comma", "short-row", "missing-row"])
+def test_load_channel_names_malformed_line(tmp_path, text, line):
+    from qkdsec.qstate import MalformedFixture
+
+    path = tmp_path / "bad.chan"
+    path.write_text(text)
+    with pytest.raises(MalformedFixture, match=f"bad.chan, line {line}:"):
+        load_channel(path)
+
+
+def test_load_channel_header_errors(tmp_path):
+    path = tmp_path / "bad.chan"
+    for text in ("env one kraus 1\n", "env 1 kraus\n", "kraus 1 env 1\n",
+                 "env 0 kraus 1\n", "env 1 kraus 0\n"):
+        path.write_text(text)
+        with pytest.raises(BadValue, match="line 1:"):
+            load_channel(path)
+
+
 def test_run_scenario_runtime_is_per_case():
     cfg = parse_config("seed = 3\nscenario = key-expansion\nrounds = 2")
     started = time.perf_counter()

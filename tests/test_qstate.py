@@ -81,19 +81,6 @@ def _hermitian_scalars():
     return reals + tilted + zeros
 
 
-def test_scalar_cq_factor_matches_canonical_factor_bit_for_bit():
-    for z in _hermitian_scalars():
-        got = qs._scalar_factor(z)
-        want = qs._canonical_factor(z, 1)
-        assert got is not None, z
-        assert got[0].shape == want[0].shape and got[0].dtype == want[0].dtype
-        assert got[0].tobytes() == want[0].tobytes(), z
-        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes(), z
-    # non-Hermitian and non-finite scalars are left to the general path
-    for z in (1 + 1j, complex(0.5, 5.1e-11), np.nan, np.inf, complex(1.0, np.nan), 1e200):
-        assert qs._scalar_factor(z) is None
-
-
 def _cq_outcome(op):
     try:
         state = qs.make_cq([("k", (0, 1))], [((0,), 0.5, op), ((1,), 0.25, 1.0)])
@@ -369,6 +356,52 @@ def test_matrix_fixture_roundtrip(tmp_path):
     back = qs.load_matrix(path)
     assert back.dims == (2, 2)
     assert np.abs(back.matrix - state.matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("text, line", [
+    ("dims 2\n1,0 x,0\n0,0 0,0\n", 2),       # non-numeric entry
+    ("dims 2\n1,0 0,0\n0,0 0\n", 3),         # entry without a comma
+    ("dims 2\n1,0 0,0\n0,0\n", 3),           # short row
+    ("dims 2\n1,0 0,0\n", 3),                 # missing row
+    ("dims 2\n1,0 0,0,1\n0,0 0,0\n", 2),     # three parts
+], ids=["non-numeric", "no-comma", "short-row", "missing-row", "three-parts"])
+def test_load_matrix_names_malformed_line(tmp_path, text, line):
+    path = tmp_path / "bad.mat"
+    path.write_text(text)
+    with pytest.raises(qs.MalformedFixture, match=f"bad.mat, line {line}:"):
+        qs.load_matrix(path)
+
+
+def test_load_matrix_header_errors(tmp_path):
+    path = tmp_path / "bad.mat"
+    for text in ("dims two\n1,0\n", "dim 1\n1,0\n", ""):
+        path.write_text(text)
+        with pytest.raises(qs.DimMismatch, match="line 1:"):
+            qs.load_matrix(path)
+
+
+@pytest.mark.parametrize("text, line, where", [
+    ("0 | 0.5 | m.mat\n1 | 0.5\n", 2, "bad.cq"),         # line without a weight
+    ("0 | half | m.mat\n", 1, "bad.cq"),                  # non-numeric weight
+    ("0 | 0.5 | m.mat\n\n1 0.5 m.mat\n", 3, "bad.cq"),    # no | fields
+    ("0 | 0.5 | m.mat | x\n", 1, "bad.cq"),               # extra field
+    ("0 | 0.5 | m.mat\n1 | 0.5 | short.mat\n", 2, "short.mat"),
+], ids=["no-weight", "non-numeric-weight", "no-fields", "extra-field", "matrix-entry"])
+def test_load_cq_fixture_names_malformed_line(tmp_path, text, line, where):
+    (tmp_path / "m.mat").write_text("dims 1\n1,0\n")
+    (tmp_path / "short.mat").write_text("dims 1\n1\n")
+    path = tmp_path / "bad.cq"
+    path.write_text(text)
+    with pytest.raises(qs.MalformedFixture, match=f"{where}, line {line}:"):
+        qs.load_cq_fixture(path)
+
+
+def test_load_cq_fixture_skips_blank_lines(tmp_path):
+    (tmp_path / "m.mat").write_text("dims 1\n1,0\n")
+    path = tmp_path / "ok.cq"
+    path.write_text("0 | 0.5 | m.mat\n\n1 | 0.5 | m.mat\n")
+    state = qs.load_cq_fixture(path)
+    assert [b.weight for b in state.branches] == [0.5, 0.5]
 
 
 def test_cq_fixture_roundtrip(tmp_path):

@@ -17,19 +17,6 @@ def round_params():
     return bb84.default_params(n_qubits=2, t=1, q_tol=0.25, out_len=1, h_rows=0)
 
 
-def test_qkd_system_wrappers():
-    from qkdsec.acframework import AttackFamily, advantage_over_family, identity_strategy
-
-    params = bb84.default_params(n_qubits=2, t=1, h_rows=0)
-    real, ideal = scenarios.build_qkd_systems(params)
-    fam = AttackFamily(name="f", strategies=(
-        identity_strategy(), bb84.intercept_resend(2, 1.0)))
-    value, best = advantage_over_family(real, ideal, fam)
-    run = bb84.qkd_run(params, bb84.intercept_resend(2, 1.0))
-    assert value == pytest.approx(run.advantage, abs=1e-12)
-    assert best == "intercept-resend:p=1"
-
-
 def test_leaked_key_scenario_invariance():
     params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=2, h_rows=0)
     attacks = [bb84.identity_attack(), bb84.intercept_resend(3, 1.0)]
