@@ -323,13 +323,13 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 24) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(24):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)

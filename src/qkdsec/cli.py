@@ -14,7 +14,6 @@ from dataclasses import replace
 
 from . import tolerances as tol
 from .harness import (
-    ConfigError,
     ReportRow,
     RunConfig,
     emit_csv,
@@ -166,7 +165,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

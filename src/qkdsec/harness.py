@@ -1,9 +1,11 @@
 """Configuration parsing, deterministic randomness, scenario dispatch, CSV.
 
-Every run is driven by one 64-bit seed; subsystems derive their generators
-through numbered Philox streams (``seeded_rng(seed, stream)``), so parallel
-evaluation cannot perturb reproducibility.  All scenario computations are
-exact enumerations; the seed only feeds the randomised property checks.
+Every run is driven by one 64-bit seed.  The seed picks the parity-check
+and hashing matrices H and T of a QKD run (``default_code_matrices``) and
+seeds the randomised property checks; nothing else is random, and every
+scenario computation is an exact enumeration.  ``seeded_rng(seed, stream)``
+gives independent numbered Philox streams for callers that want them; no
+subsystem here draws from it.
 """
 
 from __future__ import annotations

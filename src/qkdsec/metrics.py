@@ -23,8 +23,14 @@ from .qstate import (
     DimMismatch,
     Povm,
     RegisterMismatch,
+    apply_channel,
     branch_order,
+    make_cq,
+    make_density,
     make_povm,
+    random_channel,
+    random_density,
+    tensor_product,
 )
 
 __all__ = [
@@ -151,31 +157,35 @@ def _aligned_items(r: CQState, s: CQState):
         yield key, left.get(key), right.get(key)
 
 
+def _branch_gap(a, b) -> float:
+    """Trace norm of the difference of two branch operators.
+
+    ``None`` is an absent branch.  An absent side and equal factors give
+    exact weights, with no spectral round-off.
+    """
+    if a is None:
+        return 0.0 if b is None else b.weight
+    if b is None:
+        return a.weight
+    if a.factor is b.factor or np.array_equal(a.factor, b.factor):
+        return abs(a.weight - b.weight)
+    cols = np.hstack([a.factor, b.factor])
+    coeffs = np.concatenate([
+        np.full(a.factor.shape[1], a.weight),
+        np.full(b.factor.shape[1], -b.weight),
+    ])
+    return trace_norm_of_factored_sum(cols, coeffs)
+
+
 def cq_trace_distance(r: CQState, s: CQState) -> float:
     """Blockwise trace distance between two cq states on the same registers.
 
     Equals ``trace_distance(flatten_cq(r), flatten_cq(s))`` but never
     materialises the embedding.
     """
-    classical = r.quantum_dim == 1
     total = 0.0
     for _, a, b in _aligned_items(r, s):
-        if a is None:
-            total += b.weight
-        elif b is None:
-            total += a.weight
-        elif classical:
-            # Scalar blocks: |w_a - w_b| exactly, no spectral round-off.
-            total += abs(a.weight - b.weight)
-        elif a.factor is b.factor or np.array_equal(a.factor, b.factor):
-            total += abs(a.weight - b.weight)
-        else:
-            cols = np.hstack([a.factor, b.factor])
-            coeffs = np.concatenate([
-                np.full(a.factor.shape[1], a.weight),
-                np.full(b.factor.shape[1], -b.weight),
-            ])
-            total += trace_norm_of_factored_sum(cols, coeffs)
+        total += _branch_gap(a, b)
     return 0.5 * total
 
 
@@ -295,24 +305,11 @@ def pguess_exact(c: CQState, key_register=0) -> float:
             "exact guessing probability with quantum side information is only "
             "computed for binary keys; use the uniformity-distance bound instead")
     total = 0.0
-    for _, per_key in _split_key(c, ki).items():
+    for per_key in _split_key(c, ki).values():
         b0 = per_key.get(key_values[0])
         b1 = per_key.get(key_values[1])
-        cols = []
-        coeffs = []
-        w0 = w1 = 0.0
-        if b0 is not None:
-            cols.append(b0.factor)
-            coeffs.append(np.full(b0.factor.shape[1], b0.weight))
-            w0 = b0.weight
-        if b1 is not None:
-            cols.append(b1.factor)
-            coeffs.append(np.full(b1.factor.shape[1], -b1.weight))
-            w1 = b1.weight
-        if not cols:
-            continue
-        norm1 = trace_norm_of_factored_sum(np.hstack(cols), np.concatenate(coeffs))
-        total += 0.5 * (w0 + w1) + 0.5 * norm1
+        weights = sum(b.weight for b in per_key.values())
+        total += 0.5 * weights + 0.5 * _branch_gap(b0, b1)
     return total / c.trace_mass
 
 
@@ -380,38 +377,21 @@ def relative_entropy(r: DensityOperator, s: DensityOperator) -> float:
 
 
 def uniform_key_twin(c: CQState, key_register=0) -> CQState:
-    """tau_K tensor rho_E: uniform key, same side-information marginal."""
+    """tau_K tensor rho_E: uniform key, same side-information marginal.
+
+    Each assignment of the other registers keeps its weight, spread evenly
+    over the key values, and the normalised sum of its branch operators.
+    """
     ki = _key_register(c, key_register)
     key_alphabet = c.registers[ki].alphabet
     nk = len(key_alphabet)
     branches = []
     for rest, per_key in _split_key(c, ki).items():
         weight = sum(b.weight for b in per_key.values())
-        cols = np.hstack([b.factor * math.sqrt(b.weight / weight)
-                          for b in per_key.values()])
+        side = sum(b.operator() for b in per_key.values()) / weight
         for k in key_alphabet:
-            assignment = rest[:ki] + (k,) + rest[ki:]
-            branches.append((assignment, weight / nk, cols))
-    branches.sort(key=lambda br: branch_order(br[0]))
-    return CQState(
-        registers=c.registers,
-        branches=tuple(
-            _rebuild_branch(a, w, f) for a, w, f in branches),
-        quantum_dims=c.quantum_dims,
-        trace_mass=c.trace_mass,
-    )
-
-
-def _rebuild_branch(assignment, weight, factor):
-    from .qstate import CQBranch
-
-    f = np.asarray(factor, dtype=complex)
-    trace = float(np.einsum("ij,ij->", f.conj(), f).real)
-    if trace > 0:
-        f = f / math.sqrt(trace)
-    f = f.copy()
-    f.setflags(write=False)
-    return CQBranch(tuple(assignment), weight, f)
+            branches.append((rest[:ki] + (k,) + rest[ki:], weight / nk, side))
+    return make_cq(c.registers, branches, c.quantum_dims)
 
 
 def secrecy_distance(c: CQState, p_abort: float, key_register=0) -> float:
@@ -443,8 +423,7 @@ def entropy_bounds(c: CQState, key_register=0) -> list[BoundReport]:
     return reports
 
 
-def alt_secrecy_relation(c: CQState, candidates, key_register=0,
-                         p_abort: float = 0.0) -> BoundReport:
+def alt_secrecy_relation(c: CQState, candidates, key_register=0) -> BoundReport:
     """Factor-2 sandwich between the standard and candidate-minimised secrecy.
 
     Verifies D(rho_KE, tau (x) rho_E) <= 2 D(rho_KE, tau (x) sigma_E) for every
@@ -467,8 +446,7 @@ def alt_secrecy_relation(c: CQState, candidates, key_register=0,
             return BoundReport("alternative-secrecy-factor2", standard, 2.0 * value)
     if not seen_rho_e:
         raise ValueError("candidate list must include rho_E itself")
-    return BoundReport("alternative-secrecy-factor2",
-                       (1.0 - p_abort) * standard, (1.0 - p_abort) * 2.0 * best)
+    return BoundReport("alternative-secrecy-factor2", standard, 2.0 * best)
 
 
 def _side_marginal(c: CQState, key_index: int) -> DensityOperator:
@@ -476,8 +454,6 @@ def _side_marginal(c: CQState, key_index: int) -> DensityOperator:
     out = np.zeros((qdim, qdim), dtype=complex)
     for b in c.branches:
         out += b.operator()
-    from .qstate import make_density
-
     return make_density(out / c.trace_mass, c.quantum_dims if c.quantum_dims else (1,))
 
 
@@ -499,10 +475,7 @@ def _product_with_key(c: CQState, key_index: int, sigma: DensityOperator) -> CQS
     for k in key_alphabet:
         assignment = rest[:key_index] + (k,) + rest[key_index:]
         branches.append((assignment, c.trace_mass / nk, sigma.matrix / sigma.trace_mass))
-    from .qstate import make_cq
-
-    state = make_cq(c.registers, branches, c.quantum_dims)
-    return state
+    return make_cq(c.registers, branches, c.quantum_dims)
 
 
 # --- property suite -------------------------------------------------------------
@@ -517,8 +490,6 @@ class PropertyResult:
 
 def _random_pair(rng, max_dim=8):
     dim = int(rng.integers(2, max_dim + 1))
-    from .qstate import random_density
-
     r = random_density(int(rng.integers(0, 2 ** 31)), dim, int(rng.integers(1, dim + 1)))
     s = random_density(int(rng.integers(0, 2 ** 31)), dim, int(rng.integers(1, dim + 1)))
     return r, s
@@ -530,8 +501,6 @@ def _random_distribution(rng, size):
 
 
 def _random_cq_key_state(rng, n_key, dim_e):
-    from .qstate import make_cq, random_density
-
     weights = _random_distribution(rng, n_key)
     branches = []
     for k in range(n_key):
@@ -583,8 +552,6 @@ def property_suite(seed: int, trials: int | None = None) -> list[PropertyResult]
     results.append(PropertyResult("metric-triangle", n, worst_tri, worst_tri <= tol.METRIC_TOL))
 
     # data processing under random channels
-    from .qstate import apply_channel, random_channel
-
     n = scaled(100)
     worst = 0.0
     for _ in range(n):
@@ -596,8 +563,6 @@ def property_suite(seed: int, trials: int | None = None) -> list[PropertyResult]
     results.append(PropertyResult("data-processing", n, worst, worst <= tol.METRIC_TOL))
 
     # tensoring a fixed state changes nothing
-    from .qstate import random_density, tensor_product
-
     n = scaled(50)
     worst = 0.0
     for _ in range(n):

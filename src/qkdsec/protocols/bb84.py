@@ -158,8 +158,7 @@ def _measure_resend(theta: int) -> KrausChannel:
     return make_channel(kraus, out_dims=(2, 2))
 
 
-def identity_attack(n: int = 0) -> AttackStrategy:
-    del n
+def identity_attack() -> AttackStrategy:
     return AttackStrategy(name="identity")
 
 

@@ -143,7 +143,7 @@ class DensityOperator:
         return int(np.prod(self.dims)) if self.dims else 1
 
 
-def make_density(matrix, dims=None, *, max_dim: int = tol.DIM_CAP) -> DensityOperator:
+def make_density(matrix, dims=None) -> DensityOperator:
     """Validate and build a :class:`DensityOperator`.
 
     The input is symmetrised to (M + M^dagger)/2 before validation; eigenvalues
@@ -160,8 +160,8 @@ def make_density(matrix, dims=None, *, max_dim: int = tol.DIM_CAP) -> DensityOpe
         raise DimMismatch(f"every factor dimension must be >= 1, got {dims}")
     if int(np.prod(dims)) != d:
         raise DimMismatch(f"prod(dims)={int(np.prod(dims))} does not match matrix size {d}")
-    if d > max_dim:
-        raise DimensionCap(f"total dimension {d} exceeds cap {max_dim}")
+    if d > tol.DIM_CAP:
+        raise DimensionCap(f"total dimension {d} exceeds cap {tol.DIM_CAP}")
     if not np.isfinite(m).all():
         raise NotFinite("density matrix has a NaN or infinite entry")
 
@@ -447,30 +447,33 @@ class CQState:
 
 
 def _canonical_factor(op, qdim: int) -> tuple[np.ndarray, float]:
-    """Normalise a branch quantum part to (unit-trace factor, trace)."""
+    """Normalise a branch quantum part to (unit-trace factor, trace).
+
+    A scalar or square ``op`` is a density matrix, which must be Hermitian;
+    a vector or any other ``qdim x k`` matrix is a factor.
+    """
     arr = np.array(op, dtype=complex)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim == 1:
+    density = arr.ndim == 0 or (arr.ndim == 2 and arr.shape[0] == arr.shape[1])
+    if arr.ndim < 2:
         arr = arr.reshape(-1, 1)
-    if arr.shape[0] != qdim:
+    if arr.ndim > 2 or arr.shape[0] != qdim:
         raise DimMismatch(
-            f"branch operator lives on dimension {arr.shape[0]}, expected {qdim}")
+            f"branch operator of shape {arr.shape} is not a matrix on dimension {qdim}")
     # a NaN or infinite entry anywhere makes the squared norm non-finite;
     # checked first, so that no arithmetic below meets such an entry
     trace = float(np.vdot(arr, arr).real)
     if not math.isfinite(trace):
         raise NotFinite(f"branch operator is not finite (squared norm {trace})")
-    if arr.shape[0] == arr.shape[1]:
+    if density:
         herm = float(np.abs(arr - arr.conj().T).max())
-        if herm <= tol.HERMITIAN_TOL:
-            # Square Hermitian input: treat as a density matrix and factor it.
-            f, wmin = psd_factor(0.5 * (arr + arr.conj().T))
-            if wmin < -tol.PSD_TOL:
-                raise NotPSD(f"branch operator has eigenvalue {wmin:.3e}")
-            arr = f
-            trace = float(np.vdot(arr, arr).real)
-        # Square non-Hermitian input is taken to be a factor already.
+        if herm > tol.HERMITIAN_TOL:
+            raise NotHermitian(
+                f"branch operator is not Hermitian: max |M - M^dagger| = {herm:.3e} "
+                f"exceeds {tol.HERMITIAN_TOL:.0e}")
+        arr, wmin = psd_factor(0.5 * (arr + arr.conj().T))
+        if wmin < -tol.PSD_TOL:
+            raise NotPSD(f"branch operator has eigenvalue {wmin:.3e}")
+        trace = float(np.vdot(arr, arr).real)
     if trace <= 0.0:
         return np.zeros((qdim, 1), dtype=complex), 0.0
     return arr / np.sqrt(trace), trace
@@ -546,9 +549,13 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
     """Build a validated classical-quantum state.
 
     ``registers`` is a sequence of ``(name, alphabet)`` pairs or
-    :class:`Register` values; each branch is ``(assignment, weight, op)``
-    where ``op`` is a density matrix on the quantum factors or a factor with
-    columns (pure branches may pass a vector).
+    :class:`Register` values; each branch is ``(assignment, weight, op)``.
+    A square ``op`` (or a scalar, when there is no quantum part) is a density
+    matrix on the quantum factors and must be Hermitian within
+    ``HERMITIAN_TOL``, else :class:`NotHermitian` is raised.  A vector, or
+    any other ``qdim x k`` matrix, is a factor ``F`` of the operator
+    ``F F^dagger``.  The branch weight is ``weight`` times the operator's
+    trace; branches of zero weight are dropped.
     """
     regs = _registers(registers)
     qdims = tuple(int(d) for d in quantum_dims)
@@ -585,13 +592,13 @@ def make_classical_cq(registers, branches) -> CQState:
     return _cq_state(regs, out, ())
 
 
-def flatten_cq(c: CQState, *, max_dim: int = tol.DIM_CAP) -> DensityOperator:
+def flatten_cq(c: CQState) -> DensityOperator:
     """Embed classical registers as orthonormal basis factors and materialise."""
     reg_dims = tuple(len(r.alphabet) for r in c.registers)
     dims = reg_dims + c.quantum_dims
     total = int(np.prod(dims)) if dims else 1
-    if total > max_dim:
-        raise DimensionCap(f"flattened dimension {total} exceeds cap {max_dim}")
+    if total > tol.DIM_CAP:
+        raise DimensionCap(f"flattened dimension {total} exceeds cap {tol.DIM_CAP}")
     qdim = c.quantum_dim
     matrix = np.zeros((total, total), dtype=complex)
     for b in c.branches:
@@ -649,73 +656,26 @@ def tensor_cq(a: CQState, b: CQState) -> CQState:
     """Parallel composition of cq states; register names get 1./2. prefixes."""
     regs = tuple(Register(f"1.{r.name}", r.alphabet) for r in a.registers) + \
         tuple(Register(f"2.{r.name}", r.alphabet) for r in b.registers)
-    qdims = a.quantum_dims + b.quantum_dims
-    branches = []
-    for x in a.branches:
-        for y in b.branches:
-            # factors are already unit-trace canonical; compose directly
-            factor = _frozen(np.kron(x.factor, y.factor))
-            branches.append(CQBranch(x.assignment + y.assignment,
-                                     x.weight * y.weight, factor))
-    branches.sort(key=lambda br: branch_order(br.assignment))
-    return CQState(regs, tuple(branches), qdims,
-                   trace_mass=a.trace_mass * b.trace_mass)
+    # factors are already unit-trace canonical; compose directly
+    branches = [CQBranch(x.assignment + y.assignment, x.weight * y.weight,
+                         _frozen(np.kron(x.factor, y.factor)))
+                for x in a.branches for y in b.branches]
+    return _cq_state(regs, branches, a.quantum_dims + b.quantum_dims)
 
 
 def measure_povm(p: Povm, s, factors=None):
     """Born-rule measurement; returns the outcome distribution and post-state.
 
-    ``factors`` selects which quantum factors the POVM acts on (default all).
-    The post-measurement state is a cq state whose new ``outcome`` register
+    ``s`` is a :class:`CQState`, or a :class:`DensityOperator`, which is
+    measured as the cq state of one branch with no registers.  ``factors``
+    selects which quantum factors the POVM acts on (default all).  The
+    post-measurement state is a cq state whose new last ``outcome`` register
     records the result; branch operators are the standard
-    sqrt(Gamma) rho sqrt(Gamma) updates.
+    sqrt(Gamma) rho sqrt(Gamma) updates.  :class:`BadTrace` is raised when
+    the outcome probabilities do not sum to the state's trace mass.
     """
-    if isinstance(s, CQState):
-        return _measure_cq(p, s, factors)
-    if factors is None:
-        factors = tuple(range(len(s.dims)))
-    factors = tuple(sorted(set(int(f) for f in factors)))
-    sel_dims = tuple(s.dims[f] for f in factors)
-    if int(np.prod(sel_dims)) != p.dim:
-        raise DimMismatch(
-            f"POVM dimension {p.dim} does not match selected factors {sel_dims}")
-    probs = []
-    branches = []
-    for label, elem in zip(p.labels, p.elements):
-        lifted = _lift(elem, s.dims, factors)
-        prob = float(np.trace(lifted @ s.matrix).real)
-        prob = max(prob, 0.0)
-        probs.append(prob)
-        if prob > tol.PROB_TOL:
-            root = _lift(psd_sqrt(elem), s.dims, factors)
-            post = root @ s.matrix @ root.conj().T
-            branches.append(((label,), prob, post / prob))
-    total = sum(probs)
-    if s.trace_mass > tol.PROB_TOL and abs(total - s.trace_mass) > 100 * tol.TRACE_TOL:
-        raise BadTrace(f"measurement probabilities sum to {total!r}")
-    norm = total if total > 0 else 1.0
-    dist = ClassicalDistribution(tuple(p.labels), np.array(probs) / norm)
-    post_state = make_cq([("outcome", tuple(p.labels))], branches, s.dims)
-    return dist, post_state
-
-
-def _lift(op: np.ndarray, dims: tuple[int, ...], factors: tuple[int, ...]) -> np.ndarray:
-    n = len(dims)
-    sel = list(factors)
-    rest = [i for i in range(n) if i not in sel]
-    sel_dim = int(np.prod([dims[i] for i in sel]))
-    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(op.reshape(sel_dim, sel_dim), np.eye(rest_dim))
-    # big acts on (sel factors..., rest factors...); permute back to original order.
-    order = sel + rest
-    perm = np.argsort(order)
-    tensor = big.reshape(tuple(dims[i] for i in order) * 2)
-    tensor = np.transpose(tensor, tuple(perm) + tuple(len(order) + p for p in perm))
-    d = int(np.prod(dims))
-    return tensor.reshape(d, d)
-
-
-def _measure_cq(p: Povm, s: CQState, factors):
+    if not isinstance(s, CQState):
+        s = make_cq((), [((), 1.0, s.matrix)], s.dims)
     if factors is None:
         factors = tuple(range(len(s.quantum_dims)))
     factors = tuple(sorted(set(int(f) for f in factors)))
@@ -738,12 +698,30 @@ def _measure_cq(p: Povm, s: CQState, factors):
             probs[label] += prob
             post = roots[label] @ op @ roots[label].conj().T
             branches.append((b.assignment + (label,), prob, post / prob))
-    regs = list(s.registers) + [Register("outcome", tuple(p.labels))]
     total = sum(probs.values())
+    if s.trace_mass > tol.PROB_TOL and abs(total - s.trace_mass) > 100 * tol.TRACE_TOL:
+        raise BadTrace(f"measurement probabilities sum to {total!r}")
     norm = total if total > 0 else 1.0
     dist = ClassicalDistribution(tuple(p.labels),
                                  np.array([probs[l] for l in p.labels]) / norm)
+    regs = list(s.registers) + [Register("outcome", tuple(p.labels))]
     return dist, make_cq(regs, branches, s.quantum_dims)
+
+
+def _lift(op: np.ndarray, dims: tuple[int, ...], factors: tuple[int, ...]) -> np.ndarray:
+    n = len(dims)
+    sel = list(factors)
+    rest = [i for i in range(n) if i not in sel]
+    sel_dim = int(np.prod([dims[i] for i in sel]))
+    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
+    big = np.kron(op.reshape(sel_dim, sel_dim), np.eye(rest_dim))
+    # big acts on (sel factors..., rest factors...); permute back to original order.
+    order = sel + rest
+    perm = np.argsort(order)
+    tensor = big.reshape(tuple(dims[i] for i in order) * 2)
+    tensor = np.transpose(tensor, tuple(perm) + tuple(len(order) + p for p in perm))
+    d = int(np.prod(dims))
+    return tensor.reshape(d, d)
 
 
 # --- constructors and generators ----------------------------------------------

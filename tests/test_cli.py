@@ -182,6 +182,13 @@ def test_malformed_custom_channel_exits_1(tmp_path, capsys):
     assert f"{chan}, line 3:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--attack"])
+def test_directory_as_input_file_exits_1(tmp_path, capsys, flag):
+    value = str(tmp_path) if flag == "--config" else f"custom:{tmp_path}"
+    assert main(["qkd", "run", flag, value, "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_violated_bound_exits_2(tmp_path, monkeypatch):
     import qkdsec.cli as cli
 

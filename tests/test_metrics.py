@@ -166,6 +166,18 @@ def test_pguess_examples():
         mt.pguess_exact(_key_state([(0.25, env)] * 4, 2))
 
 
+def test_absent_branch_gives_exact_weight():
+    regs = [("K", (0, 1)), ("E", ("a", "b"))]
+    rho = [qs.random_density(seed, 3, 3 - seed % 2).matrix for seed in range(3)]
+    r = qs.make_cq(regs, [((0, "a"), 0.3, rho[0]), ((1, "b"), 0.6, rho[1])], (3,))
+    s = qs.make_cq(regs, [((0, "a"), 0.3, rho[0]), ((0, "b"), 0.5, rho[2])], (3,))
+    w = {b.assignment: b.weight for b in r.branches + s.branches}
+    # (0, a) is equal on both sides, (1, b) is absent from s, (0, b) from r
+    assert mt.cq_trace_distance(r, s) == 0.5 * (w[(1, "b")] + w[(0, "b")])
+    # each classical context holds one key value, so the key is always guessed
+    assert mt.pguess_exact(r) == 1.0
+
+
 def test_pguess_bound_audit():
     rng = np.random.default_rng(41)
     for _ in range(200):

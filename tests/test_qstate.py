@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,28 @@ def _classical_outcome(build, registers, branches):
         return type(exc), str(exc)
     return ([(b.assignment, b.weight, b.factor.tobytes(), b.factor.flags.writeable)
              for b in state.branches], state.registers, state.quantum_dims, state.trace_mass)
+
+
+def test_make_cq_op_contract():
+    # a square op is a density matrix, never silently a factor
+    op = [[0.5, 0.3], [0.1, 0.5]]
+    with pytest.raises(qs.NotHermitian):
+        qs.make_density(op)
+    with pytest.raises(qs.NotHermitian):
+        qs.make_cq([("K", (0,))], [((0,), 1.0, op)], (2,))
+    with pytest.raises(qs.NotHermitian):
+        qs.make_cq([("K", (0,))], [((0,), 1.0, [[0.6 + 0.8j]])])
+    # a vector or a non-square qdim x k matrix is a factor F of F F^dagger
+    column = qs.make_cq([("K", (0,))], [((0,), 0.5, [0.6, 0.8j])], (2,))
+    wide = qs.make_cq([("K", (0,))], [((0,), 0.5, [[0.6, 0.0, 0.0], [0.0, 0.8j, 0.0]])],
+                      (2,))
+    assert column.trace_mass == pytest.approx(0.5, abs=1e-15)
+    assert wide.trace_mass == pytest.approx(0.5, abs=1e-15)
+    # anything else is refused
+    with pytest.raises(qs.DimMismatch):
+        qs.make_cq([("K", (0,))], [((0,), 1.0, np.full((2, 2, 2), 0.25))], (2,))
+    with pytest.raises(qs.DimMismatch):
+        qs.make_cq([("K", (0,))], [((0,), 1.0, [1.0, 0.0, 0.0])], (2,))
 
 
 def test_make_classical_cq_matches_make_cq():
@@ -255,6 +279,32 @@ def test_measure_povm_examples():
     assert set(post.register_names()) == {"outcome"}
     with pytest.raises(qs.DimMismatch):
         qs.measure_povm(qs.basis_povm(3), plus)
+
+
+def test_measure_density_matches_one_branch_cq():
+    # a density is measured as the cq state of one branch with no registers
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        dims = ((2,), (3,), (2, 2))[trial % 3]
+        dim = int(np.prod(dims))
+        rho = qs.make_density(
+            qs.random_density(int(rng.integers(0, 2 ** 31)), dim,
+                              int(rng.integers(1, dim + 1))).matrix, dims)
+        factors = (trial % 2,) if len(dims) == 2 else None
+        povm = qs.basis_povm(2 if factors else dim)
+        one_branch = qs.make_cq((), [((), 1.0, rho.matrix)], rho.dims)
+        dist, post = qs.measure_povm(povm, rho, factors)
+        cq_dist, cq_post = qs.measure_povm(povm, one_branch, factors)
+        assert np.abs(dist.probs - cq_dist.probs).max() <= 1e-15
+        assert mt.cq_trace_distance(post, cq_post) <= 1e-15
+
+
+def test_measure_povm_checks_trace_mass():
+    state = qs.make_cq([("K", (0, 1))], [((0,), 0.5, np.eye(2) / 2),
+                                         ((1,), 0.5, np.diag([1.0, 0.0]))], (2,))
+    qs.measure_povm(qs.basis_povm(2), state)
+    with pytest.raises(qs.BadTrace):
+        qs.measure_povm(qs.basis_povm(2), replace(state, trace_mass=0.75))
 
 
 def test_hermitian_eig_exported():
