@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Callable
 
 from . import tolerances as tol
@@ -144,38 +143,19 @@ class ProductAttack:
 
 @dataclass(frozen=True)
 class AttackFamily:
-    """Finite or parameterised family; always contains the identity strategy.
-
-    Parameterised families carry a builder from grid coordinates to a
-    strategy; the advantage search evaluates a uniform grid and then refines
-    the best cell by golden-section search on each parameter.
-    """
+    """A finite tuple of strategies; always contains the identity strategy."""
 
     name: str
     strategies: tuple = ()
-    parameter_names: tuple[str, ...] = ()
-    builder: Callable[..., AttackStrategy] | None = None
-    bounds: tuple[tuple[float, float], ...] = ()
-    grid_points: int = 64
 
     def __post_init__(self):
-        has_identity = any(getattr(s, "is_identity", False) for s in self.strategies)
-        if not has_identity and self.builder is None:
+        if not any(getattr(s, "is_identity", False) for s in self.strategies):
             raise ScheduleMismatch(
                 f"family {self.name!r} must contain the identity strategy")
-        if self.builder is not None and len(self.bounds) != len(self.parameter_names):
-            raise ScheduleMismatch("one bounds pair per parameter required")
 
-    def grid(self) -> tuple[list[list[float]], list[tuple[float, ...]]]:
-        """The parameter grid as ``(axes, points)``.
 
-        ``axes`` holds each parameter's uniform grid and ``points`` their
-        product; both are empty for a finite family.
-        """
-        if self.builder is None or not self.bounds:
-            return [], []
-        axes = [_grid(lo, hi, self.grid_points) for lo, hi in self.bounds]
-        return axes, list(product(*axes))
+# Every system exposes the same three interfaces.
+INTERFACES = frozenset({"A", "B", "E"})
 
 
 @dataclass(frozen=True)
@@ -183,15 +163,12 @@ class SystemGraph:
     """A three-interface resource with attached converters, as an evaluator.
 
     ``evaluator`` maps an attack strategy to the exact final cq state over
-    the interface outputs; ``quantum_slots`` is the number of quantum
-    transmissions an attack may tamper with.
+    the interface outputs.  No system takes quantum transmissions; the
+    protocols with quantum attacks have their own exact paths.
     """
 
     name: str
     evaluator: Callable[[AttackStrategy], object]
-    interfaces: frozenset = frozenset({"A", "B", "E"})
-    schedule: tuple[str, ...] = ("quantum", "classical", "output")
-    quantum_slots: int = 0
     accepts_crossing: bool = False
 
 
@@ -201,10 +178,10 @@ def evaluate(sys: SystemGraph, attack: AttackStrategy):
     All probabilistic branching is enumerated into the returned cq state.
     """
     quantum = getattr(attack, "quantum", ())
-    if quantum and len(quantum) != sys.quantum_slots:
+    if quantum:
         raise ScheduleMismatch(
             f"attack supplies {len(quantum)} quantum transmissions, system "
-            f"{sys.name!r} has {sys.quantum_slots}")
+            f"{sys.name!r} has none")
     if getattr(attack, "crossing", False) and not sys.accepts_crossing:
         raise ScheduleMismatch(f"system {sys.name!r} does not accept crossing attacks")
     return sys.evaluator(attack)
@@ -221,13 +198,13 @@ class Converter:
 
     name: str
     kind: str  # "protocol" | "filter" | "simulator"
-    attaches_to: frozenset = frozenset({"A", "B", "E"})
+    attaches_to: frozenset = INTERFACES
     attack_map: Callable[[AttackStrategy], AttackStrategy] = lambda a: a
     state_map: Callable[[object], object] = lambda s: s
 
 
 def attach_converter(sys: SystemGraph, conv: Converter, iface: str) -> SystemGraph:
-    if iface not in sys.interfaces:
+    if iface not in INTERFACES:
         raise ArityMismatch(f"system {sys.name!r} has no interface {iface!r}")
     if iface not in conv.attaches_to:
         raise ArityMismatch(f"converter {conv.name!r} does not attach at {iface!r}")
@@ -260,9 +237,6 @@ def compose_parallel(s1: SystemGraph, s2: SystemGraph, *,
     return SystemGraph(
         name=f"({s1.name} || {s2.name})",
         evaluator=evaluator,
-        interfaces=s1.interfaces | s2.interfaces,
-        schedule=s1.schedule + s2.schedule,
-        quantum_slots=s1.quantum_slots + s2.quantum_slots,
         accepts_crossing=crossing_evaluator is not None,
     )
 
@@ -275,70 +249,15 @@ def state_distance(a: CQState, b: CQState) -> float:
 def advantage_over_family(real: SystemGraph, ideal: SystemGraph, fam: AttackFamily):
     """Max distinguishing advantage over the family; a certified lower bound.
 
-    Returns ``(value, name_of_maximiser)``.  Parameterised families are
-    searched on a uniform grid followed by golden-section refinement of
-    each parameter around the best grid point.
+    Returns ``(value, name)`` of the first strategy attaining the maximum.
     """
     best = -1.0
     best_name = ""
-
-    def probe(strategy):
-        nonlocal best, best_name
+    for strategy in fam.strategies:
         value = state_distance(evaluate(real, strategy), evaluate(ideal, strategy))
         if value > best:
             best, best_name = value, strategy.name
-        return value
-
-    for strategy in fam.strategies:
-        probe(strategy)
-
-    axes, points = fam.grid()
-    best_grid = -1.0
-    best_coords = None
-    for point in points:
-        value = probe(fam.builder(*point))
-        if value > best_grid:
-            best_grid, best_coords = value, point
-    if best_coords is not None:
-        coords = list(best_coords)
-        for axis, grid in enumerate(axes):
-            idx = grid.index(coords[axis])
-            lo = grid[max(idx - 1, 0)]
-            hi = grid[min(idx + 1, len(grid) - 1)]
-            if hi > lo:
-                coords[axis] = _golden_max(
-                    lambda x: probe(fam.builder(*_subst(coords, axis, x))), lo, hi)
     return best, best_name
-
-
-def _subst(coords, axis, x):
-    out = list(coords)
-    out[axis] = x
-    return out
-
-
-def _grid(lo: float, hi: float, points: int) -> list[float]:
-    if points < 2:
-        return [lo]
-    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-
-
-def _golden_max(f, lo: float, hi: float) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(24):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def security_check(real: SystemGraph, ideal: SystemGraph, real_filter: Converter,

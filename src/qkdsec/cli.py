@@ -14,6 +14,7 @@ from dataclasses import replace
 
 from . import tolerances as tol
 from .harness import (
+    SCENARIOS,
     ReportRow,
     RunConfig,
     emit_csv,
@@ -143,9 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_comp = sub.add_parser("compose", help="composition scenarios")
     p_comp.add_argument("action", choices=["scenario"])
-    p_comp.add_argument("--name", required=True,
-                        choices=["leaked-key", "qkd-otp", "parallel-qkd",
-                                 "key-expansion", "metrics-suite"])
+    p_comp.add_argument("--name", required=True, choices=SCENARIOS)
     common(p_comp)
     p_comp.set_defaults(func=cmd_compose)
 

@@ -306,6 +306,11 @@ def _position_tables(attack: AttackStrategy, n: int):
 _BATCH_ENTRIES = 1 << 20
 
 
+def _digits(base: int, n: int) -> np.ndarray:
+    """Rows of all n-digit words in ``base``, in product order (digit 0 slowest)."""
+    return np.arange(base ** n)[:, None] // base ** np.arange(n - 1, -1, -1) % base
+
+
 def _key_tables(params: QkdParams, a: np.ndarray, b: np.ndarray):
     """Syndrome, Alice's key and Bob's corrected key per row of bits.
 
@@ -338,7 +343,7 @@ class _Engine:
     def _member_tables(self):
         lx = self.params.width
         # member m holds position j's cell 2a+b in bits 2(lx-1-j) and up
-        cells = (np.arange(4 ** lx)[:, None] >> (2 * np.arange(lx - 1, -1, -1))) & 3
+        cells = _digits(4, lx)
         self.syn_of, self.ka_of, self.kb_of = _key_tables(self.params, cells >> 1, cells & 1)
 
     def _pos_key(self, i: int) -> int:
@@ -631,17 +636,15 @@ class SecurityEvaluation:
 def qkd_security_eval(params: QkdParams, attacks) -> SecurityEvaluation:
     """Correctness, secrecy, and the two-sided decomposition over a family.
 
-    ``attacks`` is an iterable of strategies or an attack family (finite
-    members plus its parameter grid).  eps_cor and eps_sec are family maxima;
-    for every attack the evaluation checks the decomposition bound
-    D <= eps_cor + eps_sec on that attack's own values, and the converse
-    bounds eps_cor <= D and eps_sec <= 2 D.
+    ``attacks`` is an iterable of strategies or an attack family.  eps_cor
+    and eps_sec are family maxima; for every attack the evaluation checks
+    the decomposition bound D <= eps_cor + eps_sec on that attack's own
+    values, and the converse bounds eps_cor <= D and eps_sec <= 2 D.
     """
     from ..acframework import AttackFamily
 
     if isinstance(attacks, AttackFamily):
-        _, points = attacks.grid()
-        attacks = list(attacks.strategies) + [attacks.builder(*p) for p in points]
+        attacks = attacks.strategies
     runs = []
     for attack in attacks:
         runs.append(qkd_run(params, attack))

@@ -39,7 +39,7 @@ from ..acframework import EpsilonLedger, LedgerEntry, ScheduleMismatch, serial_c
 from ..metrics import BoundReport
 from ..qstate import Register, make_cq, make_povm, measure_povm
 from . import bb84
-from .bb84 import QkdParams, QkdRun, qkd_run
+from .bb84 import QkdParams, QkdRun, _digits, qkd_run
 from .auth import _pair_counts
 from .hashing import HashFamily
 
@@ -210,11 +210,6 @@ def _running_sum(parts) -> float:
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
-def _digits(base: int, n: int) -> np.ndarray:
-    """Rows of all n-digit words in ``base``, in product order (digit 0 slowest)."""
-    return np.arange(base ** n)[:, None] // base ** np.arange(n - 1, -1, -1) % base
-
-
 class _SwapCodes:
     """Integer codes of the swap enumeration.
 
@@ -355,7 +350,7 @@ def _swap_blocks(params: QkdParams, codes: _SwapCodes):
     overlap[np.abs(overlap - 0.5) < 1e-15] = 0.5
     # one position's weights over its cell (a1, b1, a2, b2), a1 the high
     # bit, indexed by the position's (theta1, theta2)
-    a1, b1, a2, b2 = (np.arange(16)[None, :] >> np.arange(3, -1, -1)[:, None]) & 1
+    a1, b1, a2, b2 = _digits(2, 4).T
     local = 0.0625 * overlap[:, :, b1, a2] * overlap.transpose(1, 0, 2, 3)[:, :, b2, a1]
 
     # joint assignment m holds position i's cell in bits 4(n-1-i) and up

@@ -674,11 +674,14 @@ def measure_povm(p: Povm, s, factors=None):
     sqrt(Gamma) rho sqrt(Gamma) updates.  :class:`BadTrace` is raised when
     the outcome probabilities do not sum to the state's trace mass.
     """
+    n = len(s.quantum_dims if isinstance(s, CQState) else s.dims)
+    if factors is None:
+        factors = range(n)
+    factors = tuple(sorted(set(int(f) for f in factors)))
+    if any(f < 0 or f >= n for f in factors):
+        raise DimMismatch(f"factor indices {list(factors)} out of range for {n} factors")
     if not isinstance(s, CQState):
         s = make_cq((), [((), 1.0, s.matrix)], s.dims)
-    if factors is None:
-        factors = tuple(range(len(s.quantum_dims)))
-    factors = tuple(sorted(set(int(f) for f in factors)))
     sel_dims = tuple(s.quantum_dims[f] for f in factors)
     if int(np.prod(sel_dims)) != p.dim:
         raise DimMismatch(

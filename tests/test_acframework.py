@@ -4,6 +4,8 @@ import pytest
 from qkdsec import acframework as ac
 from qkdsec import qstate as qs
 from qkdsec.metrics import cq_trace_distance
+from qkdsec.protocols import auth, otp
+from qkdsec.protocols.hashing import affine_family
 
 
 def noisy_bit_system(flip: float, name: str) -> ac.SystemGraph:
@@ -173,23 +175,24 @@ def test_composed_advantage_bounded_by_component_sum():
     assert composite <= d1 + d2 + 1e-9
 
 
-def test_parameterised_family_with_golden_refinement():
-    real = noisy_bit_system(0.0, "real")
-    ideal = noisy_bit_system(0.33, "ideal")
-
-    def builder(nz):
-        return ac.AttackStrategy(name=f"n{nz:.6f}", inputs=(("bit", 0), ("noise", nz)))
-
-    fam = ac.AttackFamily(name="param", strategies=(ac.identity_strategy(),),
-                          parameter_names=("noise",), builder=builder,
-                          bounds=((0.0, 0.6),), grid_points=9)
-    value, name = ac.advantage_over_family(real, ideal, fam)
-    # flipping the ideal system to certainty: advantage peaks at noise 0.67-ish
-    # within the bounds; refinement must not undershoot the best grid point
-    grid_best = max(ac.advantage_over_family(
-        real, ideal, ac.AttackFamily(name="g", strategies=(
-            ac.identity_strategy(), builder(0.6)))) for _ in range(1))[0]
-    assert value >= grid_best - 1e-12
+@pytest.mark.parametrize("message", [0, 1, 2])
+def test_advantage_over_family_names_first_maximiser(message):
+    # affine tags: a constant forgery (x2, y2) with x2 != message is accepted
+    # with probability 2^-b whatever tag was seen, and the ideal system always
+    # rejects it, so each such strategy (and flip-msg) reaches 2^-b; forgeries
+    # of the sent message itself reach 0.  The family lists const:x2,y2 in
+    # (x2, y2) order, so the first maximiser is const:x2,0 with the smallest
+    # x2 != message.
+    fam = affine_family(3)
+    real, ideal = auth.build_auth_systems(fam)
+    value, name = ac.advantage_over_family(
+        real, ideal, auth.substitution_family(fam, message=message))
+    assert value == pytest.approx(2.0 ** -3, abs=1e-12)
+    assert name == f"const:{0 if message else 1},0"
+    # every one-time-pad strategy has advantage 0: the first one wins
+    otp_real, otp_ideal = otp.build_otp_systems(2, with_switch=True)
+    assert ac.advantage_over_family(
+        otp_real, otp_ideal, otp.message_family(2, switch_presses=True)) == (0.0, "identity")
 
 
 def test_family_requires_identity():

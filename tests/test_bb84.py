@@ -212,15 +212,12 @@ def test_security_eval_accepts_family():
 
     params = bb84.default_params(n_qubits=4, t=2, q_tol=0.25)
     fam = AttackFamily(
-        name="ir-grid",
-        strategies=(bb84.identity_attack(),),
-        parameter_names=("p",),
-        builder=lambda p: bb84.intercept_resend(4, p),
-        bounds=((0.0, 1.0),),
-        grid_points=5,
+        name="ir-points",
+        strategies=(bb84.identity_attack(),) + tuple(
+            bb84.intercept_resend(4, p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)),
     )
     ev = bb84.qkd_security_eval(params, fam)
-    assert len(ev.runs) == 6  # identity plus the five grid points
+    assert len(ev.runs) == 6  # identity plus the five intercept probabilities
     assert ev.holds
     assert ev.eps_sec > 0.0
 

@@ -299,6 +299,15 @@ def test_measure_density_matches_one_branch_cq():
         assert mt.cq_trace_distance(post, cq_post) <= 1e-15
 
 
+@pytest.mark.parametrize("factors", [(5,), (-1,)])
+def test_measure_povm_rejects_out_of_range_factors(factors):
+    rho = qs.make_density(np.eye(4) / 4, (2, 2))
+    one_branch = qs.make_cq((), [((), 1.0, rho.matrix)], rho.dims)
+    for state in (rho, one_branch):
+        with pytest.raises(qs.DimMismatch, match=r"out of range for 2 factors"):
+            qs.measure_povm(qs.basis_povm(2), state, factors)
+
+
 def test_measure_povm_checks_trace_mass():
     state = qs.make_cq([("K", (0, 1))], [((0,), 0.5, np.eye(2) / 2),
                                          ((1,), 0.5, np.diag([1.0, 0.0]))], (2,))
