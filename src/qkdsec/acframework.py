@@ -98,7 +98,6 @@ class AttackStrategy:
     tamper: tuple[tuple[str, Callable], ...] = ()
     switches: tuple[tuple[str, int], ...] = ()
     inputs: tuple[tuple[str, object], ...] = ()
-    crossing: bool = False
 
     @property
     def is_identity(self) -> bool:
@@ -169,7 +168,6 @@ class SystemGraph:
 
     name: str
     evaluator: Callable[[AttackStrategy], object]
-    accepts_crossing: bool = False
 
 
 def evaluate(sys: SystemGraph, attack: AttackStrategy):
@@ -182,8 +180,6 @@ def evaluate(sys: SystemGraph, attack: AttackStrategy):
         raise ScheduleMismatch(
             f"attack supplies {len(quantum)} quantum transmissions, system "
             f"{sys.name!r} has none")
-    if getattr(attack, "crossing", False) and not sys.accepts_crossing:
-        raise ScheduleMismatch(f"system {sys.name!r} does not accept crossing attacks")
     return sys.evaluator(attack)
 
 
@@ -197,7 +193,6 @@ class Converter:
     """
 
     name: str
-    kind: str  # "protocol" | "filter" | "simulator"
     attaches_to: frozenset = INTERFACES
     attack_map: Callable[[AttackStrategy], AttackStrategy] = lambda a: a
     state_map: Callable[[object], object] = lambda s: s
@@ -215,30 +210,20 @@ def attach_converter(sys: SystemGraph, conv: Converter, iface: str) -> SystemGra
     return replace(sys, name=f"{conv.name}_{iface}[{sys.name}]", evaluator=evaluator)
 
 
-def compose_parallel(s1: SystemGraph, s2: SystemGraph, *,
-                     crossing_evaluator=None) -> SystemGraph:
+def compose_parallel(s1: SystemGraph, s2: SystemGraph) -> SystemGraph:
     """Parallel composition; product attacks evaluate factor-wise.
 
-    A crossing attack (one that entwines the two subsystems) is routed to
-    ``crossing_evaluator`` when provided and rejected otherwise.
+    A bare strategy applies to both sides independently.  Attacks that
+    entwine the two subsystems have their own exact path (the swap crossing
+    attack is ``scenarios.swap_crossing_advantage``).
     """
 
     def evaluator(attack):
         if isinstance(attack, ProductAttack):
             return tensor_cq(s1.evaluator(attack.left), s2.evaluator(attack.right))
-        if getattr(attack, "crossing", False):
-            if crossing_evaluator is None:
-                raise ScheduleMismatch(
-                    f"{s1.name!r} || {s2.name!r} has no crossing evaluator")
-            return crossing_evaluator(attack)
-        # A bare strategy applies to both sides independently.
         return tensor_cq(s1.evaluator(attack), s2.evaluator(attack))
 
-    return SystemGraph(
-        name=f"({s1.name} || {s2.name})",
-        evaluator=evaluator,
-        accepts_crossing=crossing_evaluator is not None,
-    )
+    return SystemGraph(name=f"({s1.name} || {s2.name})", evaluator=evaluator)
 
 
 def state_distance(a: CQState, b: CQState) -> float:
@@ -300,19 +285,11 @@ class EpsilonLedger:
 
 
 def _extend(ledger: EpsilonLedger, mode: str, entries) -> EpsilonLedger:
-    new = []
-    for e in entries:
-        if isinstance(e, LedgerEntry):
-            new.append(replace(e, mode=mode))
-        else:
-            protocol, epsilon = e[0], float(e[1])
-            source = e[2] if len(e) > 2 else "measured"
-            new.append(LedgerEntry(protocol, epsilon, source, mode))
-    return EpsilonLedger(ledger.entries + tuple(new))
+    return EpsilonLedger(ledger.entries + tuple(replace(e, mode=mode) for e in entries))
 
 
 def serial_compose(ledger: EpsilonLedger, *entries) -> EpsilonLedger:
-    """Append serially composed protocols; failures add."""
+    """Append serially composed protocols (``LedgerEntry`` values); failures add."""
     return _extend(ledger, "serial", entries)
 
 

@@ -432,7 +432,7 @@ def alt_secrecy_relation(c: CQState, candidates, key_register=0) -> BoundReport:
     """
     ki = _key_register(c, key_register)
     standard = cq_trace_distance(c, uniform_key_twin(c, ki))
-    rho_e = _side_marginal(c, ki)
+    rho_e = _side_marginal(c)
     seen_rho_e = False
     best = math.inf
     for sigma in candidates:
@@ -449,7 +449,7 @@ def alt_secrecy_relation(c: CQState, candidates, key_register=0) -> BoundReport:
     return BoundReport("alternative-secrecy-factor2", standard, 2.0 * best)
 
 
-def _side_marginal(c: CQState, key_index: int) -> DensityOperator:
+def _side_marginal(c: CQState) -> DensityOperator:
     qdim = c.quantum_dim
     out = np.zeros((qdim, qdim), dtype=complex)
     for b in c.branches:
@@ -632,7 +632,7 @@ def property_suite(seed: int, trials: int | None = None) -> list[PropertyResult]
                 worst_pin = max(worst_pin, value)
             else:
                 worst_rel = max(worst_rel, value)
-        sigma = _side_marginal(c, 0)
+        sigma = _side_marginal(c)
         rep = alt_secrecy_relation(c, [sigma], 0)
         worst_b = max(worst_b, -rep.slack)
     results.append(PropertyResult("pguess-bound", n, worst_l5, worst_l5 <= tol.METRIC_TOL))

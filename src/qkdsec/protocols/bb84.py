@@ -128,6 +128,10 @@ def default_params(n_qubits: int = 4, t: int = 2, q_tol: float = 0.25,
                    out_len: int = 1, h_rows: int = 1, seed: int = 20240901) -> QkdParams:
     if not 1 <= t < n_qubits:
         raise InvalidParams(f"sample size {t} must satisfy 1 <= t < n_qubits")
+    if h_rows < 0:
+        raise InvalidParams(f"h_rows = {h_rows} must be >= 0")
+    if out_len < 1:
+        raise InvalidParams(f"out_len = {out_len} must be >= 1")
     if h_rows + out_len > n_qubits - t:
         raise InvalidParams(
             f"h_rows + out_len = {h_rows + out_len} exceeds key-material width "
@@ -523,7 +527,6 @@ class QkdRun:
     eps_cor: float
     eps_sec: float
     advantage: float
-    eq12_rhs: float
     error_rate: float
     key_joint: dict
 
@@ -560,10 +563,6 @@ def qkd_run(params: QkdParams, attack: AttackStrategy) -> QkdRun:
     if p_abort > 0.0:
         key_joint[("abort", "abort")] = p_abort
 
-    # same distance computed on the renormalised conditional state
-    not_abort = 1.0 - p_abort
-    eq12_rhs = not_abort * (advantage / not_abort) if not_abort > 0.0 else 0.0
-
     err = 0.0
     for i in range(n):
         for tab in engine.tables[i]:
@@ -578,7 +577,6 @@ def qkd_run(params: QkdParams, attack: AttackStrategy) -> QkdRun:
         eps_cor=eps_cor,
         eps_sec=eps_sec,
         advantage=advantage,
-        eq12_rhs=eq12_rhs,
         error_rate=err,
         key_joint=key_joint,
     )
@@ -588,17 +586,17 @@ def leaked_advantage(run: QkdRun, split: int) -> float:
     """Distance after a converter forwards the first ``split`` key bits to Eve.
 
     Both the real and the ideal system leak the same prefix, so this must
-    equal the plain advantage (the leak is a register permutation); it is
-    recomputed from scratch with the refined block structure as a check.
+    equal the plain advantage: the leak only relabels K_A as (leaked prefix,
+    kept bits), and that relabelling lists K_A in its natural order.  So the
+    rows are exactly ``qkd_run``'s joint (K_A, K_B) rows, re-evaluated on a
+    fresh engine as a check; ``split`` is only validated.
     """
     p = run.params
     if not 0 <= split <= p.out_len:
         raise InvalidParams(f"split {split} outside [0, {p.out_len}]")
     engine = _Engine(p, run.attack)
-    low_bits = p.out_len - split
-    # K_A as (leaked prefix, kept bits), against every K_B
-    kas = [(k1 << low_bits) | k2 for k1 in range(2 ** split) for k2 in range(2 ** low_bits)]
-    entries = tuple((ka, kb, kb == ka) for ka in kas for kb in range(p.key_size))
+    nk = p.key_size
+    entries = tuple((ka, kb, ka == kb) for ka in range(nk) for kb in range(nk))
     return 0.5 * float(engine.evaluate(entries)[1].sum())
 
 

@@ -48,12 +48,12 @@ def _bitstrings(n: int):
     return [format(v, f"0{n}b") for v in range(2 ** n)]
 
 
-def build_otp_systems(msg_len: int, *, with_switch: bool = False):
+def build_otp_systems(msg_len: int):
     """Real and ideal one-time-pad systems for messages of a fixed length.
 
     The distinguisher supplies the message through ``inputs=(("message", x),)``
-    and, when ``with_switch`` is set, may press the key resource's switch, in
-    which case both systems abort identically.
+    and may press the key resource's switch, in which case both systems abort
+    identically.
     """
     if msg_len < 1:
         raise LengthMismatch(f"message length must be >= 1, got {msg_len}")
@@ -65,7 +65,7 @@ def build_otp_systems(msg_len: int, *, with_switch: bool = False):
         x = attack.input("message", words[0])
         if x not in words:
             raise LengthMismatch(f"message {x!r} is not a {msg_len}-bit string")
-        if with_switch and attack.switch("key"):
+        if attack.switch("key"):
             return make_classical_cq(registers, [(("abort", "abort"), 1.0)])
         branches = []
         p = 1.0 / len(words)
@@ -79,7 +79,7 @@ def build_otp_systems(msg_len: int, *, with_switch: bool = False):
         x = attack.input("message", words[0])
         if x not in words:
             raise LengthMismatch(f"message {x!r} is not a {msg_len}-bit string")
-        if with_switch and attack.switch("key"):
+        if attack.switch("key"):
             return make_classical_cq(registers, [(("abort", "abort"), 1.0)])
         p = 1.0 / len(words)
         branches = [((x, y), p) for y in words]

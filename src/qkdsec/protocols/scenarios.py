@@ -45,6 +45,7 @@ from .hashing import HashFamily
 
 __all__ = [
     "KeyBudgetExhausted",
+    "NegativeRounds",
     "leaked_key_scenario",
     "qkd_otp_scenario",
     "swap_crossing_advantage",
@@ -60,6 +61,10 @@ __all__ = [
 
 
 class KeyBudgetExhausted(ValueError):
+    pass
+
+
+class NegativeRounds(ValueError):
     pass
 
 
@@ -666,6 +671,8 @@ def key_expansion(rounds: int, fam: HashFamily, params: QkdParams,
     The measured composite advantage over the round-attack family must stay
     within the ledger total.
     """
+    if rounds < 0:
+        raise NegativeRounds(f"rounds = {rounds} must be >= 0")
     per_round_auth = 2 * 2 * fam.block_bits
     if initial_pool_bits is None:
         initial_pool_bits = rounds * per_round_auth

@@ -752,18 +752,16 @@ def random_density(seed: int, dim: int, rank: int) -> DensityOperator:
     return make_density(m / np.trace(m).real, (dim,))
 
 
-def random_channel(seed: int, in_dim: int, out_dim=None, kraus: int = 2) -> KrausChannel:
-    """Haar-style random CPTP map built from a random isometry."""
-    out_dim = in_dim if out_dim is None else int(out_dim)
-    if out_dim * kraus < in_dim:
-        raise DimMismatch(
-            f"need out_dim * kraus >= in_dim for an isometry, got "
-            f"{out_dim} * {kraus} < {in_dim}")
+def random_channel(seed: int, in_dim: int, kraus: int = 2) -> KrausChannel:
+    """Haar-style random CPTP map on ``in_dim``, built from a random isometry."""
+    if kraus < 1:
+        raise DimMismatch(f"need kraus >= 1 for an isometry, got {kraus}")
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(out_dim * kraus, in_dim)) + 1j * rng.normal(size=(out_dim * kraus, in_dim))
+    rows = in_dim * kraus
+    g = rng.normal(size=(rows, in_dim)) + 1j * rng.normal(size=(rows, in_dim))
     q, _ = np.linalg.qr(g)
     v = q[:, :in_dim]
-    ops = [v[j * out_dim:(j + 1) * out_dim, :] for j in range(kraus)]
+    ops = [v[j * in_dim:(j + 1) * in_dim, :] for j in range(kraus)]
     return make_channel(ops)
 
 
@@ -820,14 +818,14 @@ def load_matrix(path) -> DensityOperator:
         return make_density(read_rows(fh, path, 2, d, d), dims)
 
 
-def save_cq_fixture(path, c: CQState, *, prefix: str = "branch") -> None:
+def save_cq_fixture(path, c: CQState) -> None:
     """One branch per line: ``assignment | weight | matrix-file``."""
     import os
 
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "w", encoding="utf-8") as fh:
         for i, b in enumerate(c.branches):
-            name = f"{prefix}{i}.mat"
+            name = f"branch{i}.mat"
             save_matrix(os.path.join(base, name),
                         _wrap(b.factor @ b.factor.conj().T,
                               c.quantum_dims if c.quantum_dims else (1,), 1.0))

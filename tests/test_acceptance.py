@@ -296,7 +296,7 @@ def test_criterion_10_appendix_bound_suite():
                     worst["af"] = max(worst["af"], -rep.slack)
             elif rep.name == "pinsker-distance":
                 worst["pinsker"] = max(worst["pinsker"], -rep.slack)
-        marginal = mt._side_marginal(state, 0)
+        marginal = mt._side_marginal(state)
         candidates = [marginal, _random_state(rng, dim_e)]
         rep = mt.alt_secrecy_relation(state, candidates)
         worst["factor2"] = max(worst["factor2"], -rep.slack)

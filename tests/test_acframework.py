@@ -37,7 +37,7 @@ def bit_family(noises=(0.0,)) -> ac.AttackFamily:
 
 def test_attach_identity_converter_is_noop():
     sys0 = noisy_bit_system(0.1, "noisy")
-    ident = ac.Converter(name="id", kind="protocol")
+    ident = ac.Converter(name="id")
     wrapped = ac.attach_converter(sys0, ident, "E")
     for strat in bit_family().strategies:
         a = ac.evaluate(sys0, strat)
@@ -53,13 +53,13 @@ def test_attach_order_associativity():
             extra = attack.input("noise", 0.0) + delta
             inputs = tuple((k, v) for k, v in attack.inputs if k != "noise")
             return ac.AttackStrategy(name=attack.name, inputs=inputs + (("noise", extra),))
-        return ac.Converter(name=f"bump{delta}", kind="protocol", attack_map=attack_map)
+        return ac.Converter(name=f"bump{delta}", attack_map=attack_map)
 
     alpha, beta = bump(0.05), bump(0.1)
     nested = ac.attach_converter(ac.attach_converter(sys0, beta, "E"), alpha, "E")
     combined_map = lambda a: beta.attack_map(alpha.attack_map(a))
     fused = ac.attach_converter(
-        sys0, ac.Converter(name="ab", kind="protocol", attack_map=combined_map), "E")
+        sys0, ac.Converter(name="ab", attack_map=combined_map), "E")
     for strat in bit_family((0.0, 0.3)).strategies:
         assert cq_trace_distance(ac.evaluate(nested, strat),
                                  ac.evaluate(fused, strat)) == 0.0
@@ -67,7 +67,7 @@ def test_attach_order_associativity():
 
 def test_filter_blocks_attack_inputs():
     sys0 = noisy_bit_system(0.0, "clean")
-    filt = ac.Converter(name="filter", kind="filter",
+    filt = ac.Converter(name="filter",
                         attack_map=lambda _: ac.identity_strategy())
     filtered = ac.attach_converter(sys0, filt, "E")
     states = [ac.evaluate(filtered, s) for s in bit_family((0.0, 0.5)).strategies]
@@ -77,7 +77,7 @@ def test_filter_blocks_attack_inputs():
 
 def test_attach_arity_mismatch():
     sys0 = noisy_bit_system(0.0, "clean")
-    conv = ac.Converter(name="only-a", kind="protocol", attaches_to=frozenset({"A"}))
+    conv = ac.Converter(name="only-a", attaches_to=frozenset({"A"}))
     with pytest.raises(ac.ArityMismatch):
         ac.attach_converter(sys0, conv, "E")
     with pytest.raises(ac.ArityMismatch):
@@ -111,22 +111,6 @@ def test_parallel_factorisation_of_product_attacks():
     assert cq_trace_distance(joint, manual) == 0.0
 
 
-def test_crossing_attack_routing():
-    s1 = noisy_bit_system(0.0, "one")
-    s2 = noisy_bit_system(0.0, "two")
-    plain = ac.compose_parallel(s1, s2)
-    crossing = ac.AttackStrategy(name="cross", crossing=True)
-    with pytest.raises(ac.ScheduleMismatch):
-        ac.evaluate(plain, crossing)
-
-    def crossing_eval(attack):
-        return qs.make_cq([("X", ("swap",))], [(("swap",), 1.0, 1.0)], ())
-
-    combined = ac.compose_parallel(s1, s2, crossing_evaluator=crossing_eval)
-    state = ac.evaluate(combined, crossing)
-    assert state.branches[0].assignment == ("swap",)
-
-
 def test_advantage_pseudo_metric_axioms():
     fam = bit_family((0.0, 0.2))
     systems = [noisy_bit_system(f, f"s{f}") for f in (0.0, 0.15, 0.4)]
@@ -156,7 +140,7 @@ def test_advantage_monotone_under_shared_converter():
         return qs.make_cq([("B_out", (0, 1)), ("E_out", ("-",))],
                           [(k, v, 1.0) for k, v in sorted(rows.items(), key=str)], ())
 
-    gamma = ac.Converter(name="coarse", kind="protocol", state_map=coarsen)
+    gamma = ac.Converter(name="coarse", state_map=coarsen)
     wrapped = ac.advantage_over_family(
         ac.attach_converter(a, gamma, "E"), ac.attach_converter(b, gamma, "E"), fam)[0]
     assert wrapped <= base + 1e-9
@@ -190,7 +174,7 @@ def test_advantage_over_family_names_first_maximiser(message):
     assert value == pytest.approx(2.0 ** -3, abs=1e-12)
     assert name == f"const:{0 if message else 1},0"
     # every one-time-pad strategy has advantage 0: the first one wins
-    otp_real, otp_ideal = otp.build_otp_systems(2, with_switch=True)
+    otp_real, otp_ideal = otp.build_otp_systems(2)
     assert ac.advantage_over_family(
         otp_real, otp_ideal, otp.message_family(2, switch_presses=True)) == (0.0, "identity")
 
@@ -216,9 +200,10 @@ def test_schedule_mismatch_on_quantum_slots():
 def test_epsilon_ledger_arithmetic():
     ledger = ac.EpsilonLedger()
     assert ledger.total == 0.0
-    ledger = ac.serial_compose(ledger, ("qkd", 0.25), ("otp", 0.0, "asserted"))
+    ledger = ac.serial_compose(ledger, ac.LedgerEntry("qkd", 0.25),
+                               ac.LedgerEntry("otp", 0.0, "asserted"))
     assert ledger.total == 0.25
-    ledger = ac.parallel_compose(ledger, ("qkd2", 0.25))
+    ledger = ac.parallel_compose(ledger, ac.LedgerEntry("qkd2", 0.25))
     assert ledger.total == 0.5
     assert [e.mode for e in ledger.entries] == ["serial", "serial", "parallel"]
     assert abs(ledger.total - sum(e.epsilon for e in ledger.entries)) <= 1e-12
@@ -227,9 +212,9 @@ def test_epsilon_ledger_arithmetic():
 def test_security_check_on_perfect_construction():
     real = noisy_bit_system(0.0, "real")
     ideal = noisy_bit_system(0.0, "ideal")
-    filt = ac.Converter(name="filter", kind="filter",
+    filt = ac.Converter(name="filter",
                         attack_map=lambda _: ac.identity_strategy())
-    sim = ac.Converter(name="sim", kind="simulator")
+    sim = ac.Converter(name="sim")
     availability, security = ac.security_check(
         real, ideal, filt, filt, sim, bit_family((0.0, 0.1)), eps=0.0)
     assert availability.holds and availability.left_value == 0.0
@@ -252,10 +237,10 @@ def test_always_abort_protocol_secure_but_unavailable():
     real = ac.SystemGraph(name="always-abort", evaluator=aborting)
     ideal = ac.SystemGraph(name="ideal-key", evaluator=ideal_key)
     press_always = ac.Converter(
-        name="sim-press", kind="simulator",
+        name="sim-press",
         attack_map=lambda a: ac.AttackStrategy(name=a.name, switches=(("key", 1),)))
     keep_filter = ac.Converter(
-        name="filter-produce", kind="filter",
+        name="filter-produce",
         attack_map=lambda _: ac.identity_strategy())
     fam = ac.AttackFamily(name="idle", strategies=(ac.identity_strategy(),))
 

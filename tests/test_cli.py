@@ -125,6 +125,25 @@ def test_compose_scenario(tmp_path):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+@pytest.mark.parametrize("rounds", ["-1", "-3"])
+def test_compose_negative_rounds_exits_1(tmp_path, capsys, rounds):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 6\nrounds = {rounds}\n")
+    out = tmp_path / "compose.csv"
+    assert main(["compose", "scenario", "--name", "key-expansion",
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: rounds = {rounds} must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,least", [("h_rows = -1", 0), ("out_len = -1", 1)])
+def test_qkd_run_negative_code_size_exits_1(tmp_path, capsys, line, least):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    assert main(["qkd", "run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {line} must be >= {least}\n"
+
+
 def test_lockdemo(tmp_path, capsys):
     rc = main(["lockdemo", "--m", "2"])
     assert rc == 0

@@ -261,7 +261,7 @@ def test_alt_secrecy_relation():
         state = _key_state(
             [(0.5, qs.random_density(int(rng.integers(0, 2 ** 31)), 2, 2).matrix),
              (0.5, qs.random_density(int(rng.integers(0, 2 ** 31)), 2, 2).matrix)], 2)
-        marginal = mt._side_marginal(state, 0)
+        marginal = mt._side_marginal(state)
         candidates = [marginal] + [qs.random_density(int(rng.integers(0, 2 ** 31)), 2, 2)
                                    for _ in range(10)]
         report = mt.alt_secrecy_relation(state, candidates)

@@ -49,7 +49,7 @@ def test_perfect_security(length):
 
 
 def test_switch_aborts_identically():
-    real, ideal = build_otp_systems(2, with_switch=True)
+    real, ideal = build_otp_systems(2)
     fam = message_family(2, switch_presses=True)
     advantage, _ = advantage_over_family(real, ideal, fam)
     assert advantage == 0.0

@@ -243,6 +243,12 @@ def test_apply_channel_examples():
         qs.apply_channel(ident, qs.maximally_mixed(3), 0)
 
 
+@pytest.mark.parametrize("kraus", [0, -1])
+def test_random_channel_needs_a_kraus_operator(kraus):
+    with pytest.raises(qs.DimMismatch, match="kraus >= 1"):
+        qs.random_channel(1, 3, kraus=kraus)
+
+
 def test_stinespring_dilation_matches_direct():
     for seed in range(10):
         ch = qs.random_channel(seed, 2, kraus=3)

@@ -86,13 +86,16 @@ def test_parallel_qkd_scenario_holds():
         assert value <= 2.0 * eps_single + 1e-9
 
 
-def test_authenticated_round_matches_engine(round_params):
+@pytest.mark.parametrize("n,t,out_len", [(2, 1, 1), (3, 1, 1), (3, 1, 2), (4, 2, 1)])
+def test_authenticated_round_matches_engine(n, t, out_len):
+    # the untampered round and the BB84 engine are independent enumerations
+    params = bb84.default_params(n_qubits=n, t=t, q_tol=0.25, out_len=out_len, h_rows=0)
     fam = affine_family(4)
     for p, attack in ((0.0, bb84.identity_attack()),
-                      (0.5, bb84.intercept_resend(2, 0.5)),
-                      (1.0, bb84.intercept_resend(2, 1.0))):
-        res = scenarios.authenticated_round_distance(round_params, fam, {"p": p})
-        run = bb84.qkd_run(round_params, attack)
+                      (0.5, bb84.intercept_resend(n, 0.5)),
+                      (1.0, bb84.intercept_resend(n, 1.0))):
+        res = scenarios.authenticated_round_distance(params, fam, {"p": p})
+        run = bb84.qkd_run(params, attack)
         assert abs(res["distance"] - run.advantage) <= 1e-9
         assert abs(res["p_abort"] - run.p_abort) <= 1e-12
         assert abs(res["eps_cor"] - run.eps_cor) <= 1e-12
@@ -182,6 +185,15 @@ def test_key_expansion_budget(round_params):
     fam = affine_family(4)
     with pytest.raises(scenarios.KeyBudgetExhausted):
         scenarios.key_expansion(2, fam, round_params, initial_pool_bits=16)
+
+
+@pytest.mark.parametrize("rounds", [-1, -3])
+def test_key_expansion_rejects_negative_rounds(round_params, monkeypatch, rounds):
+    # rejected before any work
+    monkeypatch.setattr(scenarios, "qkd_run", None)
+    monkeypatch.setattr(scenarios, "authenticated_round_distance", None)
+    with pytest.raises(scenarios.NegativeRounds, match=f"rounds = {rounds}"):
+        scenarios.key_expansion(rounds, affine_family(4), round_params)
 
 
 def test_locking_demo_against_enumeration_oracle():
