@@ -57,7 +57,7 @@ def cmd_qkd(args) -> int:
     params = bb84.default_params(
         n_qubits=cfg.param("n_qubits"), t=cfg.param("t"), q_tol=cfg.param("q_tol"),
         out_len=cfg.param("out_len"), h_rows=cfg.param("h_rows"), seed=cfg.seed)
-    attack = parse_attack(args.attack or cfg.attack, params.n_qubits)
+    attack = parse_attack(args.attack or cfg.param("attack"), params.n_qubits)
     run = bb84.qkd_run(params, attack)
     holds = run.advantage <= run.decomposition_bound + tol.METRIC_TOL
     write_csv(cfg.out, ("n", "attack", "p_abort", "eps_cor", "eps_sec", "advantage",

@@ -25,6 +25,7 @@ from .protocols.hashing import affine_family
 __all__ = [
     "ConfigError",
     "UnknownKey",
+    "UnreadKey",
     "BadValue",
     "MissingSeed",
     "RunConfig",
@@ -43,6 +44,10 @@ class ConfigError(ValueError):
 
 
 class UnknownKey(ConfigError):
+    pass
+
+
+class UnreadKey(ConfigError):
     pass
 
 
@@ -91,7 +96,6 @@ class RunConfig:
     scenario: str | None
     seed: int
     params: dict
-    attack: str = "identity"
     out: str | None = None
 
     def param(self, key, default=None):
@@ -138,10 +142,8 @@ def parse_config(text: str, *, require_seed: bool = True) -> RunConfig:
         raise MissingSeed("config must set a seed (no ambient randomness)")
     seed = values.pop("seed", 0)
     scenario = values.pop("scenario", None)
-    attack = values.pop("attack", _DEFAULTS["attack"])
     out = values.pop("out", None)
-    return RunConfig(scenario=scenario, seed=seed, params=values,
-                     attack=attack, out=out)
+    return RunConfig(scenario=scenario, seed=seed, params=values, out=out)
 
 
 def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -201,6 +203,16 @@ _SCENARIO_DEFAULTS = {
 }
 
 _SCENARIO_CAPS = {"parallel-qkd": 3, "key-expansion": 3}
+
+# the config keys each scenario reads, besides the seed and the output path
+_QKD_KEYS = {"n_qubits", "t", "q_tol", "out_len", "h_rows"}
+_SCENARIO_KEYS = {
+    "leaked-key": _QKD_KEYS | {"split"},
+    "qkd-otp": _QKD_KEYS | {"msg"},
+    "parallel-qkd": _QKD_KEYS,
+    "key-expansion": _QKD_KEYS | {"rounds", "b"},
+    "metrics-suite": {"trials"},
+}
 
 
 def _scenario_param(cfg: RunConfig, key):
@@ -278,9 +290,19 @@ def save_channel(path, channel) -> None:
 
 
 def run_scenario(cfg: RunConfig) -> list[ReportRow]:
-    """Execute one named scenario; deterministic given the config seed."""
+    """Execute one named scenario; deterministic given the config seed.
+
+    A config key the scenario does not read is refused (``UnreadKey``), so
+    no value is silently ignored.
+    """
     if cfg.scenario is None:
         raise BadValue("config does not name a scenario")
+    if cfg.scenario not in _SCENARIO_KEYS:
+        raise BadValue(f"unknown scenario {cfg.scenario!r}")
+    unread = sorted(set(cfg.params) - _SCENARIO_KEYS[cfg.scenario])
+    if unread:
+        raise UnreadKey(f"scenario {cfg.scenario!r} does not read config key "
+                        f"{', '.join(map(repr, unread))}")
     rows: list[ReportRow] = []
     last = time.perf_counter()
 
@@ -331,6 +353,4 @@ def run_scenario(cfg: RunConfig) -> list[ReportRow]:
             add(name, value, result.ledger.total,
                 value <= result.ledger.total + tol.METRIC_TOL)
         add("ledger-total", result.ledger.total, result.ledger.total, True)
-        return rows
-
-    raise BadValue(f"unknown scenario {cfg.scenario!r}")
+    return rows

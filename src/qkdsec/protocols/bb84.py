@@ -20,13 +20,20 @@ eigenproblems on the key-material part.  Each term of those distances is one
 coefficient row over the key-material members (one syndrome and key pair,
 real minus ideal); the rows of a quantity form one coefficient matrix, built
 once per evaluation.  A rest block (one basis/label cell of the key-material
-positions) turns the whole matrix into trace norms at once: a row-wise sum
-for one-dimensional environments, otherwise one matrix product and one
-batched ``eigvalsh``.  Blocks are streamed: each one is built from per-position
-operators made once with the position tables, folded into its rest's sums and
-dropped, so memory holds one block at a time.  The per-row sums over a rest's
-blocks depend only on the attacks at the rest positions, so they are computed
-once per distinct rest and weighted by each sample subset's pass mass.
+positions) turns the whole matrix into trace norms at once.  Each position's
+environment splits into orthogonal sectors that every cell operator respects
+(depolarising with purification: one sector for a = b and one for a != b;
+intercept-resend: one per measured outcome), so a block's operators are block
+diagonal over tuples of sectors, and a trace norm is the sum of the sectors'
+trace norms.  One-dimensional sectors need only sums of scalars; otherwise
+each block takes one matrix product and one batched ``eigvalsh`` on
+sector-sized matrices.  A block whose sector layout would be too large takes
+the Gram route on the factored columns instead.  Blocks are streamed: each
+one is built from per-position sectors made once with the position tables,
+folded into its rest's sums and dropped, so memory holds one block at a
+time.  The per-row sums over a rest's blocks depend only on the attacks at
+the rest positions, so they are computed once per distinct rest and weighted
+by each sample subset's pass mass.
 Everything is an exact enumeration; no sampling is involved anywhere.
 """
 
@@ -47,7 +54,7 @@ from ..acframework import (
 from ..linalg import coset_leader_table, gf2_rank, psd_sqrt
 from ..metrics import BoundReport
 from ..qstate import DimensionCap, KrausChannel, make_channel
-from ..tolerances import RANK_CUTOFF
+from ..tolerances import RANK_CUTOFF, SECTOR_CUTOFF
 from .hashing import default_code_matrices
 
 __all__ = [
@@ -224,14 +231,13 @@ _BASIS = (
 
 @dataclass
 class _ComponentTables:
-    label: str
     # per theta, for the pruned environment columns x (env_dim, ncols): member
     # cell of each column (0..3 encoding 2a+b), and weight per (a, b) cell
     col_ab: list
     w4: np.ndarray  # (2, 4) -> [theta, 2a+b], includes the 1/4 basis/bit prior
-    # per theta: environment operator of each cell (4, env_dim, env_dim), and
-    # the Gram matrix x^dagger x
-    cell_ops: list
+    # per theta: the sector layout (cells, ops) of the cell operators (see
+    # _sector_layout), and the Gram matrix x^dagger x
+    sectors: list
     gram: list
 
 
@@ -278,10 +284,47 @@ def _component_tables(comp: MixtureComponent) -> _ComponentTables:
         cols.append(np.array(vecs, dtype=complex).T if vecs
                     else np.zeros((env_dim, 0), dtype=complex))
         col_ab.append(np.array(cells, dtype=np.int64))
-    cell_ops = [np.stack([x[:, ab == c] @ x[:, ab == c].conj().T for c in range(4)])
-                for x, ab in zip(cols, col_ab)]
+    sectors = [_sector_layout(np.stack([x[:, ab == c] @ x[:, ab == c].conj().T
+                                        for c in range(4)]))
+               for x, ab in zip(cols, col_ab)]
     gram = [x.conj().T @ x for x in cols]
-    return _ComponentTables(comp.label, col_ab, w4, cell_ops, gram)
+    return _ComponentTables(col_ab, w4, sectors, gram)
+
+
+def _sector_layout(cell_ops: np.ndarray):
+    """Split one theta's cell operators (4, d, d) into environment sectors.
+
+    Environment indices linked by an entry above ``SECTOR_CUTOFF`` times the
+    table's largest |entry| fall in one sector (a connected component), so
+    every cell operator is block diagonal over the sectors; smaller entries
+    are float dust and are dropped.  Returns ``(cells, ops)``: per sector,
+    in order of its first index, the cells active in it (S, K) and their
+    operators restricted to it (S, K, D, D).  Smaller sectors are
+    zero-padded: a padded cell (cell 0) holds the zero operator, and padded
+    rows and columns add only zero eigenvalues.
+    """
+    d = cell_ops.shape[1]
+    mag = np.abs(cell_ops)
+    cutoff = SECTOR_CUTOFF * mag.max()
+    linked = (mag.max(axis=0) > cutoff) | np.eye(d, dtype=bool)
+    root = np.arange(d)
+    for _ in range(d):  # each pass spreads the smallest index one link further
+        root = np.where(linked, root, d).min(axis=1)
+    sectors = []
+    for r in np.unique(root):
+        env = np.flatnonzero(root == r)
+        ops = cell_ops[:, env][:, :, env]
+        active = np.flatnonzero(np.abs(ops).max(axis=(1, 2)) > cutoff)
+        if active.size:
+            sectors.append((active, ops[active]))
+    k = max((c.size for c, _ in sectors), default=1)
+    dim = max((o.shape[1] for _, o in sectors), default=1)
+    cells = np.zeros((len(sectors), k), dtype=np.int64)
+    ops = np.zeros((len(sectors), k, dim, dim), dtype=complex)
+    for s, (c, o) in enumerate(sectors):
+        cells[s, :c.size] = c
+        ops[s, :c.size, :o.shape[1], :o.shape[1]] = o
+    return cells, ops
 
 
 def _position_tables(attack: AttackStrategy, n: int):
@@ -308,6 +351,9 @@ def _position_tables(attack: AttackStrategy, n: int):
 # complex entries in one batch of per-row operators: the rows are chunked so
 # that each batch temporary stays near 16 MiB
 _BATCH_ENTRIES = 1 << 20
+# largest sector layout (sectors x members x dim^2 entries) a rest block
+# holds; larger blocks take the Gram route
+_SECTOR_ENTRIES = 1 << 22
 
 
 def _digits(base: int, n: int) -> np.ndarray:
@@ -356,26 +402,28 @@ class _Engine:
 
     def _rest_block(self, positions: tuple[int, ...], thetas: tuple[int, ...],
                     comps: tuple[int, ...]):
+        tabs = [self.tables[i][ci] for i, ci in zip(positions, comps)]
         w_member = np.ones(1)
-        env_dim = 1
-        for i, theta, ci in zip(positions, thetas, comps):
-            tab = self.tables[i][ci]
+        for tab, theta in zip(tabs, thetas):
             w_member = (w_member[:, None] * tab.w4[theta][None, :]).reshape(-1)
-            env_dim *= tab.cell_ops[theta].shape[1]
-        n_members = w_member.size
-        if env_dim == 1 or n_members * env_dim ** 2 <= 1 << 22:
-            # materialise the per-member environment operators directly
-            ops = np.ones((1, 1, 1), dtype=complex)
-            for i, theta, ci in zip(positions, thetas, comps):
-                cell_ops = self.tables[i][ci].cell_ops[theta]
-                d = cell_ops.shape[1]
-                ops = np.einsum("mij,ckl->mcikjl", ops, cell_ops).reshape(
-                    ops.shape[0] * 4, ops.shape[1] * d, ops.shape[2] * d)
-            return _RestBlock(w_member, ops=ops)
+        if math.prod(tab.sectors[theta][1].size
+                     for tab, theta in zip(tabs, thetas)) <= _SECTOR_ENTRIES:
+            # sectors of the block are tuples of per-position sectors; a
+            # member is active in one when each of its cells is active there
+            idx = np.zeros((1, 1), dtype=np.int64)
+            ops = np.ones((1, 1, 1, 1), dtype=complex)
+            for tab, theta in zip(tabs, thetas):
+                cells, cell_ops = tab.sectors[theta]
+                s, k, d, _ = cell_ops.shape
+                idx = (idx[:, None, :, None] * 4 + cells[None, :, None, :]).reshape(
+                    idx.shape[0] * s, idx.shape[1] * k)
+                ops = (ops[:, None, :, None, :, None, :, None]
+                       * cell_ops[None, :, None, :, None, :, None, :]).reshape(
+                    idx.shape + (ops.shape[2] * d,) * 2)
+            return _RestBlock(w_member, idx=idx, ops=ops)
         member_of_col = np.zeros(1, dtype=np.int64)
         gram = np.ones((1, 1), dtype=complex)
-        for i, theta, ci in zip(positions, thetas, comps):
-            tab = self.tables[i][ci]
+        for tab, theta in zip(tabs, thetas):
             gram = np.kron(gram, tab.gram[theta])
             member_of_col = (member_of_col[:, None] * 4
                              + tab.col_ab[theta][None, :]).reshape(-1)
@@ -472,43 +520,61 @@ class _Engine:
 class _RestBlock:
     """Spectral data of one (rest-basis, rest-label) cell of the key material.
 
-    Small environments store the per-member operators outright; large ones
-    fall back to the Gram-matrix route on the factored columns.
+    The sector route holds, per environment sector, the members active in it
+    (``idx``, S x K) and their operators restricted to it (``ops``,
+    S x K x D x D, zero-padded).  Every member operator is block diagonal
+    over the sectors, and the trace norm of a block-diagonal operator is the
+    sum of its blocks' trace norms; one-dimensional sectors (D = 1) need no
+    eigenproblem at all.  Layouts too large to hold fall back to the Gram
+    route on the factored columns.
     """
 
-    def __init__(self, w_member, *, ops=None, gram=None, member_of_col=None):
+    def __init__(self, w_member, *, idx=None, ops=None, gram=None, member_of_col=None):
         self.w_member = w_member
+        self._idx = idx
         self._ops = ops
+        self._vals = None  # (S, K) member values when the sectors are scalars
+        if ops is not None and ops.shape[-1] == 1:
+            self._vals = ops[..., 0, 0].real.copy()
         self._gram_sqrt = None
         self._member_of_col = member_of_col
-        if ops is not None and ops.shape[1] == 1:
-            self._scalars = ops[:, 0, 0].real.copy()
-        else:
-            self._scalars = None
         if gram is not None:
             self._gram_sqrt = psd_sqrt(gram, rel_cutoff=RANK_CUTOFF)
 
+    def sector_values(self, coeff: np.ndarray) -> np.ndarray:
+        """sum over members of coeff[r] * (sector value), per row r and sector.
+
+        Only for one-dimensional sectors, where each value is a scalar.
+        """
+        return (self._vals[:, None, :] @ coeff.T[self._idx])[:, 0, :].T
+
     def trace_norms(self, coeff: np.ndarray) -> np.ndarray:
         """|| sum over members of coeff[r] * (branch operator) ||_1, per row r."""
-        if self._scalars is not None:
-            # one-dimensional environment: the block operators are scalars
-            return np.abs((coeff * self._scalars).sum(axis=1))
-        dim = (self._ops if self._ops is not None else self._gram_sqrt).shape[1]
-        step = max(1, _BATCH_ENTRIES // dim ** 2)
+        if self._ops is not None:
+            s, k, d, _ = self._ops.shape
+            per_row = s * max(k, d * d)
+        else:
+            per_row = self._gram_sqrt.shape[1] ** 2
+        step = max(1, _BATCH_ENTRIES // per_row)
         return np.concatenate([self._batch_norms(coeff[lo:lo + step])
                                for lo in range(0, len(coeff), step)])
 
     def _batch_norms(self, coeff: np.ndarray) -> np.ndarray:
+        if self._vals is not None:
+            return np.abs(self.sector_values(coeff)).sum(axis=1)
         if self._ops is not None:
-            n_members, dim, _ = self._ops.shape
-            m = (coeff @ self._ops.reshape(n_members, dim * dim)).reshape(-1, dim, dim)
+            s, k, d, _ = self._ops.shape
+            # real coefficients onto complex operators: one real product on
+            # the interleaved (re, im) entries
+            ops = self._ops.reshape(s, k, d * d).view(float)
+            m = (coeff.T[self._idx].swapaxes(1, 2) @ ops).view(complex).reshape(-1, d, d)
         else:
             col_coeff = coeff[:, self._member_of_col]
             m = (self._gram_sqrt * col_coeff[:, None, :]) @ self._gram_sqrt
-        h = m.conj().swapaxes(1, 2)
-        h += m
-        h *= 0.5
-        return np.abs(np.linalg.eigvalsh(h)).sum(axis=1)
+        # m is Hermitian up to rounding, and eigvalsh reads one triangle
+        norms = np.abs(np.linalg.eigvalsh(m)).sum(axis=1)
+        # sector route: one norm per (sector, row), summed over the sectors
+        return norms if self._ops is None else norms.reshape(s, -1).sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,9 @@ def qkd_otp_scenario(params: QkdParams, message: int, attacks) -> BoundReport:
 def _diagonal_blocks(run: QkdRun):
     """Flattened (real, ideal) scalar block values of a classical run.
 
-    Only valid when every environment operator is diagonal (classical
-    attacks); values are subnormalised by the non-abort mass.
+    Only valid when every rest block splits into one-dimensional environment
+    sectors (classical attacks); values are subnormalised by the non-abort
+    mass.
     """
     p = run.params
     engine = bb84._Engine(p, run.attack)
@@ -121,15 +122,10 @@ def _diagonal_blocks(run: QkdRun):
                                         for ka in range(nk) for kb in range(nk)))
     reals, ideals = [], []
     for block in engine.rest_iter(rest):
-        if block._ops is None:
+        if block._vals is None:
             raise ScheduleMismatch("attack is not classical; no diagonal export")
-        ops = block._ops
-        off = ops - np.einsum("mij,ij->mij", ops, np.eye(ops.shape[1]))
-        if float(np.abs(off).max()) > 1e-12:
-            raise ScheduleMismatch("attack is not classical; no diagonal export")
-        diags = np.einsum("mii->mi", ops).real
-        reals.append((select @ diags).ravel())
-        ideals.append((mix @ diags).ravel())
+        reals.append(block.sector_values(select).ravel())
+        ideals.append(block.sector_values(mix).ravel())
     pass_mass = 1.0 - run.p_abort
     scale = pass_mass if pass_mass > 0 else 1.0
     # rest blocks hold unit mass; rescale so each side sums to 1 - p_abort

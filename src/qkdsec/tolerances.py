@@ -16,3 +16,4 @@ METRIC_TOL = 1e-9           # inequality slack wherever spectral round-off enter
 RANK_CUTOFF = 1e-12         # PSD factors and Gram square roots drop eigenvalues below this times the largest
 DIM_CAP = 16384             # largest total Hilbert-space dimension; exceeding it is an error
 ENTROPY_EIG_CUTOFF = 1e-12  # eigenvalues below this are treated as 0 in entropy sums
+SECTOR_CUTOFF = 1e-15       # BB84 environment sectors: entries below this times the largest are not links

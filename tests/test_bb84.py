@@ -6,6 +6,8 @@ import pytest
 from bb84_oracle import oracle_quantities
 from qkdsec.acframework import ScheduleMismatch
 from qkdsec.protocols import bb84
+from qkdsec.qstate import make_channel
+from qkdsec.tolerances import SECTOR_CUTOFF
 
 
 @pytest.fixture(scope="module")
@@ -232,11 +234,34 @@ def _random_complex(rng, dim, cols):
     return rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
 
 
+def _sector_block(rng, n_members, sector_dims, sector_sizes):
+    """A sector-layout block and the dense block-diagonal member operators.
+
+    Sector s has dimension sector_dims[s] and sector_sizes[s] active members,
+    drawn at random; smaller sectors are zero-padded as the engine pads them.
+    """
+    k, d = max(sector_sizes), max(sector_dims)
+    idx = np.zeros((len(sector_dims), k), dtype=np.int64)
+    ops = np.zeros((len(sector_dims), k, d, d), dtype=complex)
+    dense = np.zeros((n_members, sum(sector_dims), sum(sector_dims)), dtype=complex)
+    lo = 0
+    for s, (dim, size) in enumerate(zip(sector_dims, sector_sizes)):
+        members = rng.choice(n_members, size=size, replace=False)
+        x = _random_complex(rng, size * dim, dim).reshape(size, dim, dim)
+        idx[s, :size] = members
+        ops[s, :size, :dim, :dim] = x @ x.conj().swapaxes(1, 2)
+        dense[members, lo:lo + dim, lo:lo + dim] = ops[s, :size, :dim, :dim]
+        lo += dim
+    return idx, ops, dense
+
+
 @pytest.mark.parametrize("chunked", [False, True])
-@pytest.mark.parametrize("route", ["scalar", "ops", "gram"])
+# scalar: one-dimensional sectors; ops: one dense sector; padded: unequal
+# sectors padded to one layout; gram: the factored-column route
+@pytest.mark.parametrize("route", ["scalar", "ops", "padded", "gram"])
 def test_trace_norms_match_per_row_eigvalsh(monkeypatch, route, chunked):
     if chunked:
-        # one row per batch on both spectral routes
+        # one row per batch on every route
         monkeypatch.setattr(bb84, "_BATCH_ENTRIES", 9)
     rng = np.random.default_rng(5)
     n_members, dim = 16, 3
@@ -251,16 +276,109 @@ def test_trace_norms_match_per_row_eigvalsh(monkeypatch, route, chunked):
         ops = np.stack([v[:, member_of_col == m] @ v[:, member_of_col == m].conj().T
                         for m in range(n_members)])
     else:
-        d = 1 if route == "scalar" else dim
-        x = _random_complex(rng, n_members * d, d).reshape(n_members, d, d)
-        ops = x @ x.conj().swapaxes(1, 2)
-        block = bb84._RestBlock(w, ops=ops)
+        dims, sizes = {"scalar": ((1, 1, 1), (5, 16, 9)), "ops": ((dim,), (16,)),
+                       "padded": ((1, 3, 2), (5, 16, 9))}[route]
+        idx, sector_ops, ops = _sector_block(rng, n_members, dims, sizes)
+        block = bb84._RestBlock(w, idx=idx, ops=sector_ops)
     want = [float(np.abs(np.linalg.eigvalsh(np.tensordot(row, ops, axes=(0, 0)))).sum())
             for row in coeff]
     got = block.trace_norms(coeff)
     assert got.shape == (len(coeff),)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
     assert got[2] == 0.0
+
+
+def _pauli_isometry(n, weights):
+    # one isometry V = sum_i sqrt(w_i) sigma_i (x) |i>_E: Eve keeps the purification
+    paulis = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0]))
+    v = sum(np.sqrt(w) * np.kron(p, np.eye(4)[:, [i]])
+            for i, (w, p) in enumerate(zip(weights, paulis)))
+    return bb84.custom_attack(n, make_channel([v], out_dims=(2, 4)), name="pauli")
+
+
+def _record_z(n):
+    # measure in Z and record outcome 0 as |0>_E, outcome 1 as (|1> + |2>)/sqrt 2:
+    # in the Z basis the sectors {0} and {1, 2} have unequal dimensions
+    env = (np.eye(3)[:, [0]], (np.eye(3)[:, [1]] + np.eye(3)[:, [2]]) / np.sqrt(2.0))
+    v = sum(np.kron(np.diag(np.eye(2)[m]), env[m]) for m in range(2))
+    return bb84.custom_attack(n, make_channel([v], out_dims=(2, 3)), name="record-z")
+
+
+def _route_attacks(n):
+    return (bb84.identity_attack(), bb84.intercept_resend(n, 0.5),
+            bb84.depolarize_attack(n, 0.3), bb84.steal_replace_attack(n),
+            _pauli_isometry(n, (0.7, 0.1, 0.05, 0.15)), _record_z(n))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sector_route_matches_gram_route(monkeypatch, n):
+    params = bb84.default_params(n_qubits=n, t=2, q_tol=0.25, out_len=1, h_rows=1)
+    rest = tuple(range(2, n))
+    for attack in _route_attacks(n):
+        sector = bb84.qkd_run(params, attack)
+        monkeypatch.setattr(bb84, "_SECTOR_ENTRIES", 0)
+        blocks = list(bb84._Engine(params, attack).rest_iter(rest))
+        assert all(b._gram_sqrt is not None for b in blocks)
+        gram = bb84.qkd_run(params, attack)
+        monkeypatch.undo()
+        assert all(b._gram_sqrt is None for b in bb84._Engine(params, attack).rest_iter(rest))
+        for name in ("eps_sec", "advantage"):
+            a, b = getattr(sector, name), getattr(gram, name)
+            assert abs(a - b) <= 1e-12, (attack.name, name, a, b)
+        # masses do not go through either spectral route
+        assert (sector.p_abort, sector.eps_cor, sector.key_joint) == \
+            (gram.p_abort, gram.eps_cor, gram.key_joint)
+    # the Gram route leaves float dust where the sector route keeps exact zeros
+    identity = bb84.qkd_run(params, bb84.identity_attack())
+    assert identity.eps_sec == 0.0 and identity.advantage == 0.0
+
+
+def test_sector_layouts_of_shipped_attacks():
+    def layouts(attack):
+        return [(cells.tolist(), ops.shape[-1])
+                for comp in attack.quantum[0].components
+                for cells, ops in bb84._component_tables(comp).sectors]
+    # depolarise with purification: a = b cells and a != b cells, two 2-d sectors
+    # per basis, however much float dust sits between them
+    assert layouts(bb84.depolarize_attack(1, 0.3)) == [([[0, 3], [1, 2]], 2)] * 2
+    # intercept-resend: one-dimensional sectors only, the measured outcome
+    assert layouts(bb84.intercept_resend(1, 0.5)) == [
+        ([[0, 3]], 1), ([[0, 3]], 1), ([[0], [3]], 1), ([[0, 1, 2, 3]] * 2, 1),
+        ([[0, 1, 2, 3]] * 2, 1), ([[0], [3]], 1)]
+    # unequal sectors {0} and {1, 2} padded to two dimensions in the Z basis
+    cells, ops = bb84._component_tables(_record_z(1).quantum[0].components[0]).sectors[0]
+    assert cells.tolist() == [[0], [3]] and ops.shape == (2, 1, 2, 2)
+    assert np.all(ops[0, 0, 1] == 0.0) and np.all(ops[0, 0, :, 1] == 0.0)
+
+
+def test_padded_sectors_match_oracle():
+    # record-z pads its Z-basis sectors {0} and {1, 2} to one layout
+    params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
+    attack = _record_z(3)
+    p_abort, eps_cor, eps_sec, advantage, _ = oracle_quantities(params, attack)
+    run = bb84.qkd_run(params, attack)
+    assert abs(p_abort - run.p_abort) <= 1e-12
+    assert abs(eps_cor - run.eps_cor) <= 1e-12
+    assert abs(eps_sec - run.eps_sec) <= 1e-9
+    assert abs(advantage - run.advantage) <= 1e-9
+    assert run.eps_sec > 0.0
+
+
+@pytest.mark.parametrize("scale,n_sectors", [(0.5, 2), (0.999, 2), (1.001, 1), (2.0, 1)])
+def test_sector_cutoff(scale, n_sectors):
+    # two cells on orthogonal environment states, linked by one small entry
+    ops = np.zeros((4, 2, 2), dtype=complex)
+    ops[0, 0, 0], ops[3, 1, 1] = 1.0, 0.25
+    ops[3, 0, 1] = ops[3, 1, 0] = scale * SECTOR_CUTOFF
+    cells, sector_ops = bb84._sector_layout(ops)
+    assert len(cells) == n_sectors
+    if n_sectors == 2:
+        assert cells.tolist() == [[0], [3]]
+        assert sector_ops[:, :, 0, 0].tolist() == [[1.0], [0.25]]
+    else:
+        assert cells.tolist() == [[0, 3]]
+        assert np.array_equal(sector_ops[0], ops[[0, 3]])
 
 
 def test_rest_memo_with_position_dependent_attack():

@@ -136,6 +136,20 @@ def test_compose_negative_rounds_exits_1(tmp_path, capsys, rounds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,line", [("key-expansion", "split = -1"),
+                                       ("leaked-key", "msg = -1"), ("leaked-key", "b = 40")])
+def test_compose_unread_key_exits_1(tmp_path, capsys, name, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 6\n{line}\n")
+    out = tmp_path / "compose.csv"
+    assert main(["compose", "scenario", "--name", name,
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == \
+        f"error: scenario '{name}' does not read config key '{key}'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line,least", [("h_rows = -1", 0), ("out_len = -1", 1)])
 def test_qkd_run_negative_code_size_exits_1(tmp_path, capsys, line, least):
     cfg = tmp_path / "run.cfg"

@@ -10,6 +10,7 @@ from qkdsec.harness import (
     MissingSeed,
     ReportRow,
     UnknownKey,
+    UnreadKey,
     emit_csv,
     load_channel,
     parse_attack,
@@ -130,6 +131,17 @@ def test_run_scenario_metrics_suite():
     assert all(r.holds for r in rows)
     names = {r.case for r in rows}
     assert "pguess-bound" in names and "alicki-fannes" in names
+
+
+@pytest.mark.parametrize("scenario,line", [
+    ("key-expansion", "split = -1"), ("leaked-key", "msg = -1"), ("leaked-key", "b = 40"),
+    ("qkd-otp", "b = 40"), ("parallel-qkd", "rounds = 2"), ("metrics-suite", "n_qubits = 3"),
+    ("qkd-otp", "attack = depolarize:0.3")])
+def test_run_scenario_refuses_unread_keys(scenario, line):
+    cfg = parse_config(f"seed = 1\nscenario = {scenario}\n{line}")
+    key = line.split(" = ")[0]
+    with pytest.raises(UnreadKey, match=f"{scenario}' does not read config key '{key}'"):
+        run_scenario(cfg)
 
 
 def test_parse_attack_specs():
