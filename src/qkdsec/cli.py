@@ -17,6 +17,7 @@ from .harness import (
     SCENARIOS,
     ReportRow,
     RunConfig,
+    check_subcommand_keys,
     emit_csv,
     parse_attack,
     parse_config,
@@ -29,8 +30,12 @@ from .protocols.auth import exhaustive_substitution_advantage
 from .protocols.hashing import affine_family, verify_asu2
 
 
-def _load_config(args) -> RunConfig:
-    """The config file's values (if any), with ``--seed`` and ``--out`` winning."""
+def _load_config(args, subcommand=None) -> RunConfig:
+    """The config file's values (if any), with ``--seed`` and ``--out`` winning.
+
+    With a ``subcommand`` name, a key that subcommand does not read is
+    refused (``UnreadKey``).
+    """
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read(), require_seed=args.seed is None)
@@ -40,11 +45,13 @@ def _load_config(args) -> RunConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
+    if subcommand is not None:
+        check_subcommand_keys(cfg, subcommand)
     return cfg
 
 
 def cmd_metrics(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, "metrics check")
     trials = args.trials if args.trials is not None else cfg.param("trials")
     results = property_suite(cfg.seed, trials)
     write_csv(cfg.out, ("property_name", "trials", "max_violation", "pass"),
@@ -53,7 +60,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_qkd(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, "qkd run")
     params = bb84.default_params(
         n_qubits=cfg.param("n_qubits"), t=cfg.param("t"), q_tol=cfg.param("q_tol"),
         out_len=cfg.param("out_len"), h_rows=cfg.param("h_rows"), seed=cfg.seed)
@@ -68,7 +75,7 @@ def cmd_qkd(args) -> int:
 
 
 def cmd_auth(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, "auth sweep")
     fam = affine_family(args.b)
     worst_pair, bound, uniform = verify_asu2(fam)
     advantage = exhaustive_substitution_advantage(fam)
@@ -92,7 +99,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_lockdemo(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, "lockdemo")
     report = scenarios.locking_demo(args.m)
     rows = [
         ReportRow("lockdemo", "post-reveal-bits", report.post_reveal_info,

@@ -30,6 +30,7 @@ __all__ = [
     "MissingSeed",
     "RunConfig",
     "parse_config",
+    "check_subcommand_keys",
     "run_scenario",
     "ReportRow",
     "write_csv",
@@ -213,6 +214,31 @@ _SCENARIO_KEYS = {
     "key-expansion": _QKD_KEYS | {"rounds", "b"},
     "metrics-suite": {"trials"},
 }
+# the config keys each other ``sim`` subcommand reads, besides the seed and
+# the output path; its other values come from flags
+_SUBCOMMAND_KEYS = {
+    "qkd run": _QKD_KEYS | {"attack"},
+    "auth sweep": set(),
+    "metrics check": {"trials"},
+    "lockdemo": set(),
+}
+
+
+def _refuse_unread(keys, reader: str, read) -> None:
+    unread = sorted(set(keys) - read)
+    if unread:
+        raise UnreadKey(f"{reader} does not read config key "
+                        f"{', '.join(map(repr, unread))}")
+
+
+def check_subcommand_keys(cfg: RunConfig, subcommand: str) -> None:
+    """Refuse (``UnreadKey``) every config key ``sim subcommand`` does not read.
+
+    ``subcommand`` is one of ``qkd run``, ``auth sweep``, ``metrics check``
+    and ``lockdemo``; none of them reads ``scenario``.
+    """
+    keys = set(cfg.params) | ({"scenario"} if cfg.scenario is not None else set())
+    _refuse_unread(keys, f"subcommand {subcommand!r}", _SUBCOMMAND_KEYS[subcommand])
 
 
 def _scenario_param(cfg: RunConfig, key):
@@ -299,10 +325,7 @@ def run_scenario(cfg: RunConfig) -> list[ReportRow]:
         raise BadValue("config does not name a scenario")
     if cfg.scenario not in _SCENARIO_KEYS:
         raise BadValue(f"unknown scenario {cfg.scenario!r}")
-    unread = sorted(set(cfg.params) - _SCENARIO_KEYS[cfg.scenario])
-    if unread:
-        raise UnreadKey(f"scenario {cfg.scenario!r} does not read config key "
-                        f"{', '.join(map(repr, unread))}")
+    _refuse_unread(cfg.params, f"scenario {cfg.scenario!r}", _SCENARIO_KEYS[cfg.scenario])
     rows: list[ReportRow] = []
     last = time.perf_counter()
 

@@ -24,7 +24,6 @@ from .qstate import (
     Povm,
     RegisterMismatch,
     apply_channel,
-    branch_order,
     make_cq,
     make_density,
     make_povm,
@@ -145,16 +144,34 @@ def guessing_probability(r: DensityOperator, s: DensityOperator) -> float:
     return 0.5 + 0.5 * trace_distance(r, s)
 
 
-def _aligned_items(r: CQState, s: CQState):
-    if r.register_names() != s.register_names() or r.quantum_dims != s.quantum_dims:
+def _merged(r: CQState, s: CQState):
+    """Both states' codes merged in order, and each state's positions in them."""
+    if len(r.registers) != len(s.registers) or r.quantum_dims != s.quantum_dims or \
+            any(a.name != b.name for a, b in zip(r.registers, s.registers)):
         raise RegisterMismatch("states must share registers and quantum dims")
     for a, b in zip(r.registers, s.registers):
-        if a.alphabet != b.alphabet:
+        # equal alphabets whose values print differently (1 and True) rank apart
+        if a is not b and (a.alphabet != b.alphabet or
+                           not np.array_equal(a._ranks, b._ranks)):
             raise RegisterMismatch(f"register {a.name} alphabets differ")
-    left = r.branch_map()
-    right = s.branch_map()
-    for key in sorted(set(left) | set(right), key=branch_order):
-        yield key, left.get(key), right.get(key)
+    both = np.concatenate((r.codes, s.codes))
+    both.sort()
+    first = np.ones(len(both), dtype=bool)
+    np.not_equal(both[1:], both[:-1], out=first[1:])
+    codes = both[first]
+    return codes, codes.searchsorted(r.codes), codes.searchsorted(s.codes)
+
+
+def _aligned_items(r: CQState, s: CQState):
+    """``(assignment, branch of r, branch of s)`` in code order; ``None`` where absent."""
+    codes, at_r, at_s = _merged(r, s)
+    left, right = [None] * len(codes), [None] * len(codes)
+    for i, b in zip(at_r.tolist(), r.branches):
+        left[i] = b
+    for i, b in zip(at_s.tolist(), s.branches):
+        right[i] = b
+    for a, b in zip(left, right):
+        yield (a or b).assignment, a, b
 
 
 def _branch_gap(a, b) -> float:
@@ -181,12 +198,22 @@ def cq_trace_distance(r: CQState, s: CQState) -> float:
     """Blockwise trace distance between two cq states on the same registers.
 
     Equals ``trace_distance(flatten_cq(r), flatten_cq(s))`` but never
-    materialises the embedding.
+    materialises the embedding.  The branch gaps are added in code order:
+    |w_r - w_s| (a total variation) where a branch is on one side only or
+    has the shared unit column on both, and the trace norm of
+    :func:`_branch_gap` for any other pair.
     """
-    total = 0.0
-    for _, a, b in _aligned_items(r, s):
-        total += _branch_gap(a, b)
-    return 0.5 * total
+    codes, at_r, at_s = _merged(r, s)
+    gaps = np.zeros(len(codes))
+    gaps[at_r] = r.weights
+    gaps[at_s] -= s.weights
+    np.abs(gaps, out=gaps)
+    if r.factors is not None or s.factors is not None:
+        right = dict(zip(at_s.tolist(), s.branches))
+        for k, a in zip(at_r.tolist(), r.branches):
+            if k in right:
+                gaps[k] = _branch_gap(a, right[k])
+    return 0.5 * float(np.add.accumulate(gaps)[-1]) if len(gaps) else 0.0
 
 
 def optimal_cq_povm(r: CQState, s: CQState) -> Povm:

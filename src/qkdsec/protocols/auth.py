@@ -8,10 +8,11 @@ interrupt switch whenever the substituted string differs from what it sent.
 
 Because tags are uniform over the key, the evaluated states branch over the
 observed tag, with acceptance probabilities obtained by exhaustive key
-counting; nothing is sampled.  The evaluators read each acceptance from
-the joint tag-count table of the sent and the forged message and its row
-sums, built once per message pair and cached, and build the classical
-states with ``make_classical_cq``.  The supremum over all substitution
+counting; nothing is sampled.  The evaluators read the acceptances of all
+tags at once from the joint tag-count table of the sent and the forged
+message and its row sums, read-only int arrays built once per message pair
+and cached, and build the classical states from alphabet-index columns with
+``make_classical_cq_columns``.  The supremum over all substitution
 rules is one array reduction per forged message: the joint tag counts of
 the sent and the forged message over every key, maximised per observed
 tag.
@@ -24,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..acframework import AttackFamily, AttackStrategy, SystemGraph, identity_strategy
-from ..qstate import CQState, Register, make_classical_cq
+from ..qstate import CQState, Register, make_classical_cq_columns
 from .hashing import HashFamily
 
 __all__ = [
@@ -68,11 +69,14 @@ def _count_pairs(fam: HashFamily, dx: np.ndarray, x2) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_counts(fam: HashFamily, x: int, x2: int) -> tuple[tuple, tuple]:
-    """(counts, row sums) of x and x2 as tuples of ints: counts[y][y2] as in
-    :func:`_count_pairs` and sums[y] = #keys with h(x) = y."""
+def _pair_counts(fam: HashFamily, x: int, x2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, row sums) of x and x2 as read-only int arrays: counts[y, y2] as
+    in :func:`_count_pairs` and sums[y] = #keys with h(x) = y."""
     counts = _count_pairs(fam, fam.digest_all_keys(x), x2)
-    return tuple(map(tuple, counts.tolist())), tuple(counts.sum(axis=1).tolist())
+    counts.setflags(write=False)
+    sums = counts.sum(axis=1)
+    sums.setflags(write=False)
+    return counts, sums
 
 
 def accept_probability(fam: HashFamily, x: int, y: int, x2: int, y2: int) -> float:
@@ -80,7 +84,7 @@ def accept_probability(fam: HashFamily, x: int, y: int, x2: int, y2: int) -> flo
     if x2 == x:
         return 1.0 if y2 == y else 0.0
     counts, sums = _pair_counts(fam, x, x2)
-    return float(counts[y][y2]) / float(sums[y])
+    return float(counts[y, y2]) / float(sums[y])
 
 
 def build_auth_systems(fam: HashFamily):
@@ -102,41 +106,51 @@ def build_auth_systems(fam: HashFamily):
         Register("E_msg", tuple(message_space)),
         Register("E_tag", tuple(range(order))),
     ]
+    # alphabet indices of the B_out values (-1 outside it) and the messages
+    b_index = {value: i for i, value in enumerate(b_alphabet)}
+    msg_index = {value: i for i, value in enumerate(message_space)}
+    reject = b_index["reject"]
+    tags = np.arange(order)
+    tag_rows = np.repeat(tags, 2)
+    p_tag = 1.0 / order
 
     def _common(attack: AttackStrategy):
         x = attack.input("message", message_space[0])
         if x not in message_space:
             raise LengthOverflow(f"message {x!r} outside the configured space")
         rule = attack.tamper_rule("auth")
-        return x, (rule if rule is not None else (lambda pair: pair))
+        rule = rule if rule is not None else (lambda pair: pair)
+        return x, [rule((x, y)) for y in range(order)]
 
     def real_evaluator(attack: AttackStrategy) -> CQState:
-        x, rule = _common(attack)
-        branches = []
-        p_tag = 1.0 / order
-        for y in range(order):
-            x2, y2 = rule((x, y))
-            # accept_probability inlined: a call per tag costs more than the lookup
-            if x2 == x:
-                accept = 1.0 if y2 == y else 0.0
-            else:
-                counts, sums = _pair_counts(fam, x, x2)
-                accept = float(counts[y][y2]) / float(sums[y])
-            if accept > 0.0:
-                branches.append(((x2, x, y), p_tag * accept))
-            if accept < 1.0:
-                branches.append((("reject", x, y), p_tag * (1.0 - accept)))
-        return make_classical_cq(registers, branches)
+        x, forged = _common(attack)
+        x2 = [m for m, _ in forged]
+        y2 = np.array([t for _, t in forged])
+        # resending x verifies exactly when the tag is kept
+        accept = (y2 == tags).astype(float)
+        for m in set(x2) - {x}:
+            rows = np.array([y for y in range(order) if x2[y] == m])
+            counts, sums = _pair_counts(fam, x, m)
+            accept[rows] = counts[rows, y2[rows]] / sums[rows]
+        # per tag, the accepted branch and then the rejected one, each kept
+        # when its probability is positive
+        out = np.empty(2 * order, dtype=np.int64)
+        out[0::2] = [b_index.get(m, -1) for m in x2]
+        out[1::2] = reject
+        weights = np.empty(2 * order)
+        weights[0::2] = p_tag * accept
+        weights[1::2] = p_tag * (1.0 - accept)
+        keep = weights > 0.0
+        return make_classical_cq_columns(
+            registers, [out[keep], np.full(len(tag_rows), msg_index[x])[keep],
+                        tag_rows[keep]], weights[keep])
 
     def ideal_evaluator(attack: AttackStrategy) -> CQState:
-        x, rule = _common(attack)
-        branches = []
-        p_tag = 1.0 / order
-        for y in range(order):
-            x2, y2 = rule((x, y))
-            out = x if (x2, y2) == (x, y) else "reject"
-            branches.append(((out, x, y), p_tag))
-        return make_classical_cq(registers, branches)
+        x, forged = _common(attack)
+        kept = np.array([(m, t) == (x, y) for y, (m, t) in enumerate(forged)])
+        return make_classical_cq_columns(
+            registers, [np.where(kept, b_index[x], reject), np.full(order, msg_index[x]),
+                        tags], np.full(order, p_tag))
 
     real = SystemGraph(name=f"auth-real-b{fam.block_bits}", evaluator=real_evaluator)
     ideal = SystemGraph(name=f"auth-ideal-b{fam.block_bits}", evaluator=ideal_evaluator)

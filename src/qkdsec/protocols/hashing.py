@@ -46,23 +46,17 @@ class GF2m:
         self.bits = bits
         self.order = 1 << bits
         self.modulus = _IRREDUCIBLE[bits]
+        # carry-less products, one bit of b per step: a * x^i mod the
+        # modulus is added into table[a, b] wherever bit i of b is set
         size = self.order
+        shifted = np.arange(size, dtype=np.int64)
+        b_values = np.arange(size, dtype=np.int64)
         table = np.zeros((size, size), dtype=np.int64)
-        for a in range(size):
-            for b in range(size):
-                table[a, b] = self._clmul(a, b)
+        for i in range(bits):
+            table ^= shifted[:, None] * ((b_values >> i) & 1)[None, :]
+            shifted <<= 1
+            shifted ^= np.where(shifted & size, self.modulus, 0)
         self.mul_table = table
-
-    def _clmul(self, a: int, b: int) -> int:
-        out = 0
-        while b:
-            if b & 1:
-                out ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.order:
-                a ^= self.modulus
-        return out
 
     def mul(self, a, b):
         return self.mul_table[a, b]

@@ -627,15 +627,14 @@ class _AcceptTable:
     def _fill(self, x: int):
         order = self.fam.tag_space
         counts, sums = _pair_counts(self.fam, x, x ^ 1)
-        p_tag = 1.0 / order
-        row = []
-        for y in range(order):
-            acc = float(counts[y][y]) / float(sums[y])
-            row += [(y, verdict, p_tag * weight)
-                    for weight, verdict in ((acc, True), (1.0 - acc, False)) if weight > 0.0]
-        self.count[x] = len(row)
-        for j, (y, verdict, wfrac) in enumerate(row):
-            self.y[x, j], self.forged[x, j], self.wfrac[x, j] = y, verdict, wfrac
+        acc = counts.diagonal() / sums
+        weight = np.stack([acc, 1.0 - acc], axis=1)
+        keep = weight > 0.0
+        count = int(keep.sum())
+        self.count[x] = count
+        self.y[x, :count] = np.repeat(np.arange(order), 2).reshape(order, 2)[keep]
+        self.forged[x, :count] = np.tile([True, False], (order, 1))[keep]
+        self.wfrac[x, :count] = (1.0 / order) * weight[keep]
 
     def branches(self, target: np.ndarray):
         """(row index, tag, accepted, weight factor) of each expanded row."""

@@ -5,9 +5,12 @@ explicit trace mass, so subnormalised conditional states are first-class.
 Classical-quantum states are stored as weighted classical branches whose
 quantum parts are kept in factored form ``F F^dagger`` — pure branches are a
 single column, mixed branches several — which keeps every downstream distance
-computation a small Gram-matrix eigenproblem.  Branches are kept in
-:func:`branch_order` (their values as strings); :func:`make_classical_cq`
-builds a state with no quantum part from scalar weights.
+computation a small Gram-matrix eigenproblem.  A state holds its branches as
+columns: an integer code per assignment, sorted, so that branches are in
+:func:`branch_order` (their values as strings, equal strings in alphabet
+order), a weight array and the factors.  :func:`make_classical_cq` builds a
+state with no quantum part from scalar weights, and
+:func:`make_classical_cq_columns` from alphabet-index columns.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,6 +59,7 @@ __all__ = [
     "measure_povm",
     "make_cq",
     "make_classical_cq",
+    "make_classical_cq_columns",
     "branch_order",
     "flatten_cq",
     "cq_from_density",
@@ -404,11 +408,34 @@ def basis_povm(dim: int = 2) -> Povm:
 
 @dataclass(frozen=True)
 class Register:
+    """A named classical register over a finite alphabet.
+
+    Cached on first use: ``_by_rank``, the alphabet values sorted by
+    ``(str(value), position)``; ``_ranks``, each position's rank in that
+    order; and ``_positions``, each value's first position.
+    """
+
     name: str
     alphabet: tuple
 
     def index(self, value) -> int:
         return self.alphabet.index(value)
+
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        alphabet = self.alphabet
+        order = sorted(range(len(alphabet)), key=lambda i: (str(alphabet[i]), i))
+        ranks = np.empty(len(alphabet), dtype=np.int64)
+        ranks[order] = np.arange(len(alphabet))
+        return _frozen(ranks)
+
+    @cached_property
+    def _by_rank(self) -> tuple:
+        return tuple(self.alphabet[i] for i in np.argsort(self._ranks).tolist())
+
+    @cached_property
+    def _positions(self) -> dict:
+        return {value: i for i, value in reversed(tuple(enumerate(self.alphabet)))}
 
 
 @dataclass(frozen=True)
@@ -428,10 +455,26 @@ class CQBranch:
         return self.weight * (self.factor @ self.factor.conj().T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CQState:
+    """A classical-quantum state stored as read-only columns, one entry per branch.
+
+    ``codes`` number the assignments: the mixed-radix number, first register
+    most significant, of each value's rank in its alphabet sorted by
+    ``(str(value), position)``.  They are sorted and distinct, so branches
+    are in :func:`branch_order`, and values with equal strings in alphabet
+    order.  ``weights`` are the branch weights.  ``factors`` are the
+    branches' unit-trace factors, or ``None`` when every branch has the
+    shared read-only unit column of a classical state.  ``branches`` is a
+    view derived from the columns on first use and cached: one
+    :class:`CQBranch` per code, with the alphabet values and a ``float``
+    weight.
+    """
+
     registers: tuple[Register, ...]
-    branches: tuple[CQBranch, ...]
+    codes: np.ndarray
+    weights: np.ndarray
+    factors: tuple[np.ndarray, ...] | None
     quantum_dims: tuple[int, ...]
     trace_mass: float = 1.0
 
@@ -442,8 +485,18 @@ class CQState:
     def register_names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.registers)
 
-    def branch_map(self) -> dict:
-        return {b.assignment: b for b in self.branches}
+    @cached_property
+    def branches(self) -> tuple[CQBranch, ...]:
+        columns = []
+        codes = self.codes
+        for reg in reversed(self.registers):
+            codes, ranks = codes // len(reg.alphabet), codes % len(reg.alphabet)
+            columns.append(map(reg._by_rank.__getitem__, ranks.tolist()))
+        assignments = zip(*reversed(columns)) if columns else [()] * len(codes)
+        factors = self.factors
+        if factors is None:
+            factors = (_unit_column(1.0),) * len(codes)
+        return tuple(map(CQBranch, assignments, self.weights.tolist(), factors))
 
 
 def _canonical_factor(op, qdim: int) -> tuple[np.ndarray, float]:
@@ -487,7 +540,11 @@ def _unit_column(value: float) -> np.ndarray:
 
 
 def branch_order(assignment) -> tuple:
-    """Sort key of cq branches: the assignment's values as strings."""
+    """Sort key of cq branches: the assignment's values as strings.
+
+    Values with equal strings, such as ``1`` and ``"1"``, are further
+    ordered by their alphabet positions (see :class:`CQState`).
+    """
     return tuple(map(str, assignment))
 
 
@@ -496,53 +553,115 @@ def _registers(registers) -> tuple[Register, ...]:
                  for r in registers)
 
 
-def _branch_checker(regs):
-    """Return ``check(assignment, weight)``, make_cq's per-branch validation.
+def _code_dtype(regs):
+    # codes are int64 while every assignment fits, else Python ints
+    return np.int64 if math.prod(len(r.alphabet) for r in regs) < 2 ** 63 else object
 
-    ``check`` wants one alphabet value per register, no assignment it has
-    seen before and a finite weight not below ``-PROB_TOL``; it returns the
-    assignment as a tuple and the weight as a float.
+
+def _encode(regs, branches):
+    """Alphabet-index columns and raw weights of ``(assignment, weight, ...)`` rows.
+
+    Encoding stops at the first assignment with the wrong number of values
+    (:class:`RegisterMismatch`) or a value outside its register's alphabet
+    (:class:`AlphabetMismatch`); that error is returned, not raised, so that
+    the checks of the rows before it come first.
     """
-    alphabets = [frozenset(r.alphabet) for r in regs]
     width = len(regs)
-    contains, isfinite, floor = frozenset.__contains__, math.isfinite, -tol.PROB_TOL
-    seen: set = set()
-
-    def check(assignment, weight) -> tuple[tuple, float]:
+    positions = [r._positions for r in regs]
+    rows, weights, error = [], [], None
+    for branch in branches:
+        assignment = branch[0]
         if type(assignment) is not tuple:
             assignment = tuple(assignment) if isinstance(assignment, (tuple, list)) \
                 else (assignment,)
         if len(assignment) != width:
-            raise RegisterMismatch(
+            error = RegisterMismatch(
                 f"assignment {assignment} has {len(assignment)} values for "
                 f"{width} registers")
-        if not all(map(contains, alphabets, assignment)):
-            reg, value = next((r, v) for r, a, v in zip(regs, alphabets, assignment)
-                              if v not in a)
-            raise AlphabetMismatch(f"value {value!r} not in alphabet of register {reg.name}")
-        size = len(seen)
-        seen.add(assignment)
-        if len(seen) == size:
-            raise DuplicateAssignment(f"assignment {assignment} appears twice")
-        weight = float(weight)
-        if not isfinite(weight):
-            raise NotFinite(f"branch weight {weight} is not finite")
-        if weight < floor:
-            raise BadTrace(f"negative branch weight {weight}")
-        return assignment, weight
-
-    return check
+            break
+        try:
+            rows.append(tuple(map(dict.__getitem__, positions, assignment)))
+        except KeyError:
+            reg, value = next((r, v) for r, p, v in zip(regs, positions, assignment)
+                              if v not in p)
+            error = AlphabetMismatch(f"value {value!r} not in alphabet of register {reg.name}")
+            break
+        weights.append(branch[1])
+    columns = np.array(rows, dtype=np.int64).reshape(len(rows), width).T
+    return columns, weights, error
 
 
-def _cq_state(regs, out, qdims) -> CQState:
-    """The state of the branches ``out``: mass added in input order, then sorted."""
-    mass = 0.0
-    for b in out:
-        mass += b.weight
+def _validated(regs, columns, weights, error=None):
+    """Codes and float weights of the rows before the first one failing a check.
+
+    ``columns`` holds one alphabet-index column per register, each as long
+    as ``weights``; row ``i`` is entry ``i`` of each.  In input order, a row
+    fails when an index lies outside its register's alphabet (negative ones
+    included), its assignment repeats an earlier row's, or its weight is not
+    finite or below ``-PROB_TOL``.  Returns ``(codes, weights, error)``:
+    ``error`` is the first failing row's exception, else the given ``error``,
+    which belongs to the row after the last.
+    """
+    w = np.asarray(weights, dtype=float)
+    try:
+        idx = np.asarray(columns) if regs else np.empty((0, len(w)), dtype=np.int64)
+    except ValueError:
+        idx = None
+    if w.ndim != 1 or idx is None or idx.shape != (len(regs), len(w)):
+        raise RegisterMismatch(
+            f"{len(regs)} registers need as many index columns, each as long as the "
+            f"{len(w)} weights")
+    if idx.dtype.kind not in "iu":
+        if idx.size:
+            raise AlphabetMismatch(f"alphabet indices must be integers, got {idx.dtype}")
+        idx = idx.astype(np.int64)
+    stop = len(w)
+    sizes = [len(r.alphabet) for r in regs]
+    outside = (idx < 0) | (idx >= np.array(sizes)[:, None])
+    if outside.any():
+        stop = int(np.argmax(outside.any(axis=0)))
+        r = int(np.argmax(outside[:, stop]))
+        error = AlphabetMismatch(
+            f"index {int(idx[r, stop])} outside the {sizes[r]} values of register "
+            f"{regs[r].name}")
+        idx, w = idx[:, :stop], w[:stop]
+    dtype = _code_dtype(regs)
+    codes = np.zeros(stop, dtype=dtype)
+    for reg, size, col in zip(regs, sizes, idx):
+        codes *= size
+        codes += reg._ranks[col].astype(dtype, copy=False)
+    ordered = np.sort(codes)
+    fine = (w >= -tol.PROB_TOL) & (w < math.inf)
+    if (ordered[1:] == ordered[:-1]).any() or not fine.all():
+        # the first failing row, each row's repeat checked before its weight
+        seen = set()
+        for stop, (code, weight) in enumerate(zip(codes.tolist(), w.tolist())):
+            if code in seen:
+                assignment = tuple(r.alphabet[i] for r, i in zip(regs, idx[:, stop].tolist()))
+                error = DuplicateAssignment(f"assignment {assignment} appears twice")
+                break
+            if not math.isfinite(weight):
+                error = NotFinite(f"branch weight {weight} is not finite")
+                break
+            if weight < -tol.PROB_TOL:
+                error = BadTrace(f"negative branch weight {weight}")
+                break
+            seen.add(code)
+        return codes[:stop], w[:stop], error
+    return codes, w, error
+
+
+def _cq_state(regs, codes, weights, factors, qdims) -> CQState:
+    """The state of branches given in input order: mass added in that order
+    (a running sum), then the columns sorted by code."""
+    mass = float(np.add.accumulate(weights)[-1]) if len(weights) else 0.0
     if mass > 1.0 + tol.TRACE_TOL:
         raise BadTrace(f"branch weights sum to {mass!r} > 1")
-    out.sort(key=lambda b: branch_order(b.assignment))
-    return CQState(regs, tuple(out), qdims, trace_mass=mass)
+    order = codes.argsort()
+    if factors is not None:
+        factors = tuple(map(factors.__getitem__, order.tolist()))
+    return CQState(regs, _frozen(codes[order]), _frozen(weights[order]), factors, qdims,
+                   trace_mass=mass)
 
 
 def make_cq(registers, branches, quantum_dims=()) -> CQState:
@@ -555,41 +674,64 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
     ``HERMITIAN_TOL``, else :class:`NotHermitian` is raised.  A vector, or
     any other ``qdim x k`` matrix, is a factor ``F`` of the operator
     ``F F^dagger``.  The branch weight is ``weight`` times the operator's
-    trace; branches of zero weight are dropped.
+    trace; branches of zero weight are dropped.  Errors come in input order:
+    a branch's assignment and weight are checked before its ``op``.
     """
     regs = _registers(registers)
     qdims = tuple(int(d) for d in quantum_dims)
     qdim = int(np.prod(qdims)) if qdims else 1
-    check = _branch_checker(regs)
-    out = []
-    for assignment, weight, op in branches:
-        assignment, weight = check(assignment, weight)
+    rows = [(assignment, weight, op) for assignment, weight, op in branches]
+    columns, weights, error = _encode(regs, rows)
+    codes, weights, error = _validated(regs, columns, weights, error)
+    kept, effective, factors = [], [], []
+    # the rows before the first failed check, in input order
+    for i, (weight, (_, _, op)) in enumerate(zip(weights.tolist(), rows)):
         if weight <= 0.0:
             continue
         factor, op_trace = _canonical_factor(op, qdim)
         eff = weight * op_trace
         if eff > 0.0:
-            out.append(CQBranch(assignment, eff, _frozen(factor)))
-    return _cq_state(regs, out, qdims)
+            kept.append(i)
+            effective.append(eff)
+            factors.append(_frozen(factor))
+    if error is not None:
+        raise error
+    return _cq_state(regs, codes[kept], np.array(effective, dtype=float), factors, qdims)
+
+
+def make_classical_cq_columns(registers, columns, weights) -> CQState:
+    """A classical state from one alphabet-index column per register.
+
+    Row ``i`` is the branch whose assignment takes, in each register, the
+    alphabet value at ``columns[r][i]``, with weight ``weights[i]``.  The
+    checks, their errors, the dropped zero weights, the trace mass (added in
+    input order) and the branch order are :func:`make_cq`'s for the same
+    assignments with scalar part 1.0; an index outside its alphabet,
+    negative ones included, raises :class:`AlphabetMismatch`.  Every branch
+    has the shared read-only unit factor.
+    """
+    regs = _registers(registers)
+    return _classical_cq(regs, *_validated(regs, columns, weights))
+
+
+def _classical_cq(regs, codes, weights, error) -> CQState:
+    if error is not None:
+        raise error
+    keep = weights > 0.0
+    return _cq_state(regs, codes[keep], weights[keep], None, ())
 
 
 def make_classical_cq(registers, branches) -> CQState:
     """A classical state: :func:`make_cq` of scalar branches with unit trace.
 
-    Each branch is ``(assignment, weight)``.  The checks, the dropped zero
-    weights, the trace mass (added in input order) and the branch order are
-    make_cq's for ``(assignment, weight, 1.0)``, and every branch shares one
-    read-only copy of the unit factor make_cq gives such a branch.
+    Each branch is ``(assignment, weight)``; the assignments are encoded as
+    alphabet-index columns for :func:`make_classical_cq_columns`, whose
+    checks, order and mass are make_cq's for ``(assignment, weight, 1.0)``.
     """
     regs = _registers(registers)
-    check = _branch_checker(regs)
-    unit = _unit_column(1.0)
-    out = []
-    for assignment, weight in branches:
-        assignment, weight = check(assignment, weight)
-        if weight > 0.0:
-            out.append(CQBranch(assignment, weight, unit))
-    return _cq_state(regs, out, ())
+    pairs = [(assignment, weight) for assignment, weight in branches]
+    columns, weights, error = _encode(regs, pairs)
+    return _classical_cq(regs, *_validated(regs, columns, weights, error))
 
 
 def flatten_cq(c: CQState) -> DensityOperator:
@@ -656,11 +798,17 @@ def tensor_cq(a: CQState, b: CQState) -> CQState:
     """Parallel composition of cq states; register names get 1./2. prefixes."""
     regs = tuple(Register(f"1.{r.name}", r.alphabet) for r in a.registers) + \
         tuple(Register(f"2.{r.name}", r.alphabet) for r in b.registers)
-    # factors are already unit-trace canonical; compose directly
-    branches = [CQBranch(x.assignment + y.assignment, x.weight * y.weight,
-                         _frozen(np.kron(x.factor, y.factor)))
-                for x in a.branches for y in b.branches]
-    return _cq_state(regs, branches, a.quantum_dims + b.quantum_dims)
+    # a's code is the high part of the product's code; the factors are
+    # already unit-trace canonical
+    dtype = _code_dtype(regs)
+    span = math.prod(len(r.alphabet) for r in b.registers)
+    codes = np.add.outer(a.codes.astype(dtype) * span, b.codes.astype(dtype)).ravel()
+    weights = np.multiply.outer(a.weights, b.weights).ravel()
+    factors = None
+    if a.factors is not None or b.factors is not None:
+        factors = [_frozen(np.kron(x.factor, y.factor))
+                   for x in a.branches for y in b.branches]
+    return _cq_state(regs, codes, weights, factors, a.quantum_dims + b.quantum_dims)
 
 
 def measure_povm(p: Povm, s, factors=None):

@@ -6,6 +6,7 @@ import pytest
 from qkdsec.acframework import advantage_over_family
 from qkdsec.protocols import auth
 from qkdsec.protocols.hashing import (
+    GF2m,
     HashFamily,
     affine_family,
     default_code_matrices,
@@ -280,3 +281,25 @@ def test_auth_states_match_make_cq_path(bits):
             want_real, want_ideal = _make_cq_auth_states(fam, strategy)
             _assert_same_state(evaluate(real, strategy), want_real)
             _assert_same_state(evaluate(ideal, strategy), want_ideal)
+
+
+def _clmul(a: int, b: int, bits: int, modulus: int) -> int:
+    """Carry-less product in GF(2^bits), one bit of b at a time."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & (1 << bits):
+            a ^= modulus
+    return out
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_gf2m_table_matches_scalar_multiply(bits):
+    field = GF2m(bits)
+    want = [[_clmul(a, b, bits, field.modulus) for b in range(field.order)]
+            for a in range(field.order)]
+    assert field.mul_table.dtype == np.int64
+    assert field.mul_table.tolist() == want

@@ -233,3 +233,23 @@ def test_violated_bound_exits_2(tmp_path, monkeypatch):
     rc = main(["metrics", "check", "--seed", "1", "--out",
                str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("subcommand,argv,line", [
+    ("qkd run", ["qkd", "run"], "split = -1"),
+    ("qkd run", ["qkd", "run"], "b = 40"),
+    ("qkd run", ["qkd", "run"], "scenario = leaked-key"),
+    ("auth sweep", ["auth", "sweep", "--b", "3"], "b = 40"),
+    ("auth sweep", ["auth", "sweep", "--b", "3"], "n_qubits = 99"),
+    ("metrics check", ["metrics", "check"], "n_qubits = 3"),
+    ("lockdemo", ["lockdemo", "--m", "2"], "trials = 5"),
+])
+def test_subcommand_unread_key_exits_1(tmp_path, capsys, subcommand, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == \
+        f"error: subcommand '{subcommand}' does not read config key '{key}'\n"
+    assert not out.exists()

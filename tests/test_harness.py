@@ -11,6 +11,7 @@ from qkdsec.harness import (
     ReportRow,
     UnknownKey,
     UnreadKey,
+    check_subcommand_keys,
     emit_csv,
     load_channel,
     parse_attack,
@@ -142,6 +143,20 @@ def test_run_scenario_refuses_unread_keys(scenario, line):
     key = line.split(" = ")[0]
     with pytest.raises(UnreadKey, match=f"{scenario}' does not read config key '{key}'"):
         run_scenario(cfg)
+
+
+def test_subcommand_keys():
+    # every key a subcommand reads passes; any other is named
+    qkd = parse_config("seed = 1\nn_qubits = 3\nt = 1\nq_tol = 0.1\nout_len = 1\n"
+                       "h_rows = 1\nattack = identity\nout = x.csv")
+    check_subcommand_keys(qkd, "qkd run")
+    check_subcommand_keys(parse_config("seed = 1\ntrials = 3"), "metrics check")
+    for subcommand in ("auth sweep", "lockdemo"):
+        check_subcommand_keys(parse_config("seed = 1\nout = x.csv"), subcommand)
+        with pytest.raises(UnreadKey, match=f"'{subcommand}' does not read config key 'n_qubits', 't'"):
+            check_subcommand_keys(parse_config("seed = 1\nt = 1\nn_qubits = 3"), subcommand)
+    with pytest.raises(UnreadKey, match="'metrics check' does not read config key 'attack'"):
+        check_subcommand_keys(parse_config("seed = 1\nattack = identity"), "metrics check")
 
 
 def test_parse_attack_specs():

@@ -359,3 +359,87 @@ def test_trace_distance_range_property(seed, dim):
 def test_property_suite_rejects_nonpositive_trials(trials):
     with pytest.raises(mt.InvalidTrials):
         mt.property_suite(1, trials)
+
+
+# --- cq distance against the branch-at-a-time oracle ---------------------------
+
+from itertools import product as _product
+
+from cq_oracle import oracle_cq, oracle_distance, oracle_tensor
+
+# values whose strings tie: 1 and "1", 2 and "2", 10 and "10"
+_CQ_VALUES = (0, 1, 2, 10, "1", "2", "10", "a", 2.5)
+# scalar parts for states with no quantum factor: the unit, and 1x2 factors
+# whose gap to the unit takes the trace-norm route
+_SCALAR_OPS = (None, 1.0, [[0.6, 0.8j]], [[0.8, 0.6]])
+
+
+@st.composite
+def cq_state_pairs(draw):
+    regs = tuple(
+        qs.Register(f"r{i}", tuple(draw(st.lists(st.sampled_from(_CQ_VALUES), min_size=1,
+                                                 max_size=4, unique=True))))
+        for i in range(draw(st.integers(min_value=1, max_value=3))))
+    words = list(_product(*(r.alphabet for r in regs)))
+    qdims = draw(st.sampled_from([(), (2,)]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    # a small pool of unit-trace factors, so that equal ones meet on both sides
+    pool = _SCALAR_OPS if not qdims else [
+        f / np.linalg.norm(f) for f in (rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k))
+                                        for k in (1, 1, 3))]
+    sides = []
+    for _ in range(2):
+        picked = draw(st.lists(st.integers(min_value=0, max_value=len(words) - 1),
+                               max_size=len(words), unique=True))
+        cap = 1.0 / max(len(picked), 1)
+        weights = [draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=cap)))
+                   for _ in picked]
+        ops = [pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))]
+               for _ in picked]
+        sides.append([(words[i], w, op) for i, w, op in zip(picked, weights, ops)])
+    return regs, qdims, sides
+
+
+def _built(regs, qdims, branches, how):
+    if how == "tuples":
+        return qs.make_classical_cq(regs, [(a, w) for a, w, _ in branches])
+    if how == "columns":
+        columns = [[reg.index(a[r]) for a, _, _ in branches] for r, reg in enumerate(regs)]
+        return qs.make_classical_cq_columns(regs, columns, [w for _, w, _ in branches])
+    return qs.make_cq(regs, [(a, w, 1.0 if op is None else op) for a, w, op in branches],
+                      qdims)
+
+
+def _same_as_oracle(state, want):
+    branches, mass = want
+    assert [(b.assignment, b.weight, b.factor.tobytes()) for b in state.branches] == \
+        [(a, w, f.tobytes()) for a, w, f in branches]
+    assert all(type(b.weight) is float for b in state.branches)
+    assert state.trace_mass == mass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cq_state_pairs(), st.data())
+def test_cq_trace_distance_matches_oracle(pair, data):
+    # classical and quantum states on shared registers, with one-sided
+    # branches and zero weights: every branch, weight, factor, trace mass and
+    # distance equals the branch-at-a-time oracle's, bit for bit
+    regs, qdims, sides = pair
+    states = []
+    for branches in sides:
+        kinds = ["make_cq"] if qdims else ["tuples", "columns", "make_cq"]
+        how = data.draw(st.sampled_from(kinds))
+        if how == "make_cq":
+            want = oracle_cq(regs, [(a, w, 1.0 if op is None else op)
+                                    for a, w, op in branches], qdims)
+        else:
+            want = oracle_cq(regs, [(a, w, None) for a, w, _ in branches])
+        state = _built(regs, qdims, branches, how)
+        _same_as_oracle(state, want)
+        states.append(state)
+    r, s = states
+    assert mt.cq_trace_distance(r, s) == oracle_distance(r, s)
+    assert mt.cq_trace_distance(s, r) == oracle_distance(s, r)
+    rs, sr = qs.tensor_cq(r, s), qs.tensor_cq(s, r)
+    _same_as_oracle(rs, oracle_tensor(r, s))
+    assert mt.cq_trace_distance(rs, sr) == oracle_distance(rs, sr)

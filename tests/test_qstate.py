@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -166,8 +167,53 @@ def test_make_classical_cq_matches_make_cq():
         got = _classical_outcome(qs.make_classical_cq, regs, branches)
         want = _classical_outcome(qs.make_cq, regs, [(a, w, 1.0) for a, w in branches])
         assert got == want, branches
+        # the column core meets every case too; it cannot spell a wrong
+        # number of values or a value outside the alphabet, so those become
+        # missing columns or indices past the end, and only the error class
+        # must agree
+        columns = _classical_outcome(
+            lambda r, b: qs.make_classical_cq_columns(r, *_as_columns(r, b)), regs, branches)
+        if got[0] in (qs.RegisterMismatch, qs.AlphabetMismatch):
+            assert columns[0] is got[0], branches
+        else:
+            assert columns == got, branches
     state = qs.make_classical_cq(regs, cases[0])
     assert len({id(b.factor) for b in state.branches}) == 1
+    # numpy would wrap a negative index to the alphabet's end
+    with pytest.raises(qs.AlphabetMismatch, match="index -1 outside the 4 values of register x"):
+        qs.make_classical_cq_columns(regs, [[0, -1], [0, 1]], [0.25, 0.25])
+    with pytest.raises(qs.AlphabetMismatch, match="index 3 outside the 3 values of register y"):
+        qs.make_classical_cq_columns(regs, [[0, 1], [0, 3]], [0.25, 0.25])
+    with pytest.raises(qs.AlphabetMismatch, match="integers"):
+        qs.make_classical_cq_columns(regs, [[0.0], [1.0]], [0.25])
+    with pytest.raises(qs.RegisterMismatch):
+        qs.make_classical_cq_columns(regs, [[0, 1], [0]], [0.25, 0.25])
+    # errors come in input order, as make_cq's do, and a row's repeat before
+    # its weight
+    with pytest.raises(qs.NotFinite):
+        qs.make_classical_cq_columns(regs, [[0, -1], [0, 1]], [np.nan, 0.25])
+    with pytest.raises(qs.AlphabetMismatch):
+        qs.make_classical_cq_columns(regs, [[-1, 0], [0, 1]], [0.25, np.nan])
+    with pytest.raises(qs.DuplicateAssignment, match=r"assignment \(0, 'p'\) appears twice"):
+        qs.make_classical_cq_columns(regs, [[0, 1, 0], [0, 1, 0]], [0.25, 0.25, np.nan])
+    with pytest.raises(qs.NotFinite):
+        qs.make_classical_cq_columns(regs, [[0, 1, 0], [0, 1, 0]], [0.25, np.nan, 0.25])
+    with pytest.raises(qs.DuplicateAssignment, match=r"assignment \(1, 'q'\) appears twice"):
+        qs.make_cq(regs, [((1, "q"), 0.25, 1.0), ((0, "p"), 0.25, 1.0), ((1, "q"), 0.0, 1.0)])
+
+
+def _as_columns(registers, branches):
+    """One index column per value position of the branches' assignments,
+    a value outside its alphabet as the index one past the alphabet's end."""
+    regs = qs._registers(registers)
+    rows = []
+    for assignment, _ in branches:
+        assignment = tuple(assignment) if isinstance(assignment, (tuple, list)) \
+            else (assignment,)
+        rows.append([reg.alphabet.index(v) if v in reg.alphabet else len(reg.alphabet)
+                     for reg, v in zip(regs, assignment)])
+    columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in regs]
+    return columns, [w for _, w in branches]
 
 
 def test_branch_order_key():
@@ -175,6 +221,70 @@ def test_branch_order_key():
     state = qs.make_classical_cq([("x", (2, 10, "b"))], [((2,), 0.25), ((10,), 0.25),
                                                         (("b",), 0.25)])
     assert [b.assignment for b in state.branches] == [(10,), (2,), ("b",)]
+
+
+def test_equal_strings_order_by_alphabet_position():
+    # 1 and "1" (and 2 and "2") print alike, so their alphabet positions
+    # order them: permuted inputs give one branch order and one distance
+    regs = [("x", ("1", 1, "a")), ("y", (2, "2"))]
+    words = [(x, y) for x in ("1", 1, "a") for y in (2, "2")]
+    real = [0.1, 0.2, 0.3, 0.05, 0.15, 0.2]
+    ideal = [0.3, 0.1, 0.1, 0.2, 0.2, 0.1]
+    perm = [5, 3, 1, 4, 0, 2]
+    want = [("1", 2), ("1", "2"), (1, 2), (1, "2"), ("a", 2), ("a", "2")]
+    states = []
+    for weights in (real, ideal):
+        pairs = list(zip(words, weights))
+        states.append([qs.make_classical_cq(regs, pairs),
+                       qs.make_classical_cq(regs, [pairs[i] for i in perm]),
+                       qs.make_cq(regs, [(a, w, 1.0) for a, w in reversed(pairs)])])
+        for state in states[-1]:
+            assert [b.assignment for b in state.branches] == want
+    total = 0.0
+    for a in want:
+        total += abs(real[words.index(a)] - ideal[words.index(a)])
+    for r in states[0]:
+        for s in states[1]:
+            assert mt.cq_trace_distance(r, s) == 0.5 * total
+
+
+def test_equal_strings_distance_ignores_hash_seed():
+    # set iteration order of str values follows PYTHONHASHSEED; the
+    # distance must not: 0.3 + 0.1 + 0.2 and 0.3 + 0.2 + 0.1 differ
+    import subprocess
+    import sys
+
+    script = (
+        "from qkdsec import qstate as qs, metrics as mt\n"
+        "regs = [('x', ('0', '1', 1)), ('y', (2,))]\n"
+        "r = qs.make_classical_cq(regs, [(('0', 2), 0.3), (('1', 2), 0.1), ((1, 2), 0.2)])\n"
+        "s = qs.make_classical_cq(regs, [])\n"
+        "print(mt.cq_trace_distance(r, s).hex(), mt.cq_trace_distance(s, r).hex())\n")
+    out = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                               capture_output=True, text=True).stdout)
+    assert out == {f"{(0.5 * (0.3 + 0.1 + 0.2)).hex()} {(0.5 * (0.3 + 0.1 + 0.2)).hex()}\n"}
+
+
+def test_codes_beyond_int64():
+    # 10^20 assignments do not fit an int64 code; Python int codes keep the
+    # order, the errors and the distance
+    from cq_oracle import oracle_distance
+
+    regs = [(f"r{i}", tuple(range(10))) for i in range(20)]
+    rng = np.random.default_rng(3)
+    words = [tuple(rng.integers(0, 10, 20).tolist()) for _ in range(9)]
+    r = qs.make_classical_cq(regs, [(a, 0.1) for a in words[:8]])
+    s = qs.make_cq(regs, [(a, 0.1, 1.0) for a in words[2:]])
+    assert r.codes.dtype == object
+    assert [b.assignment for b in r.branches] == sorted(words[:8], key=qs.branch_order)
+    assert mt.cq_trace_distance(r, s) == oracle_distance(r, s)
+    assert len(qs.tensor_cq(r, s).branches) == 8 * 7
+    with pytest.raises(qs.DuplicateAssignment):
+        qs.make_classical_cq(regs, [(words[0], 0.1), (words[1], 0.1), (words[0], 0.1)])
 
 
 def test_constructors_keep_branch_order():
