@@ -17,10 +17,11 @@ from .harness import (
     SCENARIOS,
     ReportRow,
     RunConfig,
-    check_subcommand_keys,
     emit_csv,
     parse_attack,
     parse_config,
+    qkd_params,
+    reader_values,
     run_scenario,
     write_csv,
 )
@@ -30,12 +31,8 @@ from .protocols.auth import exhaustive_substitution_advantage
 from .protocols.hashing import affine_family, verify_asu2
 
 
-def _load_config(args, subcommand=None) -> RunConfig:
-    """The config file's values (if any), with ``--seed`` and ``--out`` winning.
-
-    With a ``subcommand`` name, a key that subcommand does not read is
-    refused (``UnreadKey``).
-    """
+def _load_config(args) -> RunConfig:
+    """The config file's values (if any), with ``--seed`` and ``--out`` winning."""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read(), require_seed=args.seed is None)
@@ -45,14 +42,13 @@ def _load_config(args, subcommand=None) -> RunConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
-    if subcommand is not None:
-        check_subcommand_keys(cfg, subcommand)
     return cfg
 
 
 def cmd_metrics(args) -> int:
-    cfg = _load_config(args, "metrics check")
-    trials = args.trials if args.trials is not None else cfg.param("trials")
+    cfg = _load_config(args)
+    trials = reader_values(cfg, "metrics check")["trials"]
+    trials = args.trials if args.trials is not None else trials
     results = property_suite(cfg.seed, trials)
     write_csv(cfg.out, ("property_name", "trials", "max_violation", "pass"),
               [(r.name, r.trials, r.max_violation, r.passed) for r in results])
@@ -60,11 +56,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_qkd(args) -> int:
-    cfg = _load_config(args, "qkd run")
-    params = bb84.default_params(
-        n_qubits=cfg.param("n_qubits"), t=cfg.param("t"), q_tol=cfg.param("q_tol"),
-        out_len=cfg.param("out_len"), h_rows=cfg.param("h_rows"), seed=cfg.seed)
-    attack = parse_attack(args.attack or cfg.param("attack"), params.n_qubits)
+    cfg = _load_config(args)
+    values = reader_values(cfg, "qkd run")
+    params = qkd_params("qkd run", values, cfg.seed)
+    attack = parse_attack(args.attack or values["attack"], params.n_qubits)
     run = bb84.qkd_run(params, attack)
     holds = run.advantage <= run.decomposition_bound + tol.METRIC_TOL
     write_csv(cfg.out, ("n", "attack", "p_abort", "eps_cor", "eps_sec", "advantage",
@@ -75,7 +70,8 @@ def cmd_qkd(args) -> int:
 
 
 def cmd_auth(args) -> int:
-    cfg = _load_config(args, "auth sweep")
+    cfg = _load_config(args)
+    reader_values(cfg, "auth sweep")
     fam = affine_family(args.b)
     worst_pair, bound, uniform = verify_asu2(fam)
     advantage = exhaustive_substitution_advantage(fam)
@@ -91,15 +87,16 @@ def cmd_auth(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    cfg = replace(_load_config(args), scenario=args.name)
-    rows = run_scenario(cfg)
+    cfg = _load_config(args)
+    rows = run_scenario(args.name, cfg)
     write_csv(cfg.out, ("scenario", "attack_id", "advantage", "bound", "holds"),
               [(r.scenario, r.case, r.measured, r.bound, r.holds) for r in rows])
     return 0 if all(r.holds for r in rows) else 2
 
 
 def cmd_lockdemo(args) -> int:
-    cfg = _load_config(args, "lockdemo")
+    cfg = _load_config(args)
+    reader_values(cfg, "lockdemo")
     report = scenarios.locking_demo(args.m)
     rows = [
         ReportRow("lockdemo", "post-reveal-bits", report.post_reveal_info,

@@ -6,6 +6,11 @@ seeds the randomised property checks; nothing else is random, and every
 scenario computation is an exact enumeration.  ``seeded_rng(seed, stream)``
 gives independent numbered Philox streams for callers that want them; no
 subsystem here draws from it.
+
+A config file sets only the keys it names.  ``READS`` is the one table of
+which keys each ``sim`` subcommand and each scenario (its reader) reads and
+their defaults; ``reader_values`` merges a reader's defaults under the set
+values and refuses (``UnreadKey``) a key the reader does not read.
 """
 
 from __future__ import annotations
@@ -29,8 +34,10 @@ __all__ = [
     "BadValue",
     "MissingSeed",
     "RunConfig",
+    "READS",
     "parse_config",
-    "check_subcommand_keys",
+    "reader_values",
+    "qkd_params",
     "run_scenario",
     "ReportRow",
     "write_csv",
@@ -65,23 +72,26 @@ SCENARIOS = ("leaked-key", "qkd-otp", "parallel-qkd", "key-expansion", "metrics-
 _INT_KEYS = {"n_qubits", "t", "out_len", "h_rows", "seed", "split", "msg",
              "rounds", "b", "trials"}
 _FLOAT_KEYS = {"q_tol"}
-_STR_KEYS = {"scenario", "attack", "out"}
+_STR_KEYS = {"attack", "out"}
 KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
-_DEFAULTS = {
-    "scenario": None,
-    "n_qubits": 4,
-    "t": 2,
-    "q_tol": 0.25,
-    "out_len": 1,
-    "h_rows": 1,
-    "attack": "identity",
-    "out": None,
-    "split": 0,
-    "msg": 0,
-    "rounds": 1,
-    "b": 4,
-    "trials": None,
+# the config keys each ``sim`` subcommand and each scenario reads, besides the
+# seed and the output path, with their defaults; a reader refuses every other
+# key, and the subcommands take their other values from flags
+READS = {
+    "qkd run": {"n_qubits": 4, "t": 2, "q_tol": 0.25, "out_len": 1, "h_rows": 1,
+                "attack": "identity"},
+    "auth sweep": {},
+    "metrics check": {"trials": None},
+    "lockdemo": {},
+    "leaked-key": {"n_qubits": 4, "t": 1, "q_tol": 0.25, "out_len": 2, "h_rows": 1,
+                   "split": 1},
+    "qkd-otp": {"n_qubits": 4, "t": 2, "q_tol": 0.25, "out_len": 1, "h_rows": 1,
+                "msg": 0},
+    "parallel-qkd": {"n_qubits": 3, "t": 1, "q_tol": 0.25, "out_len": 1, "h_rows": 1},
+    "key-expansion": {"n_qubits": 2, "t": 1, "q_tol": 0.25, "out_len": 1, "h_rows": 0,
+                      "rounds": 1, "b": 4},
+    "metrics-suite": {"trials": None},
 }
 
 
@@ -90,17 +100,12 @@ class RunConfig:
     """A parsed run configuration.
 
     ``params`` holds only the keys the configuration set, so an explicit
-    value wins over a scenario default even when it equals the global
-    default; :meth:`param` falls back to the global defaults.
+    value wins over a reader's default even when it equals another reader's.
     """
 
-    scenario: str | None
     seed: int
     params: dict
     out: str | None = None
-
-    def param(self, key, default=None):
-        return self.params.get(key, _DEFAULTS.get(key, default))
 
 
 def parse_config(text: str, *, require_seed: bool = True) -> RunConfig:
@@ -137,14 +142,26 @@ def parse_config(text: str, *, require_seed: bool = True) -> RunConfig:
             values[key] = value
     if "q_tol" in values and not 0.0 <= values["q_tol"] <= 1.0:
         raise BadValue(f"q_tol = {values['q_tol']} outside [0, 1]")
-    if "scenario" in values and values["scenario"] not in SCENARIOS:
-        raise BadValue(f"unknown scenario {values['scenario']!r}")
     if require_seed and "seed" not in values:
         raise MissingSeed("config must set a seed (no ambient randomness)")
     seed = values.pop("seed", 0)
-    scenario = values.pop("scenario", None)
     out = values.pop("out", None)
-    return RunConfig(scenario=scenario, seed=seed, params=values, out=out)
+    return RunConfig(seed=seed, params=values, out=out)
+
+
+def reader_values(cfg: RunConfig, reader: str) -> dict:
+    """The values ``reader`` (a key of :data:`READS`) runs with.
+
+    The config's values win over the reader's defaults; a key the reader
+    does not read is refused (``UnreadKey``), so no value is silently ignored.
+    """
+    defaults = READS[reader]
+    unread = sorted(cfg.params.keys() - defaults.keys())
+    if unread:
+        kind = "scenario" if reader in SCENARIOS else "subcommand"
+        raise UnreadKey(f"{kind} {reader!r} does not read config key "
+                        f"{', '.join(map(repr, unread))}")
+    return {**defaults, **cfg.params}
 
 
 def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -195,72 +212,18 @@ def emit_csv(rows, path) -> None:
               [(r.scenario, r.case, r.measured, r.bound, r.holds, 0.0) for r in rows])
 
 
-# scenario-appropriate protocol sizes; config values still win
-_SCENARIO_DEFAULTS = {
-    "leaked-key": {"n_qubits": 4, "t": 1, "out_len": 2, "h_rows": 1, "split": 1},
-    "qkd-otp": {"n_qubits": 4, "t": 2, "out_len": 1, "h_rows": 1},
-    "parallel-qkd": {"n_qubits": 3, "t": 1, "out_len": 1, "h_rows": 1},
-    "key-expansion": {"n_qubits": 2, "t": 1, "out_len": 1, "h_rows": 0},
-}
-
 _SCENARIO_CAPS = {"parallel-qkd": 3, "key-expansion": 3}
 
-# the config keys each scenario reads, besides the seed and the output path
-_QKD_KEYS = {"n_qubits", "t", "q_tol", "out_len", "h_rows"}
-_SCENARIO_KEYS = {
-    "leaked-key": _QKD_KEYS | {"split"},
-    "qkd-otp": _QKD_KEYS | {"msg"},
-    "parallel-qkd": _QKD_KEYS,
-    "key-expansion": _QKD_KEYS | {"rounds", "b"},
-    "metrics-suite": {"trials"},
-}
-# the config keys each other ``sim`` subcommand reads, besides the seed and
-# the output path; its other values come from flags
-_SUBCOMMAND_KEYS = {
-    "qkd run": _QKD_KEYS | {"attack"},
-    "auth sweep": set(),
-    "metrics check": {"trials"},
-    "lockdemo": set(),
-}
 
-
-def _refuse_unread(keys, reader: str, read) -> None:
-    unread = sorted(set(keys) - read)
-    if unread:
-        raise UnreadKey(f"{reader} does not read config key "
-                        f"{', '.join(map(repr, unread))}")
-
-
-def check_subcommand_keys(cfg: RunConfig, subcommand: str) -> None:
-    """Refuse (``UnreadKey``) every config key ``sim subcommand`` does not read.
-
-    ``subcommand`` is one of ``qkd run``, ``auth sweep``, ``metrics check``
-    and ``lockdemo``; none of them reads ``scenario``.
-    """
-    keys = set(cfg.params) | ({"scenario"} if cfg.scenario is not None else set())
-    _refuse_unread(keys, f"subcommand {subcommand!r}", _SUBCOMMAND_KEYS[subcommand])
-
-
-def _scenario_param(cfg: RunConfig, key):
-    if key in cfg.params:
-        return cfg.params[key]
-    return _SCENARIO_DEFAULTS.get(cfg.scenario, {}).get(key, cfg.param(key))
-
-
-def _qkd_params(cfg: RunConfig) -> bb84.QkdParams:
-    cap = _SCENARIO_CAPS.get(cfg.scenario)
-    n = _scenario_param(cfg, "n_qubits")
+def qkd_params(reader: str, values: dict, seed: int) -> bb84.QkdParams:
+    """The protocol parameters in ``reader_values(cfg, reader)``, drawn from ``seed``."""
+    cap = _SCENARIO_CAPS.get(reader)
+    n = values["n_qubits"]
     if cap is not None and n > cap:
-        raise BadValue(
-            f"scenario {cfg.scenario!r} supports n_qubits <= {cap}, got {n}")
+        raise BadValue(f"scenario {reader!r} supports n_qubits <= {cap}, got {n}")
     return bb84.default_params(
-        n_qubits=n,
-        t=_scenario_param(cfg, "t"),
-        q_tol=_scenario_param(cfg, "q_tol"),
-        out_len=_scenario_param(cfg, "out_len"),
-        h_rows=_scenario_param(cfg, "h_rows"),
-        seed=cfg.seed,
-    )
+        n_qubits=n, t=values["t"], q_tol=values["q_tol"], out_len=values["out_len"],
+        h_rows=values["h_rows"], seed=seed)
 
 
 def parse_attack(spec: str, n: int):
@@ -315,17 +278,14 @@ def save_channel(path, channel) -> None:
             write_rows(fh, op)
 
 
-def run_scenario(cfg: RunConfig) -> list[ReportRow]:
-    """Execute one named scenario; deterministic given the config seed.
+def run_scenario(name: str, cfg: RunConfig) -> list[ReportRow]:
+    """Execute the scenario ``name``; deterministic given the config seed.
 
-    A config key the scenario does not read is refused (``UnreadKey``), so
-    no value is silently ignored.
+    A config key the scenario does not read is refused (``UnreadKey``).
     """
-    if cfg.scenario is None:
-        raise BadValue("config does not name a scenario")
-    if cfg.scenario not in _SCENARIO_KEYS:
-        raise BadValue(f"unknown scenario {cfg.scenario!r}")
-    _refuse_unread(cfg.params, f"scenario {cfg.scenario!r}", _SCENARIO_KEYS[cfg.scenario])
+    if name not in SCENARIOS:
+        raise BadValue(f"unknown scenario {name!r}")
+    values = reader_values(cfg, name)
     rows: list[ReportRow] = []
     last = time.perf_counter()
 
@@ -335,45 +295,30 @@ def run_scenario(cfg: RunConfig) -> list[ReportRow]:
         now = time.perf_counter()
         ms = (now - last) * 1000.0
         last = now
-        rows.append(ReportRow(cfg.scenario, case, float(measured), float(bound),
-                              bool(holds), ms))
+        rows.append(ReportRow(name, case, float(measured), float(bound), bool(holds), ms))
 
-    if cfg.scenario == "metrics-suite":
-        for res in property_suite(cfg.seed, cfg.param("trials")):
+    if name == "metrics-suite":
+        for res in property_suite(cfg.seed, values["trials"]):
             add(res.name, res.max_violation, tol.METRIC_TOL, res.passed)
         return rows
 
-    if cfg.scenario == "leaked-key":
-        params = _qkd_params(cfg)
+    params = qkd_params(name, values, cfg.seed)
+    if name in ("leaked-key", "qkd-otp"):
         attacks = [bb84.identity_attack(),
                    bb84.intercept_resend(params.n_qubits, 1.0)]
-        report = scenarios.leaked_key_scenario(params, _scenario_param(cfg, "split"),
-                                               attacks)
+        report = (scenarios.leaked_key_scenario(params, values["split"], attacks)
+                  if name == "leaked-key"
+                  else scenarios.qkd_otp_scenario(params, values["msg"], attacks))
         add(report.name, report.left_value, tol.METRIC_TOL, report.holds)
-        return rows
-
-    if cfg.scenario == "qkd-otp":
-        params = _qkd_params(cfg)
-        attacks = [bb84.identity_attack(),
-                   bb84.intercept_resend(params.n_qubits, 1.0)]
-        report = scenarios.qkd_otp_scenario(params, _scenario_param(cfg, "msg"),
-                                            attacks)
-        add(report.name, report.left_value, tol.METRIC_TOL, report.holds)
-        return rows
-
-    if cfg.scenario == "parallel-qkd":
-        params = _qkd_params(cfg)
-        report, cases, eps_single = scenarios.parallel_qkd_scenario(params)
-        for name, value in cases:
-            add(name, value, 2.0 * eps_single, value <= 2.0 * eps_single + tol.METRIC_TOL)
-        return rows
-
-    if cfg.scenario == "key-expansion":
-        params = _qkd_params(cfg)
-        fam = affine_family(cfg.param("b"))
-        result = scenarios.key_expansion(cfg.param("rounds"), fam, params)
-        for name, value in result.rows:
-            add(name, value, result.ledger.total,
+    elif name == "parallel-qkd":
+        _, cases, eps_single = scenarios.parallel_qkd_scenario(params)
+        for case, value in cases:
+            add(case, value, 2.0 * eps_single, value <= 2.0 * eps_single + tol.METRIC_TOL)
+    else:
+        result = scenarios.key_expansion(values["rounds"], affine_family(values["b"]),
+                                         params)
+        for case, value in result.rows:
+            add(case, value, result.ledger.total,
                 value <= result.ledger.total + tol.METRIC_TOL)
         add("ledger-total", result.ledger.total, result.ledger.total, True)
     return rows

@@ -79,8 +79,18 @@ def _pair_counts(fam: HashFamily, x: int, x2: int) -> tuple[np.ndarray, np.ndarr
     return counts, sums
 
 
+def _check_forged(order: int, pairs) -> None:
+    # a negative message or tag would read the tables from their ends
+    messages, tags = zip(*pairs)
+    if min(messages) < 0 or max(messages) >= order or min(tags) < 0 or max(tags) >= order:
+        bad = next(p for p in pairs if not (0 <= p[0] < order and 0 <= p[1] < order))
+        raise LengthOverflow(f"forged pair {bad!r} outside the message and tag "
+                             f"space range({order})")
+
+
 def accept_probability(fam: HashFamily, x: int, y: int, x2: int, y2: int) -> float:
     """Pr over keys consistent with (x, y) that the forged (x2, y2) verifies."""
+    _check_forged(fam.tag_space, [(x2, y2)])
     if x2 == x:
         return 1.0 if y2 == y else 0.0
     counts, sums = _pair_counts(fam, x, x2)
@@ -124,6 +134,7 @@ def build_auth_systems(fam: HashFamily):
 
     def real_evaluator(attack: AttackStrategy) -> CQState:
         x, forged = _common(attack)
+        _check_forged(order, forged)
         x2 = [m for m, _ in forged]
         y2 = np.array([t for _, t in forged])
         # resending x verifies exactly when the tag is kept

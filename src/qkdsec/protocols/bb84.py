@@ -54,7 +54,7 @@ from ..acframework import (
 from ..linalg import coset_leader_table, gf2_rank, psd_sqrt
 from ..metrics import BoundReport
 from ..qstate import DimensionCap, KrausChannel, make_channel
-from ..tolerances import RANK_CUTOFF, SECTOR_CUTOFF
+from ..tolerances import DIM_CAP, RANK_CUTOFF, SECTOR_CUTOFF
 from .hashing import default_code_matrices
 
 __all__ = [
@@ -421,6 +421,10 @@ class _Engine:
                        * cell_ops[None, :, None, :, None, :, None, :]).reshape(
                     idx.shape + (ops.shape[2] * d,) * 2)
             return _RestBlock(w_member, idx=idx, ops=ops)
+        cols = math.prod(len(tab.col_ab[theta]) for tab, theta in zip(tabs, thetas))
+        if cols > DIM_CAP:
+            raise DimensionCap(f"rest block Gram matrix of {cols} columns exceeds "
+                               f"cap {DIM_CAP}")
         member_of_col = np.zeros(1, dtype=np.int64)
         gram = np.ones((1, 1), dtype=complex)
         for tab, theta in zip(tabs, thetas):

@@ -384,8 +384,10 @@ def parallel_qkd_scenario(params: QkdParams):
     """Advantage of two parallel runs against twice the single-run bound.
 
     The rows are the product attacks (pairs over identity, full
-    intercept-resend, steal-and-replace), each from ``product_pair_advantage``,
-    followed by the swap crossing attack from ``swap_crossing_advantage``.
+    intercept-resend, steal-and-replace), each from ``product_pair_advantage``
+    and left out where it raises ``ScheduleMismatch`` (a pair term over a
+    quantum attack), followed by the swap crossing attack from
+    ``swap_crossing_advantage``.
     Every composite value must stay within 2 * eps_single where eps_single
     is the single-run family maximum.
     """
@@ -401,15 +403,11 @@ def parallel_qkd_scenario(params: QkdParams):
     rows = []
     for left in singles:
         for right in singles:
-            if "steal" in (left.name, right.name) and left.name == right.name:
-                continue  # both-sides quantum pair needs no extra coverage
-            name = f"{left.name}||{right.name}"
-            r1, r2 = runs[left.name], runs[right.name]
-            if r1.advantage > 0.0 and r2.advantage > 0.0 and (
-                    "steal" in left.name or "steal" in right.name):
+            try:
+                value = product_pair_advantage(runs[left.name], runs[right.name])
+            except ScheduleMismatch:
                 continue  # pair term needs classical sides; covered by IR pairs
-            value = product_pair_advantage(r1, r2)
-            rows.append((name, value))
+            rows.append((f"{left.name}||{right.name}", value))
     rows.append(("swap-crossing", swap_crossing_advantage(params)))
     worst = max(v for _, v in rows)
     report = BoundReport("parallel-qkd-two-instances", worst, 2.0 * eps_single)

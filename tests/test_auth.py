@@ -84,6 +84,24 @@ def test_family_advantage_below_exhaustive():
     assert measured <= exhaustive + 1e-12
 
 
+@pytest.mark.parametrize("x2, y2", [(1, -1), (1, 8), (-1, 0)],
+                         ids=["tag-minus-1", "tag-8", "message-minus-1"])
+def test_accept_probability_refuses_forgery_outside_space(x2, y2):
+    # a negative value would read the tables from their ends
+    with pytest.raises(auth.LengthOverflow, match=r"forged pair .* outside"):
+        auth.accept_probability(affine_family(3), 0, 0, x2, y2)
+
+
+def test_real_evaluator_refuses_forged_tag_outside_space():
+    from qkdsec.acframework import AttackStrategy, evaluate
+
+    attack = AttackStrategy(name="wrap", inputs=(("message", 0),),
+                            tamper=(("auth", lambda pair: (1, -1)),))
+    real, _ = auth.build_auth_systems(affine_family(3))
+    with pytest.raises(auth.LengthOverflow, match=r"forged pair \(1, -1\) outside"):
+        evaluate(real, attack)
+
+
 def test_identity_attack_advantage_zero():
     fam = affine_family(3)
     real, ideal = auth.build_auth_systems(fam)

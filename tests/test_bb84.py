@@ -165,6 +165,16 @@ def test_attack_input_validation():
         bb84.custom_attack(4, make_channel([big_env], out_dims=(2, 5)))
 
 
+def test_wide_gram_block_is_refused_before_allocation():
+    # steal-replace's all-X block at width 6 has 8^6 Gram columns; building
+    # its Gram matrix failed with a 16 GiB request at the fifth position
+    from qkdsec.qstate import DimensionCap
+
+    params = bb84.default_params(n_qubits=10, t=4, h_rows=2, seed=1)
+    with pytest.raises(DimensionCap, match="262144 columns exceeds cap 16384"):
+        bb84.qkd_run(params, bb84.steal_replace_attack(10))
+
+
 def test_custom_attack_runs():
     from qkdsec.qstate import depolarizing_channel
 

@@ -238,7 +238,7 @@ def test_violated_bound_exits_2(tmp_path, monkeypatch):
 @pytest.mark.parametrize("subcommand,argv,line", [
     ("qkd run", ["qkd", "run"], "split = -1"),
     ("qkd run", ["qkd", "run"], "b = 40"),
-    ("qkd run", ["qkd", "run"], "scenario = leaked-key"),
+    ("qkd run", ["qkd", "run"], "rounds = 2"),
     ("auth sweep", ["auth", "sweep", "--b", "3"], "b = 40"),
     ("auth sweep", ["auth", "sweep", "--b", "3"], "n_qubits = 99"),
     ("metrics check", ["metrics", "check"], "n_qubits = 3"),
@@ -252,4 +252,18 @@ def test_subcommand_unread_key_exits_1(tmp_path, capsys, subcommand, argv, line)
     key = line.split(" = ")[0]
     assert capsys.readouterr().err == \
         f"error: subcommand '{subcommand}' does not read config key '{key}'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "scenario", "--name", "qkd-otp"], ["qkd", "run"],
+    ["auth", "sweep", "--b", "3"], ["metrics", "check"], ["lockdemo", "--m", "2"],
+], ids=["compose scenario", "qkd run", "auth sweep", "metrics check", "lockdemo"])
+def test_config_scenario_key_exits_1(tmp_path, capsys, argv):
+    # --name alone picks the scenario; a config naming one is refused
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\nscenario = leaked-key\n")
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: line 2: unknown key 'scenario'\n"
     assert not out.exists()

@@ -6,16 +6,20 @@ import pytest
 
 from qkdsec import harness
 from qkdsec.harness import (
+    KNOWN_KEYS,
+    READS,
+    SCENARIOS,
     BadValue,
     MissingSeed,
     ReportRow,
     UnknownKey,
     UnreadKey,
-    check_subcommand_keys,
     emit_csv,
     load_channel,
     parse_attack,
     parse_config,
+    qkd_params,
+    reader_values,
     run_scenario,
     save_channel,
     seeded_rng,
@@ -26,14 +30,15 @@ from qkdsec.harness import (
 def test_parse_config_minimal():
     cfg = parse_config("seed = 42")
     assert cfg.seed == 42
-    assert cfg.param("n_qubits") == 4  # defaults filled
-    assert cfg.param("q_tol") == 0.25
+    assert cfg.params == {}
+    values = reader_values(cfg, "qkd run")
+    assert values["n_qubits"] == 4  # defaults filled
+    assert values["q_tol"] == 0.25
 
 
 def test_parse_config_full():
     text = """
     # protocol size
-    scenario = parallel-qkd
     n_qubits = 3
     t = 1
     q_tol = 0.1
@@ -42,9 +47,9 @@ def test_parse_config_full():
     seed = 7
     """
     cfg = parse_config(text)
-    assert cfg.scenario == "parallel-qkd"
-    assert cfg.param("n_qubits") == 3
-    assert cfg.param("q_tol") == 0.1
+    values = reader_values(cfg, "parallel-qkd")
+    assert values["n_qubits"] == 3
+    assert values["q_tol"] == 0.1
 
 
 def test_parse_config_errors():
@@ -60,23 +65,76 @@ def test_parse_config_errors():
         parse_config("seed = 1\nn_qubits = four")
     with pytest.raises(MissingSeed):
         parse_config("n_qubits = 4")
-    with pytest.raises(BadValue):
-        parse_config("seed = 1\nscenario = nonsense")
     with pytest.raises(UnknownKey):  # lockdemo reads only --m
         parse_config("seed = 1\nm = 3")
+    for line in ("scenario = leaked-key", "scenario = nonsense"):  # only --name picks one
+        with pytest.raises(UnknownKey, match="line 2: unknown key 'scenario'"):
+            parse_config(f"seed = 1\n{line}")
 
 
 def test_config_values_win_over_scenario_defaults():
-    # t = 2 and out_len = 1 equal the global defaults but not leaked-key's
-    cfg = parse_config("seed = 1\nscenario = leaked-key\nt = 2\nout_len = 1\nsplit = 0")
-    params = harness._qkd_params(cfg)
+    # t = 2 and out_len = 1 equal qkd run's defaults but not leaked-key's
+    cfg = parse_config("seed = 1\nt = 2\nout_len = 1\nsplit = 0")
+    values = reader_values(cfg, "leaked-key")
+    params = qkd_params("leaked-key", values, cfg.seed)
     assert (params.n_qubits, params.t, params.out_len, len(params.h_matrix)) == (4, 2, 1, 1)
-    assert harness._scenario_param(cfg, "split") == 0
+    assert values["split"] == 0
     # a run without a config keeps the scenario defaults
-    bare = parse_config("seed = 1\nscenario = leaked-key")
-    params = harness._qkd_params(bare)
+    bare = parse_config("seed = 1")
+    values = reader_values(bare, "leaked-key")
+    params = qkd_params("leaked-key", values, bare.seed)
     assert (params.n_qubits, params.t, params.out_len, len(params.h_matrix)) == (4, 1, 2, 1)
-    assert harness._scenario_param(bare, "split") == 1
+    assert values["split"] == 1
+
+
+def test_config_values_win_in_a_scenario_run(monkeypatch):
+    # the run itself gets t = 2, out_len = 1 and split = 0, which are not
+    # leaked-key's defaults but equal those of other readers
+    seen = []
+    leaked_key_scenario = harness.scenarios.leaked_key_scenario
+
+    def spy(params, split, attacks):
+        seen.append((params.n_qubits, params.t, params.out_len, len(params.h_matrix), split))
+        return leaked_key_scenario(params, split, attacks)
+
+    monkeypatch.setattr(harness.scenarios, "leaked_key_scenario", spy)
+    rows = run_scenario("leaked-key", parse_config("seed = 1\nt = 2\nout_len = 1\nsplit = 0"))
+    bare = run_scenario("leaked-key", parse_config("seed = 1"))
+    assert seen == [(4, 2, 1, 1, 0), (4, 1, 2, 1, 1)]
+    assert (rows[0].case, bare[0].case) == ("leaked-key-split0", "leaked-key-split1")
+
+
+def _non_default(key):
+    """A config value for ``key`` unlike any reader's default."""
+    if key == "q_tol":
+        return "0.5"
+    if key == "attack":
+        return "depolarize:0.3"
+    defaults = {reads[key] for reads in READS.values() if key in reads} - {None}
+    return str(max(defaults, default=0) + 1)
+
+
+def test_reader_table_covers_every_known_key():
+    read = set().union(*READS.values())
+    assert read | {"seed", "out"} == KNOWN_KEYS
+    assert set(SCENARIOS) < set(READS)
+
+
+@pytest.mark.parametrize("reader", sorted(READS))
+def test_reader_takes_its_keys_and_refuses_every_other(reader):
+    reads = READS[reader]
+    text = "seed = 1\nout = x.csv\n" + "".join(f"{key} = {_non_default(key)}\n"
+                                               for key in reads)
+    cfg = parse_config(text)
+    values = reader_values(cfg, reader)
+    assert values == cfg.params and set(values) == set(reads)
+    assert all(values[key] != reads[key] for key in reads)
+    kind = "scenario" if reader in SCENARIOS else "subcommand"
+    for key in sorted(KNOWN_KEYS - set(reads) - {"seed", "out"}):
+        cfg = parse_config(f"seed = 1\n{key} = {_non_default(key)}")
+        with pytest.raises(UnreadKey) as err:
+            reader_values(cfg, reader)
+        assert str(err.value) == f"{kind} '{reader}' does not read config key '{key}'"
 
 
 def test_seeded_rng_deterministic_streams():
@@ -115,9 +173,9 @@ def test_write_csv_cells(tmp_path, capsys):
 
 
 def test_run_scenario_deterministic_csv(tmp_path):
-    cfg = parse_config("seed = 3\nscenario = key-expansion\nrounds = 1")
-    rows1 = run_scenario(cfg)
-    rows2 = run_scenario(cfg)
+    cfg = parse_config("seed = 3\nrounds = 1")
+    rows1 = run_scenario("key-expansion", cfg)
+    rows2 = run_scenario("key-expansion", cfg)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(rows1, p1)
     emit_csv(rows2, p2)
@@ -126,8 +184,8 @@ def test_run_scenario_deterministic_csv(tmp_path):
 
 
 def test_run_scenario_metrics_suite():
-    cfg = parse_config("seed = 5\nscenario = metrics-suite\ntrials = 5")
-    rows = run_scenario(cfg)
+    cfg = parse_config("seed = 5\ntrials = 5")
+    rows = run_scenario("metrics-suite", cfg)
     assert len(rows) >= 10
     assert all(r.holds for r in rows)
     names = {r.case for r in rows}
@@ -139,24 +197,24 @@ def test_run_scenario_metrics_suite():
     ("qkd-otp", "b = 40"), ("parallel-qkd", "rounds = 2"), ("metrics-suite", "n_qubits = 3"),
     ("qkd-otp", "attack = depolarize:0.3")])
 def test_run_scenario_refuses_unread_keys(scenario, line):
-    cfg = parse_config(f"seed = 1\nscenario = {scenario}\n{line}")
+    cfg = parse_config(f"seed = 1\n{line}")
     key = line.split(" = ")[0]
     with pytest.raises(UnreadKey, match=f"{scenario}' does not read config key '{key}'"):
-        run_scenario(cfg)
+        run_scenario(scenario, cfg)
 
 
 def test_subcommand_keys():
     # every key a subcommand reads passes; any other is named
     qkd = parse_config("seed = 1\nn_qubits = 3\nt = 1\nq_tol = 0.1\nout_len = 1\n"
                        "h_rows = 1\nattack = identity\nout = x.csv")
-    check_subcommand_keys(qkd, "qkd run")
-    check_subcommand_keys(parse_config("seed = 1\ntrials = 3"), "metrics check")
+    reader_values(qkd, "qkd run")
+    reader_values(parse_config("seed = 1\ntrials = 3"), "metrics check")
     for subcommand in ("auth sweep", "lockdemo"):
-        check_subcommand_keys(parse_config("seed = 1\nout = x.csv"), subcommand)
+        reader_values(parse_config("seed = 1\nout = x.csv"), subcommand)
         with pytest.raises(UnreadKey, match=f"'{subcommand}' does not read config key 'n_qubits', 't'"):
-            check_subcommand_keys(parse_config("seed = 1\nt = 1\nn_qubits = 3"), subcommand)
+            reader_values(parse_config("seed = 1\nt = 1\nn_qubits = 3"), subcommand)
     with pytest.raises(UnreadKey, match="'metrics check' does not read config key 'attack'"):
-        check_subcommand_keys(parse_config("seed = 1\nattack = identity"), "metrics check")
+        reader_values(parse_config("seed = 1\nattack = identity"), "metrics check")
 
 
 def test_parse_attack_specs():
@@ -217,9 +275,9 @@ def test_load_channel_header_errors(tmp_path):
 
 
 def test_run_scenario_runtime_is_per_case():
-    cfg = parse_config("seed = 3\nscenario = key-expansion\nrounds = 2")
+    cfg = parse_config("seed = 3\nrounds = 2")
     started = time.perf_counter()
-    rows = run_scenario(cfg)
+    rows = run_scenario("key-expansion", cfg)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     assert len(rows) == 9
     assert all(r.runtime_ms >= 0.0 for r in rows)
