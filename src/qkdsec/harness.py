@@ -2,8 +2,9 @@
 
 Every run is driven by one 64-bit seed.  The seed picks the parity-check
 and hashing matrices H and T of a QKD run (``default_code_matrices``) and
-seeds the randomised property checks; nothing else is random, and every
-scenario computation is an exact enumeration.  ``seeded_rng(seed, stream)``
+seeds the randomised property checks of ``sim metrics check``; nothing else
+is random, and every composition scenario (``SCENARIOS``, run by
+``run_scenario``) is an exact enumeration.  ``seeded_rng(seed, stream)``
 gives independent numbered Philox streams for callers that want them; no
 subsystem here draws from it.
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .metrics import property_suite
 from .qstate import make_channel, read_rows, write_rows
 from .protocols import bb84, scenarios
 from .protocols.hashing import affine_family
@@ -67,13 +67,14 @@ class MissingSeed(ConfigError):
     pass
 
 
-SCENARIOS = ("leaked-key", "qkd-otp", "parallel-qkd", "key-expansion", "metrics-suite")
+SCENARIOS = ("leaked-key", "qkd-otp", "parallel-qkd", "key-expansion")
 
-_INT_KEYS = {"n_qubits", "t", "out_len", "h_rows", "seed", "split", "msg",
-             "rounds", "b", "trials"}
-_FLOAT_KEYS = {"q_tol"}
-_STR_KEYS = {"attack", "out"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+# every config key and the type its value is converted to
+_KEY_TYPES = {"n_qubits": int, "t": int, "out_len": int, "h_rows": int, "seed": int,
+              "split": int, "msg": int, "rounds": int, "b": int, "trials": int,
+              "q_tol": float, "attack": str, "out": str}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+KNOWN_KEYS = set(_KEY_TYPES)
 
 # the config keys each ``sim`` subcommand and each scenario reads, besides the
 # seed and the output path, with their defaults; a reader refuses every other
@@ -91,7 +92,6 @@ READS = {
     "parallel-qkd": {"n_qubits": 3, "t": 1, "q_tol": 0.25, "out_len": 1, "h_rows": 1},
     "key-expansion": {"n_qubits": 2, "t": 1, "q_tol": 0.25, "out_len": 1, "h_rows": 0,
                       "rounds": 1, "b": 4},
-    "metrics-suite": {"trials": None},
 }
 
 
@@ -128,18 +128,12 @@ def parse_config(text: str, *, require_seed: bool = True) -> RunConfig:
             raise UnknownKey(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise BadValue(f"line {lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise BadValue(f"line {lineno}: {key} must be an integer, got {value!r}")
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise BadValue(f"line {lineno}: {key} must be a number, got {value!r}")
-        else:
-            values[key] = value
+        kind = _KEY_TYPES[key]
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise BadValue(f"line {lineno}: {key} must be {_TYPE_NAMES[kind]}, "
+                           f"got {value!r}")
     if "q_tol" in values and not 0.0 <= values["q_tol"] <= 1.0:
         raise BadValue(f"q_tol = {values['q_tol']} outside [0, 1]")
     if require_seed and "seed" not in values:
@@ -296,11 +290,6 @@ def run_scenario(name: str, cfg: RunConfig) -> list[ReportRow]:
         ms = (now - last) * 1000.0
         last = now
         rows.append(ReportRow(name, case, float(measured), float(bound), bool(holds), ms))
-
-    if name == "metrics-suite":
-        for res in property_suite(cfg.seed, values["trials"]):
-            add(res.name, res.max_violation, tol.METRIC_TOL, res.passed)
-        return rows
 
     params = qkd_params(name, values, cfg.seed)
     if name in ("leaked-key", "qkd-otp"):

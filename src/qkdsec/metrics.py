@@ -4,6 +4,10 @@ Everything here is an exact spectral computation at desk scale: trace
 distances come from full eigendecompositions (block-diagonal shortcuts for
 classical-quantum states), couplings are constructed explicitly, and every
 inequality is packaged as a :class:`BoundReport` with its measured slack.
+
+``property_suite`` (``sim metrics check``) samples these identities and
+bounds on random instances: one loop over the table ``_PROPERTIES``, whose
+trial functions each return one violation per property they check.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .qstate import (
     make_cq,
     make_density,
     make_povm,
+    maximally_mixed,
     random_channel,
     random_density,
     tensor_product,
@@ -527,6 +532,12 @@ def _random_distribution(rng, size):
     return p / p.sum()
 
 
+def _distribution_pair(rng):
+    size = int(rng.integers(2, 33))
+    return (ClassicalDistribution(tuple(range(size)), _random_distribution(rng, size)),
+            ClassicalDistribution(tuple(range(size)), _random_distribution(rng, size)))
+
+
 def _random_cq_key_state(rng, n_key, dim_e):
     weights = _random_distribution(rng, n_key)
     branches = []
@@ -537,143 +548,127 @@ def _random_cq_key_state(rng, n_key, dim_e):
     return make_cq([("K", tuple(range(n_key)))], branches, (dim_e,))
 
 
-class InvalidTrials(ValueError):
-    pass
-
-
-def property_suite(seed: int, trials: int | None = None) -> list[PropertyResult]:
-    """Run every named metric property; one result row per property."""
-    if trials is not None and trials < 1:
-        raise InvalidTrials(f"trials = {trials} must be at least 1")
-    results = []
-    rng = np.random.default_rng([seed, 0x6D657472])
-
-    def scaled(n):
-        return n if trials is None else min(trials, n)
-
-    # total-variation alternative formula
-    worst = 0.0
-    n = scaled(500)
-    for _ in range(n):
-        size = int(rng.integers(2, 33))
-        p = ClassicalDistribution(tuple(range(size)), _random_distribution(rng, size))
-        q = ClassicalDistribution(tuple(range(size)), _random_distribution(rng, size))
-        worst = max(worst, abs(total_variation(p, q) - _overlap(p, q)))
-    results.append(PropertyResult("tv-alternative-formula", n, worst,
-                                  worst <= tol.EXACT_TOL))
-
-    # metric axioms
-    n = scaled(200)
-    worst_id = worst_sym = worst_tri = 0.0
-    for _ in range(n):
-        r, s = _random_pair(rng)
-        t2 = _random_pair(rng)[0]
-        while t2.dim != r.dim:
-            t2 = _random_pair(rng)[0]
-        worst_id = max(worst_id, trace_distance(r, r))
-        worst_sym = max(worst_sym, abs(trace_distance(r, s) - trace_distance(s, r)))
-        worst_tri = max(worst_tri, trace_distance(r, s)
-                        - trace_distance(r, t2) - trace_distance(t2, s))
-    results.append(PropertyResult("metric-identity", n, worst_id, worst_id <= tol.METRIC_TOL))
-    results.append(PropertyResult("metric-symmetry", n, worst_sym, worst_sym <= tol.EXACT_TOL))
-    results.append(PropertyResult("metric-triangle", n, worst_tri, worst_tri <= tol.METRIC_TOL))
-
-    # data processing under random channels
-    n = scaled(100)
-    worst = 0.0
-    for _ in range(n):
-        r, s = _random_pair(rng)
-        ch = random_channel(int(rng.integers(0, 2 ** 31)), r.dim,
-                            kraus=int(rng.integers(1, 4)))
-        worst = max(worst, trace_distance(apply_channel(ch, r, 0), apply_channel(ch, s, 0))
-                    - trace_distance(r, s))
-    results.append(PropertyResult("data-processing", n, worst, worst <= tol.METRIC_TOL))
-
-    # tensoring a fixed state changes nothing
-    n = scaled(50)
-    worst = 0.0
-    for _ in range(n):
-        r, s = _random_pair(rng, max_dim=4)
-        extra = random_density(int(rng.integers(0, 2 ** 31)), int(rng.integers(2, 4)), 2)
-        worst = max(worst, abs(trace_distance(tensor_product(r, extra),
-                                              tensor_product(s, extra))
-                               - trace_distance(r, s)))
-    results.append(PropertyResult("product-invariance", n, worst, worst <= tol.METRIC_TOL))
-
-    # Helstrom equality and POVM audit
-    n = scaled(50)
-    worst_eq = worst_beat = 0.0
-    for _ in range(n):
-        r, s = _random_pair(rng)
-        d = trace_distance(r, s)
-        povm = helstrom_povm(r, s)
-        achieved = 0.5 * float(np.trace(povm.elements[0] @ r.matrix).real) \
-            + 0.5 * float(np.trace(povm.elements[1] @ s.matrix).real)
-        worst_eq = max(worst_eq, abs(achieved - (0.5 + 0.5 * d)))
-        for _ in range(20):
-            m = _random_effect(rng, r.dim)
-            guess = 0.5 + 0.5 * float(np.trace(m @ (r.matrix - s.matrix)).real)
-            worst_beat = max(worst_beat, guess - (0.5 + 0.5 * d))
-    results.append(PropertyResult("helstrom-equality", n, worst_eq, worst_eq <= tol.METRIC_TOL))
-    results.append(PropertyResult("helstrom-optimality-audit", n, worst_beat,
-                                  worst_beat <= tol.METRIC_TOL))
-
-    # maximal coupling equality and alternative-coupling audit
-    n = scaled(200)
-    worst_eq = worst_marg = worst_alt = 0.0
-    for _ in range(n):
-        size = int(rng.integers(2, 33))
-        p = ClassicalDistribution(tuple(range(size)), _random_distribution(rng, size))
-        q = ClassicalDistribution(tuple(range(size)), _random_distribution(rng, size))
-        cp = maximal_coupling(p, q)
-        tv = total_variation(p, q)
-        worst_eq = max(worst_eq, abs(cp.pr_equal - (1.0 - tv)))
-        worst_marg = max(worst_marg,
-                         float(np.abs(cp.marginal_left() - p.probs).max()),
-                         float(np.abs(cp.marginal_right() - q.probs).max()))
-        alt = np.outer(p.probs, q.probs)  # independent coupling
-        worst_alt = max(worst_alt, float(np.trace(alt)) - (1.0 - tv))
-    results.append(PropertyResult("coupling-equality", n, worst_eq, worst_eq <= tol.EXACT_TOL))
-    results.append(PropertyResult("coupling-marginals", n, worst_marg,
-                                  worst_marg <= tol.EXACT_TOL))
-    results.append(PropertyResult("coupling-alternative-audit", n, worst_alt,
-                                  worst_alt <= tol.EXACT_TOL))
-
-    # entropy/guessing bound suite on random cq states
-    n = scaled(500)
-    worst_l5 = worst_af = worst_pin = worst_rel = worst_b = 0.0
-    for _ in range(n):
-        n_key = int(rng.choice([2, 4]))
-        dim_e = int(rng.integers(2, 5))
-        c = _random_cq_key_state(rng, n_key, dim_e)
-        eps = cq_trace_distance(c, uniform_key_twin(c))
-        if n_key == 2:
-            worst_l5 = max(worst_l5, pguess_exact(c) - (1.0 / n_key + eps))
-        for rep in entropy_bounds(c):
-            if not rep.applicable:
-                continue
-            value = -rep.slack
-            if rep.name == "alicki-fannes-lower":
-                worst_af = max(worst_af, value)
-            elif rep.name == "pinsker-distance":
-                worst_pin = max(worst_pin, value)
-            else:
-                worst_rel = max(worst_rel, value)
-        sigma = _side_marginal(c)
-        rep = alt_secrecy_relation(c, [sigma], 0)
-        worst_b = max(worst_b, -rep.slack)
-    results.append(PropertyResult("pguess-bound", n, worst_l5, worst_l5 <= tol.METRIC_TOL))
-    results.append(PropertyResult("alicki-fannes", n, worst_af, worst_af <= tol.METRIC_TOL))
-    results.append(PropertyResult("pinsker-type", n, worst_pin, worst_pin <= tol.METRIC_TOL))
-    results.append(PropertyResult("relative-entropy-quadratic", n, worst_rel,
-                                  worst_rel <= tol.METRIC_TOL))
-    results.append(PropertyResult("alternative-secrecy-factor2", n, worst_b,
-                                  worst_b <= tol.METRIC_TOL))
-    return results
-
-
 def _random_effect(rng, dim):
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = h + h.conj().T
     w = np.linalg.eigvalsh(h)
     return (h - w[0] * np.eye(dim)) / max(w[-1] - w[0], 1e-12)
+
+
+# Each trial draws one instance from the suite's generator and returns one
+# violation per property it checks: how far its inequality fails or its
+# equality is off.  A property holds when its largest violation is within
+# its tolerance.
+
+def _tv_trial(rng):
+    p, q = _distribution_pair(rng)
+    return (abs(total_variation(p, q) - _overlap(p, q)),)
+
+
+def _metric_trial(rng):
+    r, s = _random_pair(rng)
+    t = _random_pair(rng)[0]
+    while t.dim != r.dim:
+        t = _random_pair(rng)[0]
+    d = trace_distance(r, s)
+    return (trace_distance(r, r), abs(d - trace_distance(s, r)),
+            d - trace_distance(r, t) - trace_distance(t, s))
+
+
+def _data_processing_trial(rng):
+    r, s = _random_pair(rng)
+    ch = random_channel(int(rng.integers(0, 2 ** 31)), r.dim, kraus=int(rng.integers(1, 4)))
+    return (trace_distance(apply_channel(ch, r, 0), apply_channel(ch, s, 0))
+            - trace_distance(r, s),)
+
+
+def _product_trial(rng):
+    r, s = _random_pair(rng, max_dim=4)
+    extra = random_density(int(rng.integers(0, 2 ** 31)), int(rng.integers(2, 4)), 2)
+    return (abs(trace_distance(tensor_product(r, extra), tensor_product(s, extra))
+                - trace_distance(r, s)),)
+
+
+def _helstrom_trial(rng):
+    # the Helstrom POVM reaches 1/2 + D/2, and 20 random effects never beat it
+    r, s = _random_pair(rng)
+    best = 0.5 + 0.5 * trace_distance(r, s)
+    povm = helstrom_povm(r, s)
+    achieved = 0.5 * float(np.trace(povm.elements[0] @ r.matrix).real) \
+        + 0.5 * float(np.trace(povm.elements[1] @ s.matrix).real)
+    delta = r.matrix - s.matrix
+    beats = [0.5 + 0.5 * float(np.trace(_random_effect(rng, r.dim) @ delta).real) - best
+             for _ in range(20)]
+    return abs(achieved - best), max(beats)
+
+
+def _coupling_trial(rng):
+    # the maximal coupling is exact; the independent one never does better
+    p, q = _distribution_pair(rng)
+    cp = maximal_coupling(p, q)
+    tv = total_variation(p, q)
+    return (abs(cp.pr_equal - (1.0 - tv)),
+            max(float(np.abs(cp.marginal_left() - p.probs).max()),
+                float(np.abs(cp.marginal_right() - q.probs).max())),
+            float(np.trace(np.outer(p.probs, q.probs))) - (1.0 - tv))
+
+
+def _entropy_trial(rng):
+    # guessing, entropy and factor-2 secrecy bounds on one random cq key state
+    n_key = int(rng.choice([2, 4]))
+    dim_e = int(rng.integers(2, 5))
+    c = _random_cq_key_state(rng, n_key, dim_e)
+    fannes, pinsker, quadratic = entropy_bounds(c)
+    eps = pinsker.left_value  # D(rho_KE, tau_K (x) rho_E)
+    guess = pguess_exact(c) - (1.0 / n_key + eps) if n_key == 2 else 0.0
+    # beside rho_E, the maximally mixed sigma_E is a candidate that can be tighter
+    factor2 = alt_secrecy_relation(c, [_side_marginal(c), maximally_mixed(c.quantum_dim)])
+    return (guess, -fannes.slack if fannes.applicable else 0.0, -pinsker.slack,
+            -quadratic.slack, -factor2.slack)
+
+
+# (default trial count, trial, (name, tolerance) of each property it checks),
+# in the order of the suite's rows; the trials share one generator in order
+_PROPERTIES = (
+    (500, _tv_trial, (("tv-alternative-formula", tol.EXACT_TOL),)),
+    (200, _metric_trial, (("metric-identity", tol.METRIC_TOL),
+                          ("metric-symmetry", tol.EXACT_TOL),
+                          ("metric-triangle", tol.METRIC_TOL))),
+    (100, _data_processing_trial, (("data-processing", tol.METRIC_TOL),)),
+    (50, _product_trial, (("product-invariance", tol.METRIC_TOL),)),
+    (50, _helstrom_trial, (("helstrom-equality", tol.METRIC_TOL),
+                           ("helstrom-optimality-audit", tol.METRIC_TOL))),
+    (200, _coupling_trial, (("coupling-equality", tol.EXACT_TOL),
+                            ("coupling-marginals", tol.EXACT_TOL),
+                            ("coupling-alternative-audit", tol.EXACT_TOL))),
+    (500, _entropy_trial, (("pguess-bound", tol.METRIC_TOL),
+                           ("alicki-fannes", tol.METRIC_TOL),
+                           ("pinsker-type", tol.METRIC_TOL),
+                           ("relative-entropy-quadratic", tol.METRIC_TOL),
+                           ("alternative-secrecy-factor2", tol.METRIC_TOL))),
+)
+
+
+class InvalidTrials(ValueError):
+    pass
+
+
+def property_suite(seed: int, trials: int | None = None) -> list[PropertyResult]:
+    """Run every named metric property; one result row per property.
+
+    Each entry of :data:`_PROPERTIES` runs its default count of trials, or
+    ``trials`` when that is fewer, and a property's row keeps its largest
+    violation over them.
+    """
+    if trials is not None and trials < 1:
+        raise InvalidTrials(f"trials = {trials} must be at least 1")
+    rng = np.random.default_rng([seed, 0x6D657472])
+    results = []
+    for count, trial, checks in _PROPERTIES:
+        n = count if trials is None else min(trials, count)
+        worst = [0.0] * len(checks)
+        for _ in range(n):
+            worst = [max(w, v) for w, v in zip(worst, trial(rng))]
+        results += [PropertyResult(name, n, w, w <= bound)
+                    for (name, bound), w in zip(checks, worst)]
+    return results

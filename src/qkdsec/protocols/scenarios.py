@@ -37,7 +37,7 @@ import numpy as np
 
 from ..acframework import EpsilonLedger, LedgerEntry, ScheduleMismatch, serial_compose
 from ..metrics import BoundReport
-from ..qstate import Register, make_cq, make_povm, measure_povm
+from ..qstate import Register, basis_povm, make_cq, make_povm, measure_povm
 from . import bb84
 from .bb84 import QkdParams, QkdRun, _digits, qkd_run
 from .auth import _pair_counts
@@ -439,8 +439,7 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
     if params.h_rows != 0:
         raise ScheduleMismatch("authenticated rounds are modelled without syndromes")
     p_ir = float(attack_spec.get("p", 0.0))
-    if not 0.0 <= p_ir <= 1.0:
-        raise bb84.InvalidParams(f"intercept probability {p_ir} outside [0, 1]")
+    comps = bb84.intercept_resend(1, p_ir).quantum[0].components
     tamper = attack_spec.get("tamper")
     if tamper not in (None, "msg1", "msg2"):
         raise ScheduleMismatch(f"unknown tamper target {tamper!r}")
@@ -448,7 +447,7 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
     pairs = (nk + 1) ** 2
     k = np.arange(nk)
     aborts, errors, found, ideal_only = [], [], [], []
-    for keys, weights in _round_blocks(params, fam, p_ir, tamper):
+    for keys, weights in _round_blocks(params, fam, comps, tamper):
         # real branches: (Eve-visible record, key pair) cells in order of
         # first occurrence; an aborted key is nk
         at, masses, _ = _sums_by_first_seen(keys, weights)
@@ -483,16 +482,6 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
     }
 
 
-def _ir_classical_components(p: float):
-    comps = []
-    if p < 1.0:
-        comps.append(("pass", 1.0 - p))
-    if p > 0.0:
-        comps.append(("Z", p / 2.0))
-        comps.append(("X", p / 2.0))
-    return comps
-
-
 def _classical_position_model(comp_label: str, theta: int, a: int):
     """Distribution of (record, b) for classical attacks on one position."""
     psis = bb84._BASIS
@@ -518,7 +507,7 @@ def _classical_position_model(comp_label: str, theta: int, a: int):
 _RECORD_CODES = {("pass", "-"): 0, ("Z", 0): 1, ("Z", 1): 2, ("X", 0): 3, ("X", 1): 4}
 
 
-def _round_blocks(params: QkdParams, fam: HashFamily, p_ir: float, tamper):
+def _round_blocks(params: QkdParams, fam: HashFamily, comps, tamper):
     """Yield the (cell codes, weights) of each (sample subset, bases) block.
 
     Rows follow the scalar enumeration: Alice's bits, then the attack
@@ -528,26 +517,26 @@ def _round_blocks(params: QkdParams, fam: HashFamily, p_ir: float, tamper):
     Eve-visible record within the block (records, sample values and the
     observed tag of a tampered message) and the key pair
     ``ka * (nk + 1) + kb``.  Bases and sample subset are part of the record,
-    so no cell occurs in two blocks.
+    so no cell occurs in two blocks.  ``comps`` are the labelled options
+    ("pass", "Z", "X") of one intercept-resend position.
     """
     n, t = params.n_qubits, params.t
     nk = params.key_size
     order = fam.tag_space if tamper else 1
-    comps = _ir_classical_components(p_ir)
     # per (component, theta, a): the (record, b) outcomes and their weights
     shape = (len(comps), 2, 2, 4)
     count = np.zeros(shape[:3], dtype=np.int64)
     rec_of, bit_of, pw_of = np.zeros(shape, np.int64), np.zeros(shape, np.int64), np.zeros(shape)
-    for c, (label, _) in enumerate(comps):
+    for c, comp in enumerate(comps):
         for theta, a in product(range(2), repeat=2):
-            items = list(_classical_position_model(label, theta, a).items())
+            items = list(_classical_position_model(comp.label, theta, a).items())
             count[c, theta, a] = len(items)
             for j, ((record, b), pw) in enumerate(items):
                 rec_of[c, theta, a, j], bit_of[c, theta, a, j] = _RECORD_CODES[record], b
                 pw_of[c, theta, a, j] = pw
     # (a, labels) rows and their weights, base weight times each component's
     labels = _digits(len(comps), n)
-    comp_w = np.array([w for _, w in comps])
+    comp_w = np.array([comp.weight for comp in comps])
     lw = np.full(len(labels), 0.25 ** n / math.comb(n, t))
     for i in range(n):
         lw = lw * comp_w[labels[:, i]]
@@ -741,17 +730,11 @@ def locking_demo(m: int) -> LockingReport:
     branches = []
     for k1 in range(2):
         for k2 in range(dim):
-            vec = np.ones(1, dtype=complex)
-            for j in range(m):
-                bit = (k2 >> (m - 1 - j)) & 1
-                vec = np.kron(vec, bb84._BASIS[k1][bit])
+            vec = _encode(k1, k2, m)
             branches.append(((k1, k2), 1.0 / (2 * dim), np.outer(vec, vec.conj())))
     state = make_cq(regs, branches, (dim,))
 
-    eye = np.eye(dim, dtype=complex)
-    comp = make_povm(tuple(range(dim)), [np.outer(eye[:, i], eye[:, i].conj())
-                                         for i in range(dim)], (dim,))
-    _, post = measure_povm(comp, state)
+    _, post = measure_povm(basis_povm(dim), state)
     joint = {}
     for b in post.branches:
         k1, k2, y = b.assignment
@@ -762,13 +745,7 @@ def locking_demo(m: int) -> LockingReport:
     # after the reveal: measure each branch in its own encoding basis
     post_joint = {}
     for k1 in range(2):
-        basis_vecs = []
-        for y in range(dim):
-            vec = np.ones(1, dtype=complex)
-            for j in range(m):
-                bit = (y >> (m - 1 - j)) & 1
-                vec = np.kron(vec, bb84._BASIS[k1][bit])
-            basis_vecs.append(vec)
+        basis_vecs = [_encode(k1, y, m) for y in range(dim)]
         povm = make_povm(tuple(range(dim)),
                          [np.outer(v, v.conj()) for v in basis_vecs], (dim,))
         sub = make_cq(regs, [(b.assignment, b.weight, b.factor)
@@ -782,6 +759,14 @@ def locking_demo(m: int) -> LockingReport:
     post_joint = {k: v / total for k, v in post_joint.items()}
     post_info = _mutual_information(post_joint, lambda k: k[0], lambda k: k[1])
     return LockingReport(m, pre_key, pre_k2, post_info)
+
+
+def _encode(basis: int, value: int, m: int) -> np.ndarray:
+    """The m-qubit BB84 encoding of ``value``, its high bit first, in ``basis``."""
+    vec = np.ones(1, dtype=complex)
+    for j in range(m):
+        vec = np.kron(vec, bb84._BASIS[basis][(value >> (m - 1 - j)) & 1])
+    return vec
 
 
 def _mutual_information(joint: dict, left, right) -> float:

@@ -106,6 +106,16 @@ def test_metrics_check(tmp_path):
     assert all(line.split(",")[1:4:2] == ["5", "true"] for line in lines[1:])
 
 
+def test_metrics_check_config_trials_match_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 2\ntrials = 5\n")
+    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    assert main(["metrics", "check", "--config", str(cfg), "--out", str(from_config)]) == 0
+    assert main(["metrics", "check", "--seed", "2", "--trials", "5",
+                 "--out", str(from_flag)]) == 0
+    assert from_config.read_bytes() == from_flag.read_bytes()
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_metrics_check_rejects_nonpositive_trials(tmp_path, capsys, trials):
     out = tmp_path / "metrics.csv"
@@ -123,6 +133,14 @@ def test_compose_scenario(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "scenario,attack_id,advantage,bound,holds"
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_compose_metrics_suite_is_not_a_scenario(tmp_path):
+    # the property suite runs as `metrics check` only
+    out = tmp_path / "compose.csv"
+    assert main(["compose", "scenario", "--name", "metrics-suite", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rounds", ["-1", "-3"])

@@ -61,8 +61,12 @@ def test_parse_config_errors():
     assert "line 2" in str(err.value)
     with pytest.raises(BadValue):
         parse_config("seed = 1\nq_tol = 1.5")
-    with pytest.raises(BadValue):
+    with pytest.raises(BadValue) as err:
         parse_config("seed = 1\nn_qubits = four")
+    assert str(err.value) == "line 2: n_qubits must be an integer, got 'four'"
+    with pytest.raises(BadValue) as err:
+        parse_config("seed = 1\nq_tol = half")
+    assert str(err.value) == "line 2: q_tol must be a number, got 'half'"
     with pytest.raises(MissingSeed):
         parse_config("n_qubits = 4")
     with pytest.raises(UnknownKey):  # lockdemo reads only --m
@@ -183,18 +187,9 @@ def test_run_scenario_deterministic_csv(tmp_path):
     assert all(r.holds for r in rows1)
 
 
-def test_run_scenario_metrics_suite():
-    cfg = parse_config("seed = 5\ntrials = 5")
-    rows = run_scenario("metrics-suite", cfg)
-    assert len(rows) >= 10
-    assert all(r.holds for r in rows)
-    names = {r.case for r in rows}
-    assert "pguess-bound" in names and "alicki-fannes" in names
-
-
 @pytest.mark.parametrize("scenario,line", [
     ("key-expansion", "split = -1"), ("leaked-key", "msg = -1"), ("leaked-key", "b = 40"),
-    ("qkd-otp", "b = 40"), ("parallel-qkd", "rounds = 2"), ("metrics-suite", "n_qubits = 3"),
+    ("qkd-otp", "b = 40"), ("parallel-qkd", "rounds = 2"),
     ("qkd-otp", "attack = depolarize:0.3")])
 def test_run_scenario_refuses_unread_keys(scenario, line):
     cfg = parse_config(f"seed = 1\n{line}")
