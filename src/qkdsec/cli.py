@@ -17,7 +17,6 @@ from .harness import (
     SCENARIOS,
     ReportRow,
     RunConfig,
-    emit_csv,
     parse_attack,
     parse_config,
     qkd_params,
@@ -66,7 +65,10 @@ def cmd_qkd(args) -> int:
                         "thm1_holds"),
               [(params.n_qubits, attack.name, run.p_abort, run.eps_cor, run.eps_sec,
                 run.advantage, holds)])
-    return 0 if holds else 2
+    # the converse bounds: eps_cor <= D and eps_sec <= 2 D
+    converse = (run.eps_cor <= run.advantage + tol.METRIC_TOL
+                and run.eps_sec <= 2.0 * run.advantage + tol.METRIC_TOL)
+    return 0 if holds and converse else 2
 
 
 def cmd_auth(args) -> int:
@@ -89,8 +91,7 @@ def cmd_auth(args) -> int:
 def cmd_compose(args) -> int:
     cfg = _load_config(args)
     rows = run_scenario(args.name, cfg)
-    write_csv(cfg.out, ("scenario", "attack_id", "advantage", "bound", "holds"),
-              [(r.scenario, r.case, r.measured, r.bound, r.holds) for r in rows])
+    write_csv(cfg.out, ReportRow._fields, rows)
     return 0 if all(r.holds for r in rows) else 2
 
 
@@ -108,7 +109,7 @@ def cmd_lockdemo(args) -> int:
         ReportRow("lockdemo", "locking-gap", report.gap, float(args.m), True),
     ]
     if cfg.out:
-        emit_csv(rows, cfg.out)
+        write_csv(cfg.out, ReportRow._fields, rows)
     else:
         for r in rows:
             sys.stdout.write(f"{r.case}: {r.measured:.12g}\n")

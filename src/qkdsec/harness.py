@@ -17,8 +17,8 @@ values and refuses (``UnreadKey``) a key the reader does not read.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "run_scenario",
     "ReportRow",
     "write_csv",
-    "emit_csv",
     "seeded_rng",
     "SCENARIOS",
 ]
@@ -163,14 +162,14 @@ def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
+    """One checked case of a report; ``ReportRow._fields`` is the CSV header."""
+
     scenario: str
     case: str
     measured: float
     bound: float
     holds: bool
-    runtime_ms: float = 0.0
 
 
 def _cell(value) -> str:
@@ -194,16 +193,6 @@ def write_csv(path, header, rows) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def emit_csv(rows, path) -> None:
-    """Write report rows with the fixed header.
-
-    ``runtime_ms`` is written as 0 so reruns with the same seed produce
-    byte-identical files.
-    """
-    write_csv(path, ("scenario", "case", "measured", "bound", "holds", "runtime_ms"),
-              [(r.scenario, r.case, r.measured, r.bound, r.holds, 0.0) for r in rows])
 
 
 _SCENARIO_CAPS = {"parallel-qkd": 3, "key-expansion": 3}
@@ -281,15 +270,9 @@ def run_scenario(name: str, cfg: RunConfig) -> list[ReportRow]:
         raise BadValue(f"unknown scenario {name!r}")
     values = reader_values(cfg, name)
     rows: list[ReportRow] = []
-    last = time.perf_counter()
 
     def add(case, measured, bound, holds):
-        # per case: the time since the previous row (or since the start)
-        nonlocal last
-        now = time.perf_counter()
-        ms = (now - last) * 1000.0
-        last = now
-        rows.append(ReportRow(name, case, float(measured), float(bound), bool(holds), ms))
+        rows.append(ReportRow(name, case, float(measured), float(bound), bool(holds)))
 
     params = qkd_params(name, values, cfg.seed)
     if name in ("leaked-key", "qkd-otp"):

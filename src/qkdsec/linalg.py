@@ -3,9 +3,10 @@
 Every spectrum in the package comes from LAPACK through
 :func:`hermitian_eig`; the test suite cross-checks it against an independent
 cyclic-Jacobi oracle.  ``eigvals_of_factored_sum`` is the fast path for
-low-rank combinations sum_j c_j v_j v_j^dagger that arise in the protocol
-engine: the nonzero eigenvalues of V C V^dagger equal those of the small
-Hermitian matrix G^{1/2} C G^{1/2} with G = V^dagger V.
+low-rank combinations sum_j c_j v_j v_j^dagger, which the branch gaps of
+``metrics`` (``_branch_gap``) reduce to: the nonzero eigenvalues of
+V C V^dagger equal those of the small Hermitian matrix G^{1/2} C G^{1/2}
+with G = V^dagger V.
 """
 
 from __future__ import annotations

@@ -25,15 +25,16 @@ environment splits into orthogonal sectors that every cell operator respects
 (depolarising with purification: one sector for a = b and one for a != b;
 intercept-resend: one per measured outcome), so a block's operators are block
 diagonal over tuples of sectors, and a trace norm is the sum of the sectors'
-trace norms.  One-dimensional sectors need only sums of scalars; otherwise
-each block takes one matrix product and one batched ``eigvalsh`` on
-sector-sized matrices.  A block whose sector layout would be too large takes
-the Gram route on the factored columns instead.  Blocks are streamed: each
-one is built from per-position sectors made once with the position tables,
-folded into its rest's sums and dropped, so memory holds one block at a
-time.  The per-row sums over a rest's blocks depend only on the attacks at
-the rest positions, so they are computed once per distinct rest and weighted
-by each sample subset's pass mass.
+trace norms.  One-dimensional sectors need only sums of scalars; otherwise a
+row's operator in a sector is contracted from the coefficients one position
+at a time, and each block takes one batched ``eigvalsh`` on sector-sized
+matrices.  A block whose contraction would be too large is refused with
+``DimensionCap``.  Blocks are streamed: each one is built from per-position
+sectors made once with the position tables, folded into its rest's sums and
+dropped, so memory holds one block at a time.  The per-row sums over a
+rest's blocks depend only on the attacks at the rest positions, so they are
+computed once per distinct rest and weighted by each sample subset's pass
+mass.
 Everything is an exact enumeration; no sampling is involved anywhere.
 """
 
@@ -51,10 +52,10 @@ from ..acframework import (
     PositionAttack,
     ScheduleMismatch,
 )
-from ..linalg import coset_leader_table, gf2_rank, psd_sqrt
+from ..linalg import coset_leader_table, gf2_rank
 from ..metrics import BoundReport
 from ..qstate import DimensionCap, KrausChannel, make_channel
-from ..tolerances import DIM_CAP, RANK_CUTOFF, SECTOR_CUTOFF
+from ..tolerances import SECTOR_CUTOFF
 from .hashing import default_code_matrices
 
 __all__ = [
@@ -68,8 +69,6 @@ __all__ = [
     "custom_attack",
     "QkdRun",
     "qkd_run",
-    "SecurityEvaluation",
-    "qkd_security_eval",
     "RobustnessReport",
     "qkd_robustness_eval",
 ]
@@ -231,14 +230,10 @@ _BASIS = (
 
 @dataclass
 class _ComponentTables:
-    # per theta, for the pruned environment columns x (env_dim, ncols): member
-    # cell of each column (0..3 encoding 2a+b), and weight per (a, b) cell
-    col_ab: list
     w4: np.ndarray  # (2, 4) -> [theta, 2a+b], includes the 1/4 basis/bit prior
     # per theta: the sector layout (cells, ops) of the cell operators (see
-    # _sector_layout), and the Gram matrix x^dagger x
+    # _sector_layout)
     sectors: list
-    gram: list
 
 
 def _component_tables(comp: MixtureComponent) -> _ComponentTables:
@@ -248,7 +243,7 @@ def _component_tables(comp: MixtureComponent) -> _ComponentTables:
         raise ScheduleMismatch("attack channel must return the transmitted qubit first")
     if env_dim > 4:
         raise DimensionCap("attack environment dimension above 4 per position")
-    cols, col_ab = [], []
+    sectors = []
     w4 = np.zeros((2, 4))
     scale = math.sqrt(comp.weight * 0.25)
     for theta in range(2):
@@ -281,14 +276,13 @@ def _component_tables(comp: MixtureComponent) -> _ComponentTables:
                 w4[theta, cell] += norm2
                 vecs.append(phi)
                 cells.append(cell)
-        cols.append(np.array(vecs, dtype=complex).T if vecs
-                    else np.zeros((env_dim, 0), dtype=complex))
-        col_ab.append(np.array(cells, dtype=np.int64))
-    sectors = [_sector_layout(np.stack([x[:, ab == c] @ x[:, ab == c].conj().T
-                                        for c in range(4)]))
-               for x, ab in zip(cols, col_ab)]
-    gram = [x.conj().T @ x for x in cols]
-    return _ComponentTables(col_ab, w4, sectors, gram)
+        # environment columns x (env_dim, ncols) and the member cell of each
+        x = (np.array(vecs, dtype=complex).T if vecs
+             else np.zeros((env_dim, 0), dtype=complex))
+        ab = np.array(cells, dtype=np.int64)
+        sectors.append(_sector_layout(np.stack([x[:, ab == c] @ x[:, ab == c].conj().T
+                                                for c in range(4)])))
+    return _ComponentTables(w4, sectors)
 
 
 def _sector_layout(cell_ops: np.ndarray):
@@ -351,8 +345,8 @@ def _position_tables(attack: AttackStrategy, n: int):
 # complex entries in one batch of per-row operators: the rows are chunked so
 # that each batch temporary stays near 16 MiB
 _BATCH_ENTRIES = 1 << 20
-# largest sector layout (sectors x members x dim^2 entries) a rest block
-# holds; larger blocks take the Gram route
+# most complex entries one row of a rest block's contraction may hold; a
+# larger block raises DimensionCap
 _SECTOR_ENTRIES = 1 << 22
 
 
@@ -406,32 +400,7 @@ class _Engine:
         w_member = np.ones(1)
         for tab, theta in zip(tabs, thetas):
             w_member = (w_member[:, None] * tab.w4[theta][None, :]).reshape(-1)
-        if math.prod(tab.sectors[theta][1].size
-                     for tab, theta in zip(tabs, thetas)) <= _SECTOR_ENTRIES:
-            # sectors of the block are tuples of per-position sectors; a
-            # member is active in one when each of its cells is active there
-            idx = np.zeros((1, 1), dtype=np.int64)
-            ops = np.ones((1, 1, 1, 1), dtype=complex)
-            for tab, theta in zip(tabs, thetas):
-                cells, cell_ops = tab.sectors[theta]
-                s, k, d, _ = cell_ops.shape
-                idx = (idx[:, None, :, None] * 4 + cells[None, :, None, :]).reshape(
-                    idx.shape[0] * s, idx.shape[1] * k)
-                ops = (ops[:, None, :, None, :, None, :, None]
-                       * cell_ops[None, :, None, :, None, :, None, :]).reshape(
-                    idx.shape + (ops.shape[2] * d,) * 2)
-            return _RestBlock(w_member, idx=idx, ops=ops)
-        cols = math.prod(len(tab.col_ab[theta]) for tab, theta in zip(tabs, thetas))
-        if cols > DIM_CAP:
-            raise DimensionCap(f"rest block Gram matrix of {cols} columns exceeds "
-                               f"cap {DIM_CAP}")
-        member_of_col = np.zeros(1, dtype=np.int64)
-        gram = np.ones((1, 1), dtype=complex)
-        for tab, theta in zip(tabs, thetas):
-            gram = np.kron(gram, tab.gram[theta])
-            member_of_col = (member_of_col[:, None] * 4
-                             + tab.col_ab[theta][None, :]).reshape(-1)
-        return _RestBlock(w_member, gram=gram, member_of_col=member_of_col)
+        return _RestBlock(w_member, [tab.sectors[theta] for tab, theta in zip(tabs, thetas)])
 
     def sample_stats(self, positions: tuple[int, ...]):
         """(pass_mass, abort_mass) summed over bases, labels, and values."""
@@ -524,26 +493,54 @@ class _Engine:
 class _RestBlock:
     """Spectral data of one (rest-basis, rest-label) cell of the key material.
 
-    The sector route holds, per environment sector, the members active in it
-    (``idx``, S x K) and their operators restricted to it (``ops``,
-    S x K x D x D, zero-padded).  Every member operator is block diagonal
-    over the sectors, and the trace norm of a block-diagonal operator is the
-    sum of its blocks' trace norms; one-dimensional sectors (D = 1) need no
-    eigenproblem at all.  Layouts too large to hold fall back to the Gram
-    route on the factored columns.
+    ``layouts`` holds each position's sector layout ``(cells, ops)`` (see
+    _sector_layout).  A sector of the block is a tuple of per-position
+    sectors; ``idx`` lists the members active in each (S x K, or flattened
+    with each position's members beside its sector for the contraction), and
+    a member's operator there is the tensor product of its cells' restricted
+    operators.  Every member operator is block diagonal over the sectors, and
+    the trace norm of a block-diagonal operator is the sum of its blocks'
+    trace norms.  A row's combination is contracted one position at a time,
+    so no member operator is ever held; one-dimensional sectors keep their
+    scalar member values and need no eigenproblem at all.  A block whose
+    contraction needs more than ``_SECTOR_ENTRIES`` entries for one row is
+    refused before anything is allocated.
     """
 
-    def __init__(self, w_member, *, idx=None, ops=None, gram=None, member_of_col=None):
+    def __init__(self, w_member, layouts):
         self.w_member = w_member
+        self._layouts = layouts
+        shapes = [ops.shape for _, ops in layouts]
+        # entries per row and sector: the gathered coefficients hold every
+        # member, and contracting a position trades its members for its
+        # (row, column) pairs
+        stage = most = math.prod(k for _, k, _, _ in shapes)
+        for _, k, d, _ in shapes:
+            stage = stage // k * d * d
+            most = max(most, stage)
+        self._per_row = math.prod(s for s, _, _, _ in shapes) * most
+        if self._per_row > _SECTOR_ENTRIES:
+            raise DimensionCap(f"rest block needs {self._per_row} entries per row, "
+                               f"over the cap {_SECTOR_ENTRIES}")
+        scalar = stage == 1  # every sector is one-dimensional
+        idx = np.zeros((1, 1), dtype=np.int64)
+        vals = np.ones((1, 1), dtype=complex)
+        for cells, ops in layouts:
+            s, k = cells.shape
+            idx = (idx[:, None, :, None] * 4 + cells[None, :, None, :]).reshape(
+                idx.shape[0] * s, idx.shape[1] * k)
+            if scalar:
+                vals = (vals[:, None, :, None] * ops[None, :, None, :, 0, 0]).reshape(
+                    idx.shape)
+        # (S, K) member values when every sector is one-dimensional
+        self._vals = vals.real.copy() if scalar else None
+        if not scalar:
+            # the contraction reads each position's members beside its sector:
+            # (sector 0, member 0, sector 1, member 1, ...), flattened
+            n = len(shapes)
+            idx = idx.reshape([s for s, _, _, _ in shapes] + [k for _, k, _, _ in shapes])
+            idx = idx.transpose([i for j in range(n) for i in (j, n + j)]).reshape(-1)
         self._idx = idx
-        self._ops = ops
-        self._vals = None  # (S, K) member values when the sectors are scalars
-        if ops is not None and ops.shape[-1] == 1:
-            self._vals = ops[..., 0, 0].real.copy()
-        self._gram_sqrt = None
-        self._member_of_col = member_of_col
-        if gram is not None:
-            self._gram_sqrt = psd_sqrt(gram, rel_cutoff=RANK_CUTOFF)
 
     def sector_values(self, coeff: np.ndarray) -> np.ndarray:
         """sum over members of coeff[r] * (sector value), per row r and sector.
@@ -554,31 +551,38 @@ class _RestBlock:
 
     def trace_norms(self, coeff: np.ndarray) -> np.ndarray:
         """|| sum over members of coeff[r] * (branch operator) ||_1, per row r."""
-        if self._ops is not None:
-            s, k, d, _ = self._ops.shape
-            per_row = s * max(k, d * d)
-        else:
-            per_row = self._gram_sqrt.shape[1] ** 2
-        step = max(1, _BATCH_ENTRIES // per_row)
+        step = max(1, _BATCH_ENTRIES // self._per_row)
         return np.concatenate([self._batch_norms(coeff[lo:lo + step])
                                for lo in range(0, len(coeff), step)])
 
     def _batch_norms(self, coeff: np.ndarray) -> np.ndarray:
         if self._vals is not None:
             return np.abs(self.sector_values(coeff)).sum(axis=1)
-        if self._ops is not None:
-            s, k, d, _ = self._ops.shape
-            # real coefficients onto complex operators: one real product on
-            # the interleaved (re, im) entries
-            ops = self._ops.reshape(s, k, d * d).view(float)
-            m = (coeff.T[self._idx].swapaxes(1, 2) @ ops).view(complex).reshape(-1, d, d)
-        else:
-            col_coeff = coeff[:, self._member_of_col]
-            m = (self._gram_sqrt * col_coeff[:, None, :]) @ self._gram_sqrt
-        # m is Hermitian up to rounding, and eigvalsh reads one triangle
-        norms = np.abs(np.linalg.eigvalsh(m)).sum(axis=1)
-        # sector route: one norm per (sector, row), summed over the sectors
-        return norms if self._ops is None else norms.reshape(s, -1).sum(axis=0)
+        rows = len(coeff)
+        # m starts as ([sector, member] of each position, rows); each step
+        # contracts the next position's members against its operators in
+        # each of its sectors, moves the sector index to the front and
+        # appends the (row, column) index pair, so m ends as (sectors, rows,
+        # [row, column] of each position)
+        m = coeff.T[self._idx]
+        sectors = 1
+        for j, (_, ops) in enumerate(self._layouts):
+            s, k, d, _ = ops.shape
+            m = m.reshape(sectors, s, k, -1).swapaxes(2, 3)
+            if j == 0:
+                # real coefficients onto complex operators: one real product
+                # on the interleaved (re, im) entries
+                m = (m @ ops.reshape(s, k, d * d).view(float)).view(complex)
+            else:
+                m = m @ ops.reshape(s, k, d * d)
+            sectors *= s
+        # split the pairs into row and column indices; m is Hermitian up to
+        # rounding, and eigvalsh reads one triangle
+        dims = [ops.shape[-1] for _, ops in self._layouts]
+        m = m.reshape(sectors * rows, *[d for d in dims for _ in range(2)])
+        m = m.transpose(0, *range(1, m.ndim, 2), *range(2, m.ndim, 2)).reshape(
+            sectors * rows, math.prod(dims), -1)
+        return np.abs(np.linalg.eigvalsh(m)).sum(axis=1).reshape(-1, rows).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -687,46 +691,6 @@ def otp_composed_advantage(run: QkdRun, message: int) -> float:
     entries = tuple((message ^ y, y ^ xb, xb == message)
                     for y in range(nk) for xb in range(nk))
     return 0.5 * float(engine.evaluate(entries)[1].sum())
-
-
-@dataclass(frozen=True)
-class SecurityEvaluation:
-    runs: tuple[QkdRun, ...]
-    eps_cor: float
-    eps_sec: float
-    reports: tuple[BoundReport, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(r.holds for r in self.reports)
-
-
-def qkd_security_eval(params: QkdParams, attacks) -> SecurityEvaluation:
-    """Correctness, secrecy, and the two-sided decomposition over a family.
-
-    ``attacks`` is an iterable of strategies or an attack family.  eps_cor
-    and eps_sec are family maxima; for every attack the evaluation checks
-    the decomposition bound D <= eps_cor + eps_sec on that attack's own
-    values, and the converse bounds eps_cor <= D and eps_sec <= 2 D.
-    """
-    from ..acframework import AttackFamily
-
-    if isinstance(attacks, AttackFamily):
-        attacks = attacks.strategies
-    runs = []
-    for attack in attacks:
-        runs.append(qkd_run(params, attack))
-    eps_cor = max(r.eps_cor for r in runs)
-    eps_sec = max(r.eps_sec for r in runs)
-    worst_fwd = min((r.eps_cor + r.eps_sec) - r.advantage for r in runs)
-    worst_cor = min(r.advantage - r.eps_cor for r in runs)
-    worst_sec = min(2.0 * r.advantage - r.eps_sec for r in runs)
-    reports = (
-        BoundReport("distance-at-most-cor-plus-sec", -worst_fwd, 0.0),
-        BoundReport("correctness-at-most-distance", -worst_cor, 0.0),
-        BoundReport("secrecy-at-most-twice-distance", -worst_sec, 0.0),
-    )
-    return SecurityEvaluation(tuple(runs), eps_cor, eps_sec, reports)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Builds the full classical-quantum states of the real and ideal systems with
 the generic kernel operations (apply_channel, partial_trace, make_cq) and
 measures distances with the generic metric routines.  Slow but structurally
-unrelated to the factorised engine it checks.
+unrelated to the factorised engine it checks.  ``dense_rest_block`` checks
+one rest block of the engine the same way: it holds every member operator
+densely, with no environment sectors.
 """
 
 from __future__ import annotations
@@ -159,3 +161,41 @@ def oracle_quantities(params, attack):
     cond = qs.make_cq(regs, rows, (envdims,))
     eps_sec = mt.secrecy_distance(cond, 1.0 - mass, key_register="ka")
     return p_abort, eps_cor, eps_sec, advantage, (real, ideal)
+
+
+class DenseBlock:
+    """A rest block held as its member operators (members, E, E)."""
+
+    def __init__(self, member_ops):
+        self.member_ops = member_ops
+        self.w_member = np.einsum("mii->m", member_ops).real
+
+    def trace_norms(self, coeff):
+        rows = np.tensordot(coeff, self.member_ops, axes=(1, 0))
+        return np.abs(np.linalg.eigvalsh(rows)).sum(axis=1)
+
+
+def dense_rest_block(attack, positions, thetas, comps):
+    """The engine's rest block for these bases and mixture labels, densely.
+
+    The base-4 digits of member m are the cells 2a+b of the positions,
+    position 0 most significant; its operator is the tensor product over the
+    positions of Eve's subnormalised environment state for that cell, with
+    the 1/4 basis/bit prior and the mixture weight.
+    """
+    ops = np.ones((1, 1, 1), dtype=complex)
+    for i, theta, c in zip(positions, thetas, comps):
+        if attack.quantum:
+            comp = attack.quantum[i].components[c]
+            weight, channel = comp.weight, comp.channel
+        else:
+            weight, channel = 1.0, qs.make_channel([np.eye(2)], out_dims=(2, 1))
+        env = channel.kraus_ops[0].shape[0] // 2
+        cell_ops = np.zeros((4, env, env), dtype=complex)
+        for a, b in product(range(2), repeat=2):
+            for kraus in channel.kraus_ops:
+                out = (kraus @ BASIS[theta][:, a]).reshape(2, env)
+                phi = BASIS[theta][:, b].conj() @ out
+                cell_ops[2 * a + b] += 0.25 * weight * np.outer(phi, phi.conj())
+        ops = np.stack([np.kron(op, cell) for op in ops for cell in cell_ops])
+    return DenseBlock(ops)

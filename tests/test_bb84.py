@@ -1,9 +1,10 @@
+import time
 import weakref
 
 import numpy as np
 import pytest
 
-from bb84_oracle import oracle_quantities
+from bb84_oracle import dense_rest_block, oracle_quantities
 from qkdsec.acframework import ScheduleMismatch
 from qkdsec.protocols import bb84
 from qkdsec.qstate import make_channel
@@ -116,16 +117,6 @@ def test_decomposition_sandwich_over_grid():
         assert run.eps_sec <= 2.0 * run.advantage + 1e-9
 
 
-def test_security_eval_reports():
-    params = bb84.default_params(n_qubits=4, t=2, q_tol=0.25)
-    family = [bb84.identity_attack(), bb84.intercept_resend(4, 0.5),
-              bb84.depolarize_attack(4, 0.3)]
-    ev = bb84.qkd_security_eval(params, family)
-    assert ev.holds
-    assert ev.eps_cor == max(r.eps_cor for r in ev.runs)
-    assert ev.eps_sec == max(r.eps_sec for r in ev.runs)
-
-
 def test_robustness_matched_delta():
     params = bb84.default_params(n_qubits=4, t=2, q_tol=0.25)
     rob0 = bb84.qkd_robustness_eval(params, 0.0)
@@ -165,14 +156,29 @@ def test_attack_input_validation():
         bb84.custom_attack(4, make_channel([big_env], out_dims=(2, 5)))
 
 
-def test_wide_gram_block_is_refused_before_allocation():
-    # steal-replace's all-X block at width 6 has 8^6 Gram columns; building
-    # its Gram matrix failed with a 16 GiB request at the fifth position
+def test_steal_replace_at_width_six():
+    # the all-X block holds 4^6 members on one 64-dimensional sector; as a
+    # Gram matrix it had 8^6 columns and was refused
+    params = bb84.default_params(n_qubits=10, t=4, h_rows=2, seed=1)
+    run = bb84.qkd_run(params, bb84.steal_replace_attack(10))
+    got = (run.p_abort, run.eps_cor, run.eps_sec, run.advantage)
+    want = (0.6875, 0.15625, 0.15624999999999997, 0.15624999999999997)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15), got
+
+
+def test_wide_dense_sector_is_refused_before_allocation():
+    # a generic isometry into a four-dimensional environment leaves one
+    # four-dimensional sector per basis, so at width 6 one row of a block
+    # contracts to 4^6 x 4^6 entries
     from qkdsec.qstate import DimensionCap
 
+    v = np.linalg.qr(_random_complex(np.random.default_rng(7), 8, 2))[0]
+    attack = bb84.custom_attack(10, make_channel([v], out_dims=(2, 4)))
     params = bb84.default_params(n_qubits=10, t=4, h_rows=2, seed=1)
-    with pytest.raises(DimensionCap, match="262144 columns exceeds cap 16384"):
-        bb84.qkd_run(params, bb84.steal_replace_attack(10))
+    started = time.perf_counter()
+    with pytest.raises(DimensionCap, match="16777216 entries per row"):
+        bb84.qkd_run(params, attack)
+    assert time.perf_counter() - started < 2.0
 
 
 def test_custom_attack_runs():
@@ -225,71 +231,64 @@ def test_engine_matches_oracle_position_dependent_attack(params_n2):
     assert abs(advantage - run.advantage) <= 1e-9
 
 
-def test_security_eval_accepts_family():
-    from qkdsec.acframework import AttackFamily
-
-    params = bb84.default_params(n_qubits=4, t=2, q_tol=0.25)
-    fam = AttackFamily(
-        name="ir-points",
-        strategies=(bb84.identity_attack(),) + tuple(
-            bb84.intercept_resend(4, p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)),
-    )
-    ev = bb84.qkd_security_eval(params, fam)
-    assert len(ev.runs) == 6  # identity plus the five intercept probabilities
-    assert ev.holds
-    assert ev.eps_sec > 0.0
-
-
 def _random_complex(rng, dim, cols):
     return rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
 
 
-def _sector_block(rng, n_members, sector_dims, sector_sizes):
-    """A sector-layout block and the dense block-diagonal member operators.
+def _random_layout(rng, sector_dims, sector_cells):
+    """One position's sector layout (cells, ops) and its dense cell operators.
 
-    Sector s has dimension sector_dims[s] and sector_sizes[s] active members,
-    drawn at random; smaller sectors are zero-padded as the engine pads them.
+    Sector s has dimension sector_dims[s] and the active cells
+    sector_cells[s], each with a random PSD operator; smaller sectors are
+    zero-padded as _sector_layout pads them.  The dense operators (4, E, E)
+    put the sectors on the diagonal of one environment of dimension E.
     """
-    k, d = max(sector_sizes), max(sector_dims)
-    idx = np.zeros((len(sector_dims), k), dtype=np.int64)
+    k, d = max(map(len, sector_cells)), max(sector_dims)
+    cells = np.zeros((len(sector_dims), k), dtype=np.int64)
     ops = np.zeros((len(sector_dims), k, d, d), dtype=complex)
-    dense = np.zeros((n_members, sum(sector_dims), sum(sector_dims)), dtype=complex)
+    dense = np.zeros((4, sum(sector_dims), sum(sector_dims)), dtype=complex)
     lo = 0
-    for s, (dim, size) in enumerate(zip(sector_dims, sector_sizes)):
-        members = rng.choice(n_members, size=size, replace=False)
-        x = _random_complex(rng, size * dim, dim).reshape(size, dim, dim)
-        idx[s, :size] = members
-        ops[s, :size, :dim, :dim] = x @ x.conj().swapaxes(1, 2)
-        dense[members, lo:lo + dim, lo:lo + dim] = ops[s, :size, :dim, :dim]
+    for s, (dim, active) in enumerate(zip(sector_dims, sector_cells)):
+        x = _random_complex(rng, len(active) * dim, dim).reshape(len(active), dim, dim)
+        cells[s, :len(active)] = active
+        ops[s, :len(active), :dim, :dim] = x @ x.conj().swapaxes(1, 2)
+        dense[active, lo:lo + dim, lo:lo + dim] = ops[s, :len(active), :dim, :dim]
         lo += dim
-    return idx, ops, dense
+    return (cells, ops), dense
+
+
+# per position: sector dimensions and the cells active in each sector
+_BLOCKS = {
+    # one-dimensional sectors only: the scalar values
+    "scalar": [((1, 1), ([0, 3], [1, 2])), ((1, 1, 1), ([0], [1, 2, 3], [0, 1, 2, 3])),
+               ((1,), ([0, 1, 2, 3],))],
+    # one dense sector per position
+    "ops": [((3,), ([0, 1, 2, 3],)), ((2,), ([0, 1, 2, 3],))],
+    # sectors with different numbers of active cells, padded to one layout
+    "padded": [((2, 2), ([0, 3], [1])), ((2, 2), ([0, 1, 2, 3], [2, 3]))],
+    # sectors of different dimensions beside a scalar position
+    "unequal": [((1, 2), ([0], [1, 2, 3])), ((1,), ([0, 1, 2, 3],)),
+                ((2, 1), ([0, 3], [1, 2]))],
+}
 
 
 @pytest.mark.parametrize("chunked", [False, True])
-# scalar: one-dimensional sectors; ops: one dense sector; padded: unequal
-# sectors padded to one layout; gram: the factored-column route
-@pytest.mark.parametrize("route", ["scalar", "ops", "padded", "gram"])
+@pytest.mark.parametrize("route", sorted(_BLOCKS))
 def test_trace_norms_match_per_row_eigvalsh(monkeypatch, route, chunked):
     if chunked:
-        # one row per batch on every route
+        # one row per batch
         monkeypatch.setattr(bb84, "_BATCH_ENTRIES", 9)
     rng = np.random.default_rng(5)
-    n_members, dim = 16, 3
-    coeff = rng.normal(size=(7, n_members))
+    layouts, ops = [], np.ones((1, 1, 1), dtype=complex)
+    for dims, cells in _BLOCKS[route]:
+        layout, dense = _random_layout(rng, dims, cells)
+        layouts.append(layout)
+        # member 4m + c is member m of the earlier positions with cell c here
+        ops = np.stack([np.kron(a, b) for a in ops for b in dense])
+    coeff = rng.normal(size=(7, len(ops)))
     coeff[2] = 0.0
-    w = rng.uniform(size=n_members)
-    if route == "gram":
-        # columns V with Gram matrix V^dagger V; member m owns columns 2m, 2m+1
-        member_of_col = np.repeat(np.arange(n_members), 2)
-        v = _random_complex(rng, dim, member_of_col.size)
-        block = bb84._RestBlock(w, gram=v.conj().T @ v, member_of_col=member_of_col)
-        ops = np.stack([v[:, member_of_col == m] @ v[:, member_of_col == m].conj().T
-                        for m in range(n_members)])
-    else:
-        dims, sizes = {"scalar": ((1, 1, 1), (5, 16, 9)), "ops": ((dim,), (16,)),
-                       "padded": ((1, 3, 2), (5, 16, 9))}[route]
-        idx, sector_ops, ops = _sector_block(rng, n_members, dims, sizes)
-        block = bb84._RestBlock(w, idx=idx, ops=sector_ops)
+    block = bb84._RestBlock(rng.uniform(size=len(ops)), layouts)
+    assert (block._vals is not None) == (route == "scalar")
     want = [float(np.abs(np.linalg.eigvalsh(np.tensordot(row, ops, axes=(0, 0)))).sum())
             for row in coeff]
     got = block.trace_norms(coeff)
@@ -322,24 +321,23 @@ def _route_attacks(n):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_sector_route_matches_gram_route(monkeypatch, n):
+def test_contracted_route_matches_dense_oracle(monkeypatch, n):
+    # the oracle holds every member operator of a rest block densely (at
+    # most 64 x 64 at width 3) and takes its masses from their traces
     params = bb84.default_params(n_qubits=n, t=2, q_tol=0.25, out_len=1, h_rows=1)
-    rest = tuple(range(2, n))
     for attack in _route_attacks(n):
-        sector = bb84.qkd_run(params, attack)
-        monkeypatch.setattr(bb84, "_SECTOR_ENTRIES", 0)
-        blocks = list(bb84._Engine(params, attack).rest_iter(rest))
-        assert all(b._gram_sqrt is not None for b in blocks)
-        gram = bb84.qkd_run(params, attack)
+        run = bb84.qkd_run(params, attack)
+        monkeypatch.setattr(bb84._Engine, "_rest_block",
+                            lambda self, *cell, attack=attack: dense_rest_block(attack, *cell))
+        dense = bb84.qkd_run(params, attack)
         monkeypatch.undo()
-        assert all(b._gram_sqrt is None for b in bb84._Engine(params, attack).rest_iter(rest))
-        for name in ("eps_sec", "advantage"):
-            a, b = getattr(sector, name), getattr(gram, name)
+        for name in ("eps_sec", "advantage", "eps_cor"):
+            a, b = getattr(run, name), getattr(dense, name)
             assert abs(a - b) <= 1e-12, (attack.name, name, a, b)
-        # masses do not go through either spectral route
-        assert (sector.p_abort, sector.eps_cor, sector.key_joint) == \
-            (gram.p_abort, gram.eps_cor, gram.key_joint)
-    # the Gram route leaves float dust where the sector route keeps exact zeros
+        for key in run.key_joint.keys() | dense.key_joint.keys():
+            a, b = run.key_joint.get(key, 0.0), dense.key_joint.get(key, 0.0)
+            assert abs(a - b) <= 1e-12, (attack.name, key, a, b)
+    # exact zeros stay exactly zero
     identity = bb84.qkd_run(params, bb84.identity_attack())
     assert identity.eps_sec == 0.0 and identity.advantage == 0.0
 

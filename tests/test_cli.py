@@ -11,13 +11,13 @@ AUTH_B3 = ("b,case,measured,bound,holds\n"
 QKD_IR = ("n,attack,p_abort,eps_cor,eps_sec,advantage,thm1_holds\n"
           "4,intercept-resend:p=0.5,0.234375,0.095703125,0.16748046875,"
           "0.2392578125,true\n")
-KEY_EXPANSION = ("scenario,attack_id,advantage,bound,holds\n"
+KEY_EXPANSION = ("scenario,case,measured,bound,holds\n"
                  "key-expansion,round1:p=0.0,0,0.5,true\n"
                  "key-expansion,round1:p=1.0,0.375,0.5,true\n"
                  "key-expansion,round1:p=0.0+msg2,0,0.5,true\n"
                  "key-expansion,round1:p=1.0+msg1,0.19140625,0.5,true\n"
                  "key-expansion,ledger-total,0.5,0.5,true\n")
-PARALLEL_QKD = ("scenario,attack_id,advantage,bound,holds\n"
+PARALLEL_QKD = ("scenario,case,measured,bound,holds\n"
                 "parallel-qkd,identity||identity,0,0.75,true\n"
                 "parallel-qkd,identity||intercept-resend:p=1,0.375,0.75,true\n"
                 "parallel-qkd,identity||steal-replace,0.25,0.75,true\n"
@@ -25,11 +25,11 @@ PARALLEL_QKD = ("scenario,attack_id,advantage,bound,holds\n"
                 "parallel-qkd,intercept-resend:p=1||intercept-resend:p=1,0.5390625,0.75,true\n"
                 "parallel-qkd,steal-replace||identity,0.25,0.75,true\n"
                 "parallel-qkd,swap-crossing,0.435763888889,0.75,true\n")
-LOCKDEMO_CSV = ("scenario,case,measured,bound,holds,runtime_ms\n"
-                "lockdemo,post-reveal-bits,2,2,true,0\n"
-                "lockdemo,pre-reveal-k2-bits,0.451205059305,2,true,0\n"
-                "lockdemo,pre-reveal-key-bits,1,2,true,0\n"
-                "lockdemo,locking-gap,1.5487949407,2,true,0\n")
+LOCKDEMO_CSV = ("scenario,case,measured,bound,holds\n"
+                "lockdemo,post-reveal-bits,2,2,true\n"
+                "lockdemo,pre-reveal-k2-bits,0.451205059305,2,true\n"
+                "lockdemo,pre-reveal-key-bits,1,2,true\n"
+                "lockdemo,locking-gap,1.5487949407,2,true\n")
 LOCKDEMO_TEXT = ("post-reveal-bits: 2\n"
                  "pre-reveal-k2-bits: 0.451205059305\n"
                  "pre-reveal-key-bits: 1\n"
@@ -78,6 +78,26 @@ def test_qkd_run_deterministic(tmp_path):
     assert main(["qkd", "run", "--attack", "depolarize:0.3", "--seed", "4",
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("field,value", [("eps_cor", 0.2), ("eps_sec", 0.3)])
+def test_qkd_run_exits_2_on_a_converse_bound(tmp_path, monkeypatch, field, value):
+    # eps_cor <= D and eps_sec <= 2 D; the CSV is written either way
+    from dataclasses import replace
+
+    from qkdsec.protocols import bb84
+
+    qkd_run = bb84.qkd_run
+
+    def broken(params, attack):
+        return replace(qkd_run(params, attack), **{"advantage": 0.125, "eps_cor": 0.0,
+                                                   "eps_sec": 0.0, field: value})
+
+    monkeypatch.setattr(bb84, "qkd_run", broken)
+    out = tmp_path / "qkd.csv"
+    assert main(["qkd", "run", "--attack", "intercept-resend:0.5", "--seed", "9",
+                 "--out", str(out)]) == 2
+    assert out.read_text().splitlines()[1].endswith(",true")
 
 
 def test_auth_sweep(tmp_path):
@@ -131,7 +151,7 @@ def test_compose_scenario(tmp_path):
                "--seed", "6", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "scenario,attack_id,advantage,bound,holds"
+    assert lines[0] == "scenario,case,measured,bound,holds"
     assert all(line.endswith("true") for line in lines[1:])
 
 
