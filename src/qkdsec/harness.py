@@ -4,9 +4,7 @@ Every run is driven by one 64-bit seed.  The seed picks the parity-check
 and hashing matrices H and T of a QKD run (``default_code_matrices``) and
 seeds the randomised property checks of ``sim metrics check``; nothing else
 is random, and every composition scenario (``SCENARIOS``, run by
-``run_scenario``) is an exact enumeration.  ``seeded_rng(seed, stream)``
-gives independent numbered Philox streams for callers that want them; no
-subsystem here draws from it.
+``run_scenario``) is an exact enumeration.
 
 A config file sets only the keys it names.  ``READS`` is the one table of
 which keys each ``sim`` subcommand and each scenario (its reader) reads and
@@ -23,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tolerances as tol
-from .qstate import make_channel, read_rows, write_rows
+from .qstate import make_channel, read_rows
 from .protocols import bb84, scenarios
 from .protocols.hashing import affine_family
 
@@ -41,7 +39,6 @@ __all__ = [
     "run_scenario",
     "ReportRow",
     "write_csv",
-    "seeded_rng",
     "SCENARIOS",
 ]
 
@@ -157,11 +154,6 @@ def reader_values(cfg: RunConfig, reader: str) -> dict:
     return {**defaults, **cfg.params}
 
 
-def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator for (seed, stream); streams are independent jumps."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
-
-
 class ReportRow(NamedTuple):
     """One checked case of a report; ``ReportRow._fields`` is the CSV header."""
 
@@ -251,14 +243,6 @@ def load_channel(path):
         block = 2 * env_dim
         ops = [read_rows(fh, path, 2 + k * block, block, 2) for k in range(kraus)]
     return make_channel(ops, out_dims=(2, env_dim))
-
-
-def save_channel(path, channel) -> None:
-    env_dim = int(np.prod(channel.out_dims[1:])) if len(channel.out_dims) > 1 else 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"env {env_dim} kraus {len(channel.kraus_ops)}\n")
-        for op in channel.kraus_ops:
-            write_rows(fh, op)
 
 
 def run_scenario(name: str, cfg: RunConfig) -> list[ReportRow]:

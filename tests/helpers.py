@@ -1,0 +1,19 @@
+"""Helpers shared by the tests: seeded random streams and channel fixtures."""
+
+import numpy as np
+
+from qkdsec.qstate import write_rows
+
+
+def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Philox generator for (seed, stream); streams are independent jumps."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
+
+
+def save_channel(path, channel) -> None:
+    """Write ``channel`` in the fixture format that ``harness.load_channel`` reads."""
+    env_dim = int(np.prod(channel.out_dims[1:])) if len(channel.out_dims) > 1 else 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"env {env_dim} kraus {len(channel.kraus_ops)}\n")
+        for op in channel.kraus_ops:
+            write_rows(fh, op)

@@ -15,10 +15,11 @@ import numpy as np
 from qkdsec import metrics as mt
 from qkdsec import qstate as qs
 from qkdsec.acframework import advantage_over_family, identity_strategy
-from qkdsec.harness import seeded_rng
 from qkdsec.protocols import auth, bb84, scenarios
 from qkdsec.protocols.hashing import affine_family, verify_asu2
 from qkdsec.protocols.otp import build_otp_systems, message_family
+
+from helpers import seeded_rng
 
 
 def report(number, name, passed, detail=""):

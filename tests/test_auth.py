@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qkdsec.acframework import advantage_over_family
-from qkdsec.protocols import auth
+from qkdsec.protocols import auth, hashing
 from qkdsec.protocols.hashing import (
     GF2m,
     HashFamily,
+    TagOutOfRange,
     affine_family,
     default_code_matrices,
     toeplitz_matrix,
@@ -22,6 +23,10 @@ def test_affine_family_uniform_and_asu2_by_exhaustion():
     assert uniform
     assert worst_pair <= bound + 1e-15
     assert bound == pytest.approx(fam.epsilon / fam.tag_space, abs=1e-18)
+
+
+def test_affine_family_asu2_at_the_largest_field():
+    assert verify_asu2(affine_family(8)) == (2**-16, 2**-16, True)
 
 
 def test_asu2_oracle_direct_count():
@@ -224,17 +229,68 @@ def _literal_digests(fam):
     return lambda m: [fam.digest(key, m) for key in fam.keys()]
 
 
+@dataclass(frozen=True)
+class _ShiftFamily(HashFamily):
+    """Offset form with g_x(a) = a for every x: every pair collides."""
+
+    def digest_all_keys(self, message):
+        order = self.tag_space
+        return (np.arange(order)[:, None] ^ np.arange(order)[None, :]).reshape(-1)
+
+
+@dataclass(frozen=True)
+class _EditedFamily(HashFamily):
+    """The affine family with one key's tag flipped, or set to ``tag``, for one message."""
+
+    message: int = 1
+    key: int = 5
+    tag: int | None = None
+
+    def digest_all_keys(self, message):
+        tags = super().digest_all_keys(message)
+        if message == self.message:
+            tags[self.key] = tags[self.key] ^ 1 if self.tag is None else self.tag
+        return tags
+
+
+def _runs_difference_count(fam, messages):
+    digests = hashing._digest_table(fam, messages)
+    return hashing._offset_form(digests, fam.tag_space) is not None
+
+
 @pytest.mark.parametrize("bits", [3, 5])
 def test_asu2_batched_count_matches_direct_pairwise_count(bits):
     fam = affine_family(bits)
     messages = list(range(fam.tag_space))
     digest = _literal_digests(fam) if bits == 3 else fam.digest_all_keys
+    assert _runs_difference_count(fam, messages)
     assert verify_asu2(fam) == _direct_asu2(fam, messages, digest)
     # a family far from the property: the counts must track it too
     bad = _TableFamily(bits)
     want = _direct_asu2(bad, messages, bad.digest_all_keys)
     assert verify_asu2(bad) == want
     assert want[0] > want[1] and not want[2]
+    # in offset form but not ASU2: the difference count must see it
+    shift = _ShiftFamily(bits)
+    assert _runs_difference_count(shift, messages)
+    want = _direct_asu2(shift, messages, shift.digest_all_keys)
+    assert verify_asu2(shift) == want
+    assert want[0] == 1 / fam.tag_space > want[1] and want[2]
+    # one tag off the offset form: the all-keys count must see it
+    edited = _EditedFamily(bits)
+    assert not _runs_difference_count(edited, messages)
+    want = _direct_asu2(edited, messages, edited.digest_all_keys)
+    assert verify_asu2(edited) == want
+    assert want[0] == 2 / fam.key_count > want[1] and not want[2]
+
+
+@pytest.mark.parametrize("tag", [8, -1])
+def test_asu2_refuses_a_tag_outside_the_tag_space(tag):
+    # a tag of 8 would be counted in the next message's bins, and -1 would
+    # fail inside numpy with an unrelated message
+    fam = _EditedFamily(3, message=2, key=0, tag=tag)
+    with pytest.raises(TagOutOfRange, match=rf"message 2 has tag {tag}, outside range\(8\)"):
+        verify_asu2(fam)
 
 
 def test_asu2_batched_count_on_restricted_multi_block_messages():

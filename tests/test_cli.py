@@ -109,6 +109,15 @@ def test_auth_sweep(tmp_path):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+def test_auth_sweep_at_the_largest_field(tmp_path):
+    out = tmp_path / "auth.csv"
+    assert main(["auth", "sweep", "--b", "8", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [
+        "asu2-pair-probability", "asu2-tag-uniformity", "substitution-advantage"]
+    assert all(row.endswith(",true") for row in rows)
+
+
 def test_metrics_check(tmp_path):
     out = tmp_path / "metrics.csv"
     rc = main(["metrics", "check", "--seed", "2", "--trials", "5",

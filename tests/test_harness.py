@@ -19,10 +19,10 @@ from qkdsec.harness import (
     qkd_params,
     reader_values,
     run_scenario,
-    save_channel,
-    seeded_rng,
     write_csv,
 )
+
+from helpers import save_channel, seeded_rng
 
 
 def test_parse_config_minimal():
