@@ -17,24 +17,25 @@ channels whose environments Eve keeps.  Conditioned on the classical record
 operators over Eve's environment are low-rank, and the trace distances the
 security conditions need factor into a sample-part scalar times small
 eigenproblems on the key-material part.  Each term of those distances is one
-coefficient row over the key-material members (one syndrome and key pair,
-real minus ideal); the rows of a quantity form one coefficient matrix, built
-once per evaluation.  A rest block (one basis/label cell of the key-material
-positions) turns the whole matrix into trace norms at once.  Each position's
-environment splits into orthogonal sectors that every cell operator respects
-(depolarising with purification: one sector for a = b and one for a != b;
-intercept-resend: one per measured outcome), so a block's operators are block
-diagonal over tuples of sectors, and a trace norm is the sum of the sectors'
-trace norms.  One-dimensional sectors need only sums of scalars; otherwise a
+coefficient row over the key-material members (one syndrome and key event,
+real minus ideal).  ``key_rows`` builds a quantity's rows from per-row key
+columns, and ``_Engine.evaluate`` takes them as one coefficient matrix.  A
+rest block (one basis/label cell of the key-material positions) turns the
+whole matrix into trace norms at once.  Each position's environment splits
+into orthogonal sectors that every cell operator respects (depolarising with
+purification: one sector for a = b and one for a != b; intercept-resend: one
+per measured outcome), so a block's operators are block diagonal over tuples
+of sectors, and a trace norm is the sum of the sectors' trace norms.  One-dimensional sectors need only sums of scalars; otherwise a
 row's operator in a sector is contracted from the coefficients one position
 at a time, and each block takes one batched ``eigvalsh`` on sector-sized
 matrices.  A block whose contraction would be too large is refused with
 ``DimensionCap``.  Blocks are streamed: each one is built from per-position
 sectors made once with the position tables, folded into its rest's sums and
 dropped, so memory holds one block at a time.  The per-row sums over a
-rest's blocks depend only on the attacks at the rest positions, so they are
-computed once per distinct rest and weighted by each sample subset's pass
-mass.
+rest's blocks depend only on the attacks at the rest positions, so one
+``evaluate`` call computes them once per distinct rest and weights them by
+each sample subset's pass mass.  Its memos are local to the call: an engine
+keeps nothing between calls.
 Everything is an exact enumeration; no sampling is involved anywhere.
 """
 
@@ -67,6 +68,7 @@ __all__ = [
     "depolarize_attack",
     "steal_replace_attack",
     "custom_attack",
+    "key_rows",
     "QkdRun",
     "qkd_run",
     "RobustnessReport",
@@ -375,24 +377,47 @@ def _key_tables(params: QkdParams, a: np.ndarray, b: np.ndarray):
     return syn, pack(tm, a), pack(tm, b ^ ((leader[:, None] >> np.arange(lx)) & 1))
 
 
+def _joint_keys(key_size: int):
+    """Key columns of the joint (K_A, K_B) rows, K_B fastest: (ka, kb, ka == kb)."""
+    ka, kb = np.divmod(np.arange(key_size * key_size), key_size)
+    return ka, kb, ka == kb
+
+
+def key_rows(params: QkdParams, ka, kb, ideal) -> tuple[np.ndarray, np.ndarray]:
+    """(select, mix): indicator rows over the key-material members, syndrome-major.
+
+    ``ka``, ``kb`` and ``ideal`` are per-row key columns, and there is one row
+    per syndrome and column entry.  Its ``select`` row marks the syndrome's
+    members with keys (ka, kb), or with K_A = ka whatever K_B when kb < 0.
+    Its ``mix`` row is the uniform key the ideal system puts in that place,
+    the syndrome's members over key_size, when ``ideal`` holds, and zero
+    otherwise.  The branch masses live inside the operators, so these
+    indicators are the coefficients.
+    """
+    # member m holds position j's cell 2a+b in bits 2(width-1-j) and up
+    cells = _digits(4, params.width)
+    syn_of, ka_of, kb_of = _key_tables(params, cells >> 1, cells & 1)
+    ka, kb = np.asarray(ka)[:, None], np.asarray(kb)[:, None]
+    in_syn = np.arange(2 ** params.h_rows)[:, None, None] == syn_of
+    keys = (ka == ka_of) & ((kb == kb_of) | (kb < 0))
+    select = (in_syn & keys).reshape(-1, syn_of.size).astype(float)
+    mix = (in_syn & np.asarray(ideal, dtype=bool)[:, None]).reshape(select.shape)
+    return select, mix / params.key_size
+
+
 class _Engine:
     def __init__(self, params: QkdParams, attack: AttackStrategy):
         self.params = params
         self.tables = _position_tables(attack, params.n_qubits)
-        self._member_tables()
-        self._sample_cache: dict = {}
-        self._rest_sums: dict = {}
-
-    # key/syndrome lookup per key-material member (a_r, b_r)
-    def _member_tables(self):
-        lx = self.params.width
-        # member m holds position j's cell 2a+b in bits 2(lx-1-j) and up
-        cells = _digits(4, lx)
-        self.syn_of, self.ka_of, self.kb_of = _key_tables(self.params, cells >> 1, cells & 1)
-
-    def _pos_key(self, i: int) -> int:
-        # positions with identical attacks share rest sums and sample stats
-        return id(self.tables[i])
+        # per position: (a != b mass, total mass) over its labels and bases
+        self.errors = []
+        for tabs in self.tables:
+            e1 = total = 0.0
+            for tab in tabs:
+                for theta in range(2):
+                    e1 += float(tab.w4[theta][1] + tab.w4[theta][2])
+                    total += float(tab.w4[theta].sum())
+            self.errors.append((e1, total))
 
     def _rest_block(self, positions: tuple[int, ...], thetas: tuple[int, ...],
                     comps: tuple[int, ...]):
@@ -404,27 +429,14 @@ class _Engine:
 
     def sample_stats(self, positions: tuple[int, ...]):
         """(pass_mass, abort_mass) summed over bases, labels, and values."""
-        key = tuple(self._pos_key(i) for i in positions)
-        hit = self._sample_cache.get(key)
-        if hit is not None:
-            return hit
         p = self.params
         # error-count distribution: product convolution over sample positions
         dist = np.array([1.0])
         for i in positions:
-            e1 = 0.0
-            total = 0.0
-            for tab in self.tables[i]:
-                for theta in range(2):
-                    e1 += float(tab.w4[theta][1] + tab.w4[theta][2])  # a != b cells
-                    total += float(tab.w4[theta].sum())
-            e0 = total - e1
-            dist = np.convolve(dist, np.array([e0, e1]))
-        counts = np.arange(dist.size)
-        abort = counts > p.q_tol * p.t
-        hit = self._sample_cache[key] = (float(dist[~abort].sum()),
-                                         float(dist[abort].sum()))
-        return hit
+            e1, total = self.errors[i]
+            dist = np.convolve(dist, np.array([total - e1, e1]))
+        abort = np.arange(dist.size) > p.q_tol * p.t
+        return float(dist[~abort].sum()), float(dist[abort].sum())
 
     def rest_iter(self, rest: tuple[int, ...]):
         lx = len(rest)
@@ -433,53 +445,39 @@ class _Engine:
             for comps in product(*[range(c) for c in comp_counts]):
                 yield self._rest_block(rest, thetas, comps)
 
-    def key_rows(self, entries: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """(select, mix): indicator rows over the members, syndrome-major.
+    def evaluate(self, select: np.ndarray, mix: np.ndarray):
+        """Sums of the coefficient rows ``select - mix`` over the whole run.
 
-        There is one row per syndrome and entry ``(ka, kb, ideal)``.  Its
-        ``select`` row marks the syndrome's members with keys (ka, kb), or with
-        K_A = ka whatever K_B when kb is None.  Its ``mix`` row is the uniform
-        key the ideal system puts in that place, the syndrome's members over
-        key_size, when ``ideal`` holds, and zero otherwise.  The branch masses
-        live inside the operators, so these indicators are the coefficients.
-        """
-        ka = np.array([e[0] for e in entries])[:, None]
-        kb = np.array([-1 if e[1] is None else e[1] for e in entries])[:, None]
-        ideal = np.array([e[2] for e in entries], dtype=bool)[:, None]
-        in_syn = np.arange(2 ** self.params.h_rows)[:, None, None] == self.syn_of
-        keys = (ka == self.ka_of) & ((kb == self.kb_of) | (kb < 0))
-        select = (in_syn & keys).reshape(-1, self.syn_of.size).astype(float)
-        mix = (in_syn & ideal).reshape(select.shape) / self.params.key_size
-        return select, mix
-
-    def evaluate(self, entries: tuple):
-        """Sums of the entries' rows over the whole protocol run.
-
-        Returns ``(p_abort, norms, masses, reached)``.  ``norms`` and
-        ``masses`` are per-row trace norms of (real - ideal) and selected
-        branch masses, weighted by each sample subset's pass mass and
+        ``select`` and ``mix`` are (rows, members) arrays, as ``key_rows``
+        builds them.  Returns ``(p_abort, norms, masses, reached)``.
+        ``norms`` and ``masses`` are per-row trace norms of (real - ideal) and
+        selected branch masses, weighted by each sample subset's pass mass and
         averaged over the uniform subset choice; ``reached`` marks the rows
         whose selection has positive mass in some rest block.
         """
         p = self.params
-        select, mix = self.key_rows(entries)
         coeff = select - mix
         subsets = list(combinations(range(p.n_qubits), p.t))
+        # the block sums depend only on the tables at the rest positions and
+        # the sample stats only on those at the sample positions, so subsets
+        # that share table objects share them; nothing outlives this call
+        rest_memo, sample_memo = {}, {}
         p_abort, norms, masses, support = 0.0, 0.0, 0.0, 0.0
         for subset in subsets:
             rest = tuple(i for i in range(p.n_qubits) if i not in subset)
-            # the block sums depend only on the attacks at the rest positions,
-            # so subsets whose rests share position keys share them
-            key = (tuple(self._pos_key(i) for i in rest), entries)
-            if key not in self._rest_sums:
+            key = tuple(id(self.tables[i]) for i in rest)
+            if key not in rest_memo:
                 # each block is folded in and dropped, in rest_iter order
                 rest_norms, rest_masses = 0, 0
                 for b in self.rest_iter(rest):
                     rest_norms = rest_norms + b.trace_norms(coeff)
                     rest_masses = rest_masses + select @ b.w_member
-                self._rest_sums[key] = (rest_norms, rest_masses)
-            rest_norms, rest_masses = self._rest_sums[key]
-            pass_mass, abort_mass = self.sample_stats(subset)
+                rest_memo[key] = (rest_norms, rest_masses)
+            rest_norms, rest_masses = rest_memo[key]
+            key = tuple(id(self.tables[i]) for i in subset)
+            if key not in sample_memo:
+                sample_memo[key] = self.sample_stats(subset)
+            pass_mass, abort_mass = sample_memo[key]
             p_abort += abort_mass
             norms = norms + pass_mass * rest_norms
             masses = masses + pass_mass * rest_masses
@@ -591,8 +589,9 @@ class QkdRun:
 
     The final classical-quantum state is represented implicitly through the
     engine's factorised blocks; the scalar fields below are the functionals
-    the security conditions need, each computed without any sampling.
-    Composed quantities re-evaluate ``attack`` on a fresh engine.
+    the security conditions need, each computed without any sampling.  No
+    engine is kept: composed quantities build their own coefficient rows and
+    evaluate ``attack`` on a fresh engine.
     """
 
     params: QkdParams
@@ -617,32 +616,24 @@ def qkd_run(params: QkdParams, attack: AttackStrategy) -> QkdRun:
     outcomes) is enumerated into the classical-quantum branch structure.
     """
     engine = _Engine(params, attack)
-    p = params
-    n = p.n_qubits
-    nk = p.key_size
-    pairs = [(ka, kb) for ka in range(nk) for kb in range(nk)]
+    nk = params.key_size
+    ka, kb, equal = _joint_keys(nk)
     # secrecy rows (K_A against everything Eve sees), then the rows of the
     # full real-vs-ideal distance (keys (K_A, K_B) jointly)
-    entries = tuple([(k, None, True) for k in range(nk)]
-                    + [(ka, kb, ka == kb) for ka, kb in pairs])
-    p_abort, norms, masses, reached = engine.evaluate(entries)
-    by_syn = (-1, len(entries))
+    select, mix = key_rows(params, np.concatenate([np.arange(nk), ka]),
+                           np.concatenate([np.full(nk, -1), kb]),
+                           np.concatenate([np.ones(nk, dtype=bool), equal]))
+    p_abort, norms, masses, reached = engine.evaluate(select, mix)
+    by_syn = (-1, nk + ka.size)
     eps_sec = 0.5 * float(norms.reshape(by_syn)[:, :nk].sum())
     advantage = 0.5 * float(norms.reshape(by_syn)[:, nk:].sum())
     joint = masses.reshape(by_syn)[:, nk:].sum(axis=0)
     reached = reached.reshape(by_syn)[:, nk:].any(axis=0)
-    eps_cor = float(sum(w for (ka, kb), w in zip(pairs, joint) if ka != kb))
-    key_joint = {pair: float(w) for pair, w, r in zip(pairs, joint, reached) if r}
-
+    eps_cor = float(sum(joint[~equal].tolist()))
+    key_joint = {(a, b): w for a, b, w, r in zip(ka.tolist(), kb.tolist(), joint.tolist(),
+                                                  reached) if r}
     if p_abort > 0.0:
         key_joint[("abort", "abort")] = p_abort
-
-    err = 0.0
-    for i in range(n):
-        for tab in engine.tables[i]:
-            for theta in range(2):
-                err += float(tab.w4[theta][1] + tab.w4[theta][2])
-    err /= n
 
     return QkdRun(
         params=params,
@@ -651,7 +642,7 @@ def qkd_run(params: QkdParams, attack: AttackStrategy) -> QkdRun:
         eps_cor=eps_cor,
         eps_sec=eps_sec,
         advantage=advantage,
-        error_rate=err,
+        error_rate=sum(e1 for e1, _ in engine.errors) / params.n_qubits,
         key_joint=key_joint,
     )
 
@@ -662,16 +653,16 @@ def leaked_advantage(run: QkdRun, split: int) -> float:
     Both the real and the ideal system leak the same prefix, so this must
     equal the plain advantage: the leak only relabels K_A as (leaked prefix,
     kept bits), and that relabelling lists K_A in its natural order.  So the
-    rows are exactly ``qkd_run``'s joint (K_A, K_B) rows, re-evaluated on a
-    fresh engine as a check; ``split`` is only validated.
+    rows are exactly ``qkd_run``'s joint (K_A, K_B) rows from ``key_rows``,
+    evaluated on a fresh engine as a check; an engine keeps nothing between
+    calls, so nothing of the run's evaluation is reused.  ``split`` is only
+    validated.
     """
     p = run.params
     if not 0 <= split <= p.out_len:
         raise InvalidParams(f"split {split} outside [0, {p.out_len}]")
-    engine = _Engine(p, run.attack)
-    nk = p.key_size
-    entries = tuple((ka, kb, ka == kb) for ka in range(nk) for kb in range(nk))
-    return 0.5 * float(engine.evaluate(entries)[1].sum())
+    select, mix = key_rows(p, *_joint_keys(p.key_size))
+    return 0.5 * float(_Engine(p, run.attack).evaluate(select, mix)[1].sum())
 
 
 def otp_composed_advantage(run: QkdRun, message: int) -> float:
@@ -679,18 +670,17 @@ def otp_composed_advantage(run: QkdRun, message: int) -> float:
 
     Registers become the ciphertext y = message XOR K_A (leaked to Eve) and
     Bob's decryption x_B = y XOR K_B; on the ideal side the secure channel
-    delivers the message and the simulator emits a uniform y.  The map
-    (K_A, K_B) -> (y, x_B) is a bijection for any fixed message, so the
-    value must match the plain advantage.
+    delivers the message and the simulator emits a uniform y.  The rows are
+    the joint rows relabelled by the map (K_A, K_B) -> (y, x_B), a bijection
+    for any fixed message, so the value must match the plain advantage.
     """
     p = run.params
     nk = p.key_size
     if not 0 <= message < nk:
         raise InvalidParams(f"message {message} is not a {p.out_len}-bit value")
-    engine = _Engine(p, run.attack)
-    entries = tuple((message ^ y, y ^ xb, xb == message)
-                    for y in range(nk) for xb in range(nk))
-    return 0.5 * float(engine.evaluate(entries)[1].sum())
+    y, xb = np.divmod(np.arange(nk * nk), nk)
+    select, mix = key_rows(p, message ^ y, y ^ xb, xb == message)
+    return 0.5 * float(_Engine(p, run.attack).evaluate(select, mix)[1].sum())
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -49,7 +48,6 @@ __all__ = [
     "leaked_key_scenario",
     "qkd_otp_scenario",
     "swap_crossing_advantage",
-    "swap_joint_state",
     "product_pair_advantage",
     "parallel_qkd_scenario",
     "authenticated_round_distance",
@@ -110,7 +108,6 @@ def _diagonal_blocks(run: QkdRun):
     """
     p = run.params
     engine = bb84._Engine(p, run.attack)
-    nk = p.key_size
     subsets = list(combinations(range(p.n_qubits), p.t))
     if len({id(t) for t in engine.tables}) != 1:
         raise ScheduleMismatch(
@@ -118,8 +115,7 @@ def _diagonal_blocks(run: QkdRun):
     # uniform attacks: rest blocks are subset independent; evaluate on one
     rest = tuple(i for i in range(p.n_qubits) if i not in subsets[0])
     # per syndrome and key pair: the real branch sum, the ideal uniform key
-    select, mix = engine.key_rows(tuple((ka, kb, ka == kb)
-                                        for ka in range(nk) for kb in range(nk)))
+    select, mix = bb84.key_rows(p, *bb84._joint_keys(p.key_size))
     reals, ideals = [], []
     for block in engine.rest_iter(rest):
         if block._vals is None:
@@ -156,27 +152,6 @@ def product_pair_advantage(run1: QkdRun, run2: QkdRun) -> float:
     return run1.p_abort * run2.advantage + run2.p_abort * run1.advantage + pair
 
 
-def swap_joint_state(params: QkdParams):
-    """Exact joint classical state of two parallel instances under the swap.
-
-    Bob of each instance measures the state the other Alice prepared; Eve
-    keeps nothing, so the composite state is classical.  Returns
-    ``(blocks, group_mass)``: branch weights keyed by (Eve-visible label,
-    key-pair-pair) and the per-label total masses.
-    """
-    codes = _SwapCodes(params)
-    decode = lru_cache(maxsize=None)(codes.decode)  # cells recur in every block
-    real: dict = {}
-    group_mass: dict = {}
-    for thetas, blk in _swap_blocks(params, codes):
-        for cell, mass in zip(blk.cells.tolist(), blk.masses.tolist()):
-            label, kpair = decode(cell)
-            real[(thetas + label, kpair)] = mass
-        for cell, mass in zip(blk.label_cells.tolist(), blk.label_mass.tolist()):
-            group_mass[thetas + decode(cell)[0]] = mass
-    return real, group_mass
-
-
 def swap_crossing_advantage(params: QkdParams) -> float:
     """Distance of the swap attack's joint state from two ideal keys.
 
@@ -185,7 +160,7 @@ def swap_crossing_advantage(params: QkdParams) -> float:
     """
     codes = _SwapCodes(params)
     found, ideal_only = [], []
-    for _, blk in _swap_blocks(params, codes):
+    for blk in _swap_blocks(params, codes):
         _, first, second = codes.split(blk.cells)
         ideal = blk.group_of_cell * codes.key_share(first)
         ideal = ideal * codes.key_share(second)
@@ -247,17 +222,6 @@ class _SwapCodes:
         self.tables = np.array(tables)
         self.subsets = len(tables)
 
-        def unpack(code):
-            keys, evis = divmod(code, self.evis_size)
-            samples, syn = divmod(evis, 1 << rows)
-            a_s, b_s = divmod(samples, 1 << t)
-            passed = keys != self.abort
-            return ((tuple((a_s >> j) & 1 for j in range(t - 1, -1, -1)),
-                     tuple((b_s >> j) & 1 for j in range(t - 1, -1, -1)), syn),
-                    divmod(keys, nk + 1) if passed else ("abort", "abort"), passed)
-
-        self._unpacked = [unpack(code) for code in range(self.size)]
-
     def join(self, pair, code1, code2):
         return (pair * self.size + code1) * self.size + code2
 
@@ -265,15 +229,6 @@ class _SwapCodes:
         """(subset pair, first code, second code) of block cells."""
         pair, first = np.divmod(cells // self.size, self.size)
         return pair, first, cells % self.size
-
-    def decode(self, cell: int):
-        """((s1, s2) + Eve-visible label, key-pair-pair) of a cell, as dict keys."""
-        rest, second = divmod(cell, self.size)
-        pair, first = divmod(rest, self.size)
-        evis1, keys1, passed1 = self._unpacked[first]
-        evis2, keys2, passed2 = self._unpacked[second]
-        return (divmod(pair, self.subsets) + evis1 + evis2 + ((passed1, passed2),),
-                (keys1, keys2))
 
     def labels(self, cells: np.ndarray) -> np.ndarray:
         """Label index of block cells: subset pair, evis and pass flags."""
@@ -335,7 +290,7 @@ def _sums_by_first_seen(keys: np.ndarray, weights: np.ndarray):
 
 
 def _swap_blocks(params: QkdParams, codes: _SwapCodes):
-    """Yield ((theta1, theta2), _SwapBlock) in enumeration order."""
+    """Yield the _SwapBlock of each (theta1, theta2), in enumeration order."""
     n = params.n_qubits
     pairs = codes.subsets ** 2
     # p(b | prepared a' in basis th', measured in basis th)
@@ -376,8 +331,7 @@ def _swap_blocks(params: QkdParams, codes: _SwapCodes):
             at, masses, _ = _sums_by_first_seen(block_cells, np.tile(share[live], pairs))
             block_cells = block_cells[at]
             at, label_mass, group_of_cell = _sums_by_first_seen(codes.labels(block_cells), masses)
-            yield (th1, th2), _SwapBlock(block_cells, masses, group_of_cell,
-                                         block_cells[at], label_mass)
+            yield _SwapBlock(block_cells, masses, group_of_cell, block_cells[at], label_mass)
 
 
 def parallel_qkd_scenario(params: QkdParams):

@@ -3,9 +3,9 @@
 Two parallel BB84 runs in which Bob of each run measures the state the
 other Alice prepared.  Every (a, b) word of each run is enumerated with
 dict-keyed tables and every weight is added one at a time, in the order
-of the 16^n joint cells of (a1, b1, a2, b2), so the oracle gives the
-same keys, values and insertion order as the array-valued
-``scenarios.swap_joint_state``.  Slow, and kept only to check it.
+of the 16^n joint cells of (a1, b1, a2, b2), so the crossing advantage
+adds the same terms in the same order as the array-valued
+``scenarios.swap_crossing_advantage``.  Slow, and kept only to check it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,12 @@ from qkdsec.protocols import bb84
 
 
 def swap_joint_state(params):
-    """Return ``(real, group_mass)`` like ``scenarios.swap_joint_state``."""
+    """Return ``(real, group_mass)``: the joint classical state of both runs.
+
+    Eve keeps nothing, so the state is classical.  ``real`` maps (Eve-visible
+    label, key-pair-pair) to its branch weight, and ``group_mass`` maps each
+    label to its total mass.
+    """
     n, t = params.n_qubits, params.t
     subsets = list(combinations(range(n), t))
     c = len(subsets)
@@ -66,14 +71,10 @@ def swap_joint_state(params):
     return real, group_mass
 
 
-def swap_crossing_advantage(params, joint=None) -> float:
-    """Distance of the swap attack's joint state from two ideal keys.
-
-    ``joint`` may pass the ``(real, group_mass)`` pair of
-    :func:`swap_joint_state` for these parameters, to save enumerating again.
-    """
+def swap_crossing_advantage(params) -> float:
+    """Distance of the swap attack's joint state from two ideal keys."""
     nk = params.key_size
-    real, group_mass = joint if joint is not None else swap_joint_state(params)
+    real, group_mass = swap_joint_state(params)
     dist = 0.0
     seen = set()
     for (label, kpair), value in real.items():

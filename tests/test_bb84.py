@@ -389,27 +389,59 @@ def test_sector_cutoff(scale, n_sectors):
         assert np.array_equal(sector_ops[0], ops[[0, 3]])
 
 
-def test_rest_memo_with_position_dependent_attack():
-    # every sample subset leaves a different (ir, dep) pattern on the rest
+def _ir_dep_ir():
+    # every sample subset of three positions leaves a different (ir, dep)
+    # pattern on the rest
     from qkdsec.acframework import AttackStrategy
 
-    params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
     ir = bb84.intercept_resend(1, 1.0).quantum[0]
     dep = bb84.depolarize_attack(1, 0.3).quantum[0]
-    attack = AttackStrategy(name="ir-dep-ir", quantum=(ir, dep, ir))
+    return AttackStrategy(name="ir-dep-ir", quantum=(ir, dep, ir))
+
+
+def test_rest_memo_with_position_dependent_attack(monkeypatch):
+    params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
+    attack = _ir_dep_ir()
     p_abort, eps_cor, eps_sec, advantage, _ = oracle_quantities(params, attack)
     run = bb84.qkd_run(params, attack)
     assert abs(p_abort - run.p_abort) <= 1e-12
     assert abs(eps_cor - run.eps_cor) <= 1e-12
     assert abs(eps_sec - run.eps_sec) <= 1e-9
     assert abs(advantage - run.advantage) <= 1e-9
-    entries = ((0, None, True), (0, 0, True), (0, 1, False))
-    engine = bb84._Engine(params, attack)
-    engine.evaluate(entries)
-    assert len(engine._rest_sums) == 3
+    rows = bb84.key_rows(params, (0, 0, 0), (-1, 0, 1), (True, True, False))
+    # one walk over the blocks per distinct rest: (dep, ir), (ir, ir), (ir, dep)
+    assert _rest_walks(monkeypatch, bb84._Engine(params, attack), rows)[0] == 3
     uniform = bb84._Engine(params, bb84.intercept_resend(3, 1.0))
-    uniform.evaluate(entries)
-    assert len(uniform._rest_sums) == 1
+    assert _rest_walks(monkeypatch, uniform, rows)[0] == 1
+
+
+def _rest_walks(monkeypatch, engine, rows):
+    """(rest_iter walks, result) of one ``engine.evaluate(*rows)`` call."""
+    walks = []
+    rest_iter = bb84._Engine.rest_iter
+
+    def counting_iter(self, rest):
+        walks.append(rest)
+        return rest_iter(self, rest)
+
+    monkeypatch.setattr(bb84._Engine, "rest_iter", counting_iter)
+    result = engine.evaluate(*rows)
+    monkeypatch.undo()
+    return len(walks), result
+
+
+def test_engine_keeps_nothing_between_calls(monkeypatch):
+    # a second evaluate call walks every distinct rest again: no memo
+    # outlives a call, and the call gives the same values
+    params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
+    engine = bb84._Engine(params, _ir_dep_ir())
+    rows = bb84.key_rows(params, *bb84._joint_keys(params.key_size))
+    walks, first = _rest_walks(monkeypatch, engine, rows)
+    again, second = _rest_walks(monkeypatch, engine, rows)
+    assert walks == again == 3
+    assert first[0] == second[0]
+    for a, b in zip(first[1:], second[1:]):
+        assert np.array_equal(a, b)
 
 
 def test_engine_streams_rest_blocks(monkeypatch):
@@ -428,7 +460,7 @@ def test_engine_streams_rest_blocks(monkeypatch):
     monkeypatch.setattr(bb84._RestBlock, "__init__", counting_init)
     params = bb84.default_params(n_qubits=4, t=1, q_tol=0.25, out_len=1, h_rows=1)
     engine = bb84._Engine(params, bb84.intercept_resend(4, 0.5))
-    engine.evaluate(((0, None, True), (0, 0, True), (0, 1, False)))
+    engine.evaluate(*bb84.key_rows(params, (0, 0, 0), (-1, 0, 1), (True, True, False)))
     assert built[0] == 216
     assert peak[0] <= 2
 

@@ -171,6 +171,24 @@ def test_run_scenario_deterministic_csv(tmp_path):
     assert all(r.holds for r in rows1)
 
 
+def test_key_expansion_reads_the_ledger_total_once(monkeypatch):
+    # each read of the total is an fsum over every round's entries, so one
+    # read per CSV row made the scenario quadratic in the round count
+    from qkdsec.acframework import EpsilonLedger
+
+    reads = [0]
+    total = EpsilonLedger.total
+
+    def counting_total(self):
+        reads[0] += 1
+        return total.fget(self)
+
+    monkeypatch.setattr(EpsilonLedger, "total", property(counting_total))
+    rows = run_scenario("key-expansion", parse_config("seed = 1\nrounds = 50"))
+    assert len(rows) == 4 * 50 + 1
+    assert reads[0] <= 2
+
+
 @pytest.mark.parametrize("scenario,line", [
     ("key-expansion", "split = -1"), ("leaked-key", "msg = -1"), ("leaked-key", "b = 40"),
     ("qkd-otp", "b = 40"), ("parallel-qkd", "rounds = 2"),
