@@ -108,11 +108,7 @@ def cmd_lockdemo(args) -> int:
                   float(args.m), True),
         ReportRow("lockdemo", "locking-gap", report.gap, float(args.m), True),
     ]
-    if cfg.out:
-        write_csv(cfg.out, ReportRow._fields, rows)
-    else:
-        for r in rows:
-            sys.stdout.write(f"{r.case}: {r.measured:.12g}\n")
+    write_csv(cfg.out, ReportRow._fields, rows)
     return 0 if all(r.holds for r in rows) else 2
 
 

@@ -8,22 +8,17 @@ the shipped one reroutes the quantum signals between the two instances
 (swap), which couples the runs, so ``swap_crossing_advantage`` evaluates
 the joint state of both runs at once.
 
-The swap's joint state is enumerated with integer arrays: each run's view
-of an (a, b) word is one integer code (keys, sample bits, syndrome, abort),
-a joint cell is a pair of codes, and each (theta1, theta2) block of the
-16^n joint assignments is reduced with ``np.unique`` and ``np.bincount``.
-The reductions add in the order of the scalar enumeration they replace, so
-every mass and the crossing advantage are the same floats.
-
-An authenticated round (key expansion) is enumerated the same way: each
-(sample subset, bases) block holds Alice's bits, the attack labels, the
-per-position outcomes and the tamper branches as arrays, and each row's
-Eve-visible record and key pair are one integer code.  Keys come from one
-T-matrix product per block and tag acceptance from one count table per
-(target, forged) message; the real and sector masses are ``np.bincount``
-sums in order of first occurrence, and every total is added sequentially
-(``np.cumsum``), so the distance, abort probability and correctness error
-are the floats the scalar loop gives.
+Two examples compare a real run with an ideal key resource whose simulator
+presses each party's switch as its own run aborted: the swap crossing and
+an authenticated round of key expansion.  Each enumerates its real cells as
+integer codes, block by block (a (theta1, theta2) block of the 16^n joint
+assignments of both swapped runs; a (sample subset, bases) block of a
+round, with keys from one T-matrix product and tag acceptance from one
+count table per (target, forged) message), and both reduce a block with
+``_matched_terms``.  Masses are ``np.bincount`` sums in order of first
+occurrence and totals add sequentially (``np.cumsum``) in the order of the
+scalar enumerations these replace; every ideal share is 0, 1 or one over
+the power-of-two key count, so every value is the same float.
 """
 
 from __future__ import annotations
@@ -72,8 +67,9 @@ def leaked_key_scenario(params: QkdParams, split: int, attacks) -> BoundReport:
     """Forward the first ``split`` key bits to Eve on both systems.
 
     The leak is the same register permutation on the real and ideal sides,
-    so the advantage of every attack is unchanged; both sides are evaluated
-    with the refined block structure and compared.
+    so the advantage of every attack is unchanged; the leaked distance is
+    evaluated from ``qkd_run``'s joint (K_A, K_B) rows on a fresh engine and
+    compared with the run's advantage.
     """
     worst = 0.0
     for attack in attacks:
@@ -159,22 +155,9 @@ def swap_crossing_advantage(params: QkdParams) -> float:
     patterns are matched per instance through the simulators' switches.
     """
     codes = _SwapCodes(params)
-    found, ideal_only = [], []
-    for blk in _swap_blocks(params, codes):
-        _, first, second = codes.split(blk.cells)
-        ideal = blk.group_of_cell * codes.key_share(first)
-        ideal = ideal * codes.key_share(second)
-        found.append(np.abs(blk.masses - ideal))
-        # ideal-only branches: per label, the option pairs (an abort, or
-        # each equal key pair, per instance) that the real run never produced
-        pair, first, second = codes.split(blk.label_cells)
-        opt1, opt2 = codes.options(first), codes.options(second)
-        cells = codes.join(pair[:, None, None], opt1[:, :, None], opt2[:, None, :])
-        missing = (opt1 >= 0)[:, :, None] & (opt2 >= 0)[:, None, :]
-        missing &= ~np.isin(cells, blk.cells)
-        share = (blk.label_mass[:, None, None] * codes.option_share(opt1)[:, :, None]
-                 * codes.option_share(opt2)[:, None, :])
-        ideal_only.append(share[missing])
+    found, ideal_only = zip(*(
+        _matched_terms(cells, masses, codes.labels(cells), codes.share, codes.options)
+        for cells, masses in _swap_blocks(params, codes)))
     # one running sum over the real branches and then the ideal-only ones,
     # in dict order, so the total is the float a scalar loop adds up
     return 0.5 * _running_sum(found + ideal_only)
@@ -237,43 +220,27 @@ class _SwapCodes:
         lab2 = second % self.evis_size * 2 + (second // self.evis_size != self.abort)
         return (pair * 2 * self.evis_size + lab1) * 2 * self.evis_size + lab2
 
-    def key_share(self, codes: np.ndarray) -> np.ndarray:
-        """Ideal weight factor of one instance's key pair: the uniform key's
-        on equal keys, one on an abort, zero otherwise."""
-        ka, kb = np.divmod(codes // self.evis_size, self.nk + 1)
-        return np.where(ka == self.nk, np.where(kb == self.nk, 1.0, 0.0),
-                        np.where(ka == kb, 1.0 / self.nk, 0.0))
+    def share(self, cells: np.ndarray) -> np.ndarray:
+        """Ideal weight factor of block cells, the product of the instances'."""
+        _, first, second = self.split(cells)
+        return (_key_share(first // self.evis_size, self.nk)
+                * _key_share(second // self.evis_size, self.nk))
 
-    def options(self, codes: np.ndarray) -> np.ndarray:
-        """Per code, the ideal key pairs of its label: each (k, k) when the
-        instance passed, else the abort alone (padded with -1)."""
-        keys, evis = np.divmod(codes, self.evis_size)
+    def options(self, cells: np.ndarray) -> np.ndarray:
+        """Per label cell, the ideal cells of its label: per instance each
+        (k, k) when it passed, else the abort alone (padded with -1)."""
+        pair, *codes = self.split(cells)
         k = np.arange(self.nk)
-        passing = (k * (self.nk + 2) * self.evis_size)[None, :] + evis[:, None]
-        aborting = np.where(k == 0, self.abort * self.evis_size + evis[:, None], -1)
-        return np.where((keys != self.abort)[:, None], passing, aborting)
-
-    def option_share(self, options: np.ndarray) -> np.ndarray:
-        return np.where(options // self.evis_size == self.abort, 1.0, 1.0 / self.nk)
-
-
-@dataclass(frozen=True)
-class _SwapBlock:
-    """Reduced cells of one (theta1, theta2) block, all subset pairs.
-
-    ``cells`` holds the cells of positive mass, subset pair by subset pair
-    and within one in order of first occurrence over the 16^n joint
-    assignments of (a1, b1, a2, b2); ``masses`` adds each cell's weights
-    in that order.  Labels are ordered by their first cell
-    (``label_cells``), and ``label_mass`` adds a label's cell masses in
-    cell order: the orders and sums of the dicts a scalar loop builds.
-    """
-
-    cells: np.ndarray
-    masses: np.ndarray
-    group_of_cell: np.ndarray
-    label_cells: np.ndarray
-    label_mass: np.ndarray
+        per_instance = []
+        for code in codes:
+            keys, evis = np.divmod(code, self.evis_size)
+            passing = (k * (self.nk + 2) * self.evis_size)[None, :] + evis[:, None]
+            aborting = np.where(k == 0, self.abort * self.evis_size + evis[:, None], -1)
+            per_instance.append(np.where((keys != self.abort)[:, None], passing, aborting))
+        opt1, opt2 = per_instance
+        joined = self.join(pair[:, None, None], opt1[:, :, None], opt2[:, None, :])
+        valid = (opt1 >= 0)[:, :, None] & (opt2 >= 0)[:, None, :]
+        return np.where(valid, joined, -1).reshape(len(cells), -1)
 
 
 def _sums_by_first_seen(keys: np.ndarray, weights: np.ndarray):
@@ -289,8 +256,40 @@ def _sums_by_first_seen(keys: np.ndarray, weights: np.ndarray):
     return first[order], sums[order], sums[inverse]
 
 
+def _key_share(kpair: np.ndarray, nk: int) -> np.ndarray:
+    """Ideal weight factor of key pairs ``ka * (nk + 1) + kb`` (an abort is
+    nk): one on a double abort, the shared uniform key's on an abort beside
+    a key or on equal keys, zero otherwise."""
+    ka, kb = np.divmod(kpair, nk + 1)
+    fa, fb = ka == nk, kb == nk
+    return np.where(fa & fb, 1.0, np.where(fa | fb | (ka == kb), 1.0 / nk, 0.0))
+
+
+def _matched_terms(cells, masses, labels, share, options):
+    """|real - ideal| terms of one block against the matched ideal resource.
+
+    Each label (Eve's view and the abort pattern) keeps its real mass on the
+    ideal side, spread over its ideal cells by ``share``.  ``cells`` are the
+    block's distinct real cells in order of first occurrence, with their
+    ``masses`` and ``labels``; ``options`` maps each label's first cell to
+    its ideal cells, padded with -1.  Returns the term of each real cell in
+    cell order, and the ideal mass of each ideal cell that the real run
+    never produced, in label order.
+    """
+    at, label_mass, mass_of_label = _sums_by_first_seen(labels, masses)
+    ideal = options(cells[at])
+    missing = (ideal >= 0) & ~np.isin(ideal, cells)
+    return (np.abs(masses - mass_of_label * share(cells)),
+            label_mass[np.nonzero(missing)[0]] * share(ideal[missing]))
+
+
 def _swap_blocks(params: QkdParams, codes: _SwapCodes):
-    """Yield the _SwapBlock of each (theta1, theta2), in enumeration order."""
+    """Yield each (theta1, theta2) block's cells of positive mass and masses.
+
+    Cells run subset pair by subset pair and within one in order of first
+    occurrence over the 16^n joint assignments of (a1, b1, a2, b2); a mass
+    adds its cell's weights in that order.
+    """
     n = params.n_qubits
     pairs = codes.subsets ** 2
     # p(b | prepared a' in basis th', measured in basis th)
@@ -329,9 +328,7 @@ def _swap_blocks(params: QkdParams, codes: _SwapCodes):
             live = np.flatnonzero(share > 0.0)
             block_cells = cells[:, live].ravel()
             at, masses, _ = _sums_by_first_seen(block_cells, np.tile(share[live], pairs))
-            block_cells = block_cells[at]
-            at, label_mass, group_of_cell = _sums_by_first_seen(codes.labels(block_cells), masses)
-            yield _SwapBlock(block_cells, masses, group_of_cell, block_cells[at], label_mass)
+            yield block_cells[at], masses
 
 
 def parallel_qkd_scenario(params: QkdParams):
@@ -400,7 +397,25 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
     nk = params.key_size
     pairs = (nk + 1) ** 2
     k = np.arange(nk)
-    aborts, errors, found, ideal_only = [], [], [], []
+
+    # Ideal: key resource with one delivery switch per party, pressed as the
+    # simulator's internal run aborted, so each Eve-visible group keeps its
+    # real abort pattern and the delivered keys are one shared uniform value.
+    # (A both-or-neither resource cannot track the interruption asymmetry
+    # any two-message flow necessarily has.)
+    def share(cells):
+        return _key_share(cells % pairs, nk)
+
+    def options(cells):
+        # both abort, an abort beside each key, or each shared key; a
+        # both-abort label's options are its own cell, so never missing
+        evis, kpair = np.divmod(cells, pairs)
+        ka, kb = np.divmod(kpair, nk + 1)
+        ka = np.where((ka == nk)[:, None], nk, k)
+        kb = np.where((kb == nk)[:, None], nk, k)
+        return evis[:, None] * pairs + ka * (nk + 1) + kb
+
+    aborts, errors, terms = [], [], []
     for keys, weights in _round_blocks(params, fam, comps, tamper):
         # real branches: (Eve-visible record, key pair) cells in order of
         # first occurrence; an aborted key is nk
@@ -411,24 +426,8 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
         fa, fb = ka == nk, kb == nk
         aborts.append(masses[fa & fb])
         errors.append(masses[ka != kb])
-        # Ideal: key resource with one delivery switch per party.  The
-        # simulator runs the round internally and presses the switches
-        # according to which parties its run aborted, so within each
-        # Eve-visible group the ideal abort pattern matches the real one and
-        # the delivered keys are a shared uniform value.  (A both-or-neither
-        # resource cannot track the interruption asymmetry any two-message
-        # flow necessarily has.)
-        at, sector_mass, mass = _sums_by_first_seen(evis * 4 + fa * 2 + fb, masses)
-        ideal = np.where(fa & fb, mass, np.where(fa | fb | (ka == kb), mass / nk, 0.0))
-        found.append(np.abs(masses - ideal))
-        # ideal-only branches: per sector, the key pairs of its options (each
-        # (abort, k), (k, abort) or (k, k)) that the real run never produced
-        fa, fb = fa[at], fb[at]
-        options = np.where(fa[:, None], nk * (nk + 1) + k,
-                           np.where(fb[:, None], k * (nk + 1) + nk, k * (nk + 2)))
-        missing = ~np.isin(evis[at, None] * pairs + options, cells)
-        missing &= ~(fa & fb)[:, None]
-        ideal_only.append(np.broadcast_to(sector_mass[:, None] / nk, missing.shape)[missing])
+        terms.append(_matched_terms(cells, masses, evis * 4 + fa * 2 + fb, share, options))
+    found, ideal_only = zip(*terms)
     return {
         "distance": 0.5 * _running_sum(found + ideal_only),
         "p_abort": _running_sum(aborts),
@@ -629,11 +628,8 @@ def key_expansion(rounds: int, fam: HashFamily, params: QkdParams,
                 f"pool holds {output} bits, round needs {per_round_auth}")
         output -= per_round_auth
         output += params.out_len
-        ledger = serial_compose(
-            ledger,
-            LedgerEntry("authentication", eps_auth, "asserted"),
-            LedgerEntry("qkd", eps_qkd, "measured"),
-        )
+    ledger = serial_compose(ledger, *(LedgerEntry("authentication", eps_auth, "asserted"),
+                                      LedgerEntry("qkd", eps_qkd, "measured")) * rounds)
 
     # measured composite: single-round attacks with the other rounds honest
     # (honest rounds have exactly equal real and ideal states, so the

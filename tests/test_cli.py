@@ -30,32 +30,28 @@ LOCKDEMO_CSV = ("scenario,case,measured,bound,holds\n"
                 "lockdemo,pre-reveal-k2-bits,0.451205059305,2,true\n"
                 "lockdemo,pre-reveal-key-bits,1,2,true\n"
                 "lockdemo,locking-gap,1.5487949407,2,true\n")
-LOCKDEMO_TEXT = ("post-reveal-bits: 2\n"
-                 "pre-reveal-k2-bits: 0.451205059305\n"
-                 "pre-reveal-key-bits: 1\n"
-                 "locking-gap: 1.5487949407\n")
 
 GOLDEN = {
-    "auth": (["auth", "sweep", "--b", "3"], AUTH_B3, AUTH_B3),
-    "qkd": (["qkd", "run", "--attack", "intercept-resend:0.5", "--seed", "9"],
-            QKD_IR, QKD_IR),
+    "auth": (["auth", "sweep", "--b", "3"], AUTH_B3),
+    "qkd": (["qkd", "run", "--attack", "intercept-resend:0.5", "--seed", "9"], QKD_IR),
     "compose": (["compose", "scenario", "--name", "key-expansion", "--seed", "6"],
-                KEY_EXPANSION, KEY_EXPANSION),
+                KEY_EXPANSION),
     "compose-parallel": (["compose", "scenario", "--name", "parallel-qkd", "--seed", "6"],
-                         PARALLEL_QKD, PARALLEL_QKD),
-    "lockdemo": (["lockdemo", "--m", "2"], LOCKDEMO_CSV, LOCKDEMO_TEXT),
+                         PARALLEL_QKD),
+    "lockdemo": (["lockdemo", "--m", "2"], LOCKDEMO_CSV),
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_output(tmp_path, capsys, command):
-    argv, csv_text, stdout_text = GOLDEN[command]
+    # --out and stdout get the same bytes
+    argv, csv_text = GOLDEN[command]
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == csv_text.encode()
     assert capsys.readouterr().out == ""
     assert main(argv) == 0
-    assert capsys.readouterr().out == stdout_text
+    assert capsys.readouterr().out == csv_text
 
 
 def test_qkd_run_csv(tmp_path):
@@ -208,8 +204,9 @@ def test_qkd_run_negative_code_size_exits_1(tmp_path, capsys, line, least):
 def test_lockdemo(tmp_path, capsys):
     rc = main(["lockdemo", "--m", "2"])
     assert rc == 0
-    shown = capsys.readouterr().out
-    assert "post-reveal-bits: 2" in shown
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "scenario,case,measured,bound,holds"
+    assert lines[1] == "lockdemo,post-reveal-bits,2,2,true"
 
 
 def test_config_file_drives_run(tmp_path):

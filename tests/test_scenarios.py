@@ -6,6 +6,7 @@ import pytest
 import round_oracle
 import swap_oracle
 from bb84_oracle import enumerate_branches, real_and_ideal_states
+from qkdsec import acframework
 from qkdsec import metrics as mt
 from qkdsec import qstate as qs
 from qkdsec.protocols import bb84, scenarios
@@ -181,6 +182,27 @@ def test_key_expansion_computes_each_round_distance_once(round_params, monkeypat
     assert [name for name, _ in result.rows][4:6] == ["round2:p=0.0", "round2:p=1.0"]
 
 
+def test_key_expansion_builds_ledger_in_one_call(round_params, monkeypatch):
+    fam = affine_family(4)
+    rounds = 50
+    calls = []
+    real = scenarios.serial_compose
+    monkeypatch.setattr(scenarios, "serial_compose",
+                        lambda *args: calls.append(args) or real(*args))
+    ledger = scenarios.key_expansion(rounds, fam, round_params).ledger
+    assert len(calls) == 1
+    # the same entries and total as appending one round at a time
+    eps_qkd = max(bb84.qkd_run(round_params, a).decomposition_bound
+                  for a in (bb84.identity_attack(), bb84.intercept_resend(2, 1.0)))
+    want = acframework.EpsilonLedger()
+    for _ in range(rounds):
+        want = real(want, acframework.LedgerEntry("authentication", 2.0 * fam.epsilon,
+                                                  "asserted"),
+                    acframework.LedgerEntry("qkd", eps_qkd, "measured"))
+    assert ledger.entries == want.entries
+    assert ledger.total == want.total
+
+
 def test_key_expansion_budget(round_params):
     fam = affine_family(4)
     with pytest.raises(scenarios.KeyBudgetExhausted):
@@ -257,3 +279,25 @@ def test_swap_joint_state_matches_scalar_oracle(n, t, h_rows, out_len, q_tol):
                                  h_rows=h_rows, seed=5)
     assert scenarios.swap_crossing_advantage(params) == \
         swap_oracle.swap_crossing_advantage(params)
+
+
+def test_matched_terms_on_hand_built_block():
+    # cell = label * 9 + ka * 3 + kb over two keys; key 2 is an abort
+    def share(cells):
+        ka, kb = np.divmod(cells % 9, 3)
+        return np.where(ka == kb, np.where(ka == 2, 1.0, 0.5), 0.0)
+
+    def options(cells):
+        label, kpair = np.divmod(cells, 9)
+        keys = label[:, None] * 9 + np.array([0, 4])
+        aborts = np.stack([cells, np.full_like(cells, -1)], axis=1)
+        return np.where((kpair == 8)[:, None], aborts, keys)
+
+    # label 0 passes with keys (0, 0) and the mismatch (0, 1); label 1 aborts
+    cells = np.array([0, 1, 17])
+    masses = np.array([0.375, 0.125, 0.25])
+    found, ideal_only = scenarios._matched_terms(cells, masses, cells // 9, share, options)
+    # the mismatch lies outside its label's options and keeps its full mass
+    assert found.tolist() == [0.375 - 0.5 * 0.5, 0.125, 0.0]
+    # the missing key pair (1, 1) of label 0 is ideal-only; the abort adds none
+    assert ideal_only.tolist() == [0.5 * 0.5]
