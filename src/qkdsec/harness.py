@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tolerances as tol
-from .qstate import make_channel, read_rows
+from .qstate import make_channel, open_fixture, read_rows
 from .protocols import bb84, scenarios
 from .protocols.hashing import affine_family
 
@@ -229,7 +229,7 @@ def _attack_probability(spec: str) -> float:
 
 def load_channel(path):
     """Channel fixture: ``env D kraus K`` then K stacked (2*D) x 2 blocks."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_fixture(path) as fh:
         header = fh.readline().split()
         try:
             if len(header) != 4 or header[0] != "env" or header[2] != "kraus":

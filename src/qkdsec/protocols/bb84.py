@@ -19,23 +19,27 @@ security conditions need factor into a sample-part scalar times small
 eigenproblems on the key-material part.  Each term of those distances is one
 coefficient row over the key-material members (one syndrome and key event,
 real minus ideal).  ``key_rows`` builds a quantity's rows from per-row key
-columns, and ``_Engine.evaluate`` takes them as one coefficient matrix.  A
-rest block (one basis/label cell of the key-material positions) turns the
-whole matrix into trace norms at once.  Each position's environment splits
-into orthogonal sectors that every cell operator respects (depolarising with
-purification: one sector for a = b and one for a != b; intercept-resend: one
-per measured outcome), so a block's operators are block diagonal over tuples
-of sectors, and a trace norm is the sum of the sectors' trace norms.  One-dimensional sectors need only sums of scalars; otherwise a
-row's operator in a sector is contracted from the coefficients one position
-at a time, and each block takes one batched ``eigvalsh`` on sector-sized
-matrices.  A block whose contraction would be too large is refused with
-``DimensionCap``.  Blocks are streamed: each one is built from per-position
-sectors made once with the position tables, folded into its rest's sums and
-dropped, so memory holds one block at a time.  The per-row sums over a
-rest's blocks depend only on the attacks at the rest positions, so one
-``evaluate`` call computes them once per distinct rest and weights them by
-each sample subset's pass mass.  Its memos are local to the call: an engine
-keeps nothing between calls.
+columns, and ``_Engine.evaluate`` takes them as one coefficient matrix.
+Each position's environment splits into orthogonal sectors that every cell
+operator respects (depolarising with purification: one sector for a = b and
+one for a != b; intercept-resend: one per measured outcome).  Every
+basis/label cell of the key-material positions is a classical branch, so the
+operators are block diagonal over cells and sectors alike, and a trace norm
+is the sum of the blocks' trace norms.  So a position's sectors over all its
+bases and labels are stacked into one table per sector dimension, with the
+mixture weight and the 1/4 prior inside the operators, and the sectors of a
+rest (the key-material positions of one sample subset) are the products of
+its positions' stacked sectors: the union of every cell's sectors.  A rest
+is one contraction of the coefficient tensor per product of dimension
+classes, taken one position at a time as mode products.  One-dimensional
+classes reduce with ``abs`` in real arithmetic; larger ones go through a
+batched ``eigvalsh`` on sector-sized matrices.  Batches split the rows and
+the leading positions' sectors, so memory stays bounded, and a sector tuple
+whose contraction would be too large is refused with ``DimensionCap``.  The
+per-row sums over a rest depend only on the attacks at the rest positions,
+so one ``evaluate`` call computes them once per distinct rest and weights
+them by each sample subset's pass mass.  Its memos are local to the call: an
+engine keeps nothing between calls.
 Everything is an exact enumeration; no sampling is involved anywhere.
 """
 
@@ -230,15 +234,13 @@ _BASIS = (
 )
 
 
-@dataclass
-class _ComponentTables:
-    w4: np.ndarray  # (2, 4) -> [theta, 2a+b], includes the 1/4 basis/bit prior
-    # per theta: the sector layout (cells, ops) of the cell operators (see
-    # _sector_layout)
-    sectors: list
+def _component_tables(comp: MixtureComponent):
+    """(w4, sectors) of one mixture component.
 
-
-def _component_tables(comp: MixtureComponent) -> _ComponentTables:
+    ``w4`` (2, 4) -> [theta, 2a+b] holds the cell masses, the 1/4 basis/bit
+    prior included; ``sectors[theta]`` lists the sector tables of that
+    basis's cell operators (see _sectors).
+    """
     chan = comp.channel
     env_dim = int(np.prod(chan.out_dims[1:])) if len(chan.out_dims) > 1 else 1
     if chan.out_dims[0] != 2:
@@ -282,22 +284,21 @@ def _component_tables(comp: MixtureComponent) -> _ComponentTables:
         x = (np.array(vecs, dtype=complex).T if vecs
              else np.zeros((env_dim, 0), dtype=complex))
         ab = np.array(cells, dtype=np.int64)
-        sectors.append(_sector_layout(np.stack([x[:, ab == c] @ x[:, ab == c].conj().T
-                                                for c in range(4)])))
-    return _ComponentTables(w4, sectors)
+        sectors.append(_sectors(np.stack([x[:, ab == c] @ x[:, ab == c].conj().T
+                                          for c in range(4)])))
+    return w4, sectors
 
 
-def _sector_layout(cell_ops: np.ndarray):
+def _sectors(cell_ops: np.ndarray) -> list[np.ndarray]:
     """Split one theta's cell operators (4, d, d) into environment sectors.
 
     Environment indices linked by an entry above ``SECTOR_CUTOFF`` times the
     table's largest |entry| fall in one sector (a connected component), so
     every cell operator is block diagonal over the sectors; smaller entries
-    are float dust and are dropped.  Returns ``(cells, ops)``: per sector,
-    in order of its first index, the cells active in it (S, K) and their
-    operators restricted to it (S, K, D, D).  Smaller sectors are
-    zero-padded: a padded cell (cell 0) holds the zero operator, and padded
-    rows and columns add only zero eigenvalues.
+    are float dust and are dropped.  Returns per sector, in order of its
+    first index, the four cell operators restricted to it (4, D, D).  A cell
+    whose restriction holds only dust is zero there, and a sector where every
+    cell is zero is left out.
     """
     d = cell_ops.shape[1]
     mag = np.abs(cell_ops)
@@ -310,17 +311,43 @@ def _sector_layout(cell_ops: np.ndarray):
     for r in np.unique(root):
         env = np.flatnonzero(root == r)
         ops = cell_ops[:, env][:, :, env]
-        active = np.flatnonzero(np.abs(ops).max(axis=(1, 2)) > cutoff)
-        if active.size:
-            sectors.append((active, ops[active]))
-    k = max((c.size for c, _ in sectors), default=1)
-    dim = max((o.shape[1] for _, o in sectors), default=1)
-    cells = np.zeros((len(sectors), k), dtype=np.int64)
-    ops = np.zeros((len(sectors), k, dim, dim), dtype=complex)
-    for s, (c, o) in enumerate(sectors):
-        cells[s, :c.size] = c
-        ops[s, :c.size, :o.shape[1], :o.shape[1]] = o
-    return cells, ops
+        active = np.abs(ops).max(axis=(1, 2)) > cutoff
+        if active.any():
+            sectors.append(np.where(active[:, None, None], ops, 0.0))
+    return sectors
+
+
+@dataclass
+class _PositionTables:
+    """One position's tables, stacked over its bases and mixture labels.
+
+    ``errors`` is (a != b mass, total mass) and ``mass`` (4,) the mass of
+    each cell 2a+b, both summed over bases and labels.  ``classes`` holds one
+    stacked table (S, 4, D, D) per sector dimension D, ascending: every
+    sector of every (basis, label) pair with that dimension.  The mixture
+    weight and the 1/4 prior are inside the operators, so the sectors of a
+    rest are the products of its positions' stacked sectors.
+    """
+
+    errors: tuple[float, float]
+    mass: np.ndarray
+    classes: list[np.ndarray]
+
+
+def _stack(comps) -> _PositionTables:
+    e1 = total = 0.0
+    mass = np.zeros(4)
+    by_dim: dict[int, list] = {}
+    for comp in comps:
+        w4, sectors = _component_tables(comp)
+        for theta in range(2):
+            e1 += float(w4[theta][1] + w4[theta][2])
+            total += float(w4[theta].sum())
+            mass += w4[theta]
+            for ops in sectors[theta]:
+                by_dim.setdefault(ops.shape[-1], []).append(ops)
+    return _PositionTables((e1, total), mass,
+                           [np.stack(by_dim[d]) for d in sorted(by_dim)])
 
 
 def _position_tables(attack: AttackStrategy, n: int):
@@ -333,22 +360,22 @@ def _position_tables(attack: AttackStrategy, n: int):
             f"attack supplies {len(quantum)} positions, protocol uses {n}")
     # positions sharing one PositionAttack object share one table object, so
     # sample subsets whose rests share table objects share the rest sums
-    built: dict[int, list] = {}
+    built: dict[int, _PositionTables] = {}
     out = []
     for pos in quantum:
         if id(pos) not in built:
-            built[id(pos)] = [_component_tables(c) for c in pos.components]
+            built[id(pos)] = _stack(pos.components)
         out.append(built[id(pos)])
     return out
 
 
 # --- the evaluation engine ---------------------------------------------------------
 
-# complex entries in one batch of per-row operators: the rows are chunked so
-# that each batch temporary stays near 16 MiB
-_BATCH_ENTRIES = 1 << 20
-# most complex entries one row of a rest block's contraction may hold; a
-# larger block raises DimensionCap
+# entries in one batch of a contraction: the rows and the leading positions'
+# sectors are split so that each batch temporary stays small
+_BATCH_ENTRIES = 1 << 14
+# most complex entries one row of one sector tuple's contraction may hold; a
+# larger one raises DimensionCap
 _SECTOR_ENTRIES = 1 << 22
 
 
@@ -405,27 +432,101 @@ def key_rows(params: QkdParams, ka, kb, ideal) -> tuple[np.ndarray, np.ndarray]:
     return select, mix / params.key_size
 
 
+def _entries(ops, fixed: int) -> int:
+    """Most entries per row at any stage of a contraction of ``ops``.
+
+    ``ops`` holds one stacked table (S, 4, D, D) per position, and the first
+    ``fixed`` positions take one sector each.  Contracting a position trades
+    its 4 cells for its (sector, row, column) triples.
+    """
+    stage = most = 4 ** len(ops)
+    for j, o in enumerate(ops):
+        s, _, d, _ = o.shape
+        stage = stage // 4 * d * d * (1 if j < fixed else s)
+        most = max(most, stage)
+    return most
+
+
+def _contract(coeff: np.ndarray, ops):
+    """The coefficient rows' operators over every sector tuple of ``ops``.
+
+    ``coeff`` is (rows, members) and ``ops`` one stacked table (S, 4, D, D)
+    per position.  A row's operator in a sector tuple is the sum over members
+    of the coefficient times the tensor product of the members' cell
+    operators; it is contracted one position at a time as mode products of
+    the coefficient tensor (rows, 4, ..., 4), so no member operator is held.
+    Yields ``(rows, m)`` per batch, ``rows`` a slice of the coefficient rows:
+    ``m`` is (rows, sector tuples) real values when every D is 1, and (rows,
+    sector tuples, prod D, prod D) Hermitian operators otherwise.  Batches
+    split the rows, and when one row is too large the leading positions'
+    sectors, so that each holds at most ``_BATCH_ENTRIES`` entries per stage
+    (or one row of one sector tuple).
+    """
+    w = len(ops)
+    dims = [o.shape[-1] for o in ops]
+    scalar = max(dims) == 1
+    # cell-major tables (4, S, D * D); one-dimensional sectors in real arithmetic
+    tabs = [np.moveaxis(o.real if scalar else o, 1, 0).reshape(4, len(o), -1).copy()
+            for o in ops]
+    fixed = next(k for k in range(w + 1) if k == w or _entries(ops, k) <= _BATCH_ENTRIES)
+    step = max(1, _BATCH_ENTRIES // _entries(ops, fixed))
+    # sectors per position in one batch
+    counts = [1] * fixed + [len(o) for o in ops[fixed:]]
+    for lo in range(0, len(coeff), step):
+        rows = slice(lo, lo + step)
+        # (cells of each position, rows): contracting the leading axis with
+        # one matrix product appends the position's (sector, row, column)
+        # axes, so m ends as (rows, [sector, row, column] of each position)
+        first = np.ascontiguousarray(coeff[rows].T)
+        n = first.shape[1]
+        for lead in product(*[range(len(o)) for o in ops[:fixed]]):
+            m = first
+            for j, t in enumerate(tabs):
+                t = t[:, lead[j]] if j < fixed else t.reshape(4, -1)
+                m = m.reshape(4, -1).T
+                if m.dtype != t.dtype:
+                    # real coefficients onto complex operators: one real
+                    # product on the interleaved (re, im) entries
+                    m = (m @ t.view(float)).view(complex)
+                else:
+                    m = m @ t
+            if scalar:
+                yield rows, m.reshape(n, -1)
+                continue
+            m = m.reshape(n, *[x for s, d in zip(counts, dims) for x in (s, d, d)])
+            m = m.transpose(0, *range(1, 3 * w, 3), *range(2, 3 * w, 3),
+                            *range(3, 3 * w + 1, 3))
+            yield rows, m.reshape(n, math.prod(counts), math.prod(dims), -1)
+
+
+def _trace_norms(coeff: np.ndarray, classes) -> np.ndarray:
+    """Per row r, || sum over members of coeff[r] * (branch operator) ||_1.
+
+    ``classes`` holds each position's stacked tables, one per sector
+    dimension (``_PositionTables.classes``).  The branch operators are block
+    diagonal over the sector tuples, one per product of the positions'
+    classes, and the trace norm of a block-diagonal operator is the sum of
+    its blocks' trace norms.  A product whose sector tuple needs more than
+    ``_SECTOR_ENTRIES`` entries per row is refused before any is contracted.
+    """
+    most = _entries([c[-1] for c in classes], len(classes))
+    if most > _SECTOR_ENTRIES:
+        raise DimensionCap(f"a sector tuple's contraction needs {most} entries per row, "
+                           f"over the cap {_SECTOR_ENTRIES}")
+    norms = np.zeros(len(coeff))
+    for ops in product(*classes):
+        for rows, m in _contract(coeff, ops):
+            if m.ndim > 2:
+                # m is Hermitian up to rounding, and eigvalsh reads one triangle
+                m = np.linalg.eigvalsh(m)
+            norms[rows] += np.abs(m).reshape(len(m), -1).sum(axis=1)
+    return norms
+
+
 class _Engine:
     def __init__(self, params: QkdParams, attack: AttackStrategy):
         self.params = params
         self.tables = _position_tables(attack, params.n_qubits)
-        # per position: (a != b mass, total mass) over its labels and bases
-        self.errors = []
-        for tabs in self.tables:
-            e1 = total = 0.0
-            for tab in tabs:
-                for theta in range(2):
-                    e1 += float(tab.w4[theta][1] + tab.w4[theta][2])
-                    total += float(tab.w4[theta].sum())
-            self.errors.append((e1, total))
-
-    def _rest_block(self, positions: tuple[int, ...], thetas: tuple[int, ...],
-                    comps: tuple[int, ...]):
-        tabs = [self.tables[i][ci] for i, ci in zip(positions, comps)]
-        w_member = np.ones(1)
-        for tab, theta in zip(tabs, thetas):
-            w_member = (w_member[:, None] * tab.w4[theta][None, :]).reshape(-1)
-        return _RestBlock(w_member, [tab.sectors[theta] for tab, theta in zip(tabs, thetas)])
 
     def sample_stats(self, positions: tuple[int, ...]):
         """(pass_mass, abort_mass) summed over bases, labels, and values."""
@@ -433,17 +534,23 @@ class _Engine:
         # error-count distribution: product convolution over sample positions
         dist = np.array([1.0])
         for i in positions:
-            e1, total = self.errors[i]
+            e1, total = self.tables[i].errors
             dist = np.convolve(dist, np.array([total - e1, e1]))
         abort = np.arange(dist.size) > p.q_tol * p.t
         return float(dist[~abort].sum()), float(dist[abort].sum())
 
-    def rest_iter(self, rest: tuple[int, ...]):
-        lx = len(rest)
-        comp_counts = [len(self.tables[i]) for i in rest]
-        for thetas in product(range(2), repeat=lx):
-            for comps in product(*[range(c) for c in comp_counts]):
-                yield self._rest_block(rest, thetas, comps)
+    def rest_sums(self, rest: tuple[int, ...], select: np.ndarray, coeff: np.ndarray):
+        """(trace norms, selected masses) per row, over every cell of ``rest``.
+
+        The cells are the rest's (basis, mixture label) choices.  Nothing
+        couples one cell to another, so the sums are one contraction over the
+        positions' stacked tables.
+        """
+        tabs = [self.tables[i] for i in rest]
+        mass = np.ones(1)
+        for tab in tabs:
+            mass = np.multiply.outer(mass, tab.mass).reshape(-1)
+        return _trace_norms(coeff, [tab.classes for tab in tabs]), select @ mass
 
     def evaluate(self, select: np.ndarray, mix: np.ndarray):
         """Sums of the coefficient rows ``select - mix`` over the whole run.
@@ -453,12 +560,12 @@ class _Engine:
         ``norms`` and ``masses`` are per-row trace norms of (real - ideal) and
         selected branch masses, weighted by each sample subset's pass mass and
         averaged over the uniform subset choice; ``reached`` marks the rows
-        whose selection has positive mass in some rest block.
+        whose selection has positive mass in some rest.
         """
         p = self.params
         coeff = select - mix
         subsets = list(combinations(range(p.n_qubits), p.t))
-        # the block sums depend only on the tables at the rest positions and
+        # the rest sums depend only on the tables at the rest positions and
         # the sample stats only on those at the sample positions, so subsets
         # that share table objects share them; nothing outlives this call
         rest_memo, sample_memo = {}, {}
@@ -467,12 +574,7 @@ class _Engine:
             rest = tuple(i for i in range(p.n_qubits) if i not in subset)
             key = tuple(id(self.tables[i]) for i in rest)
             if key not in rest_memo:
-                # each block is folded in and dropped, in rest_iter order
-                rest_norms, rest_masses = 0, 0
-                for b in self.rest_iter(rest):
-                    rest_norms = rest_norms + b.trace_norms(coeff)
-                    rest_masses = rest_masses + select @ b.w_member
-                rest_memo[key] = (rest_norms, rest_masses)
+                rest_memo[key] = self.rest_sums(rest, select, coeff)
             rest_norms, rest_masses = rest_memo[key]
             key = tuple(id(self.tables[i]) for i in subset)
             if key not in sample_memo:
@@ -488,107 +590,12 @@ class _Engine:
         return p_abort / c, norms / c, masses / c, support > 0.0
 
 
-class _RestBlock:
-    """Spectral data of one (rest-basis, rest-label) cell of the key material.
-
-    ``layouts`` holds each position's sector layout ``(cells, ops)`` (see
-    _sector_layout).  A sector of the block is a tuple of per-position
-    sectors; ``idx`` lists the members active in each (S x K, or flattened
-    with each position's members beside its sector for the contraction), and
-    a member's operator there is the tensor product of its cells' restricted
-    operators.  Every member operator is block diagonal over the sectors, and
-    the trace norm of a block-diagonal operator is the sum of its blocks'
-    trace norms.  A row's combination is contracted one position at a time,
-    so no member operator is ever held; one-dimensional sectors keep their
-    scalar member values and need no eigenproblem at all.  A block whose
-    contraction needs more than ``_SECTOR_ENTRIES`` entries for one row is
-    refused before anything is allocated.
-    """
-
-    def __init__(self, w_member, layouts):
-        self.w_member = w_member
-        self._layouts = layouts
-        shapes = [ops.shape for _, ops in layouts]
-        # entries per row and sector: the gathered coefficients hold every
-        # member, and contracting a position trades its members for its
-        # (row, column) pairs
-        stage = most = math.prod(k for _, k, _, _ in shapes)
-        for _, k, d, _ in shapes:
-            stage = stage // k * d * d
-            most = max(most, stage)
-        self._per_row = math.prod(s for s, _, _, _ in shapes) * most
-        if self._per_row > _SECTOR_ENTRIES:
-            raise DimensionCap(f"rest block needs {self._per_row} entries per row, "
-                               f"over the cap {_SECTOR_ENTRIES}")
-        scalar = stage == 1  # every sector is one-dimensional
-        idx = np.zeros((1, 1), dtype=np.int64)
-        vals = np.ones((1, 1), dtype=complex)
-        for cells, ops in layouts:
-            s, k = cells.shape
-            idx = (idx[:, None, :, None] * 4 + cells[None, :, None, :]).reshape(
-                idx.shape[0] * s, idx.shape[1] * k)
-            if scalar:
-                vals = (vals[:, None, :, None] * ops[None, :, None, :, 0, 0]).reshape(
-                    idx.shape)
-        # (S, K) member values when every sector is one-dimensional
-        self._vals = vals.real.copy() if scalar else None
-        if not scalar:
-            # the contraction reads each position's members beside its sector:
-            # (sector 0, member 0, sector 1, member 1, ...), flattened
-            n = len(shapes)
-            idx = idx.reshape([s for s, _, _, _ in shapes] + [k for _, k, _, _ in shapes])
-            idx = idx.transpose([i for j in range(n) for i in (j, n + j)]).reshape(-1)
-        self._idx = idx
-
-    def sector_values(self, coeff: np.ndarray) -> np.ndarray:
-        """sum over members of coeff[r] * (sector value), per row r and sector.
-
-        Only for one-dimensional sectors, where each value is a scalar.
-        """
-        return (self._vals[:, None, :] @ coeff.T[self._idx])[:, 0, :].T
-
-    def trace_norms(self, coeff: np.ndarray) -> np.ndarray:
-        """|| sum over members of coeff[r] * (branch operator) ||_1, per row r."""
-        step = max(1, _BATCH_ENTRIES // self._per_row)
-        return np.concatenate([self._batch_norms(coeff[lo:lo + step])
-                               for lo in range(0, len(coeff), step)])
-
-    def _batch_norms(self, coeff: np.ndarray) -> np.ndarray:
-        if self._vals is not None:
-            return np.abs(self.sector_values(coeff)).sum(axis=1)
-        rows = len(coeff)
-        # m starts as ([sector, member] of each position, rows); each step
-        # contracts the next position's members against its operators in
-        # each of its sectors, moves the sector index to the front and
-        # appends the (row, column) index pair, so m ends as (sectors, rows,
-        # [row, column] of each position)
-        m = coeff.T[self._idx]
-        sectors = 1
-        for j, (_, ops) in enumerate(self._layouts):
-            s, k, d, _ = ops.shape
-            m = m.reshape(sectors, s, k, -1).swapaxes(2, 3)
-            if j == 0:
-                # real coefficients onto complex operators: one real product
-                # on the interleaved (re, im) entries
-                m = (m @ ops.reshape(s, k, d * d).view(float)).view(complex)
-            else:
-                m = m @ ops.reshape(s, k, d * d)
-            sectors *= s
-        # split the pairs into row and column indices; m is Hermitian up to
-        # rounding, and eigvalsh reads one triangle
-        dims = [ops.shape[-1] for _, ops in self._layouts]
-        m = m.reshape(sectors * rows, *[d for d in dims for _ in range(2)])
-        m = m.transpose(0, *range(1, m.ndim, 2), *range(2, m.ndim, 2)).reshape(
-            sectors * rows, math.prod(dims), -1)
-        return np.abs(np.linalg.eigvalsh(m)).sum(axis=1).reshape(-1, rows).sum(axis=0)
-
-
 @dataclass(frozen=True)
 class QkdRun:
     """Exact evaluation of one attack: the final-state summary.
 
     The final classical-quantum state is represented implicitly through the
-    engine's factorised blocks; the scalar fields below are the functionals
+    engine's stacked sector tables; the scalar fields below are the functionals
     the security conditions need, each computed without any sampling.  No
     engine is kept: composed quantities build their own coefficient rows and
     evaluate ``attack`` on a fresh engine.
@@ -642,7 +649,7 @@ def qkd_run(params: QkdParams, attack: AttackStrategy) -> QkdRun:
         eps_cor=eps_cor,
         eps_sec=eps_sec,
         advantage=advantage,
-        error_rate=sum(e1 for e1, _ in engine.errors) / params.n_qubits,
+        error_rate=sum(tab.errors[0] for tab in engine.tables) / params.n_qubits,
         key_joint=key_joint,
     )
 

@@ -96,11 +96,12 @@ def qkd_otp_scenario(params: QkdParams, message: int, attacks) -> BoundReport:
 # --- parallel composition -------------------------------------------------------------
 
 def _diagonal_blocks(run: QkdRun):
-    """Flattened (real, ideal) scalar block values of a classical run.
+    """Flattened (real, ideal) signed sector values of a classical run.
 
-    Only valid when every rest block splits into one-dimensional environment
-    sectors (classical attacks); values are subnormalised by the non-abort
-    mass.
+    Only valid when every environment sector of the rest is one-dimensional
+    (classical attacks): then the rows' values in each sector tuple of the
+    stacked contraction are scalars.  Values are subnormalised by the
+    non-abort mass.
     """
     p = run.params
     engine = bb84._Engine(p, run.attack)
@@ -108,19 +109,20 @@ def _diagonal_blocks(run: QkdRun):
     if len({id(t) for t in engine.tables}) != 1:
         raise ScheduleMismatch(
             "diagonal export assumes position-uniform attacks")
-    # uniform attacks: rest blocks are subset independent; evaluate on one
+    # uniform attacks: the rest sums are subset independent; evaluate on one
     rest = tuple(i for i in range(p.n_qubits) if i not in subsets[0])
-    # per syndrome and key pair: the real branch sum, the ideal uniform key
+    classes = [engine.tables[i].classes for i in rest]
+    if any(len(c) > 1 or c[0].shape[-1] > 1 for c in classes):
+        raise ScheduleMismatch("attack is not classical; no diagonal export")
+    ops = [c[0] for c in classes]
+    # per syndrome and key pair: the real branch sum, the ideal uniform key;
+    # both contractions batch alike, so their values line up
     select, mix = bb84.key_rows(p, *bb84._joint_keys(p.key_size))
-    reals, ideals = [], []
-    for block in engine.rest_iter(rest):
-        if block._vals is None:
-            raise ScheduleMismatch("attack is not classical; no diagonal export")
-        reals.append(block.sector_values(select).ravel())
-        ideals.append(block.sector_values(mix).ravel())
+    reals = [m.ravel() for _, m in bb84._contract(select, ops)]
+    ideals = [m.ravel() for _, m in bb84._contract(mix, ops)]
     pass_mass = 1.0 - run.p_abort
     scale = pass_mass if pass_mass > 0 else 1.0
-    # rest blocks hold unit mass; rescale so each side sums to 1 - p_abort
+    # the rest holds unit mass; rescale so each side sums to 1 - p_abort
     return np.concatenate(reals) * scale, np.concatenate(ideals) * scale
 
 
@@ -128,8 +130,8 @@ def product_pair_advantage(run1: QkdRun, run2: QkdRun) -> float:
     """Exact advantage of a product attack on two parallel QKD instances.
 
     Abort sectors match on both sides, so
-    D = p_abort1 * D2 + p_abort2 * D1 + (pair term over non-abort blocks);
-    the pair term needs the scalar block export, hence classical attacks.
+    D = p_abort1 * D2 + p_abort2 * D1 + (pair term over non-abort sectors);
+    the pair term needs the scalar sector export, hence classical attacks.
     Identity-equivalent sides short-circuit (their real and ideal states are
     equal, making the tensor distance collapse to the other side's).
     """

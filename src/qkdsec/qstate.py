@@ -18,6 +18,7 @@ function of its inputs.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -74,6 +75,7 @@ __all__ = [
     "basis_povm",
     "write_rows",
     "read_rows",
+    "open_fixture",
     "save_matrix",
     "load_matrix",
     "save_cq_fixture",
@@ -921,6 +923,21 @@ def write_rows(fh, matrix) -> None:
         fh.write(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")
 
 
+def open_fixture(path) -> io.StringIO:
+    """The text of a fixture file, read as UTF-8 with universal newlines.
+
+    Bytes that are not UTF-8 raise :class:`MalformedFixture` naming ``path``
+    and the line they are on.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedFixture(f"{path}, line {line}: not UTF-8 text") from None
+
+
 def read_rows(fh, path, first_line: int, count: int, width: int) -> np.ndarray:
     """Read ``count`` rows of ``width`` ``re,im`` entries, as :func:`write_rows` writes.
 
@@ -953,7 +970,7 @@ def save_matrix(path, state: DensityOperator) -> None:
 
 
 def load_matrix(path) -> DensityOperator:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_fixture(path) as fh:
         header = fh.readline().split()
         try:
             if not header or header[0] != "dims":
@@ -986,7 +1003,7 @@ def load_cq_fixture(path) -> CQState:
 
     base = os.path.dirname(os.path.abspath(path))
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_fixture(path) as fh:
         for number, line in enumerate(fh, 1):
             fields = [p.strip() for p in line.split("|")]
             if fields == [""]:
@@ -998,8 +1015,12 @@ def load_cq_fixture(path) -> CQState:
                 raise MalformedFixture(
                     f"{path}, line {number}: expected 'assignment | weight | "
                     f"matrix-file'") from None
-            rows.append((tuple(assignment.split(",")), weight,
-                         load_matrix(os.path.join(base, name))))
+            assignment = tuple(assignment.split(","))
+            if rows and len(assignment) != len(rows[0][0]):
+                raise RegisterMismatch(
+                    f"{path}, line {number}: {len(assignment)} registers, the first "
+                    f"branch has {len(rows[0][0])}")
+            rows.append((assignment, weight, load_matrix(os.path.join(base, name))))
     if not rows:
         raise RegisterMismatch(f"{path}: no branches")
     width = len(rows[0][0])

@@ -3,9 +3,10 @@
 Builds the full classical-quantum states of the real and ideal systems with
 the generic kernel operations (apply_channel, partial_trace, make_cq) and
 measures distances with the generic metric routines.  Slow but structurally
-unrelated to the factorised engine it checks.  ``dense_rest_block`` checks
-one rest block of the engine the same way: it holds every member operator
-densely, with no environment sectors.
+unrelated to the factorised engine it checks.  ``dense_rest_block`` holds
+one (basis, label) cell of a rest the same way: every member operator
+densely, with no environment sectors; summed over a rest's cells it checks
+the engine's stacked contraction of that rest.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def oracle_quantities(params, attack):
 
 
 class DenseBlock:
-    """A rest block held as its member operators (members, E, E)."""
+    """One basis/label cell of a rest held as its member operators (members, E, E)."""
 
     def __init__(self, member_ops):
         self.member_ops = member_ops
@@ -176,7 +177,7 @@ class DenseBlock:
 
 
 def dense_rest_block(attack, positions, thetas, comps):
-    """The engine's rest block for these bases and mixture labels, densely.
+    """One cell of a rest, for these bases and mixture labels, densely.
 
     The base-4 digits of member m are the cells 2a+b of the positions,
     position 0 most significant; its operator is the tensor product over the
@@ -197,5 +198,7 @@ def dense_rest_block(attack, positions, thetas, comps):
                 out = (kraus @ BASIS[theta][:, a]).reshape(2, env)
                 phi = BASIS[theta][:, b].conj() @ out
                 cell_ops[2 * a + b] += 0.25 * weight * np.outer(phi, phi.conj())
-        ops = np.stack([np.kron(op, cell) for op in ops for cell in cell_ops])
+        # member 4m + c: the Kronecker product of member m's operator and cell c's
+        size = ops.shape[1] * env
+        ops = np.einsum("mij,ckl->mcikjl", ops, cell_ops).reshape(-1, size, size)
     return DenseBlock(ops)

@@ -1,5 +1,6 @@
 import time
-import weakref
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -235,26 +236,26 @@ def _random_complex(rng, dim, cols):
     return rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
 
 
-def _random_layout(rng, sector_dims, sector_cells):
-    """One position's sector layout (cells, ops) and its dense cell operators.
+def _random_classes(rng, sector_dims, sector_cells):
+    """One position's stacked tables and its dense cell operators.
 
     Sector s has dimension sector_dims[s] and the active cells
-    sector_cells[s], each with a random PSD operator; smaller sectors are
-    zero-padded as _sector_layout pads them.  The dense operators (4, E, E)
-    put the sectors on the diagonal of one environment of dimension E.
+    sector_cells[s], each with a random PSD operator, and the other cells
+    zero there.  The stacked tables group the sectors by dimension, as
+    ``_PositionTables.classes`` does; the dense operators (4, E, E) put the
+    sectors on the diagonal of one environment of dimension E.
     """
-    k, d = max(map(len, sector_cells)), max(sector_dims)
-    cells = np.zeros((len(sector_dims), k), dtype=np.int64)
-    ops = np.zeros((len(sector_dims), k, d, d), dtype=complex)
+    by_dim = {}
     dense = np.zeros((4, sum(sector_dims), sum(sector_dims)), dtype=complex)
     lo = 0
-    for s, (dim, active) in enumerate(zip(sector_dims, sector_cells)):
+    for dim, active in zip(sector_dims, sector_cells):
         x = _random_complex(rng, len(active) * dim, dim).reshape(len(active), dim, dim)
-        cells[s, :len(active)] = active
-        ops[s, :len(active), :dim, :dim] = x @ x.conj().swapaxes(1, 2)
-        dense[active, lo:lo + dim, lo:lo + dim] = ops[s, :len(active), :dim, :dim]
+        ops = np.zeros((4, dim, dim), dtype=complex)
+        ops[active] = x @ x.conj().swapaxes(1, 2)
+        by_dim.setdefault(dim, []).append(ops)
+        dense[:, lo:lo + dim, lo:lo + dim] = ops
         lo += dim
-    return (cells, ops), dense
+    return [np.stack(by_dim[d]) for d in sorted(by_dim)], dense
 
 
 # per position: sector dimensions and the cells active in each sector
@@ -264,9 +265,10 @@ _BLOCKS = {
                ((1,), ([0, 1, 2, 3],))],
     # one dense sector per position
     "ops": [((3,), ([0, 1, 2, 3],)), ((2,), ([0, 1, 2, 3],))],
-    # sectors with different numbers of active cells, padded to one layout
+    # sectors of one dimension with different numbers of active cells
     "padded": [((2, 2), ([0, 3], [1])), ((2, 2), ([0, 1, 2, 3], [2, 3]))],
-    # sectors of different dimensions beside a scalar position
+    # sectors of different dimensions beside a scalar position: 2 x 1 x 2
+    # products of dimension classes
     "unequal": [((1, 2), ([0], [1, 2, 3])), ((1,), ([0, 1, 2, 3],)),
                 ((2, 1), ([0, 3], [1, 2]))],
 }
@@ -276,22 +278,22 @@ _BLOCKS = {
 @pytest.mark.parametrize("route", sorted(_BLOCKS))
 def test_trace_norms_match_per_row_eigvalsh(monkeypatch, route, chunked):
     if chunked:
-        # one row per batch
+        # one row of one sector tuple per batch: the rows and every
+        # position's sectors are split
         monkeypatch.setattr(bb84, "_BATCH_ENTRIES", 9)
     rng = np.random.default_rng(5)
-    layouts, ops = [], np.ones((1, 1, 1), dtype=complex)
+    classes, ops = [], np.ones((1, 1, 1), dtype=complex)
     for dims, cells in _BLOCKS[route]:
-        layout, dense = _random_layout(rng, dims, cells)
-        layouts.append(layout)
+        stacked, dense = _random_classes(rng, dims, cells)
+        classes.append(stacked)
         # member 4m + c is member m of the earlier positions with cell c here
         ops = np.stack([np.kron(a, b) for a in ops for b in dense])
+    assert (max(c[-1].shape[-1] for c in classes) == 1) == (route == "scalar")
     coeff = rng.normal(size=(7, len(ops)))
     coeff[2] = 0.0
-    block = bb84._RestBlock(rng.uniform(size=len(ops)), layouts)
-    assert (block._vals is not None) == (route == "scalar")
     want = [float(np.abs(np.linalg.eigvalsh(np.tensordot(row, ops, axes=(0, 0)))).sum())
             for row in coeff]
-    got = block.trace_norms(coeff)
+    got = bb84._trace_norms(coeff, classes)
     assert got.shape == (len(coeff),)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
     assert got[2] == 0.0
@@ -314,24 +316,54 @@ def _record_z(n):
     return bb84.custom_attack(n, make_channel([v], out_dims=(2, 3)), name="record-z")
 
 
-def _route_attacks(n):
-    return (bb84.identity_attack(), bb84.intercept_resend(n, 0.5),
-            bb84.depolarize_attack(n, 0.3), bb84.steal_replace_attack(n),
-            _pauli_isometry(n, (0.7, 0.1, 0.05, 0.15)), _record_z(n))
+def _ir_dep_ir(n=3):
+    # intercept-resend everywhere but on position 1, which depolarises: for
+    # n = 3 every sample subset of one position leaves a different (ir, dep)
+    # pattern on the rest
+    from qkdsec.acframework import AttackStrategy
+
+    ir = bb84.intercept_resend(1, 1.0).quantum[0]
+    dep = bb84.depolarize_attack(1, 0.3).quantum[0]
+    return AttackStrategy(name="ir-dep-ir", quantum=(ir, dep) + (ir,) * (n - 2))
 
 
-@pytest.mark.parametrize("n", [4, 5])
+def _route_attacks(n, width):
+    attacks = (bb84.identity_attack(), bb84.intercept_resend(n, 0.5),
+               bb84.steal_replace_attack(n), _record_z(n), _ir_dep_ir(n))
+    if width > 3:
+        # the dense oracle holds 4^w member operators of dimension E^w; with a
+        # four-dimensional environment on every position that is 268 MB at
+        # width 4, so only the attacks with smaller environments run there
+        return attacks
+    return attacks + (bb84.depolarize_attack(n, 0.3),
+                      _pauli_isometry(n, (0.7, 0.1, 0.05, 0.15)))
+
+
+def _dense_rest_sums(attack):
+    """``_Engine.rest_sums`` with every (basis, label) cell of a rest held densely."""
+    def rest_sums(self, rest, select, coeff):
+        labels = [len(attack.quantum[i].components) if attack.quantum else 1 for i in rest]
+        norms, masses = 0.0, 0.0
+        for thetas in product(range(2), repeat=len(rest)):
+            for comps in product(*map(range, labels)):
+                block = dense_rest_block(attack, rest, thetas, comps)
+                norms = norms + block.trace_norms(coeff)
+                masses = masses + select @ block.w_member
+        return norms, masses
+    return rest_sums
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_contracted_route_matches_dense_oracle(monkeypatch, n):
-    # the oracle holds every member operator of a rest block densely (at
-    # most 64 x 64 at width 3) and takes its masses from their traces
+    # the oracle sums a dense block per (basis, label) cell of each rest, and
+    # takes its masses from the member operators' traces
     params = bb84.default_params(n_qubits=n, t=2, q_tol=0.25, out_len=1, h_rows=1)
-    for attack in _route_attacks(n):
+    for attack in _route_attacks(n, params.width):
         run = bb84.qkd_run(params, attack)
-        monkeypatch.setattr(bb84._Engine, "_rest_block",
-                            lambda self, *cell, attack=attack: dense_rest_block(attack, *cell))
+        monkeypatch.setattr(bb84._Engine, "rest_sums", _dense_rest_sums(attack))
         dense = bb84.qkd_run(params, attack)
         monkeypatch.undo()
-        for name in ("eps_sec", "advantage", "eps_cor"):
+        for name in ("p_abort", "eps_sec", "advantage", "eps_cor"):
             a, b = getattr(run, name), getattr(dense, name)
             assert abs(a - b) <= 1e-12, (attack.name, name, a, b)
         for key in run.key_joint.keys() | dense.key_joint.keys():
@@ -342,26 +374,42 @@ def test_contracted_route_matches_dense_oracle(monkeypatch, n):
     assert identity.eps_sec == 0.0 and identity.advantage == 0.0
 
 
+def _active(sectors):
+    """(active cells, dimension) of each sector table (4, D, D)."""
+    return [(np.flatnonzero(np.abs(ops).max(axis=(1, 2)) > 0).tolist(), ops.shape[-1])
+            for ops in sectors]
+
+
 def test_sector_layouts_of_shipped_attacks():
     def layouts(attack):
-        return [(cells.tolist(), ops.shape[-1])
-                for comp in attack.quantum[0].components
-                for cells, ops in bb84._component_tables(comp).sectors]
+        return [_active(sectors) for comp in attack.quantum[0].components
+                for sectors in bb84._component_tables(comp)[1]]
+
+    def classes(attack):
+        return [c.shape for c in bb84._position_tables(attack, 1)[0].classes]
+
     # depolarise with purification: a = b cells and a != b cells, two 2-d sectors
     # per basis, however much float dust sits between them
-    assert layouts(bb84.depolarize_attack(1, 0.3)) == [([[0, 3], [1, 2]], 2)] * 2
+    dep = bb84.depolarize_attack(1, 0.3)
+    assert layouts(dep) == [[([0, 3], 2), ([1, 2], 2)]] * 2
     # intercept-resend: one-dimensional sectors only, the measured outcome
-    assert layouts(bb84.intercept_resend(1, 0.5)) == [
-        ([[0, 3]], 1), ([[0, 3]], 1), ([[0], [3]], 1), ([[0, 1, 2, 3]] * 2, 1),
-        ([[0, 1, 2, 3]] * 2, 1), ([[0], [3]], 1)]
-    # unequal sectors {0} and {1, 2} padded to two dimensions in the Z basis
-    cells, ops = bb84._component_tables(_record_z(1).quantum[0].components[0]).sectors[0]
-    assert cells.tolist() == [[0], [3]] and ops.shape == (2, 1, 2, 2)
-    assert np.all(ops[0, 0, 1] == 0.0) and np.all(ops[0, 0, :, 1] == 0.0)
+    ir = bb84.intercept_resend(1, 0.5)
+    assert layouts(ir) == [
+        [([0, 3], 1)], [([0, 3], 1)], [([0], 1), ([3], 1)], [([0, 1, 2, 3], 1)] * 2,
+        [([0, 1, 2, 3], 1)] * 2, [([0], 1), ([3], 1)]]
+    # stacked over bases and labels: one dimension class each, so a rest is
+    # one product of classes
+    assert classes(dep) == [(4, 4, 2, 2)]
+    assert classes(ir) == [(10, 4, 1, 1)]
+    # steal-replace: two 1-d sectors in Z and one 2-d sector in X, two classes
+    # per position and 2^w products per rest
+    assert classes(bb84.steal_replace_attack(1)) == [(2, 4, 1, 1), (1, 4, 2, 2)]
+    # unequal sectors {0} and {1, 2} in the Z basis keep their own dimensions
+    assert layouts(_record_z(1)) == [[([0], 1), ([3], 2)], [([0, 1, 2, 3], 3)]]
 
 
 def test_padded_sectors_match_oracle():
-    # record-z pads its Z-basis sectors {0} and {1, 2} to one layout
+    # record-z has sectors {0} and {1, 2} of unequal dimensions in the Z basis
     params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
     attack = _record_z(3)
     p_abort, eps_cor, eps_sec, advantage, _ = oracle_quantities(params, attack)
@@ -379,24 +427,13 @@ def test_sector_cutoff(scale, n_sectors):
     ops = np.zeros((4, 2, 2), dtype=complex)
     ops[0, 0, 0], ops[3, 1, 1] = 1.0, 0.25
     ops[3, 0, 1] = ops[3, 1, 0] = scale * SECTOR_CUTOFF
-    cells, sector_ops = bb84._sector_layout(ops)
-    assert len(cells) == n_sectors
+    sectors = bb84._sectors(ops)
+    assert len(sectors) == n_sectors
     if n_sectors == 2:
-        assert cells.tolist() == [[0], [3]]
-        assert sector_ops[:, :, 0, 0].tolist() == [[1.0], [0.25]]
+        assert _active(sectors) == [([0], 1), ([3], 1)]
+        assert [s[:, 0, 0].tolist() for s in sectors] == [[1.0, 0, 0, 0], [0, 0, 0, 0.25]]
     else:
-        assert cells.tolist() == [[0, 3]]
-        assert np.array_equal(sector_ops[0], ops[[0, 3]])
-
-
-def _ir_dep_ir():
-    # every sample subset of three positions leaves a different (ir, dep)
-    # pattern on the rest
-    from qkdsec.acframework import AttackStrategy
-
-    ir = bb84.intercept_resend(1, 1.0).quantum[0]
-    dep = bb84.depolarize_attack(1, 0.3).quantum[0]
-    return AttackStrategy(name="ir-dep-ir", quantum=(ir, dep, ir))
+        assert np.array_equal(sectors[0], ops)
 
 
 def test_rest_memo_with_position_dependent_attack(monkeypatch):
@@ -409,29 +446,29 @@ def test_rest_memo_with_position_dependent_attack(monkeypatch):
     assert abs(eps_sec - run.eps_sec) <= 1e-9
     assert abs(advantage - run.advantage) <= 1e-9
     rows = bb84.key_rows(params, (0, 0, 0), (-1, 0, 1), (True, True, False))
-    # one walk over the blocks per distinct rest: (dep, ir), (ir, ir), (ir, dep)
+    # one contraction per distinct rest: (dep, ir), (ir, ir), (ir, dep)
     assert _rest_walks(monkeypatch, bb84._Engine(params, attack), rows)[0] == 3
     uniform = bb84._Engine(params, bb84.intercept_resend(3, 1.0))
     assert _rest_walks(monkeypatch, uniform, rows)[0] == 1
 
 
 def _rest_walks(monkeypatch, engine, rows):
-    """(rest_iter walks, result) of one ``engine.evaluate(*rows)`` call."""
+    """(rest_sums calls, result) of one ``engine.evaluate(*rows)`` call."""
     walks = []
-    rest_iter = bb84._Engine.rest_iter
+    rest_sums = bb84._Engine.rest_sums
 
-    def counting_iter(self, rest):
+    def counting_sums(self, rest, *args):
         walks.append(rest)
-        return rest_iter(self, rest)
+        return rest_sums(self, rest, *args)
 
-    monkeypatch.setattr(bb84._Engine, "rest_iter", counting_iter)
+    monkeypatch.setattr(bb84._Engine, "rest_sums", counting_sums)
     result = engine.evaluate(*rows)
     monkeypatch.undo()
     return len(walks), result
 
 
 def test_engine_keeps_nothing_between_calls(monkeypatch):
-    # a second evaluate call walks every distinct rest again: no memo
+    # a second evaluate call contracts every distinct rest again: no memo
     # outlives a call, and the call gives the same values
     params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
     engine = bb84._Engine(params, _ir_dep_ir())
@@ -444,25 +481,35 @@ def test_engine_keeps_nothing_between_calls(monkeypatch):
         assert np.array_equal(a, b)
 
 
-def test_engine_streams_rest_blocks(monkeypatch):
-    # 2^3 bases x 3^3 labels = 216 blocks per rest; only the block being
-    # folded in and the one being built may be alive at once
-    live = weakref.WeakSet()
-    built, peak = [0], [0]
-    init = bb84._RestBlock.__init__
+@pytest.mark.parametrize("attack,products", [
+    (bb84.intercept_resend(6, 0.5), 1), (bb84.depolarize_attack(6, 0.3), 1),
+    (bb84.steal_replace_attack(6), 2 ** 5)],
+    ids=["intercept-resend", "depolarise", "steal-replace"])
+def test_one_contraction_per_rest_and_class_product(monkeypatch, attack, products):
+    # width 5: intercept-resend has 2^5 x 3^5 basis/label cells and 10^5
+    # sector tuples per row, and none of them is a contraction of its own;
+    # the batches keep the peak far below the 12 rows x 10^5 values of an
+    # unbatched contraction (9.6 MB)
+    params = bb84.default_params(n_qubits=6, t=1, q_tol=0.25, out_len=1, h_rows=1)
+    calls = []
+    contract = bb84._contract
 
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        live.add(self)
-        built[0] += 1
-        peak[0] = max(peak[0], len(live))
+    def counting_contract(coeff, ops):
+        calls.append(tuple(o.shape for o in ops))
+        return contract(coeff, ops)
 
-    monkeypatch.setattr(bb84._RestBlock, "__init__", counting_init)
-    params = bb84.default_params(n_qubits=4, t=1, q_tol=0.25, out_len=1, h_rows=1)
-    engine = bb84._Engine(params, bb84.intercept_resend(4, 0.5))
-    engine.evaluate(*bb84.key_rows(params, (0, 0, 0), (-1, 0, 1), (True, True, False)))
-    assert built[0] == 216
-    assert peak[0] <= 2
+    monkeypatch.setattr(bb84, "_contract", counting_contract)
+    engine = bb84._Engine(params, attack)
+    rows = bb84.key_rows(params, *bb84._joint_keys(params.key_size))
+    tracemalloc.start()
+    try:
+        engine.evaluate(*rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a uniform attack has one distinct rest
+    assert len(calls) == len(set(calls)) == products
+    assert peak < 2 ** 21, peak
 
 
 def test_leaked_and_otp_variants_match_plain_n6():

@@ -67,6 +67,16 @@ def test_product_pair_chunks_match_dense(monkeypatch):
     assert abs(scenarios.product_pair_advantage(run1, run2) - dense) <= 1e-12
 
 
+@pytest.mark.parametrize("attack", [bb84.depolarize_attack(3, 0.3), bb84.steal_replace_attack(3)],
+                         ids=["depolarise", "steal-replace"])
+def test_diagonal_export_refuses_quantum_sectors(attack):
+    # steal-replace has one-dimensional Z sectors beside a two-dimensional X
+    # sector: one class of dimension 2 is enough to refuse
+    params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
+    with pytest.raises(acframework.ScheduleMismatch, match="not classical"):
+        scenarios._diagonal_blocks(bb84.qkd_run(params, attack))
+
+
 def test_swap_crossing_structural_bounds():
     params = bb84.default_params(n_qubits=2, t=1, q_tol=0.25, out_len=1, h_rows=0)
     value = scenarios.swap_crossing_advantage(params)
