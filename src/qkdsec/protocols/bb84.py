@@ -29,7 +29,12 @@ is the sum of the blocks' trace norms.  So a position's sectors over all its
 bases and labels are stacked into one table per sector dimension, with the
 mixture weight and the 1/4 prior inside the operators, and the sectors of a
 rest (the key-material positions of one sample subset) are the products of
-its positions' stacked sectors: the union of every cell's sectors.  A rest
+its positions' stacked sectors: the union of every cell's sectors.  A row's
+operator is linear in each position's sector table and the trace norm is
+positively homogeneous, so sectors whose tables are positive multiples of
+one another (to ``SECTOR_MERGE_TOL`` in unit-Frobenius form) are merged into
+their sum: intercept-resend keeps 4 sectors per position of its 10 and
+depolarising 2 of its 4, and a rest has that many fewer tuples.  A rest
 is one contraction of the coefficient tensor per product of dimension
 classes, taken one position at a time as mode products.  One-dimensional
 classes reduce with ``abs`` in real arithmetic; larger ones go through a
@@ -60,7 +65,7 @@ from ..acframework import (
 from ..linalg import coset_leader_table, gf2_rank
 from ..metrics import BoundReport
 from ..qstate import DimensionCap, KrausChannel, make_channel
-from ..tolerances import SECTOR_CUTOFF
+from ..tolerances import SECTOR_CUTOFF, SECTOR_MERGE_TOL
 from .hashing import default_code_matrices
 
 __all__ = [
@@ -323,8 +328,9 @@ class _PositionTables:
 
     ``errors`` is (a != b mass, total mass) and ``mass`` (4,) the mass of
     each cell 2a+b, both summed over bases and labels.  ``classes`` holds one
-    stacked table (S, 4, D, D) per sector dimension D, ascending: every
-    sector of every (basis, label) pair with that dimension.  The mixture
+    stacked table (S, 4, D, D) per sector dimension D, ascending: the
+    sectors of every (basis, label) pair with that dimension, merged where
+    they are positive multiples of one another (see _merge).  The mixture
     weight and the 1/4 prior are inside the operators, so the sectors of a
     rest are the products of its positions' stacked sectors.
     """
@@ -332,6 +338,29 @@ class _PositionTables:
     errors: tuple[float, float]
     mass: np.ndarray
     classes: list[np.ndarray]
+
+
+def _merge(tables: list[np.ndarray]) -> np.ndarray:
+    """Stack sector tables (4, D, D), summing those that are proportional.
+
+    A row's operator in a sector tuple is linear in each position's table,
+    and the trace norm is positively homogeneous, so sectors whose tables
+    are positive multiples of one another give the same sum of norms as one
+    sector holding their sum.  Two tables count as proportional when their
+    unit-Frobenius forms differ by at most ``SECTOR_MERGE_TOL`` in every
+    entry.  Groups keep the order of their first table.
+    """
+    units, merged = [], []
+    for ops in tables:
+        unit = ops / np.linalg.norm(ops)
+        for k, u in enumerate(units):
+            if np.abs(unit - u).max() <= SECTOR_MERGE_TOL:
+                merged[k] = merged[k] + ops
+                break
+        else:
+            units.append(unit)
+            merged.append(ops)
+    return np.stack(merged)
 
 
 def _stack(comps) -> _PositionTables:
@@ -347,7 +376,7 @@ def _stack(comps) -> _PositionTables:
             for ops in sectors[theta]:
                 by_dim.setdefault(ops.shape[-1], []).append(ops)
     return _PositionTables((e1, total), mass,
-                           [np.stack(by_dim[d]) for d in sorted(by_dim)])
+                           [_merge(by_dim[d]) for d in sorted(by_dim)])
 
 
 def _position_tables(attack: AttackStrategy, n: int):
@@ -433,13 +462,15 @@ def key_rows(params: QkdParams, ka, kb, ideal) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _entries(ops, fixed: int) -> int:
-    """Most entries per row at any stage of a contraction of ``ops``.
+    """Most entries per row at any stage but the first of a contraction of ``ops``.
 
     ``ops`` holds one stacked table (S, 4, D, D) per position, and the first
     ``fixed`` positions take one sector each.  Contracting a position trades
-    its 4 cells for its (sector, row, column) triples.
+    its 4 cells for its (sector, row, column) triples.  The first stage is
+    the coefficient rows themselves, 4^w entries per row: they are held
+    already, and fixing sectors cannot shrink them, so they are not counted.
     """
-    stage = most = 4 ** len(ops)
+    stage, most = 4 ** len(ops), 0
     for j, o in enumerate(ops):
         s, _, d, _ = o.shape
         stage = stage // 4 * d * d * (1 if j < fixed else s)
@@ -460,7 +491,8 @@ def _contract(coeff: np.ndarray, ops):
     sector tuples, prod D, prod D) Hermitian operators otherwise.  Batches
     split the rows, and when one row is too large the leading positions'
     sectors, so that each holds at most ``_BATCH_ENTRIES`` entries per stage
-    (or one row of one sector tuple).
+    after the coefficient rows (or one row with as few entries as fixing
+    sectors allows).
     """
     w = len(ops)
     dims = [o.shape[-1] for o in ops]
@@ -468,7 +500,9 @@ def _contract(coeff: np.ndarray, ops):
     # cell-major tables (4, S, D * D); one-dimensional sectors in real arithmetic
     tabs = [np.moveaxis(o.real if scalar else o, 1, 0).reshape(4, len(o), -1).copy()
             for o in ops]
-    fixed = next(k for k in range(w + 1) if k == w or _entries(ops, k) <= _BATCH_ENTRIES)
+    # the fewest leading positions that bring a batch within _BATCH_ENTRIES,
+    # or failing that, the fewest that bring it to its least size
+    fixed = min(range(w + 1), key=lambda k: max(_entries(ops, k), _BATCH_ENTRIES))
     step = max(1, _BATCH_ENTRIES // _entries(ops, fixed))
     # sectors per position in one batch
     counts = [1] * fixed + [len(o) for o in ops[fixed:]]

@@ -100,8 +100,9 @@ def _diagonal_blocks(run: QkdRun):
 
     Only valid when every environment sector of the rest is one-dimensional
     (classical attacks): then the rows' values in each sector tuple of the
-    stacked contraction are scalars.  Values are subnormalised by the
-    non-abort mass.
+    stacked contraction are scalars.  A merged sector scales a tuple's real
+    and ideal values by one positive factor, so the pair term stays a sum
+    over the sectors.  Values are subnormalised by the non-abort mass.
     """
     p = run.params
     engine = bb84._Engine(p, run.attack)

@@ -1,6 +1,6 @@
 import time
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from bb84_oracle import dense_rest_block, oracle_quantities
 from qkdsec.acframework import ScheduleMismatch
 from qkdsec.protocols import bb84
 from qkdsec.qstate import make_channel
-from qkdsec.tolerances import SECTOR_CUTOFF
+from qkdsec.tolerances import SECTOR_CUTOFF, SECTOR_MERGE_TOL
 
 
 @pytest.fixture(scope="module")
@@ -241,21 +241,26 @@ def _random_classes(rng, sector_dims, sector_cells):
 
     Sector s has dimension sector_dims[s] and the active cells
     sector_cells[s], each with a random PSD operator, and the other cells
-    zero there.  The stacked tables group the sectors by dimension, as
-    ``_PositionTables.classes`` does; the dense operators (4, E, E) put the
-    sectors on the diagonal of one environment of dimension E.
+    zero there; a number in place of the cells makes the sector that
+    multiple of the sector before it.  The stacked tables group the sectors
+    by dimension and merge the proportional ones, as
+    ``_PositionTables.classes`` does; the dense operators (4, E, E) put
+    every sector on the diagonal of one environment of dimension E.
     """
     by_dim = {}
     dense = np.zeros((4, sum(sector_dims), sum(sector_dims)), dtype=complex)
     lo = 0
     for dim, active in zip(sector_dims, sector_cells):
-        x = _random_complex(rng, len(active) * dim, dim).reshape(len(active), dim, dim)
-        ops = np.zeros((4, dim, dim), dtype=complex)
-        ops[active] = x @ x.conj().swapaxes(1, 2)
+        if np.isscalar(active):
+            ops = active * ops
+        else:
+            x = _random_complex(rng, len(active) * dim, dim).reshape(len(active), dim, dim)
+            ops = np.zeros((4, dim, dim), dtype=complex)
+            ops[active] = x @ x.conj().swapaxes(1, 2)
         by_dim.setdefault(dim, []).append(ops)
         dense[:, lo:lo + dim, lo:lo + dim] = ops
         lo += dim
-    return [np.stack(by_dim[d]) for d in sorted(by_dim)], dense
+    return [bb84._merge(by_dim[d]) for d in sorted(by_dim)], dense
 
 
 # per position: sector dimensions and the cells active in each sector
@@ -271,6 +276,9 @@ _BLOCKS = {
     # products of dimension classes
     "unequal": [((1, 2), ([0], [1, 2, 3])), ((1,), ([0, 1, 2, 3],)),
                 ((2, 1), ([0, 3], [1, 2]))],
+    # a sector that is a positive multiple of the one before it: merged into
+    # one table, while the dense operators keep both
+    "proportional": [((2, 2, 2), ([0, 3], 2.5, [1, 2])), ((1, 1), ([0, 1, 2, 3], 0.5))],
 }
 
 
@@ -289,6 +297,8 @@ def test_trace_norms_match_per_row_eigvalsh(monkeypatch, route, chunked):
         # member 4m + c is member m of the earlier positions with cell c here
         ops = np.stack([np.kron(a, b) for a in ops for b in dense])
     assert (max(c[-1].shape[-1] for c in classes) == 1) == (route == "scalar")
+    merged = sum(len(c) for cs in classes for c in cs) < sum(len(d) for d, _ in _BLOCKS[route])
+    assert merged == (route == "proportional")
     coeff = rng.normal(size=(7, len(ops)))
     coeff[2] = 0.0
     want = [float(np.abs(np.linalg.eigvalsh(np.tensordot(row, ops, axes=(0, 0)))).sum())
@@ -397,10 +407,14 @@ def test_sector_layouts_of_shipped_attacks():
     assert layouts(ir) == [
         [([0, 3], 1)], [([0, 3], 1)], [([0], 1), ([3], 1)], [([0, 1, 2, 3], 1)] * 2,
         [([0, 1, 2, 3], 1)] * 2, [([0], 1), ([3], 1)]]
-    # stacked over bases and labels: one dimension class each, so a rest is
-    # one product of classes
-    assert classes(dep) == [(4, 4, 2, 2)]
-    assert classes(ir) == [(10, 4, 1, 1)]
+    # stacked over bases and labels and merged where proportional: one
+    # dimension class each, so a rest is one product of classes.  Both bases
+    # of depolarise give the same two sectors; intercept-resend's ten merge
+    # into four: the pass cells, outcome 0, outcome 1 and the uniform
+    # other-basis ones
+    assert classes(bb84.identity_attack()) == [(1, 4, 1, 1)]
+    assert classes(dep) == [(2, 4, 2, 2)]
+    assert classes(ir) == [(4, 4, 1, 1)]
     # steal-replace: two 1-d sectors in Z and one 2-d sector in X, two classes
     # per position and 2^w products per rest
     assert classes(bb84.steal_replace_attack(1)) == [(2, 4, 1, 1), (1, 4, 2, 2)]
@@ -434,6 +448,51 @@ def test_sector_cutoff(scale, n_sectors):
         assert [s[:, 0, 0].tolist() for s in sectors] == [[1.0, 0, 0, 0], [0, 0, 0, 0.25]]
     else:
         assert np.array_equal(sectors[0], ops)
+
+
+@pytest.mark.parametrize("perturb,n_tables",
+                         [(0.0, 1), (0.01 * SECTOR_MERGE_TOL, 1), (1e-9, 2)])
+def test_sector_merge_tolerance(perturb, n_tables):
+    # a table and 2.5 times it, one entry of the copy moved by perturb
+    # relative: rounding merges, a real difference does not
+    rng = np.random.default_rng(3)
+    x = _random_complex(rng, 8, 2).reshape(4, 2, 2)
+    ops = x @ x.conj().swapaxes(1, 2)
+    copy = 2.5 * ops
+    copy[1, 0, 0] *= 1.0 + perturb
+    merged = bb84._merge([ops, copy])
+    assert len(merged) == n_tables
+    if n_tables == 1:
+        assert np.allclose(merged[0], 3.5 * ops, rtol=1e-13, atol=0.0)
+    else:
+        assert np.array_equal(merged, np.stack([ops, copy]))
+
+
+def _amplitude_damping(n, gamma):
+    # Eve keeps the decay record: no bit or phase flip maps the cells onto
+    # each other, so no two sectors are proportional
+    k0 = np.diag([1.0, np.sqrt(1.0 - gamma)])
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
+    v = np.kron(k0, np.eye(2)[:, [0]]) + np.kron(k1, np.eye(2)[:, [1]])
+    return bb84.custom_attack(n, make_channel([v], out_dims=(2, 2)), name="amp-damp")
+
+
+@pytest.mark.parametrize("build", [lambda n: _amplitude_damping(n, 0.3), _record_z],
+                         ids=["amplitude-damping", "record-z"])
+def test_channel_without_proportional_sectors_keeps_them(build):
+    attack = build(3)
+    comp = attack.quantum[0].components[0]
+    sectors = [ops for theta in bb84._component_tables(comp)[1] for ops in theta]
+    classes = bb84._position_tables(attack, 3)[0].classes
+    assert sum(len(c) for c in classes) == len(sectors) > 1
+    params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
+    p_abort, eps_cor, eps_sec, advantage, _ = oracle_quantities(params, attack)
+    run = bb84.qkd_run(params, attack)
+    assert abs(p_abort - run.p_abort) <= 1e-12
+    assert abs(eps_cor - run.eps_cor) <= 1e-12
+    assert abs(eps_sec - run.eps_sec) <= 1e-9
+    assert abs(advantage - run.advantage) <= 1e-9
+    assert run.advantage > 0.0
 
 
 def test_rest_memo_with_position_dependent_attack(monkeypatch):
@@ -486,10 +545,9 @@ def test_engine_keeps_nothing_between_calls(monkeypatch):
     (bb84.steal_replace_attack(6), 2 ** 5)],
     ids=["intercept-resend", "depolarise", "steal-replace"])
 def test_one_contraction_per_rest_and_class_product(monkeypatch, attack, products):
-    # width 5: intercept-resend has 2^5 x 3^5 basis/label cells and 10^5
-    # sector tuples per row, and none of them is a contraction of its own;
-    # the batches keep the peak far below the 12 rows x 10^5 values of an
-    # unbatched contraction (9.6 MB)
+    # width 5: intercept-resend has 2^5 x 3^5 basis/label cells and 4^5
+    # merged sector tuples per row, and none of them is a contraction of its
+    # own; the batches keep the peak under 2 MiB
     params = bb84.default_params(n_qubits=6, t=1, q_tol=0.25, out_len=1, h_rows=1)
     calls = []
     contract = bb84._contract
@@ -520,3 +578,63 @@ def test_leaked_and_otp_variants_match_plain_n6():
             assert abs(bb84.leaked_advantage(run, split) - run.advantage) <= 1e-9
         for msg in (0, 1, 3):
             assert abs(bb84.otp_composed_advantage(run, msg) - run.advantage) <= 1e-9
+
+
+def test_batch_entries_leave_out_the_coefficient_rows():
+    # width 3, one scalar sector per position: the stages after the rows hold
+    # 4^2, 4 and 1 entries per row; the rows themselves (4^3) are not counted
+    ops = [np.ones((1, 4, 1, 1))] * 3
+    assert bb84._entries(ops, 3) == bb84._entries(ops, 0) == 16
+    # two 2-d sectors per position: each stage doubles, whatever the rows hold
+    ops = [np.ones((2, 4, 2, 2))] * 3
+    assert bb84._entries(ops, 0) == 4 ** 3 * 2 ** 3
+    assert bb84._entries(ops, 3) == 4 ** 3
+
+
+def test_batches_past_the_bound_fix_the_fewest_positions():
+    # width 9, four scalar sectors per position: after the first position
+    # every stage holds 4^8 entries per row, over _BATCH_ENTRIES however many
+    # positions are fixed, so one is: 4 batches of 4^8 sector tuples, not 4^9
+    # batches of one
+    ops = [np.ones((4, 4, 1, 1))] * 9
+    coeff = np.ones((1, 4 ** 9))
+    batches = [m for _, m in islice(bb84._contract(coeff, ops), 5)]
+    assert [m.shape for m in batches] == [(1, 4 ** 8)] * 4
+    assert all(float(m.sum()) == 4.0 ** 17 for m in batches)
+
+
+def test_width_eight_batches_split_the_sectors(monkeypatch):
+    # intercept-resend at width 8: 4^8 coefficients per row already exceed
+    # _BATCH_ENTRIES, but the stages after them fit once one position is
+    # fixed, so a batch spans many sector tuples; when the rows counted, every
+    # (row, sector tuple) pair was a batch of its own, 16 x 4^8 = 1,048,576
+    params = bb84.default_params(n_qubits=10, t=2, q_tol=0.25, out_len=1, h_rows=2)
+    batches = []
+    contract = bb84._contract
+
+    def counting_contract(coeff, ops):
+        for rows, m in contract(coeff, ops):
+            batches.append(m.shape[1])
+            # fail at once rather than walk a million batches
+            assert len(batches) <= 4096, "one batch per (row, sector tuple)"
+            yield rows, m
+
+    monkeypatch.setattr(bb84, "_contract", counting_contract)
+    engine = bb84._Engine(params, bb84.intercept_resend(10, 0.5))
+    rows = bb84.key_rows(params, *bb84._joint_keys(params.key_size))
+    tracemalloc.start()
+    try:
+        p_abort, norms, _, _ = engine.evaluate(*rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # fewer than w positions fixed: every batch holds several sector tuples
+    assert min(batches) > 1
+    # the coefficient rows (16 x 4^8 values, 8 MiB) and a few batch temporaries
+    assert peak < 12 * 2 ** 20, peak
+    assert p_abort == 0.234375
+    # allowed 4^8 entries, a batch fixes no sector: the same norms
+    monkeypatch.setattr(bb84, "_BATCH_ENTRIES", 4 ** 8)
+    batches.clear()
+    assert np.allclose(engine.evaluate(*rows)[1], norms, rtol=0.0, atol=1e-15)
+    assert batches == [4 ** 8] * len(rows[0])

@@ -60,8 +60,8 @@ def test_product_pair_chunks_match_dense(monkeypatch):
     dense = (run1.p_abort * run2.advantage + run2.p_abort * run1.advantage
              + 0.5 * float(np.abs(np.outer(r1, r2) - np.outer(i1, i2)).sum()))
     # a batch of a few rows forces many chunks, including a ragged last one
-    monkeypatch.setattr(bb84, "_BATCH_ENTRIES", 3 * r2.size + 1)
-    assert r1.size % 3 != 0
+    monkeypatch.setattr(bb84, "_BATCH_ENTRIES", 5 * r2.size + 1)
+    assert r1.size % 5 != 0
     assert abs(scenarios.product_pair_advantage(run1, run2) - dense) <= 1e-12
     monkeypatch.undo()
     assert abs(scenarios.product_pair_advantage(run1, run2) - dense) <= 1e-12
