@@ -20,6 +20,11 @@ eigenproblems on the key-material part.  Each term of those distances is one
 coefficient row over the key-material members (one syndrome and key event,
 real minus ideal).  ``key_rows`` builds a quantity's rows from per-row key
 columns, and ``_Engine.evaluate`` takes them as one coefficient matrix.
+A position's tables come from one array pass: one ``einsum`` gives Eve's
+environment vector phi[c, theta, a, b, k, e] = sqrt(w_c/4) <b|_theta K_k
+|a>_theta for every mixture component, basis, bit pair and Kraus operator
+(components zero-padded to a common Kraus count and environment), and the
+cell masses, error masses and cell operators are reductions of that array.
 Each position's environment splits into orthogonal sectors that every cell
 operator respects (depolarising with purification: one sector for a = b and
 one for a != b; intercept-resend: one per measured outcome).  Every
@@ -45,6 +50,17 @@ per-row sums over a rest depend only on the attacks at the rest positions,
 so one ``evaluate`` call computes them once per distinct rest and weights
 them by each sample subset's pass mass.  Its memos are local to the call: an
 engine keeps nothing between calls.
+Rows come in translation orbits.  Flipping Alice's and Bob's bits together
+on some key-material positions (X in the Z basis, Z in the X basis) maps
+row (syndrome, K_A, K_B) onto another row of the same quantity.  The same
+phi certifies each position: the flip is a unitary on Eve's side when the
+Gram matrices of the flipped and unflipped environment vectors agree, up to
+a permutation of the Kraus operators and a phase per operator
+(``FLIP_TOL``).  The trace norm is unitarily invariant, so when every
+position is certified, all rows of an orbit have one norm and one mass:
+``qkd_run`` evaluates 1 + key_size rows in place of 2^h_rows (key_size +
+key_size^2) and gathers the values back onto every row.  An attack that is
+not certified evaluates every row through the same code.
 Everything is an exact enumeration; no sampling is involved anywhere.
 """
 
@@ -65,7 +81,7 @@ from ..acframework import (
 from ..linalg import coset_leader_table, gf2_rank
 from ..metrics import BoundReport
 from ..qstate import DimensionCap, KrausChannel, make_channel
-from ..tolerances import SECTOR_CUTOFF, SECTOR_MERGE_TOL
+from ..tolerances import FLIP_TOL, SECTOR_CUTOFF, SECTOR_MERGE_TOL
 from .hashing import default_code_matrices
 
 __all__ = [
@@ -239,59 +255,31 @@ _BASIS = (
 )
 
 
-def _component_tables(comp: MixtureComponent):
-    """(w4, sectors) of one mixture component.
+def _amplitudes(comps) -> np.ndarray:
+    """phi[c, theta, a, b, k, e] = sqrt(w_c / 4) <b|_theta K_k |a>_theta.
 
-    ``w4`` (2, 4) -> [theta, 2a+b] holds the cell masses, the 1/4 basis/bit
-    prior included; ``sectors[theta]`` lists the sector tables of that
-    basis's cell operators (see _sectors).
+    One array over the mixture components c, bases theta, Alice's and Bob's
+    bits a, b, Kraus operators k and Eve's environment e: the environment
+    vector of each (component, basis, bits, Kraus operator), with the
+    mixture weight and the 1/4 basis/bit prior inside.  Components are
+    zero-padded to a common Kraus count and environment dimension.
     """
-    chan = comp.channel
-    env_dim = int(np.prod(chan.out_dims[1:])) if len(chan.out_dims) > 1 else 1
-    if chan.out_dims[0] != 2:
-        raise ScheduleMismatch("attack channel must return the transmitted qubit first")
-    if env_dim > 4:
+    envs = []
+    for comp in comps:
+        chan = comp.channel
+        if chan.out_dims[0] != 2:
+            raise ScheduleMismatch("attack channel must return the transmitted qubit first")
+        envs.append(int(np.prod(chan.out_dims[1:])) if len(chan.out_dims) > 1 else 1)
+    if max(envs) > 4:
         raise DimensionCap("attack environment dimension above 4 per position")
-    sectors = []
-    w4 = np.zeros((2, 4))
-    scale = math.sqrt(comp.weight * 0.25)
-    for theta in range(2):
-        vecs, cells = [], []
-        for a in range(2):
-            group = []
-            for b in range(2):
-                psi_in = _BASIS[theta][a]
-                psi_out = _BASIS[theta][b]
-                for op in chan.kraus_ops:
-                    out = (op @ psi_in).reshape(2, env_dim)
-                    phi = scale * (psi_out.conj() @ out)
-                    norm2 = float(np.vdot(phi, phi).real)
-                    if norm2 > 1e-28:
-                        group.append((2 * a + b, phi, norm2))
-            # trace preservation makes each (theta, a) group sum to weight/4
-            # analytically; snap the tiny representation drift away so the
-            # classical functionals of exactly modelled attacks stay exact
-            total = sum(g[2] for g in group)
-            target = comp.weight * 0.25
-            if total > 0.0 and abs(total - target) < 1e-12 * target:
-                fix = target / total
-                if len(group) == 1:
-                    cell, phi, norm2 = group[0]
-                    group = [(cell, phi * math.sqrt(fix), target)]
-                else:
-                    group = [(cell, phi * math.sqrt(fix), norm2 * fix)
-                             for cell, phi, norm2 in group]
-            for cell, phi, norm2 in group:
-                w4[theta, cell] += norm2
-                vecs.append(phi)
-                cells.append(cell)
-        # environment columns x (env_dim, ncols) and the member cell of each
-        x = (np.array(vecs, dtype=complex).T if vecs
-             else np.zeros((env_dim, 0), dtype=complex))
-        ab = np.array(cells, dtype=np.int64)
-        sectors.append(_sectors(np.stack([x[:, ab == c] @ x[:, ab == c].conj().T
-                                          for c in range(4)])))
-    return w4, sectors
+    kraus = np.zeros((len(comps), max(len(c.channel.kraus_ops) for c in comps), 2,
+                      max(envs), 2), dtype=complex)
+    for c, (comp, env) in enumerate(zip(comps, envs)):
+        ops = comp.channel.kraus_ops
+        kraus[c, :len(ops), :, :env] = np.reshape(ops, (len(ops), 2, env, 2))
+    scale = np.sqrt(0.25 * np.array([comp.weight for comp in comps]))
+    basis = np.array(_BASIS)  # [theta, a, qubit]
+    return np.einsum("tbi,ckiej,taj,c->ctabke", basis.conj(), kraus, basis, scale)
 
 
 def _sectors(cell_ops: np.ndarray) -> list[np.ndarray]:
@@ -313,7 +301,9 @@ def _sectors(cell_ops: np.ndarray) -> list[np.ndarray]:
     for _ in range(d):  # each pass spreads the smallest index one link further
         root = np.where(linked, root, d).min(axis=1)
     sectors = []
-    for r in np.unique(root):
+    # each component's smallest index is its own root (np.unique would
+    # import numpy.ma on first use)
+    for r in np.flatnonzero(root == np.arange(d)):
         env = np.flatnonzero(root == r)
         ops = cell_ops[:, env][:, :, env]
         active = np.abs(ops).max(axis=(1, 2)) > cutoff
@@ -332,12 +322,15 @@ class _PositionTables:
     sectors of every (basis, label) pair with that dimension, merged where
     they are positive multiples of one another (see _merge).  The mixture
     weight and the 1/4 prior are inside the operators, so the sectors of a
-    rest are the products of its positions' stacked sectors.
+    rest are the products of its positions' stacked sectors.  ``covariant``
+    holds when the joint bit flip maps every cell operator of (a, b) onto
+    that of (a ^ 1, b ^ 1) by a unitary on Eve's side (see _flip_covariant).
     """
 
     errors: tuple[float, float]
     mass: np.ndarray
     classes: list[np.ndarray]
+    covariant: bool
 
 
 def _merge(tables: list[np.ndarray]) -> np.ndarray:
@@ -363,20 +356,97 @@ def _merge(tables: list[np.ndarray]) -> np.ndarray:
     return np.stack(merged)
 
 
+def _cells(comps):
+    """(phi, w4, cell_ops) of one position, each an array reduction of phi.
+
+    ``phi`` is _amplitudes' array after the snap below, ``w4`` [(c, theta),
+    2a+b] the cell masses and ``cell_ops`` [(c, theta), 2a+b] the cell
+    operators sum_k phi_k phi_k^dagger on Eve's environment.  Vectors of
+    norm^2 at most 1e-28 are dropped.
+    """
+    phi = _amplitudes(comps)
+    norm2 = (phi.real ** 2 + phi.imag ** 2).sum(axis=-1)  # [c, theta, a, b, k]
+    kept = norm2 > 1e-28
+    phi = np.where(kept[..., None], phi, 0.0)
+    norm2 = np.where(kept, norm2, 0.0)
+    # trace preservation makes each (c, theta, a) group sum to weight/4
+    # analytically; snap the tiny representation drift away so the classical
+    # functionals of exactly modelled attacks stay exact
+    target = 0.25 * np.array([comp.weight for comp in comps])[:, None, None]
+    total = norm2.sum(axis=(3, 4))
+    snap = (total > 0.0) & (abs(total - target) < 1e-12 * target)
+    fix = np.where(snap, target / np.where(snap, total, 1.0), 1.0)
+    phi = phi * np.sqrt(fix)[..., None, None, None]
+    single = (snap & (kept.sum(axis=(3, 4)) == 1))[..., None, None] & kept
+    norm2 = np.where(single, target[..., None, None], norm2 * fix[..., None, None])
+    cell_ops = phi.swapaxes(-1, -2) @ phi.conj()
+    env = phi.shape[-1]
+    return phi, norm2.sum(axis=-1).reshape(-1, 4), cell_ops.reshape(-1, 4, env, env)
+
+
 def _stack(comps) -> _PositionTables:
-    e1 = total = 0.0
-    mass = np.zeros(4)
+    phi, w4, cell_ops = _cells(comps)
+    errors = (sum((w4[:, 1] + w4[:, 2]).tolist()), sum(w4.sum(axis=1).tolist()))
     by_dim: dict[int, list] = {}
-    for comp in comps:
-        w4, sectors = _component_tables(comp)
-        for theta in range(2):
-            e1 += float(w4[theta][1] + w4[theta][2])
-            total += float(w4[theta].sum())
-            mass += w4[theta]
-            for ops in sectors[theta]:
-                by_dim.setdefault(ops.shape[-1], []).append(ops)
-    return _PositionTables((e1, total), mass,
-                           [_merge(by_dim[d]) for d in sorted(by_dim)])
+    for ops in cell_ops:
+        for sector in _sectors(ops):
+            by_dim.setdefault(sector.shape[-1], []).append(sector)
+    return _PositionTables(errors, w4.sum(axis=0), [_merge(by_dim[d]) for d in sorted(by_dim)],
+                           _flip_covariant(phi))
+
+
+def _flip_covariant(phi: np.ndarray) -> bool:
+    """Whether the joint bit flip acts on each cell by one unitary on Eve's side.
+
+    ``phi`` is [c, theta, a, b, k, e] (see _amplitudes).  Flipping a and b
+    together is X in the Z basis and Z in the X basis.  For each component
+    and basis this looks for a permutation pi of the Kraus index, phases
+    alpha_k and a unitary W with phi(a^1, b^1, pi k) = e^{i alpha_k} W phi(a,
+    b, k); then W maps each cell operator of (a, b) onto that of (a^1, b^1).
+    Such a W exists exactly when the Gram matrices of the two families agree
+    up to the phases.  pi pairs Kraus indices of matching cell norms, first
+    free match first, and the phases follow from the Gram entries; entries
+    agree when they differ by at most ``FLIP_TOL`` times the largest.  A
+    channel whose certificate needs another pairing or a mixing of its Kraus
+    operators is reported as not covariant, and evaluates every row.
+    """
+    blocks = phi.reshape(-1, 4, *phi.shape[-2:])  # [(c, theta), 2a+b, k, e]
+    count, _, kraus, _ = blocks.shape
+    norms = (blocks.real ** 2 + blocks.imag ** 2).sum(axis=-1)
+    tol = FLIP_TOL * norms.max(axis=(1, 2))
+    # the flip reverses the cell index 2a+b; match[block][k][j]: the flipped
+    # cells of Kraus index j have the norms of k's
+    match = (abs(norms[:, ::-1, None, :] - norms[:, :, :, None]).max(axis=1)
+             <= tol[:, None, None]).tolist()
+    perms = []
+    for rows in match:
+        free = list(range(kraus))
+        for row in rows:
+            j = next((j for j in free if row[j]), None)
+            if j is None:
+                return False
+            free.remove(j)
+            perms.append(j)
+    x = blocks.reshape(count, 4 * kraus, -1)
+    y = np.take_along_axis(blocks[:, ::-1], np.reshape(perms, (count, 1, kraus, 1)), axis=2)
+    y = y.reshape(x.shape)
+    gram = x.conj() @ x.swapaxes(1, 2)
+    flipped = y.conj() @ y.swapaxes(1, 2)
+    # flipped = conj(e^{i alpha}) gram e^{i alpha} over the Kraus indices:
+    # each phase from the largest summed overlap with an earlier index
+    overlaps = (flipped * gram.conj()).reshape(count, 4, kraus, 4, kraus).sum(axis=(1, 3))
+    phases = []
+    for overlap in overlaps.tolist():
+        phase = [1.0] * kraus
+        for k in range(1, kraus):
+            sizes = [abs(overlap[i][k]) for i in range(k)]
+            j = sizes.index(max(sizes))
+            if overlap[j][k] != 0.0:
+                phase[k] = phase[j] * overlap[j][k] / abs(overlap[j][k])
+        phases.append(phase * 4)
+    phase = np.array(phases, dtype=complex)
+    misfit = abs(flipped - phase.conj()[:, :, None] * gram * phase[:, None, :])
+    return bool((misfit.max(axis=(1, 2)) <= tol).all())
 
 
 def _position_tables(attack: AttackStrategy, n: int):
@@ -450,15 +520,52 @@ def key_rows(params: QkdParams, ka, kb, ideal) -> tuple[np.ndarray, np.ndarray]:
     otherwise.  The branch masses live inside the operators, so these
     indicators are the coefficients.
     """
+    return _rows(params, *_syndrome_major(params, ka, kb, ideal))
+
+
+def _syndrome_major(params: QkdParams, ka, kb, ideal):
+    """Columns (syn, ka, kb, ideal) of every syndrome with every key column entry."""
+    syndromes = 2 ** params.h_rows
+    return (np.repeat(np.arange(syndromes), len(ka)),
+            *(np.tile(np.asarray(col), syndromes) for col in (ka, kb, ideal)))
+
+
+def _rows(params: QkdParams, syn, ka, kb, ideal) -> tuple[np.ndarray, np.ndarray]:
+    """(select, mix) of one row per entry of the columns (see key_rows)."""
     # member m holds position j's cell 2a+b in bits 2(width-1-j) and up
     cells = _digits(4, params.width)
     syn_of, ka_of, kb_of = _key_tables(params, cells >> 1, cells & 1)
-    ka, kb = np.asarray(ka)[:, None], np.asarray(kb)[:, None]
-    in_syn = np.arange(2 ** params.h_rows)[:, None, None] == syn_of
-    keys = (ka == ka_of) & ((kb == kb_of) | (kb < 0))
-    select = (in_syn & keys).reshape(-1, syn_of.size).astype(float)
-    mix = (in_syn & np.asarray(ideal, dtype=bool)[:, None]).reshape(select.shape)
-    return select, mix / params.key_size
+    syn, ka, kb = (np.asarray(col)[:, None] for col in (syn, ka, kb))
+    in_syn = syn == syn_of
+    select = in_syn & (ka == ka_of) & ((kb == kb_of) | (kb < 0))
+    mix = in_syn & np.asarray(ideal, dtype=bool)[:, None]
+    return select.astype(float), mix / params.key_size
+
+
+def _orbit_rows(params: QkdParams, ka, kb, ideal, covariant: bool):
+    """Columns (syn, ka, kb, ideal) of the rows to evaluate, and the gather.
+
+    The rows are those of ``key_rows(params, ka, kb, ideal)``, and ``gather``
+    holds, for each of them, the index of the evaluated row with its values.
+    Flipping Alice's and Bob's bits together on a set e of key-material
+    positions maps the members of row (s, ka, kb) onto those of (s ^ He,
+    ka ^ Te, kb ^ Te), with kb < 0 kept and the same ideal flag.  When every
+    position is flip covariant this conjugates each member operator by a
+    unitary on Eve's side, so both rows have the same trace norm and mass.
+    [H; T] has independent rows, so each orbit holds the row (0, 0, ka ^ kb),
+    and only those rows are evaluated.  Otherwise every row is, and the
+    gather is the identity.
+    """
+    columns = _syndrome_major(params, ka, kb, ideal)
+    if not covariant:
+        return columns, np.arange(len(columns[0]))
+    _, ka, kb, ideal = columns
+    orbits: dict = {}
+    gather = np.array([orbits.setdefault(orbit, len(orbits)) for orbit in
+                       zip(np.where(kb < 0, -1, ka ^ kb).tolist(), ideal.tolist())])
+    kb, ideal = (np.array(col) for col in zip(*orbits))
+    zeros = np.zeros(len(kb), dtype=np.int64)
+    return (zeros, zeros, kb, ideal), gather
 
 
 def _entries(ops, fixed: int) -> int:
@@ -561,6 +668,7 @@ class _Engine:
     def __init__(self, params: QkdParams, attack: AttackStrategy):
         self.params = params
         self.tables = _position_tables(attack, params.n_qubits)
+        self.covariant = all(tab.covariant for tab in self.tables)
 
     def sample_stats(self, positions: tuple[int, ...]):
         """(pass_mass, abort_mass) summed over bases, labels, and values."""
@@ -623,6 +731,17 @@ class _Engine:
         c = len(subsets)
         return p_abort / c, norms / c, masses / c, support > 0.0
 
+    def evaluate_keys(self, ka, kb, ideal):
+        """``evaluate`` of the rows ``key_rows(params, ka, kb, ideal)``.
+
+        Only one row per translation orbit is evaluated when every position
+        is flip covariant, and its values are gathered back onto every row
+        of the orbit (see _orbit_rows).
+        """
+        columns, gather = _orbit_rows(self.params, ka, kb, ideal, self.covariant)
+        p_abort, *per_row = self.evaluate(*_rows(self.params, *columns))
+        return (p_abort, *(values[gather] for values in per_row))
+
 
 @dataclass(frozen=True)
 class QkdRun:
@@ -661,10 +780,9 @@ def qkd_run(params: QkdParams, attack: AttackStrategy) -> QkdRun:
     ka, kb, equal = _joint_keys(nk)
     # secrecy rows (K_A against everything Eve sees), then the rows of the
     # full real-vs-ideal distance (keys (K_A, K_B) jointly)
-    select, mix = key_rows(params, np.concatenate([np.arange(nk), ka]),
-                           np.concatenate([np.full(nk, -1), kb]),
-                           np.concatenate([np.ones(nk, dtype=bool), equal]))
-    p_abort, norms, masses, reached = engine.evaluate(select, mix)
+    p_abort, norms, masses, reached = engine.evaluate_keys(
+        np.concatenate([np.arange(nk), ka]), np.concatenate([np.full(nk, -1), kb]),
+        np.concatenate([np.ones(nk, dtype=bool), equal]))
     by_syn = (-1, nk + ka.size)
     eps_sec = 0.5 * float(norms.reshape(by_syn)[:, :nk].sum())
     advantage = 0.5 * float(norms.reshape(by_syn)[:, nk:].sum())
@@ -702,8 +820,7 @@ def leaked_advantage(run: QkdRun, split: int) -> float:
     p = run.params
     if not 0 <= split <= p.out_len:
         raise InvalidParams(f"split {split} outside [0, {p.out_len}]")
-    select, mix = key_rows(p, *_joint_keys(p.key_size))
-    return 0.5 * float(_Engine(p, run.attack).evaluate(select, mix)[1].sum())
+    return 0.5 * float(_Engine(p, run.attack).evaluate_keys(*_joint_keys(p.key_size))[1].sum())
 
 
 def otp_composed_advantage(run: QkdRun, message: int) -> float:
@@ -720,8 +837,8 @@ def otp_composed_advantage(run: QkdRun, message: int) -> float:
     if not 0 <= message < nk:
         raise InvalidParams(f"message {message} is not a {p.out_len}-bit value")
     y, xb = np.divmod(np.arange(nk * nk), nk)
-    select, mix = key_rows(p, message ^ y, y ^ xb, xb == message)
-    return 0.5 * float(_Engine(p, run.attack).evaluate(select, mix)[1].sum())
+    norms = _Engine(p, run.attack).evaluate_keys(message ^ y, y ^ xb, xb == message)[1]
+    return 0.5 * float(norms.sum())
 
 
 @dataclass(frozen=True)

@@ -281,7 +281,10 @@ def _matched_terms(cells, masses, labels, share, options):
     """
     at, label_mass, mass_of_label = _sums_by_first_seen(labels, masses)
     ideal = options(cells[at])
-    missing = (ideal >= 0) & ~np.isin(ideal, cells)
+    # a binary search, not np.isin, which imports numpy.ma on first use
+    ordered = np.sort(cells)
+    found = ordered[np.searchsorted(ordered, ideal).clip(max=len(ordered) - 1)] == ideal
+    missing = (ideal >= 0) & ~found
     return (np.abs(masses - mass_of_label * share(cells)),
             label_mass[np.nonzero(missing)[0]] * share(ideal[missing]))
 
@@ -581,7 +584,8 @@ class _AcceptTable:
 
     def branches(self, target: np.ndarray):
         """(row index, tag, accepted, weight factor) of each expanded row."""
-        for x in np.unique(target[self.count[target] < 0]).tolist():
+        # not np.unique, which imports numpy.ma on first use
+        for x in sorted(set(target[self.count[target] < 0].tolist())):
             self._fill(x)
         rep, j = _expand(self.count[target])
         x = target[rep]

@@ -18,3 +18,4 @@ DIM_CAP = 16384             # largest total Hilbert-space dimension; exceeding i
 ENTROPY_EIG_CUTOFF = 1e-12  # eigenvalues below this are treated as 0 in entropy sums
 SECTOR_CUTOFF = 1e-15       # BB84 environment sectors: entries below this times the largest are not links
 SECTOR_MERGE_TOL = 1e-12    # BB84 stacked sectors: unit-Frobenius tables this close (max-abs) are merged
+FLIP_TOL = 1e-12            # BB84 flip certificate: Gram matrices this close (max-abs, relative to the largest entry) match

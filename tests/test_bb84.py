@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bb84_oracle import dense_rest_block, oracle_quantities
+from classical_oracle import STEAL_REPLACE_LABELS, classical_quantities, intercept_resend_labels
 from qkdsec.acframework import ScheduleMismatch
 from qkdsec.protocols import bb84
 from qkdsec.qstate import make_channel
@@ -390,10 +391,69 @@ def _active(sectors):
             for ops in sectors]
 
 
+def _cell_sectors(attack):
+    """Per (component, basis) of the first position, the sectors of its cells."""
+    return [bb84._sectors(ops) for ops in bb84._cells(attack.quantum[0].components)[2]]
+
+
+def _loop_cells(comps):
+    """``bb84._cells``' masses and cell operators, one Kraus vector at a time."""
+    w4, cell_ops = [], []
+    for comp in comps:
+        chan = comp.channel
+        env = int(np.prod(chan.out_dims[1:])) if len(chan.out_dims) > 1 else 1
+        scale, target = np.sqrt(comp.weight * 0.25), comp.weight * 0.25
+        for theta in range(2):
+            masses, vecs, cells = np.zeros(4), [], []
+            for a in range(2):
+                group = []
+                for b, op in product(range(2), chan.kraus_ops):
+                    out = (op @ bb84._BASIS[theta][a]).reshape(2, env)
+                    phi = scale * (bb84._BASIS[theta][b].conj() @ out)
+                    norm2 = float(np.vdot(phi, phi).real)
+                    if norm2 > 1e-28:
+                        group.append((2 * a + b, phi, norm2))
+                total = sum(norm2 for _, _, norm2 in group)
+                if total > 0.0 and abs(total - target) < 1e-12 * target:
+                    fix = target / total
+                    group = [(cell, phi * np.sqrt(fix), target if len(group) == 1 else norm2 * fix)
+                             for cell, phi, norm2 in group]
+                for cell, phi, norm2 in group:
+                    masses[cell] += norm2
+                    vecs.append(phi)
+                    cells.append(cell)
+            x = np.array(vecs, dtype=complex).reshape(-1, env).T
+            w4.append(masses)
+            cell_ops.append(np.stack([x[:, np.equal(cells, c)] @ x[:, np.equal(cells, c)].conj().T
+                                      for c in range(4)]))
+    return np.array(w4), cell_ops
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: bb84.intercept_resend(n, 0.37), lambda n: bb84.depolarize_attack(n, 0.3),
+    bb84.steal_replace_attack, lambda n: _amplitude_damping(n, 0.3), _record_z,
+    lambda n: _pauli_isometry(n, (0.7, 0.1, 0.05, 0.15))],
+    ids=["intercept-resend", "depolarise", "steal-replace", "amplitude-damping", "record-z",
+         "pauli"])
+def test_array_pass_matches_the_loop_over_cells(build):
+    # one einsum in place of two products per vector: the same masses, cell
+    # operators within one ulp of their largest entry (the X-basis products
+    # leave dust near 1e-18 in one order and exact zeros in the other), and
+    # zero padding where a component's environment is smaller than the largest
+    comps = build(1).quantum[0].components
+    _, w4, cell_ops = bb84._cells(comps)
+    want_w4, want_ops = _loop_cells(comps)
+    assert np.array_equal(w4, want_w4)
+    for got, want in zip(cell_ops, want_ops):
+        env = want.shape[-1]
+        ulp = np.finfo(float).eps * np.abs(want).max()
+        assert np.abs(got[:, :env, :env] - want).max() <= ulp
+        assert not got[:, env:].any() and not got[:, :, env:].any()
+
+
 def test_sector_layouts_of_shipped_attacks():
     def layouts(attack):
-        return [_active(sectors) for comp in attack.quantum[0].components
-                for sectors in bb84._component_tables(comp)[1]]
+        return [_active(sectors) for sectors in _cell_sectors(attack)]
 
     def classes(attack):
         return [c.shape for c in bb84._position_tables(attack, 1)[0].classes]
@@ -481,8 +541,7 @@ def _amplitude_damping(n, gamma):
                          ids=["amplitude-damping", "record-z"])
 def test_channel_without_proportional_sectors_keeps_them(build):
     attack = build(3)
-    comp = attack.quantum[0].components[0]
-    sectors = [ops for theta in bb84._component_tables(comp)[1] for ops in theta]
+    sectors = [ops for theta in _cell_sectors(attack) for ops in theta]
     classes = bb84._position_tables(attack, 3)[0].classes
     assert sum(len(c) for c in classes) == len(sectors) > 1
     params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
@@ -638,3 +697,136 @@ def test_width_eight_batches_split_the_sectors(monkeypatch):
     batches.clear()
     assert np.allclose(engine.evaluate(*rows)[1], norms, rtol=0.0, atol=1e-15)
     assert batches == [4 ** 8] * len(rows[0])
+
+
+def _evaluated_rows(monkeypatch):
+    """A list that gets the number of rows of every ``_Engine.evaluate`` call."""
+    counts = []
+    evaluate = bb84._Engine.evaluate
+
+    def counting_evaluate(self, select, mix):
+        counts.append(len(select))
+        return evaluate(self, select, mix)
+
+    monkeypatch.setattr(bb84._Engine, "evaluate", counting_evaluate)
+    return counts
+
+
+def _orbit_attacks(n):
+    return [bb84.identity_attack(), bb84.intercept_resend(n, 0.37),
+            bb84.intercept_resend(n, 0.5), bb84.depolarize_attack(n, 0.3),
+            bb84.steal_replace_attack(n), _pauli_isometry(n, (0.7, 0.1, 0.05, 0.15)),
+            _record_z(n), _ir_dep_ir(n)]
+
+
+def _composed(run):
+    """qkd_run's fields and key_joint, the leaked and the one-time-pad advantages."""
+    p = run.params
+    values = {name: getattr(run, name) for name in
+              ("p_abort", "eps_cor", "eps_sec", "advantage", "error_rate")}
+    values.update(run.key_joint)
+    values["leaked"] = bb84.leaked_advantage(run, p.out_len)
+    values["otp"] = bb84.otp_composed_advantage(run, p.key_size - 1)
+    return values
+
+
+@pytest.mark.parametrize("n,t,h_rows,out_len", [(5, 2, 1, 1), (6, 2, 1, 2), (6, 2, 2, 1),
+                                                (7, 3, 2, 2)])
+def test_orbit_route_matches_every_row(monkeypatch, n, t, h_rows, out_len):
+    # the same quantities with every position refused the flip certificate,
+    # so every row is evaluated
+    params = bb84.default_params(n_qubits=n, t=t, q_tol=0.25, out_len=out_len, h_rows=h_rows)
+    nk, syndromes = params.key_size, 2 ** h_rows
+    for attack in _orbit_attacks(n):
+        counts = _evaluated_rows(monkeypatch)
+        orbit = _composed(bb84.qkd_run(params, attack))
+        # every attack here is certified (steal-replace only with the
+        # per-Kraus phases: in the X basis its Kraus operators flip with
+        # signs +1 and -1): one secrecy orbit and key_size joint ones, and
+        # key_size OTP orbits
+        assert counts == [1 + nk, nk, nk], attack.name
+        monkeypatch.setattr(bb84, "_flip_covariant", lambda phi: False)
+        counts.clear()
+        full = _composed(bb84.qkd_run(params, attack))
+        assert counts == [syndromes * (nk + nk * nk), syndromes * nk * nk,
+                          syndromes * nk * nk], attack.name
+        monkeypatch.undo()
+        assert orbit.keys() == full.keys(), attack.name
+        for key, value in orbit.items():
+            assert abs(value - full[key]) <= 1e-12, (attack.name, key, value, full[key])
+    identity = _composed(bb84.qkd_run(params, bb84.identity_attack()))
+    assert [identity[k] for k in ("eps_sec", "advantage", "leaked", "otp")] == [0.0] * 4
+
+
+def _one_damped_position(n):
+    from qkdsec.acframework import AttackStrategy
+
+    passed = bb84.intercept_resend(1, 0.0).quantum[0]
+    damped = _amplitude_damping(1, 0.3).quantum[0]
+    return AttackStrategy(name="one-damped", quantum=(passed,) * (n - 1) + (damped,))
+
+
+def _stinespring_random(seed):
+    from qkdsec.qstate import random_channel, stinespring
+
+    return lambda n: bb84.custom_attack(n, stinespring(random_channel(seed, 2)),
+                                        name=f"random-{seed}")
+
+
+@pytest.mark.parametrize("build", [lambda n: _amplitude_damping(n, 0.3), _stinespring_random(1),
+                                   _stinespring_random(2), _one_damped_position],
+                         ids=["amplitude-damping", "random-1", "random-2", "one-position"])
+def test_uncertified_attacks_evaluate_every_row(monkeypatch, build):
+    attack = build(3)
+    params = bb84.default_params(n_qubits=3, t=1, q_tol=0.25, out_len=1, h_rows=1)
+    counts = _evaluated_rows(monkeypatch)
+    run = bb84.qkd_run(params, attack)
+    assert counts == [2 * (2 + 4)]
+    assert not bb84._Engine(params, attack).covariant
+    p_abort, eps_cor, eps_sec, advantage, _ = oracle_quantities(params, attack)
+    assert abs(p_abort - run.p_abort) <= 1e-12
+    assert abs(eps_cor - run.eps_cor) <= 1e-12
+    assert abs(eps_sec - run.eps_sec) <= 1e-9
+    assert abs(advantage - run.advantage) <= 1e-9
+
+
+@pytest.mark.parametrize("out_len", [1, 2, 3])
+@pytest.mark.parametrize("width", [5, 6, 7])
+def test_engine_matches_classical_closed_forms(width, out_len):
+    # past the dense oracle's reach: the closed forms use no quantum state
+    n = width + 2
+    params = bb84.default_params(n_qubits=n, t=2, q_tol=0.25, out_len=out_len, h_rows=2,
+                                 seed=width * 10 + out_len)
+    cases = [(bb84.intercept_resend(n, p), intercept_resend_labels(p)) for p in (0.37, 0.5, 1.0)]
+    cases.append((bb84.steal_replace_attack(n), STEAL_REPLACE_LABELS))
+    for attack, labels in cases:
+        run = bb84.qkd_run(params, attack)
+        got = (run.p_abort, run.eps_cor, run.eps_sec, run.advantage)
+        want = classical_quantities(params, labels)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12), (attack.name, got, want)
+        assert min(want[1:]) > 0.0
+    # exact zeros stay exact on both sides
+    for attack in (bb84.identity_attack(), bb84.intercept_resend(n, 0.0)):
+        run = bb84.qkd_run(params, attack)
+        assert (run.p_abort, run.eps_cor, run.eps_sec, run.advantage) == (0.0,) * 4
+    assert classical_quantities(params, intercept_resend_labels(0.0)) == (0.0,) * 4
+
+
+def test_engine_and_composition_leave_numpy_ma_unimported():
+    # np.unique and np.isin import numpy.ma on first use (numpy 2.4 calls
+    # np.ma.is_masked), which cost every fresh process 10-17 ms
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from qkdsec import cli\n"
+        "from qkdsec.protocols import bb84\n"
+        "bb84.qkd_run(bb84.default_params(4, 2), bb84.intercept_resend(4, 0.5))\n"
+        "cli.main(['compose', 'scenario', '--name', 'parallel-qkd', '--seed', '1'])\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"
