@@ -1,12 +1,17 @@
 """Hermitian spectra, PSD square roots and factors, plus GF(2) helpers.
 
-Every spectrum in the package comes from LAPACK through
-:func:`hermitian_eig`; the test suite cross-checks it against an independent
-cyclic-Jacobi oracle.  ``eigvals_of_factored_sum`` is the fast path for
-low-rank combinations sum_j c_j v_j v_j^dagger, which the branch gaps of
-``metrics`` (``_branch_gap``) reduce to: the nonzero eigenvalues of
-V C V^dagger equal those of the small Hermitian matrix G^{1/2} C G^{1/2}
-with G = V^dagger V.
+Every spectrum comes from LAPACK.  The state-level code (``qstate``,
+``metrics``) and the PSD helpers here go through :func:`hermitian_eig`,
+which the test suite cross-checks against an independent cyclic-Jacobi
+oracle.  Three callers use ``np.linalg.eigvalsh`` directly:
+``bb84._trace_norms`` on a batch of stacked sector matrices,
+``eigvals_of_factored_sum`` below on its small Gram-side matrix, and the
+property suite's random-effect generator.
+
+``eigvals_of_factored_sum`` is the fast path for low-rank combinations
+sum_j c_j v_j v_j^dagger, which the branch gaps of ``metrics``
+(``_branch_gap``) reduce to: the nonzero eigenvalues of V C V^dagger equal
+those of the small Hermitian matrix G^{1/2} C G^{1/2} with G = V^dagger V.
 """
 
 from __future__ import annotations
@@ -93,10 +98,6 @@ def trace_norm_of_factored_sum(columns, coeffs) -> float:
 
 # --- GF(2) helpers -----------------------------------------------------------
 
-def gf2_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return (np.asarray(m, dtype=np.uint8) @ np.asarray(x, dtype=np.uint8)) % 2
-
-
 def gf2_rank(m) -> int:
     a = np.array(m, dtype=np.uint8) % 2
     rank = 0
@@ -119,29 +120,23 @@ def gf2_rank(m) -> int:
     return rank
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Little-endian bit vector: bit i of ``value`` is position i."""
-    return np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def bits_to_int(bits) -> int:
-    return int(sum(int(b) << i for i, b in enumerate(bits)))
-
-
 def coset_leader_table(h: np.ndarray) -> np.ndarray:
     """Minimum-weight error pattern for every syndrome of H.
 
-    Ties break to the numerically smallest pattern (little-endian encoding),
-    making nearest-codeword decoding deterministic.
+    Ties break to the numerically smallest pattern (little-endian encoding:
+    bit i of a pattern or syndrome is position or row i), making
+    nearest-codeword decoding deterministic.  One array pass: the syndromes
+    of all 2^width patterns come from one matrix product, and each syndrome
+    keeps its least (weight, pattern) key.
     """
-    h = np.asarray(h, dtype=np.uint8) % 2
+    h = np.asarray(h, dtype=np.int64) % 2
     rows, width = h.shape
-    table = -np.ones(2 ** rows, dtype=np.int64)
-    patterns = sorted(range(2 ** width), key=lambda e: (bin(e).count("1"), e))
-    for e in patterns:
-        syn = bits_to_int(gf2_matvec(h, int_to_bits(e, width)))
-        if table[syn] < 0:
-            table[syn] = e
-    if np.any(table < 0):
+    patterns = np.arange(1 << width)
+    bits = (patterns[:, None] >> np.arange(width)) & 1
+    syndromes = (bits @ h.T) % 2 @ (1 << np.arange(rows))
+    unreached = (width + 1) << width  # above every key
+    best = np.full(1 << rows, unreached)
+    np.minimum.at(best, syndromes, bits.sum(axis=1) << width | patterns)
+    if np.any(best == unreached):
         raise ValueError("syndrome map of H is not surjective; H has dependent rows")
-    return table
+    return best & ((1 << width) - 1)

@@ -105,6 +105,14 @@ class InvalidParams(ValueError):
     pass
 
 
+def _check_size(n: int, t: int) -> None:
+    """Refuse a sample size outside [1, n) or an n_qubits outside [2, 10]."""
+    if not 1 <= t < n:
+        raise InvalidParams(f"sample size {t} must satisfy 1 <= t < n_qubits")
+    if n > 10:  # t < n already gives n >= 2
+        raise InvalidParams(f"n_qubits {n} outside the supported range [2, 10]")
+
+
 @dataclass(frozen=True)
 class QkdParams:
     """Configuration of one BB84 instance.
@@ -123,10 +131,7 @@ class QkdParams:
 
     def __post_init__(self):
         n, t = self.n_qubits, self.t
-        if n < 2 or n > 10:
-            raise InvalidParams(f"n_qubits {n} outside the supported range [2, 10]")
-        if not 1 <= t < n:
-            raise InvalidParams(f"sample size {t} must satisfy 1 <= t < n_qubits")
+        _check_size(n, t)
         if not 0.0 <= self.q_tol <= 1.0:
             raise InvalidParams(f"q_tol {self.q_tol} outside [0, 1]")
         h = np.array(self.h_matrix, dtype=np.uint8)
@@ -159,8 +164,7 @@ class QkdParams:
 
 def default_params(n_qubits: int = 4, t: int = 2, q_tol: float = 0.25,
                    out_len: int = 1, h_rows: int = 1, seed: int = 20240901) -> QkdParams:
-    if not 1 <= t < n_qubits:
-        raise InvalidParams(f"sample size {t} must satisfy 1 <= t < n_qubits")
+    _check_size(n_qubits, t)  # before H and T, whose draw grows with n_qubits
     if h_rows < 0:
         raise InvalidParams(f"h_rows = {h_rows} must be >= 0")
     if out_len < 1:
@@ -253,6 +257,17 @@ _BASIS = (
     (np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
      np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)),
 )
+
+
+def _overlaps() -> np.ndarray:
+    """P[theta, theta', b, a'] = |<b|_theta |a'>_theta'|^2, unsnapped.
+
+    The odds of outcome b when a state prepared as a' in basis theta' is
+    measured in basis theta.  An entry that is 0 in exact arithmetic may
+    come out as float dust far below 1e-28, which every caller drops.
+    """
+    basis = np.array(_BASIS)  # [theta, a, qubit]
+    return np.abs(np.einsum("tbi,uai->tuba", basis.conj(), basis)) ** 2
 
 
 def _amplitudes(comps) -> np.ndarray:

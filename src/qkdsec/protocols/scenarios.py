@@ -15,10 +15,14 @@ integer codes, block by block (a (theta1, theta2) block of the 16^n joint
 assignments of both swapped runs; a (sample subset, bases) block of a
 round, with keys from one T-matrix product and tag acceptance from one
 count table per (target, forged) message), and both reduce a block with
-``_matched_terms``.  Masses are ``np.bincount`` sums in order of first
-occurrence and totals add sequentially (``np.cumsum``) in the order of the
-scalar enumerations these replace; every ideal share is 0, 1 or one over
-the power-of-two key count, so every value is the same float.
+``_matched_terms``.  Both read the single-qubit odds from
+``bb84._overlaps()``; the round's come as one dense outcome table per
+intercept probability (``_outcome_table``), whose positive slots each row
+expands into with one ``np.nonzero``.  Masses are ``np.bincount`` sums in
+order of first occurrence and totals add sequentially (``np.cumsum``) in
+the order of the scalar enumerations these replace; every ideal share is
+0, 1 or one over the power-of-two key count, so every value is the same
+float.
 """
 
 from __future__ import annotations
@@ -299,13 +303,7 @@ def _swap_blocks(params: QkdParams, codes: _SwapCodes):
     n = params.n_qubits
     pairs = codes.subsets ** 2
     # p(b | prepared a' in basis th', measured in basis th)
-    overlap = np.zeros((2, 2, 2, 2))  # [th, th', b, a']
-    for th in range(2):
-        for thp in range(2):
-            for b in range(2):
-                for ap in range(2):
-                    amp = np.vdot(bb84._BASIS[th][b], bb84._BASIS[thp][ap])
-                    overlap[th, thp, b, ap] = float(np.abs(amp) ** 2)
+    overlap = bb84._overlaps()  # [th, th', b, a']
     overlap[overlap < 1e-28] = 0.0
     overlap[np.abs(overlap - 1.0) < 1e-15] = 1.0
     overlap[np.abs(overlap - 0.5) < 1e-15] = 0.5
@@ -386,17 +384,17 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
     sides and are omitted; the tampered message branches over its observed
     tag with exact acceptance counting over the hash keys.
 
-    Each (sample subset, bases) block is enumerated as integer codes
-    (:func:`_round_blocks`) and reduced with ``np.bincount`` in order of
-    first occurrence; the sums run sequentially (``np.cumsum``), in the
-    order of the scalar enumeration, so every value is the same float.
+    Each (sample subset, bases) block is enumerated as integer codes from
+    one outcome table (:func:`_outcome_table`, :func:`_round_blocks`) and
+    reduced with ``np.bincount`` in order of first occurrence; the sums run
+    sequentially (``np.cumsum``), in the order of the scalar enumeration, so
+    every value is the same float.
 
     Requires h_rows = 0 (no syndrome phase) to keep the enumeration small.
     """
     if params.h_rows != 0:
         raise ScheduleMismatch("authenticated rounds are modelled without syndromes")
-    p_ir = float(attack_spec.get("p", 0.0))
-    comps = bb84.intercept_resend(1, p_ir).quantum[0].components
+    table = _outcome_table(float(attack_spec.get("p", 0.0)))
     tamper = attack_spec.get("tamper")
     if tamper not in (None, "msg1", "msg2"):
         raise ScheduleMismatch(f"unknown tamper target {tamper!r}")
@@ -422,7 +420,7 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
         return evis[:, None] * pairs + ka * (nk + 1) + kb
 
     aborts, errors, terms = [], [], []
-    for keys, weights in _round_blocks(params, fam, comps, tamper):
+    for keys, weights in _round_blocks(params, fam, table, tamper):
         # real branches: (Eve-visible record, key pair) cells in order of
         # first occurrence; an aborted key is nk
         at, masses, _ = _sums_by_first_seen(keys, weights)
@@ -441,61 +439,51 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
     }
 
 
-def _classical_position_model(comp_label: str, theta: int, a: int):
-    """Distribution of (record, b) for classical attacks on one position."""
-    psis = bb84._BASIS
-    out = {}
-    if comp_label == "pass":
-        out[(("pass", "-"), a)] = 1.0
-        return out
-    meas = 0 if comp_label == "Z" else 1
-    for m in range(2):
-        p_m = float(np.abs(np.vdot(psis[meas][m], psis[theta][a])) ** 2)
-        if p_m < 1e-28:
-            continue
-        for b in range(2):
-            p_b = float(np.abs(np.vdot(psis[theta][b], psis[meas][m])) ** 2)
-            if p_b < 1e-28:
-                continue
-            key = ((comp_label, m), b)
-            out[key] = out.get(key, 0.0) + p_m * p_b
-    return out
+def _outcome_table(p: float):
+    """One position's intercept-resend odds: (weights, odds, records).
+
+    The components are pass (weight 1 - p), measure in Z (p / 2) and
+    measure in X (p / 2); one of zero weight is left out.
+    ``odds[c, theta, a, 2m + b]`` is the probability that component c gives
+    Eve outcome m and Bob bit b when Alice sends a in basis theta: a pass
+    puts 1 in slot a, and a measurement multiplies its two overlaps, a
+    factor below 1e-28 dropped and nothing snapped.  ``records[c, 2m + b]``
+    is Eve's record: 0 for a pass, 1 + 2 * basis + m for a measurement.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise bb84.InvalidParams(f"intercept probability {p} outside [0, 1]")
+    overlap = bb84._overlaps()  # [th, th', b, a']
+    overlap[overlap < 1e-28] = 0.0
+    # [basis, theta, a, m, b]: p(m | a measured in basis) * p(b | m resent)
+    measured = (overlap.transpose(0, 1, 3, 2)[..., None]
+                * overlap.transpose(1, 0, 3, 2)[:, :, None]).reshape(2, 2, 2, 4)
+    odds = np.concatenate([np.broadcast_to(np.eye(2, 4), (1, 2, 2, 4)), measured])
+    m = np.arange(4) >> 1
+    records = np.stack([0 * m, 1 + m, 3 + m])
+    keep = [p < 1.0, p > 0.0, p > 0.0]
+    return np.array([1.0 - p, p / 2.0, p / 2.0])[keep], odds[keep], records[keep]
 
 
-# Eve's record of one position: passed, or measured in Z or X with outcome m
-_RECORD_CODES = {("pass", "-"): 0, ("Z", 0): 1, ("Z", 1): 2, ("X", 0): 3, ("X", 1): 4}
-
-
-def _round_blocks(params: QkdParams, fam: HashFamily, comps, tamper):
+def _round_blocks(params: QkdParams, fam: HashFamily, table, tamper):
     """Yield the (cell codes, weights) of each (sample subset, bases) block.
 
     Rows follow the scalar enumeration: Alice's bits, then the attack
     component of each position, then each position's (record, b) outcome,
     then the tamper branch, each in product order with position 0 the
-    slowest; each weight is multiplied in that order.  A cell packs the
-    Eve-visible record within the block (records, sample values and the
-    observed tag of a tampered message) and the key pair
-    ``ka * (nk + 1) + kb``.  Bases and sample subset are part of the record,
-    so no cell occurs in two blocks.  ``comps`` are the labelled options
-    ("pass", "Z", "X") of one intercept-resend position.
+    slowest; each weight is multiplied in that order.  A row expands into
+    the positive slots of its ``_outcome_table`` entry, and a tampered row
+    into the positive (tag, verdict) weights of its target message, each by
+    a row-major ``np.nonzero``.  A cell packs the Eve-visible record within
+    the block (records, sample values and the observed tag of a tampered
+    message) and the key pair ``ka * (nk + 1) + kb``.  Bases and sample
+    subset are part of the record, so no cell occurs in two blocks.
     """
     n, t = params.n_qubits, params.t
     nk = params.key_size
-    order = fam.tag_space if tamper else 1
-    # per (component, theta, a): the (record, b) outcomes and their weights
-    shape = (len(comps), 2, 2, 4)
-    count = np.zeros(shape[:3], dtype=np.int64)
-    rec_of, bit_of, pw_of = np.zeros(shape, np.int64), np.zeros(shape, np.int64), np.zeros(shape)
-    for c, comp in enumerate(comps):
-        for theta, a in product(range(2), repeat=2):
-            items = list(_classical_position_model(comp.label, theta, a).items())
-            count[c, theta, a] = len(items)
-            for j, ((record, b), pw) in enumerate(items):
-                rec_of[c, theta, a, j], bit_of[c, theta, a, j] = _RECORD_CODES[record], b
-                pw_of[c, theta, a, j] = pw
+    order = fam.tag_space
+    comp_w, odds, records = table
     # (a, labels) rows and their weights, base weight times each component's
-    labels = _digits(len(comps), n)
-    comp_w = np.array([comp.weight for comp in comps])
+    labels = _digits(len(comp_w), n)
     lw = np.full(len(labels), 0.25 ** n / math.comb(n, t))
     for i in range(n):
         lw = lw * comp_w[labels[:, i]]
@@ -504,19 +492,21 @@ def _round_blocks(params: QkdParams, fam: HashFamily, comps, tamper):
     lw = np.tile(lw, 2 ** n)
 
     def outcomes(theta):
-        src, w, rec, b = np.arange(len(lw)), lw, [], []
+        src, w = np.arange(len(lw)), lw
+        rec, b = np.zeros(len(lw), np.int64), np.zeros((len(lw), 0), np.int64)
         for i in range(n):
             comp, a = comp_rows[src, i], a_rows[src, i]
-            rep, j = _expand(count[comp, theta[i], a])
+            rep, slot = np.nonzero(odds[comp, theta[i], a] > 0.0)
             comp, a = comp[rep], a[rep]
-            src, w = src[rep], w[rep] * pw_of[comp, theta[i], a, j]
-            rec = [r[rep] for r in rec] + [rec_of[comp, theta[i], a, j]]
-            b = [x[rep] for x in b] + [bit_of[comp, theta[i], a, j]]
+            src, w = src[rep], w[rep] * odds[comp, theta[i], a, slot]
+            rec = rec[rep] * 5 + records[comp, slot]
+            b = np.column_stack([b[rep], slot & 1])
         live = w > 0.0
-        return (a_rows[src[live]], np.stack(b, axis=1)[live],
-                np.stack(rec, axis=1)[live] @ 5 ** np.arange(n - 1, -1, -1), w[live])
+        return a_rows[src[live]], b[live], rec[live], w[live]
 
-    accept = _AcceptTable(fam) if tamper else None
+    # per target message x, the (accepted, rejected) weights of each tag
+    # y at columns (2y, 2y + 1); a row is NaN until x first appears
+    branch_w = np.full((order, 2 * order), np.nan) if tamper else None
     thr = params.q_tol * t
     place = 1 << np.arange(t - 1, -1, -1)
     for s_idx, subset in enumerate(combinations(range(n), t)):
@@ -536,60 +526,19 @@ def _round_blocks(params: QkdParams, fam: HashFamily, comps, tamper):
                 # last announced sample value; a reject aborts the receiver
                 msg1 = ((s_idx << n | theta_code) << t) + a_s
                 target = (msg1 if tamper == "msg1" else b_s) % order
-                rep, y, forged, wfrac = accept.branches(target)
+                for x in set(target[np.isnan(branch_w[target, 0])].tolist()):
+                    counts, sums = _pair_counts(fam, x, x ^ 1)
+                    acc = counts.diagonal() / sums
+                    branch_w[x] = (1.0 / order) * np.stack([acc, 1.0 - acc], axis=1).ravel()
+                rep, col = np.nonzero(branch_w[target] > 0.0)
                 flipped = (err + 1 - 2 * mism[:, -1]) > thr
                 key = key_b if tamper == "msg1" else key_a
-                hit = np.where(forged, np.where(flipped[rep], nk, key[rep]), nk)
+                hit = np.where((col & 1) | flipped[rep], nk, key[rep])
                 ka, kb = (ka[rep], hit) if tamper == "msg1" else (hit, kb[rep])
-                evis, w = evis[rep] * order + y, w[rep] * wfrac
+                evis, w = evis[rep] * order + (col >> 1), w[rep] * branch_w[target[rep], col]
                 live = w > 0.0
                 ka, kb, evis, w = ka[live], kb[live], evis[live], w[live]
             yield (evis * (nk + 1) + ka) * (nk + 1) + kb, w
-
-
-def _expand(counts: np.ndarray):
-    """Row r repeated counts[r] times: (source row, index within its group)."""
-    rep = np.repeat(np.arange(len(counts)), counts)
-    return rep, np.arange(len(rep)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-class _AcceptTable:
-    """Tamper branches of a flipped-bit substitution, per target message.
-
-    For target x the forger sends x ^ 1 with the observed tag y; per y in
-    order the branch ``(y, accepted, 2^-b * Pr[accept])`` and then
-    ``(y, rejected, 2^-b * Pr[reject])``, each kept when its probability is
-    positive.  Rows are filled from the auth count table on first use.
-    """
-
-    def __init__(self, fam: HashFamily):
-        self.fam = fam
-        order = fam.tag_space
-        self.count = np.full(order, -1, dtype=np.int64)
-        self.y = np.zeros((order, 2 * order), dtype=np.int64)
-        self.forged = np.zeros((order, 2 * order), dtype=bool)
-        self.wfrac = np.zeros((order, 2 * order))
-
-    def _fill(self, x: int):
-        order = self.fam.tag_space
-        counts, sums = _pair_counts(self.fam, x, x ^ 1)
-        acc = counts.diagonal() / sums
-        weight = np.stack([acc, 1.0 - acc], axis=1)
-        keep = weight > 0.0
-        count = int(keep.sum())
-        self.count[x] = count
-        self.y[x, :count] = np.repeat(np.arange(order), 2).reshape(order, 2)[keep]
-        self.forged[x, :count] = np.tile([True, False], (order, 1))[keep]
-        self.wfrac[x, :count] = (1.0 / order) * weight[keep]
-
-    def branches(self, target: np.ndarray):
-        """(row index, tag, accepted, weight factor) of each expanded row."""
-        # not np.unique, which imports numpy.ma on first use
-        for x in sorted(set(target[self.count[target] < 0].tolist())):
-            self._fill(x)
-        rep, j = _expand(self.count[target])
-        x = target[rep]
-        return rep, self.y[x, j], self.forged[x, j], self.wfrac[x, j]
 
 
 @dataclass(frozen=True)

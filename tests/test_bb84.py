@@ -36,6 +36,13 @@ def test_default_params_rejects_bad_code_sizes(monkeypatch, key, value):
         bb84.default_params(n_qubits=6, t=2, **{key: value})
 
 
+@pytest.mark.parametrize("n_qubits", [11, 5_000_000, 3_000_000_000])
+def test_default_params_refuses_oversized_n_before_drawing(monkeypatch, n_qubits):
+    monkeypatch.setattr(bb84, "default_code_matrices", None)  # H and T are never drawn
+    with pytest.raises(bb84.InvalidParams, match=f"n_qubits {n_qubits} outside"):
+        bb84.default_params(n_qubits=n_qubits, t=2)
+
+
 def test_identity_attack_noiseless_exactness():
     params = bb84.default_params(n_qubits=4, t=2, q_tol=0.25)
     run = bb84.qkd_run(params, bb84.identity_attack())

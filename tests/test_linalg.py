@@ -5,14 +5,12 @@ from jacobi_oracle import NoConvergence, jacobi_eig
 from qkdsec.linalg import (
     coset_leader_table,
     eigvals_of_factored_sum,
-    gf2_matvec,
     gf2_rank,
     hermitian_eig,
-    int_to_bits,
-    bits_to_int,
     psd_factor,
     psd_sqrt,
 )
+from qkdsec.protocols.hashing import default_code_matrices
 
 DIMS = [1, 2, 3, 5, 8, 16, 64]
 
@@ -92,13 +90,34 @@ def test_psd_helpers():
     assert np.abs(f @ f.conj().T - m).max() <= 1e-8
 
 
+def _syndrome(h, e) -> int:
+    """Syndrome of pattern e, little-endian: bit i of e is position i, bit r
+    of the result is row r."""
+    bits = [(e >> i) & 1 for i in range(len(h[0]))]
+    return sum((sum(int(x) * b for x, b in zip(row, bits)) % 2) << r
+               for r, row in enumerate(h))
+
+
+def _loop_coset_leaders(h):
+    """Reference: patterns by (weight, value), each syndrome keeps its first."""
+    h = np.asarray(h, dtype=np.uint8) % 2
+    rows, width = h.shape
+    table = -np.ones(2 ** rows, dtype=np.int64)
+    for e in sorted(range(2 ** width), key=lambda e: (bin(e).count("1"), e)):
+        syn = _syndrome(h, e)
+        if table[syn] < 0:
+            table[syn] = e
+    if np.any(table < 0):
+        raise ValueError("syndrome map of H is not surjective; H has dependent rows")
+    return table
+
+
 def test_gf2_helpers():
     h = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
     assert gf2_rank(h) == 2
     assert gf2_rank(np.array([[1, 1], [1, 1]], dtype=np.uint8)) == 1
-    assert bits_to_int(int_to_bits(11, 5)) == 11
-    # little-endian: 0b011 -> bits (1, 1, 0)
-    assert list(gf2_matvec(h, int_to_bits(0b011, 3))) == [0, 1]
+    # little-endian: position 0 alone gives syndrome 0b01, position 2 alone 0b10
+    assert list(coset_leader_table(h)) == [0, 0b001, 0b100, 0b010]
 
 
 def test_coset_leaders_min_weight():
@@ -107,8 +126,30 @@ def test_coset_leaders_min_weight():
     assert table[0] == 0
     for syn in range(4):
         e = int(table[syn])
-        assert bits_to_int(gf2_matvec(h, int_to_bits(e, 3))) == syn
+        assert _syndrome(h, e) == syn
         # no lighter pattern with the same syndrome
         for other in range(8):
             if bin(other).count("1") < bin(e).count("1"):
-                assert bits_to_int(gf2_matvec(h, int_to_bits(other, 3))) != syn
+                assert _syndrome(h, other) != syn
+
+
+def test_coset_leaders_match_the_loop():
+    # random H at every width and row count, dependent rows included, and the
+    # H that default_code_matrices draws
+    rng = np.random.default_rng(11)
+    cases = [rng.integers(0, 2, size=(rows, width), dtype=np.uint8)
+             for width in range(1, 10) for rows in range(1, width + 1) for _ in range(3)]
+    cases += [default_code_matrices(width, rows, 1, seed)[0]
+              for width in range(2, 10) for rows in range(1, width) for seed in (1, 3)]
+    refused = 0
+    for h in cases:
+        try:
+            want = _loop_coset_leaders(h)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="not surjective"):
+                coset_leader_table(h)
+            continue
+        got = coset_leader_table(h)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist(), h
+    assert 0 < refused < len(cases)

@@ -139,14 +139,42 @@ def test_authenticated_round_matches_scalar_oracle(round_params, bits, spec):
     assert all(type(value) is float for value in got.values())
 
 
-@pytest.mark.parametrize("t, out_len, spec", [
-    (1, 1, {"p": 0.0}), (1, 2, {"p": 1.0}), (1, 1, {"p": 0.0, "tamper": "msg2"}),
-    (1, 1, {"p": 0.5}), (2, 1, {"p": 1.0}), (2, 1, {"p": 0.3})])
-def test_authenticated_round_matches_scalar_oracle_n3(t, out_len, spec):
+# fractional-p tampering takes the oracle 17 s per case at b = 4, so those
+# cases run at b = 1; the ids keep the b = 4 cases' names
+_N3_CASES = [
+    (1, 1, {"p": 0.0}, 4), (1, 2, {"p": 1.0}, 4), (1, 1, {"p": 0.0, "tamper": "msg2"}, 4),
+    (1, 1, {"p": 0.5}, 4), (2, 1, {"p": 1.0}, 4), (2, 1, {"p": 0.3}, 4),
+    (1, 1, {"p": 0.37, "tamper": "msg2"}, 1), (1, 2, {"p": 0.37, "tamper": "msg1"}, 1)]
+
+
+@pytest.mark.parametrize("t, out_len, spec, bits", _N3_CASES, ids=[
+    f"{t}-{out_len}-spec{i}" + ("" if bits == 4 else f"-b{bits}")
+    for i, (t, out_len, _, bits) in enumerate(_N3_CASES)])
+def test_authenticated_round_matches_scalar_oracle_n3(t, out_len, spec, bits):
     params = bb84.default_params(n_qubits=3, t=t, q_tol=0.25, out_len=out_len, h_rows=0)
-    fam = affine_family(4)
+    fam = affine_family(bits)
     assert scenarios.authenticated_round_distance(params, fam, spec) == \
         round_oracle.authenticated_round_distance(params, fam, spec)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+def test_outcome_table_matches_the_position_model(p):
+    # every entry of the round's table is the oracle's (record, b) odds, bit
+    # for bit, and every other slot is 0
+    weights, odds, records = scenarios._outcome_table(p)
+    comps = round_oracle._ir_classical_components(p)
+    assert weights.tolist() == [w for _, w in comps]
+    codes = {("pass", "-"): 0, ("Z", 0): 1, ("Z", 1): 2, ("X", 0): 3, ("X", 1): 4}
+    for c, (label, _) in enumerate(comps):
+        for theta in range(2):
+            for a in range(2):
+                model = round_oracle._classical_position_model(label, theta, a)
+                want = np.zeros(4)
+                for (record, b), pw in model.items():
+                    slot = 2 * (0 if record[1] == "-" else record[1]) + b
+                    want[slot] = pw
+                    assert records[c, slot] == codes[record]
+                assert odds[c, theta, a].tolist() == want.tolist(), (label, theta, a)
 
 
 @pytest.mark.parametrize("p", [1.5, -0.5, math.nan, math.inf])
