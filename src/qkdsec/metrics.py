@@ -179,24 +179,29 @@ def _aligned_items(r: CQState, s: CQState):
         yield (a or b).assignment, a, b
 
 
-def _branch_gap(a, b) -> float:
-    """Trace norm of the difference of two branch operators.
+def _branch_gaps(pairs) -> np.ndarray:
+    """Trace norm of the difference of each pair of branch operators.
 
     ``None`` is an absent branch.  An absent side and equal factors give
-    exact weights, with no spectral round-off.
+    exact weights, with no spectral round-off.  The other pairs are grouped
+    by the column counts of their two factors, and each group is one
+    stacked :func:`trace_norm_of_factored_sum`.
     """
-    if a is None:
-        return 0.0 if b is None else b.weight
-    if b is None:
-        return a.weight
-    if a.factor is b.factor or np.array_equal(a.factor, b.factor):
-        return abs(a.weight - b.weight)
-    cols = np.hstack([a.factor, b.factor])
-    coeffs = np.concatenate([
-        np.full(a.factor.shape[1], a.weight),
-        np.full(b.factor.shape[1], -b.weight),
-    ])
-    return trace_norm_of_factored_sum(cols, coeffs)
+    gaps = np.zeros(len(pairs))
+    groups: dict = {}
+    for i, (a, b) in enumerate(pairs):
+        if a is None or b is None:
+            gaps[i] = 0.0 if a is b else (b if a is None else a).weight
+        elif a.factor is b.factor or np.array_equal(a.factor, b.factor):
+            gaps[i] = abs(a.weight - b.weight)
+        else:
+            groups.setdefault((a.factor.shape[1], b.factor.shape[1]), []).append(i)
+    for (ma, mb), at in groups.items():
+        cols = np.stack([np.hstack([pairs[i][0].factor, pairs[i][1].factor]) for i in at])
+        coeffs = np.array([[pairs[i][0].weight] * ma + [-pairs[i][1].weight] * mb
+                           for i in at])
+        gaps[at] = trace_norm_of_factored_sum(cols, coeffs)
+    return gaps
 
 
 def cq_trace_distance(r: CQState, s: CQState) -> float:
@@ -206,7 +211,7 @@ def cq_trace_distance(r: CQState, s: CQState) -> float:
     materialises the embedding.  The branch gaps are added in code order:
     |w_r - w_s| (a total variation) where a branch is on one side only or
     has the shared unit column on both, and the trace norm of
-    :func:`_branch_gap` for any other pair.
+    :func:`_branch_gaps` for any other pair.
     """
     codes, at_r, at_s = _merged(r, s)
     gaps = np.zeros(len(codes))
@@ -215,9 +220,8 @@ def cq_trace_distance(r: CQState, s: CQState) -> float:
     np.abs(gaps, out=gaps)
     if r.factors is not None or s.factors is not None:
         right = dict(zip(at_s.tolist(), s.branches))
-        for k, a in zip(at_r.tolist(), r.branches):
-            if k in right:
-                gaps[k] = _branch_gap(a, right[k])
+        both = [(k, a, right[k]) for k, a in zip(at_r.tolist(), r.branches) if k in right]
+        gaps[[k for k, _, _ in both]] = _branch_gaps([(a, b) for _, a, b in both])
     return 0.5 * float(np.add.accumulate(gaps)[-1]) if len(gaps) else 0.0
 
 
@@ -336,12 +340,13 @@ def pguess_exact(c: CQState, key_register=0) -> float:
         raise Unsupported(
             "exact guessing probability with quantum side information is only "
             "computed for binary keys; use the uniformity-distance bound instead")
+    contexts = list(_split_key(c, ki).values())
+    gaps = _branch_gaps([(per_key.get(key_values[0]), per_key.get(key_values[1]))
+                         for per_key in contexts])
     total = 0.0
-    for per_key in _split_key(c, ki).values():
-        b0 = per_key.get(key_values[0])
-        b1 = per_key.get(key_values[1])
+    for per_key, gap in zip(contexts, gaps.tolist()):
         weights = sum(b.weight for b in per_key.values())
-        total += 0.5 * weights + 0.5 * _branch_gap(b0, b1)
+        total += 0.5 * weights + 0.5 * gap
     return total / c.trace_mass
 
 
@@ -364,28 +369,39 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log2(p) - (1 - p) * math.log2(1 - p))
 
 
+def _gram_entropy(factors, scales) -> float:
+    """Sum, in input order, of the entropies of the spectra of scale * F^dagger F.
+
+    The nonzero spectrum of F^dagger F is that of F F^dagger.  The Gram
+    matrices of each shape take one stacked eigensolve.
+    """
+    groups: dict = {}
+    for i, f in enumerate(factors):
+        groups.setdefault(f.shape, []).append(i)
+    spectra = [None] * len(factors)
+    for at in groups.values():
+        f = np.stack([factors[i] for i in at])
+        w = np.clip(hermitian_eig(f.conj().swapaxes(-1, -2) @ f)[0], 0.0, None)
+        for i, wi in zip(at, w):
+            spectra[i] = wi
+    total = 0.0
+    for scale, w in zip(scales, spectra):
+        total += _entropy_from_eigs(scale * w)
+    return total
+
+
 def _cq_entropy(c: CQState) -> float:
     """S of the flattened state, computed blockwise."""
-    total = 0.0
-    for b in c.branches:
-        g = b.factor.conj().T @ b.factor
-        w = np.clip(hermitian_eig(g)[0], 0.0, None)
-        w = b.weight * w
-        total += _entropy_from_eigs(w)
-    return total
+    return _gram_entropy([b.factor for b in c.branches], [b.weight for b in c.branches])
 
 
 def conditional_entropy(c: CQState, key_register=0) -> float:
     """S(K|E) = S(KE) - S(E) in bits, for a cq state with classical key."""
     ki = _key_register(c, key_register)
     joint = _cq_entropy(c)
-    marg = 0.0
-    for _, per_key in _split_key(c, ki).items():
-        cols = np.hstack([b.factor * math.sqrt(b.weight) for b in per_key.values()])
-        g = cols.conj().T @ cols
-        w = np.clip(hermitian_eig(g)[0], 0.0, None)
-        marg += _entropy_from_eigs(w)
-    return joint - marg
+    sides = [np.hstack([b.factor * math.sqrt(b.weight) for b in per_key.values()])
+             for per_key in _split_key(c, ki).values()]
+    return joint - _gram_entropy(sides, [1.0] * len(sides))
 
 
 def relative_entropy(r: DensityOperator, s: DensityOperator) -> float:
@@ -464,19 +480,29 @@ def alt_secrecy_relation(c: CQState, candidates, key_register=0) -> BoundReport:
     """
     ki = _key_register(c, key_register)
     standard = cq_trace_distance(c, uniform_key_twin(c, ki))
-    rho_e = _side_marginal(c)
-    seen_rho_e = False
+    return _alt_secrecy(c, ki, standard, _side_marginal(c), candidates)
+
+
+def _alt_secrecy(c: CQState, ki: int, standard: float, rho_e: DensityOperator,
+                 candidates) -> BoundReport:
+    """:func:`alt_secrecy_relation` given the standard distance and rho_E.
+
+    The first candidate that violates the sandwich is reported at once.
+    Otherwise one stacked eigensolve of the sigma - rho_E checks that some
+    candidate is rho_E, within trace distance 1e-9.
+    """
+    candidates = list(candidates)
     best = math.inf
     for sigma in candidates:
         if sigma.dims != rho_e.dims:
             raise DimMismatch("candidate sigma_E dims do not match the E system")
         value = cq_trace_distance(c, _product_with_key(c, ki, sigma))
         best = min(best, value)
-        if trace_distance(sigma, rho_e) <= 1e-9:
-            seen_rho_e = True
         if standard > 2.0 * value + tol.METRIC_TOL:
             return BoundReport("alternative-secrecy-factor2", standard, 2.0 * value)
-    if not seen_rho_e:
+    gaps = [sigma.matrix - rho_e.matrix for sigma in candidates]
+    if not gaps or not (0.5 * np.abs(hermitian_eig(np.stack(gaps))[0]).sum(axis=-1)
+                        <= 1e-9).any():
         raise ValueError("candidate list must include rho_E itself")
     return BoundReport("alternative-secrecy-factor2", standard, 2.0 * best)
 
@@ -520,11 +546,16 @@ class PropertyResult:
     passed: bool
 
 
-def _random_pair(rng, max_dim=8):
+def _pair_draws(rng, max_dim=8):
+    """``(seed, dim, rank)`` of the two states of :func:`_random_pair`, drawn
+    as it draws them, without building either."""
     dim = int(rng.integers(2, max_dim + 1))
-    r = random_density(int(rng.integers(0, 2 ** 31)), dim, int(rng.integers(1, dim + 1)))
-    s = random_density(int(rng.integers(0, 2 ** 31)), dim, int(rng.integers(1, dim + 1)))
-    return r, s
+    return [(int(rng.integers(0, 2 ** 31)), dim, int(rng.integers(1, dim + 1)))
+            for _ in range(2)]
+
+
+def _random_pair(rng, max_dim=8):
+    return tuple(random_density(*draw) for draw in _pair_draws(rng, max_dim))
 
 
 def _random_distribution(rng, size):
@@ -548,11 +579,18 @@ def _random_cq_key_state(rng, n_key, dim_e):
     return make_cq([("K", tuple(range(n_key)))], branches, (dim_e,))
 
 
-def _random_effect(rng, dim):
-    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = h + h.conj().T
+def _random_effects(rng, count, dim):
+    """``count`` random effects 0 <= E <= I, from one stacked draw and eigensolve.
+
+    Effect i is (H - w_min) / (w_max - w_min) for H = X + X^dagger, where X
+    has real part ``draw[i, 0]`` and imaginary part ``draw[i, 1]``.
+    """
+    x = rng.normal(size=(count, 2, dim, dim))
+    h = x[:, 0] + 1j * x[:, 1]
+    h = h + h.conj().swapaxes(-1, -2)
     w = np.linalg.eigvalsh(h)
-    return (h - w[0] * np.eye(dim)) / max(w[-1] - w[0], 1e-12)
+    return ((h - w[:, :1, None] * np.eye(dim))
+            / np.maximum(w[:, -1] - w[:, 0], 1e-12)[:, None, None])
 
 
 # Each trial draws one instance from the suite's generator and returns one
@@ -567,9 +605,11 @@ def _tv_trial(rng):
 
 def _metric_trial(rng):
     r, s = _random_pair(rng)
-    t = _random_pair(rng)[0]
-    while t.dim != r.dim:
-        t = _random_pair(rng)[0]
+    # candidates for t are drawn until one has r's dimension; only it is built
+    t = _pair_draws(rng)[0]
+    while t[1] != r.dim:
+        t = _pair_draws(rng)[0]
+    t = random_density(*t)
     d = trace_distance(r, s)
     return (trace_distance(r, r), abs(d - trace_distance(s, r)),
             d - trace_distance(r, t) - trace_distance(t, s))
@@ -596,10 +636,10 @@ def _helstrom_trial(rng):
     povm = helstrom_povm(r, s)
     achieved = 0.5 * float(np.trace(povm.elements[0] @ r.matrix).real) \
         + 0.5 * float(np.trace(povm.elements[1] @ s.matrix).real)
-    delta = r.matrix - s.matrix
-    beats = [0.5 + 0.5 * float(np.trace(_random_effect(rng, r.dim) @ delta).real) - best
-             for _ in range(20)]
-    return abs(achieved - best), max(beats)
+    effects = _random_effects(rng, 20, r.dim)
+    beats = 0.5 + 0.5 * np.trace(effects @ (r.matrix - s.matrix), axis1=-2, axis2=-1).real \
+        - best
+    return abs(achieved - best), float(beats.max())
 
 
 def _coupling_trial(rng):
@@ -622,7 +662,8 @@ def _entropy_trial(rng):
     eps = pinsker.left_value  # D(rho_KE, tau_K (x) rho_E)
     guess = pguess_exact(c) - (1.0 / n_key + eps) if n_key == 2 else 0.0
     # beside rho_E, the maximally mixed sigma_E is a candidate that can be tighter
-    factor2 = alt_secrecy_relation(c, [_side_marginal(c), maximally_mixed(c.quantum_dim)])
+    rho_e = _side_marginal(c)
+    factor2 = _alt_secrecy(c, 0, eps, rho_e, [rho_e, maximally_mixed(c.quantum_dim)])
     return (guess, -fannes.slack if fannes.applicable else 0.0, -pinsker.slack,
             -quadratic.slack, -factor2.slack)
 

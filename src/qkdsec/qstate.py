@@ -501,37 +501,55 @@ class CQState:
         return tuple(map(CQBranch, assignments, self.weights.tolist(), factors))
 
 
-def _canonical_factor(op, qdim: int) -> tuple[np.ndarray, float]:
-    """Normalise a branch quantum part to (unit-trace factor, trace).
+def _factors(ops, qdim: int):
+    """Unit-trace factors and traces of branch quantum parts, in input order.
 
-    A scalar or square ``op`` is a density matrix, which must be Hermitian;
-    a vector or any other ``qdim x k`` matrix is a factor.
+    A scalar or square op is a density matrix, which must be Hermitian; a
+    vector or any other ``qdim x k`` matrix is a factor.  One pass checks
+    each op's shape, finiteness and Hermiticity in input order and stops at
+    the first failure; one stacked :func:`psd_factor` then factors the
+    density matrices before it.  The first error in input order is raised: a
+    density matrix that is not PSD before the failing op, else that op's.
+    A part of zero trace becomes one zero column.
     """
-    arr = np.array(op, dtype=complex)
-    density = arr.ndim == 0 or (arr.ndim == 2 and arr.shape[0] == arr.shape[1])
-    if arr.ndim < 2:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim > 2 or arr.shape[0] != qdim:
-        raise DimMismatch(
-            f"branch operator of shape {arr.shape} is not a matrix on dimension {qdim}")
-    # a NaN or infinite entry anywhere makes the squared norm non-finite;
-    # checked first, so that no arithmetic below meets such an entry
-    trace = float(np.vdot(arr, arr).real)
-    if not math.isfinite(trace):
-        raise NotFinite(f"branch operator is not finite (squared norm {trace})")
-    if density:
-        herm = float(np.abs(arr - arr.conj().T).max())
-        if herm > tol.HERMITIAN_TOL:
-            raise NotHermitian(
-                f"branch operator is not Hermitian: max |M - M^dagger| = {herm:.3e} "
-                f"exceeds {tol.HERMITIAN_TOL:.0e}")
-        arr, wmin = psd_factor(0.5 * (arr + arr.conj().T))
-        if wmin < -tol.PSD_TOL:
-            raise NotPSD(f"branch operator has eigenvalue {wmin:.3e}")
+    parts, traces, density, error = [], [], [], None
+    for op in ops:
+        arr = np.array(op, dtype=complex)
+        square = arr.ndim == 0 or (arr.ndim == 2 and arr.shape[0] == arr.shape[1])
+        if arr.ndim < 2:
+            arr = arr.reshape(-1, 1)
+        if arr.ndim > 2 or arr.shape[0] != qdim:
+            error = DimMismatch(
+                f"branch operator of shape {arr.shape} is not a matrix on dimension {qdim}")
+            break
+        # a NaN or infinite entry anywhere makes the squared norm non-finite;
+        # checked first, so that no arithmetic below meets such an entry
         trace = float(np.vdot(arr, arr).real)
-    if trace <= 0.0:
-        return np.zeros((qdim, 1), dtype=complex), 0.0
-    return arr / np.sqrt(trace), trace
+        if not math.isfinite(trace):
+            error = NotFinite(f"branch operator is not finite (squared norm {trace})")
+            break
+        if square:
+            herm = float(np.abs(arr - arr.conj().T).max())
+            if herm > tol.HERMITIAN_TOL:
+                error = NotHermitian(
+                    f"branch operator is not Hermitian: max |M - M^dagger| = {herm:.3e} "
+                    f"exceeds {tol.HERMITIAN_TOL:.0e}")
+                break
+            density.append(len(parts))
+            arr = 0.5 * (arr + arr.conj().T)
+        parts.append(arr)
+        traces.append(trace)
+    if density:
+        factored, wmin = psd_factor(np.stack([parts[i] for i in density]))
+        below = wmin < -tol.PSD_TOL
+        if below.any():
+            raise NotPSD(f"branch operator has eigenvalue {float(wmin[below.argmax()]):.3e}")
+        for i, f in zip(density, factored):
+            parts[i], traces[i] = f, float(np.vdot(f, f).real)
+    if error is not None:
+        raise error
+    return ([arr / np.sqrt(trace) if trace > 0.0 else np.zeros((qdim, 1), dtype=complex)
+             for arr, trace in zip(parts, traces)], traces)
 
 
 @lru_cache(maxsize=64)
@@ -685,20 +703,15 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
     rows = [(assignment, weight, op) for assignment, weight, op in branches]
     columns, weights, error = _encode(regs, rows)
     codes, weights, error = _validated(regs, columns, weights, error)
-    kept, effective, factors = [], [], []
     # the rows before the first failed check, in input order
-    for i, (weight, (_, _, op)) in enumerate(zip(weights.tolist(), rows)):
-        if weight <= 0.0:
-            continue
-        factor, op_trace = _canonical_factor(op, qdim)
-        eff = weight * op_trace
-        if eff > 0.0:
-            kept.append(i)
-            effective.append(eff)
-            factors.append(_frozen(factor))
+    live = np.flatnonzero(weights > 0.0)
+    factors, traces = _factors([rows[i][2] for i in live.tolist()], qdim)
     if error is not None:
         raise error
-    return _cq_state(regs, codes[kept], np.array(effective, dtype=float), factors, qdims)
+    effective = weights[live] * np.array(traces, dtype=float)
+    kept = effective > 0.0
+    factors = [_frozen(f) for f, k in zip(factors, kept.tolist()) if k]
+    return _cq_state(regs, codes[live[kept]], effective[kept], factors, qdims)
 
 
 def make_classical_cq_columns(registers, columns, weights) -> CQState:

@@ -9,6 +9,7 @@ from qkdsec.linalg import (
     hermitian_eig,
     psd_factor,
     psd_sqrt,
+    trace_norm_of_factored_sum,
 )
 from qkdsec.protocols.hashing import default_code_matrices
 
@@ -88,6 +89,58 @@ def test_psd_helpers():
     f, wmin = psd_factor(m)
     assert wmin >= -1e-12
     assert np.abs(f @ f.conj().T - m).max() <= 1e-8
+
+
+def _psd_stack(count, dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(count, dim, rank)) + 1j * rng.normal(size=(count, dim, rank))
+    return g @ g.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_stacked_calls_match_each_slice_bit_for_bit(dim):
+    # a stack is a loop over its slices in one call: the same floats, not
+    # close ones; the zero matrix's factor keeps no column
+    stack = np.concatenate([_psd_stack(4, dim, max(1, dim // 2), dim),
+                            np.zeros((1, dim, dim)), _psd_stack(2, dim, dim, 50 + dim)])
+    w, v = hermitian_eig(stack)
+    factors, wmin = psd_factor(stack)
+    roots = psd_sqrt(stack)
+    assert len(factors) == len(stack) and wmin.shape == (len(stack),)
+    for i, m in enumerate(stack):
+        wi, vi = hermitian_eig(m)
+        fi, mi = psd_factor(m)
+        assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+        assert np.array_equal(factors[i], fi) and wmin[i] == mi
+        assert np.array_equal(roots[i], psd_sqrt(m))
+    assert np.array_equal(factors[4], np.zeros((dim, 1)))
+    rng = np.random.default_rng(dim)
+    for m in (1, 2, dim + 1):
+        cols = rng.normal(size=(5, dim, m)) + 1j * rng.normal(size=(5, dim, m))
+        coeffs = rng.normal(size=(5, m))
+        norms = trace_norm_of_factored_sum(cols, coeffs)
+        assert norms.shape == (5,)
+        for i in range(5):
+            one = trace_norm_of_factored_sum(cols[i], coeffs[i])
+            assert type(one) is float and norms[i] == one
+
+
+def test_stack_edge_sizes():
+    # sizes 0 and 1 take the closed form per slice, and an empty stack is empty
+    w, v = hermitian_eig(np.array([[[2.0 + 1e-3j]], [[-0.5]]]))
+    assert w.tolist() == [[2.0], [-0.5]] and v.shape == (2, 1, 1)
+    w, v = hermitian_eig(np.zeros((3, 0, 0)))
+    assert w.shape == (3, 0) and v.shape == (3, 0, 0)
+    factors, wmin = psd_factor(np.zeros((2, 0, 0)))
+    assert [f.shape for f in factors] == [(0, 1), (0, 1)] and wmin.tolist() == [0.0, 0.0]
+    w, _ = hermitian_eig(np.zeros((0, 4, 4)))
+    assert w.shape == (0, 4)
+    assert trace_norm_of_factored_sum(np.zeros((3, 4, 0)), np.zeros((3, 0))).tolist() == \
+        [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        hermitian_eig(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        trace_norm_of_factored_sum(np.zeros((2, 4, 3)), np.zeros(3))
 
 
 def _syndrome(h, e) -> int:

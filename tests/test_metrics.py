@@ -364,15 +364,16 @@ def test_property_suite_rejects_nonpositive_trials(trials):
 def test_property_suite_factor2_can_be_tight(monkeypatch):
     # with rho_E as the only candidate the reported side is 2 D(rho, tau (x)
     # rho_E) computed a second way; the maximally mixed candidate beats it on
-    # some draws, so the check compares two different quantities
+    # some draws, so the check compares two different quantities.  The suite
+    # passes its standard distance to the relation's private helper.
     reports = []
-    relation = mt.alt_secrecy_relation
+    relation = mt._alt_secrecy
 
     def recording(*args, **kwargs):
         reports.append(relation(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(mt, "alt_secrecy_relation", recording)
+    monkeypatch.setattr(mt, "_alt_secrecy", recording)
     mt.property_suite(1)
     assert any(r.right_value < 2 * r.left_value - 1e-12 for r in reports)
 
@@ -381,7 +382,7 @@ def test_property_suite_factor2_can_be_tight(monkeypatch):
 
 from itertools import product as _product
 
-from cq_oracle import oracle_cq, oracle_distance, oracle_tensor
+from cq_oracle import oracle_cq, oracle_distance, oracle_pguess, oracle_tensor
 
 # values whose strings tie: 1 and "1", 2 and "2", 10 and "10"
 _CQ_VALUES = (0, 1, 2, 10, "1", "2", "10", "a", 2.5)
@@ -459,3 +460,98 @@ def test_cq_trace_distance_matches_oracle(pair, data):
     rs, sr = qs.tensor_cq(r, s), qs.tensor_cq(s, r)
     _same_as_oracle(rs, oracle_tensor(r, s))
     assert mt.cq_trace_distance(rs, sr) == oracle_distance(rs, sr)
+
+
+def _ranked_key_state(rng, regs, ranks, dim=3):
+    # one branch per assignment, each of its own rank; one of weight zero
+    words = list(_product(*(r.alphabet for r in regs)))
+    weights = rng.random(len(words))
+    weights[rng.integers(len(words))] = 0.0
+    weights /= weights.sum()
+    return qs.make_cq(regs, [(w, float(p), qs.random_density(int(rng.integers(0, 2 ** 31)),
+                                                              dim, int(rank)).matrix)
+                             for w, p, rank in zip(words, weights, ranks)], (dim,))
+
+
+def test_stacked_gaps_match_the_per_pair_route():
+    # branch gaps are grouped by the column counts of their two factors, one
+    # stacked call per group; the distance and guessing probability are the
+    # per-pair oracle's, as the same float
+    rng = np.random.default_rng(12)
+    regs = (qs.Register("K", (0, 1)), qs.Register("E", ("a", "b", "c")))
+    for _ in range(30):
+        # six (rank of r, rank of s) shapes, one per assignment in a random order
+        order = rng.permutation(6)
+        r = _ranked_key_state(rng, regs, np.array([1, 2, 3, 1, 2, 3])[order])
+        s = _ranked_key_state(rng, regs, np.array([2, 3, 1, 1, 2, 3])[order])
+        right = {b.assignment: b for b in s.branches}
+        shapes = {(a.factor.shape[1], right[a.assignment].factor.shape[1])
+                  for a in r.branches if a.assignment in right}
+        assert len(shapes) >= 2
+        assert mt.cq_trace_distance(r, s) == oracle_distance(r, s)
+        assert mt.cq_trace_distance(s, r) == oracle_distance(s, r)
+        twin = mt.uniform_key_twin(r)
+        assert mt.cq_trace_distance(r, twin) == oracle_distance(r, twin)
+        assert mt.pguess_exact(r) == oracle_pguess(r)
+        assert mt.pguess_exact(s, "K") == oracle_pguess(s)
+
+
+# today's suite trials, one state and one effect at a time: the generator
+# stream the stacked trials must keep
+
+def _pair_one_at_a_time(rng, max_dim=8):
+    dim = int(rng.integers(2, max_dim + 1))
+    r = qs.random_density(int(rng.integers(0, 2 ** 31)), dim, int(rng.integers(1, dim + 1)))
+    s = qs.random_density(int(rng.integers(0, 2 ** 31)), dim, int(rng.integers(1, dim + 1)))
+    return r, s
+
+
+def _metric_trial_one_at_a_time(rng):
+    r, s = _pair_one_at_a_time(rng)
+    t = _pair_one_at_a_time(rng)[0]
+    while t.dim != r.dim:
+        t = _pair_one_at_a_time(rng)[0]
+    d = mt.trace_distance(r, s)
+    return (mt.trace_distance(r, r), abs(d - mt.trace_distance(s, r)),
+            d - mt.trace_distance(r, t) - mt.trace_distance(t, s))
+
+
+def _effect_one_at_a_time(rng, dim):
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = h + h.conj().T
+    w = np.linalg.eigvalsh(h)
+    return (h - w[0] * np.eye(dim)) / max(w[-1] - w[0], 1e-12)
+
+
+def _helstrom_trial_one_at_a_time(rng):
+    r, s = _pair_one_at_a_time(rng)
+    best = 0.5 + 0.5 * mt.trace_distance(r, s)
+    povm = mt.helstrom_povm(r, s)
+    achieved = 0.5 * float(np.trace(povm.elements[0] @ r.matrix).real) \
+        + 0.5 * float(np.trace(povm.elements[1] @ s.matrix).real)
+    delta = r.matrix - s.matrix
+    beats = [0.5 + 0.5 * float(np.trace(_effect_one_at_a_time(rng, r.dim) @ delta).real)
+             - best for _ in range(20)]
+    return abs(achieved - best), max(beats)
+
+
+@pytest.mark.parametrize("trial, reference", [
+    (mt._metric_trial, _metric_trial_one_at_a_time),
+    (mt._helstrom_trial, _helstrom_trial_one_at_a_time),
+])
+def test_suite_trials_keep_the_generator_stream(monkeypatch, trial, reference):
+    want_rng, got_rng = np.random.default_rng(33), np.random.default_rng(33)
+    want = [reference(want_rng) for _ in range(25)]
+    built = []
+    build = mt.random_density
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(mt, "random_density", counting)
+    got = [trial(got_rng) for _ in range(25)]
+    assert got == want
+    assert got_rng.random() == want_rng.random()
+    # the metric trial builds r, s and the t it keeps, never a discarded candidate
+    assert len(built) == 25 * (3 if trial is mt._metric_trial else 2)

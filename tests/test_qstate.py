@@ -140,6 +140,38 @@ def test_make_cq_op_contract():
         qs.make_cq([("K", (0,))], [((0,), 1.0, [1.0, 0.0, 0.0])], (2,))
 
 
+def test_make_cq_errors_keep_input_order():
+    # the ops' shapes and Hermiticity are checked in one pass and their
+    # spectra in one stacked call, yet the first failing row in input order
+    # raises, with the message a row-at-a-time build gives
+    regs = [("K", (0, 1, 2))]
+    not_psd = [[1.0, 0.0], [0.0, -0.5]]
+    less_psd = [[1.0, 0.0], [0.0, -0.25]]
+    not_hermitian = [[0.5, 0.3], [0.1, 0.5]]
+    fine = np.eye(2) / 2
+    psd_message = "branch operator has eigenvalue -5.000e-01"
+    hermitian_message = ("branch operator is not Hermitian: max |M - M^dagger| = 2.000e-01 "
+                         "exceeds 1e-10")
+    cases = [
+        ([((0,), 0.3, not_psd), ((1,), 0.3, not_hermitian)], qs.NotPSD, psd_message),
+        ([((0,), 0.3, not_hermitian), ((1,), 0.3, not_psd)], qs.NotHermitian,
+         hermitian_message),
+        ([((0,), 0.3, not_psd), ((1,), 0.3, fine), ((0,), 0.3, fine)], qs.NotPSD,
+         psd_message),
+        ([((0,), 0.3, fine), ((1,), 0.3, not_psd), ((2,), 0.3, less_psd)], qs.NotPSD,
+         psd_message),
+        # a row of zero weight is dropped before its op is read
+        ([((0,), 0.3, fine), ((1,), 0.0, not_hermitian), ((2,), 0.3, not_psd)], qs.NotPSD,
+         psd_message),
+        ([((0,), 0.3, fine), ((1,), 0.3, [[1.0, 0.0]]), ((2,), 0.3, not_psd)],
+         qs.DimMismatch, "branch operator of shape (1, 2) is not a matrix on dimension 2"),
+    ]
+    for rows, error, message in cases:
+        with pytest.raises(error) as caught:
+            qs.make_cq(regs, rows, (2,))
+        assert str(caught.value) == message, rows
+
+
 def test_make_classical_cq_matches_make_cq():
     # same branches, order, weights, factors, mass and errors as make_cq
     # with a unit scalar quantum part
