@@ -15,14 +15,16 @@ integer codes, block by block (a (theta1, theta2) block of the 16^n joint
 assignments of both swapped runs; a (sample subset, bases) block of a
 round, with keys from one T-matrix product and tag acceptance from one
 count table per (target, forged) message), and both reduce a block with
-``_matched_terms``.  Both read the single-qubit odds from
-``bb84._overlaps()``; the round's come as one dense outcome table per
-intercept probability (``_outcome_table``), whose positive slots each row
-expands into with one ``np.nonzero``.  Masses are ``np.bincount`` sums in
-order of first occurrence and totals add sequentially (``np.cumsum``) in
-the order of the scalar enumerations these replace; every ideal share is
-0, 1 or one over the power-of-two key count, so every value is the same
-float.
+``_matched_terms``.  The swap's cells do not depend on the bases, so they
+are numbered once per run (``_SwapCodes``) and each of its blocks is one
+gather of the live columns plus one ``np.bincount`` over cell ids.  Both
+read the single-qubit odds from ``bb84._overlaps()``; the round's come as
+one dense outcome table per intercept probability (``_outcome_table``),
+whose positive slots each row expands into with one ``np.nonzero``.
+Masses are ``np.bincount`` sums in order of first occurrence and totals add
+sequentially (``np.cumsum``) in the order of the scalar enumerations these
+replace; every ideal share is 0, 1 or one over the power-of-two key count,
+so every value is the same float.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ def swap_crossing_advantage(params: QkdParams) -> float:
     """
     codes = _SwapCodes(params)
     found, ideal_only = zip(*(
-        _matched_terms(cells, masses, codes.labels(cells), codes.share, codes.options)
-        for cells, masses in _swap_blocks(params, codes)))
+        _matched_terms(ids, masses, codes.label[ids], codes.share.__getitem__, codes.options)
+        for ids, masses in _swap_blocks(params, codes)))
     # one running sum over the real branches and then the ideal-only ones,
     # in dict order, so the total is the float a scalar loop adds up
     return 0.5 * _running_sum(found + ideal_only)
@@ -177,30 +179,58 @@ def _running_sum(parts) -> float:
 
 
 class _SwapCodes:
-    """Integer codes of the swap enumeration.
+    """The swap enumeration's cells, numbered once per run.
 
     One instance's view of an (a, b) word is the code
     ``(ka * (nk + 1) + kb) * evis_size + evis``: ``evis`` packs Alice's and
     Bob's sample bits (first sample position in the high bit) and the
-    syndrome, and an aborted word has ka = kb = nk.  ``tables[s]`` maps word
-    ``(A << n) | B`` (position 0 in the high bit) to its code under sample
-    subset ``s``.  A cell of one (theta1, theta2) block is
-    ``join(s1 * subsets + s2, code1, code2)``.
+    syndrome, and an aborted word has ka = kb = nk.  A cell joins the subset
+    pair ``s1 * subsets + s2`` and both instances' codes (``_join``,
+    ``_cell_codes``).
+
+    The cells do not depend on the bases, so they are numbered here and not
+    in each (theta1, theta2) block: ``group[s1 * subsets + s2, m]`` (int32)
+    is the id of joint assignment m's cell under subset pair (s1, s2).  Ids
+    number the distinct real cells in code order, then the ideal cells that
+    no assignment reaches; ``codes`` holds each id's code.  Per real cell
+    id, ``label`` numbers its label (subset pair, evis and pass flags); per
+    id, ``share`` is its ideal weight factor; and :meth:`options` gives a
+    label's ideal cells as ids.
     """
 
     def __init__(self, params: QkdParams):
-        n, t, rows = params.n_qubits, params.t, params.h_rows
-        nk = params.key_size
+        self.nk = nk = params.key_size
+        self.abort = nk * (nk + 2)  # key index of (nk, nk)
+        self.evis_size = 4 ** params.t << params.h_rows
+        self.size = (nk + 1) ** 2 * self.evis_size
+        cells = self._cell_codes(params)
+        real, group = np.unique(cells.ravel(), return_inverse=True)
+        self.group = group.astype(np.int32).reshape(cells.shape)
+        _, at, self.label = np.unique(self._label_codes(real), return_index=True,
+                                      return_inverse=True)
+        # each label's ideal cells; those no assignment reaches get the ids
+        # after the real cells
+        ideal = self._option_codes(real[at])
+        pos = np.searchsorted(real, ideal).clip(max=len(real) - 1)
+        unreached = (ideal >= 0) & (real[pos] != ideal)
+        extra, extra_id = np.unique(ideal[unreached], return_inverse=True)
+        pos[unreached] = len(real) + extra_id
+        self._ideal = np.where(ideal >= 0, pos, -1)
+        self.codes = np.concatenate([real, extra])
+        self.share = self._share_codes(self.codes)
+
+    def _cell_codes(self, params: QkdParams) -> np.ndarray:
+        """Row s1 * subsets + s2: every joint assignment's cell code under
+        subset pair (s1, s2)."""
+        n, t, rows, nk = params.n_qubits, params.t, params.h_rows, self.nk
         bits = _digits(2, n)
         a, b = np.repeat(bits, 1 << n, axis=0), np.tile(bits, (1 << n, 1))
 
         def high_first(x):
             return x @ (1 << np.arange(x.shape[1] - 1, -1, -1))
 
-        self.nk = nk
-        self.abort = nk * (nk + 2)  # key index of (nk, nk)
-        self.evis_size = 4 ** t << rows
-        self.size = (nk + 1) ** 2 * self.evis_size
+        # tables[s] maps word (A << n) | B (position 0 in the high bit) to its
+        # code under sample subset s
         tables = []
         for subset in combinations(range(n), t):
             rest = [i for i in range(n) if i not in subset]
@@ -209,34 +239,50 @@ class _SwapCodes:
             ka, kb = np.where(passed, ka, nk), np.where(passed, kb, nk)
             evis = (high_first(a[:, subset]) << t | high_first(b[:, subset])) << rows | syn
             tables.append((ka * (nk + 1) + kb) * self.evis_size + evis)
-        self.tables = np.array(tables)
-        self.subsets = len(tables)
+        tables = np.array(tables)
+        subsets = len(tables)
 
-    def join(self, pair, code1, code2):
+        # joint assignment m holds position i's cell (a1, b1, a2, b2) in bits
+        # 4(n-1-i) and up
+        nibbles = _digits(16, n)
+        place = 1 << np.arange(n - 1, -1, -1)
+
+        def word(a_bit, b_bit):
+            return (((nibbles >> a_bit) & 1) @ place) << n | (((nibbles >> b_bit) & 1) @ place)
+
+        first, second = tables[:, word(3, 2)], tables[:, word(1, 0)]
+        return self._join(np.arange(subsets ** 2)[:, None],
+                          np.repeat(first, subsets, axis=0), np.tile(second, (subsets, 1)))
+
+    def options(self, ids: np.ndarray) -> np.ndarray:
+        """Per real cell id, the ids of its label's ideal cells (padded with -1)."""
+        return self._ideal[self.label[ids]]
+
+    def _join(self, pair, code1, code2):
         return (pair * self.size + code1) * self.size + code2
 
-    def split(self, cells: np.ndarray):
-        """(subset pair, first code, second code) of block cells."""
+    def _split(self, cells: np.ndarray):
+        """(subset pair, first code, second code) of cells."""
         pair, first = np.divmod(cells // self.size, self.size)
         return pair, first, cells % self.size
 
-    def labels(self, cells: np.ndarray) -> np.ndarray:
-        """Label index of block cells: subset pair, evis and pass flags."""
-        pair, first, second = self.split(cells)
+    def _label_codes(self, cells: np.ndarray) -> np.ndarray:
+        """Label code of cells: subset pair, evis and pass flags."""
+        pair, first, second = self._split(cells)
         lab1 = first % self.evis_size * 2 + (first // self.evis_size != self.abort)
         lab2 = second % self.evis_size * 2 + (second // self.evis_size != self.abort)
         return (pair * 2 * self.evis_size + lab1) * 2 * self.evis_size + lab2
 
-    def share(self, cells: np.ndarray) -> np.ndarray:
-        """Ideal weight factor of block cells, the product of the instances'."""
-        _, first, second = self.split(cells)
+    def _share_codes(self, cells: np.ndarray) -> np.ndarray:
+        """Ideal weight factor of cells, the product of the instances'."""
+        _, first, second = self._split(cells)
         return (_key_share(first // self.evis_size, self.nk)
                 * _key_share(second // self.evis_size, self.nk))
 
-    def options(self, cells: np.ndarray) -> np.ndarray:
-        """Per label cell, the ideal cells of its label: per instance each
-        (k, k) when it passed, else the abort alone (padded with -1)."""
-        pair, *codes = self.split(cells)
+    def _option_codes(self, cells: np.ndarray) -> np.ndarray:
+        """Per cell, the ideal cells of its label: per instance each (k, k)
+        when it passed, else the abort alone (padded with -1)."""
+        pair, *codes = self._split(cells)
         k = np.arange(self.nk)
         per_instance = []
         for code in codes:
@@ -245,7 +291,7 @@ class _SwapCodes:
             aborting = np.where(k == 0, self.abort * self.evis_size + evis[:, None], -1)
             per_instance.append(np.where((keys != self.abort)[:, None], passing, aborting))
         opt1, opt2 = per_instance
-        joined = self.join(pair[:, None, None], opt1[:, :, None], opt2[:, None, :])
+        joined = self._join(pair[:, None, None], opt1[:, :, None], opt2[:, None, :])
         valid = (opt1 >= 0)[:, :, None] & (opt2 >= 0)[:, None, :]
         return np.where(valid, joined, -1).reshape(len(cells), -1)
 
@@ -277,11 +323,11 @@ def _matched_terms(cells, masses, labels, share, options):
 
     Each label (Eve's view and the abort pattern) keeps its real mass on the
     ideal side, spread over its ideal cells by ``share``.  ``cells`` are the
-    block's distinct real cells in order of first occurrence, with their
-    ``masses`` and ``labels``; ``options`` maps each label's first cell to
-    its ideal cells, padded with -1.  Returns the term of each real cell in
-    cell order, and the ideal mass of each ideal cell that the real run
-    never produced, in label order.
+    block's distinct real cells (codes or ids) in order of first occurrence,
+    with their ``masses`` and ``labels``; ``options`` maps each label's first
+    cell to its ideal cells, padded with -1.  Returns the term of each real
+    cell in cell order, and the ideal mass of each ideal cell that the real
+    run never produced, in label order.
     """
     at, label_mass, mass_of_label = _sums_by_first_seen(labels, masses)
     ideal = options(cells[at])
@@ -293,15 +339,13 @@ def _matched_terms(cells, masses, labels, share, options):
             label_mass[np.nonzero(missing)[0]] * share(ideal[missing]))
 
 
-def _swap_blocks(params: QkdParams, codes: _SwapCodes):
-    """Yield each (theta1, theta2) block's cells of positive mass and masses.
+def _block_weights(n: int):
+    """Yield each (theta1, theta2) block's weights, in product order.
 
-    Cells run subset pair by subset pair and within one in order of first
-    occurrence over the 16^n joint assignments of (a1, b1, a2, b2); a mass
-    adds its cell's weights in that order.
+    A block's weight of joint assignment m is the product over positions of
+    that position's weight of its cell (a1, b1, a2, b2), multiplied from
+    position 0 on.
     """
-    n = params.n_qubits
-    pairs = codes.subsets ** 2
     # p(b | prepared a' in basis th', measured in basis th)
     overlap = bb84._overlaps()  # [th, th', b, a']
     overlap[overlap < 1e-28] = 0.0
@@ -311,28 +355,36 @@ def _swap_blocks(params: QkdParams, codes: _SwapCodes):
     # bit, indexed by the position's (theta1, theta2)
     a1, b1, a2, b2 = _digits(2, 4).T
     local = 0.0625 * overlap[:, :, b1, a2] * overlap.transpose(1, 0, 2, 3)[:, :, b2, a1]
-
-    # joint assignment m holds position i's cell in bits 4(n-1-i) and up
-    nibbles = _digits(16, n)
-    place = 1 << np.arange(n - 1, -1, -1)
-
-    def word(a_bit, b_bit):
-        return (((nibbles >> a_bit) & 1) @ place) << n | (((nibbles >> b_bit) & 1) @ place)
-
-    first, second = codes.tables[:, word(3, 2)], codes.tables[:, word(1, 0)]
-    # row s1 * subsets + s2: every joint assignment's cell under (s1, s2)
-    cells = codes.join(np.arange(pairs)[:, None], np.repeat(first, codes.subsets, axis=0),
-                       np.tile(second, (codes.subsets, 1)))
     for th1 in product(range(2), repeat=n):
         for th2 in product(range(2), repeat=n):
             w = np.ones(1)
             for i in range(n):
                 w = (w[:, None] * local[th1[i], th2[i]][None, :]).reshape(-1)
-            share = w / pairs
-            live = np.flatnonzero(share > 0.0)
-            block_cells = cells[:, live].ravel()
-            at, masses, _ = _sums_by_first_seen(block_cells, np.tile(share[live], pairs))
-            yield block_cells[at], masses
+            yield w
+
+
+def _swap_blocks(params: QkdParams, codes: _SwapCodes):
+    """Yield each (theta1, theta2) block's cell ids of positive mass and masses.
+
+    Ids run in order of first occurrence over the block's cells, subset
+    pair by subset pair and within one over the 16^n joint assignments of
+    (a1, b1, a2, b2); a mass adds its cell's weights in that order.  The
+    cells are numbered once (``_SwapCodes``), so a block is one gather of
+    its live columns and one ``np.bincount``; ``np.minimum.at`` finds each
+    id's first position.
+    """
+    pairs, ids = codes.group.shape[0], len(codes.share)
+    position = np.arange(codes.group.size)
+    for w in _block_weights(params.n_qubits):
+        share = w / pairs
+        live = np.flatnonzero(share > 0.0)
+        g = np.take(codes.group, live, axis=1).ravel()
+        masses = np.bincount(g, weights=np.tile(share[live], pairs), minlength=ids)
+        first = np.full(ids, g.size)
+        np.minimum.at(first, g, position[:g.size])
+        seen = np.flatnonzero(first < g.size)
+        seen = seen[np.argsort(first[seen])]
+        yield seen, masses[seen]
 
 
 def parallel_qkd_scenario(params: QkdParams):

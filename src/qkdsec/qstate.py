@@ -380,25 +380,45 @@ def make_povm(labels, elements, dims=None) -> Povm:
     dims = tuple(int(x) for x in dims)
     if int(np.prod(dims)) != d:
         raise DimMismatch("prod(dims) does not match element size")
+    # errors come in input order: the range check runs, in one stacked
+    # call, on the elements before the first that fails the other checks
+    checked, error = len(ops), None
+    for i, op in enumerate(ops):
+        error = _povm_element_error(op, d)
+        if error is not None:
+            checked = i
+            break
+    if checked:
+        w = hermitian_eig(np.stack(ops[:checked]))[0]
+        low, high = w.min(axis=1), w.max(axis=1)
+        outside = np.flatnonzero((low < -tol.POVM_ELEM_TOL) | (high > 1.0 + tol.POVM_ELEM_TOL))
+        if outside.size:
+            j = outside[0]
+            raise NotPSD(
+                f"POVM element eigenvalues [{low[j]:.3e}, {high[j]:.3e}] "
+                "outside [0, 1]")
+    if error is not None:
+        raise error
     total = np.zeros((d, d), dtype=complex)
     for op in ops:
-        if op.shape != (d, d):
-            raise DimMismatch("POVM elements must share one shape")
-        if not np.isfinite(op).all():
-            raise NotFinite("POVM element has a NaN or infinite entry")
-        herm = float(np.abs(op - op.conj().T).max())
-        if herm > tol.HERMITIAN_TOL:
-            raise NotHermitian(f"POVM element not Hermitian (defect {herm:.3e})")
-        w = hermitian_eig(op)[0]
-        if w.min() < -tol.POVM_ELEM_TOL or w.max() > 1.0 + tol.POVM_ELEM_TOL:
-            raise NotPSD(
-                f"POVM element eigenvalues [{w.min():.3e}, {w.max():.3e}] "
-                "outside [0, 1]")
         total += op
     defect = float(np.abs(total - np.eye(d)).max())
     if defect > tol.POVM_SUM_TOL:
         raise BadTrace(f"POVM elements sum to identity defect {defect:.3e}")
     return Povm(labels, tuple(_frozen(o) for o in ops), dims)
+
+
+def _povm_element_error(op: np.ndarray, d: int) -> StateError | None:
+    """The error of the first shape, finiteness or Hermiticity check that a
+    POVM element fails, or None."""
+    if op.shape != (d, d):
+        return DimMismatch("POVM elements must share one shape")
+    if not np.isfinite(op).all():
+        return NotFinite("POVM element has a NaN or infinite entry")
+    herm = float(np.abs(op - op.conj().T).max())
+    if herm > tol.HERMITIAN_TOL:
+        return NotHermitian(f"POVM element not Hermitian (defect {herm:.3e})")
+    return None
 
 
 def basis_povm(dim: int = 2) -> Povm:

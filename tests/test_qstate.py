@@ -49,6 +49,30 @@ def test_make_povm_rejects_non_finite(bad):
         qs.make_povm((0, 1), [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
 
 
+_OVER = [[1.5, 0.0], [0.0, 0.0]]      # eigenvalues [0, 1.5]
+_UNDER = [[-0.5, 0.0], [0.0, 0.0]]    # eigenvalues [-0.5, 0]
+_SKEW = [[0.0, 1.0], [0.0, 0.0]]
+_WIDE = np.eye(3)
+
+
+@pytest.mark.parametrize("elements, error, message", [
+    ([_OVER, _SKEW], qs.NotPSD, r"\[0.000e\+00, 1.500e\+00\]"),
+    ([_SKEW, _OVER], qs.NotHermitian, "not Hermitian"),
+    ([_UNDER, _OVER], qs.NotPSD, r"\[-5.000e-01, 0.000e\+00\]"),
+    ([np.eye(2), _OVER, _WIDE], qs.NotPSD, r"\[0.000e\+00, 1.500e\+00\]"),
+    ([np.eye(2), _WIDE, _UNDER], qs.DimMismatch, "share one shape"),
+    ([_OVER, [[np.nan, 0.0], [0.0, 0.0]]], qs.NotPSD, "outside"),
+    ([np.eye(2), [[np.inf, 0.0], [0.0, 0.0]], _OVER], qs.NotFinite, "NaN or infinite"),
+], ids=["range-before-hermitian", "hermitian-before-range", "first-range-failure",
+        "range-before-shape", "shape-before-range", "range-before-finite",
+        "finite-before-range"])
+def test_make_povm_reports_elements_in_input_order(elements, error, message):
+    # the range check is one stacked call, yet the first element in input
+    # order that fails any check names the error
+    with pytest.raises(error, match=message):
+        qs.make_povm(range(len(elements)), elements, (2,))
+
+
 @pytest.mark.parametrize("bad", BAD_VALUES)
 def test_make_channel_rejects_non_finite(bad):
     with pytest.raises(qs.NotFinite):

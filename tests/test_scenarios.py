@@ -319,6 +319,36 @@ def test_swap_joint_state_matches_scalar_oracle(n, t, h_rows, out_len, q_tol):
         swap_oracle.swap_crossing_advantage(params)
 
 
+def _blocks_by_unique(params, cells):
+    """Each block's cells and masses from an ``np.unique`` of its cell codes."""
+    pairs = cells.shape[0]
+    for w in scenarios._block_weights(params.n_qubits):
+        share = w / pairs
+        live = np.flatnonzero(share > 0.0)
+        block = cells[:, live].ravel()
+        _, first, inverse = np.unique(block, return_index=True, return_inverse=True)
+        sums = np.bincount(inverse, weights=np.tile(share[live], pairs))
+        order = np.argsort(first)
+        yield block[first[order]], sums[order]
+
+
+@pytest.mark.parametrize("n, t, h_rows", [(2, 1, 0), (3, 1, 1), (3, 2, 0)])
+def test_swap_blocks_match_per_block_unique(n, t, h_rows):
+    # the cells are numbered once per run; every block's cells, in order of
+    # first occurrence, and their masses are those of a per-block np.unique
+    params = bb84.default_params(n_qubits=n, t=t, q_tol=0.25, out_len=1,
+                                 h_rows=h_rows, seed=5)
+    codes = scenarios._SwapCodes(params)
+    cells = codes._cell_codes(params)
+    assert np.array_equal(codes.codes[codes.group], cells)
+    blocks = list(scenarios._swap_blocks(params, codes))
+    expected = list(_blocks_by_unique(params, cells))
+    assert len(blocks) == len(expected) == 4 ** n
+    for (ids, masses), (block_cells, sums) in zip(blocks, expected):
+        assert np.array_equal(codes.codes[ids], block_cells)
+        assert np.array_equal(masses, sums)
+
+
 def test_matched_terms_on_hand_built_block():
     # cell = label * 9 + ka * 3 + kb over two keys; key 2 is an abort
     def share(cells):
