@@ -58,7 +58,8 @@ def cmd_qkd(args) -> int:
     cfg = _load_config(args)
     values = reader_values(cfg, "qkd run")
     params = qkd_params("qkd run", values, cfg.seed)
-    attack = parse_attack(args.attack or values["attack"], params.n_qubits)
+    spec = values["attack"] if args.attack is None else args.attack
+    attack = parse_attack(spec, params.n_qubits)
     run = bb84.qkd_run(params, attack)
     holds = run.advantage <= run.decomposition_bound + tol.METRIC_TOL
     write_csv(cfg.out, ("n", "attack", "p_abort", "eps_cor", "eps_sec", "advantage",

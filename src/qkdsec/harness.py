@@ -1,4 +1,4 @@
-"""Configuration parsing, scenario dispatch, CSV.
+"""Configuration parsing, channel fixtures, scenario dispatch, CSV.
 
 Every run is driven by one 64-bit seed.  The seed picks the parity-check
 and hashing matrices H and T of a QKD run (``default_code_matrices``) and
@@ -14,6 +14,7 @@ values and refuses (``UnreadKey``) a key the reader does not read.
 
 from __future__ import annotations
 
+import io
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tolerances as tol
-from .qstate import make_channel, open_fixture, read_rows
+from .qstate import make_channel
 from .protocols import bb84, scenarios
 from .protocols.hashing import affine_family
 
@@ -31,6 +32,7 @@ __all__ = [
     "UnreadKey",
     "BadValue",
     "MissingSeed",
+    "MalformedFixture",
     "RunConfig",
     "READS",
     "parse_config",
@@ -61,6 +63,10 @@ class BadValue(ConfigError):
 
 class MissingSeed(ConfigError):
     pass
+
+
+class MalformedFixture(ConfigError):
+    """A channel fixture line that does not parse; the message names file and line."""
 
 
 SCENARIOS = ("leaked-key", "qkd-otp", "parallel-qkd", "key-expansion")
@@ -225,6 +231,46 @@ def _attack_probability(spec: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise BadValue(f"attack {spec!r}: parameter {value} outside [0, 1]")
     return value
+
+
+def open_fixture(path) -> io.StringIO:
+    """The text of a fixture file, read as UTF-8 with universal newlines.
+
+    Bytes that are not UTF-8 raise :class:`MalformedFixture` naming ``path``
+    and the line they are on.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedFixture(f"{path}, line {line}: not UTF-8 text") from None
+
+
+def read_rows(fh, path, first_line: int, count: int, width: int) -> np.ndarray:
+    """Read ``count`` rows of ``width`` entries, one row per line, each ``re,im``.
+
+    ``first_line`` is the file line number of the first row; a short row, a
+    missing line or an entry that is not two comma-separated numbers raises
+    :class:`MalformedFixture` naming ``path`` and the line.
+    """
+    rows = []
+    for line in range(first_line, first_line + count):
+        parts = fh.readline().split()
+        if len(parts) != width:
+            raise MalformedFixture(
+                f"{path}, line {line}: expected {width} entries, got {len(parts)}")
+        row = []
+        for entry in parts:
+            try:
+                re, im = entry.split(",")
+                row.append(complex(float(re), float(im)))
+            except ValueError:
+                raise MalformedFixture(
+                    f"{path}, line {line}: entry {entry!r} is not 're,im'") from None
+        rows.append(row)
+    return np.array(rows, dtype=complex)
 
 
 def load_channel(path):

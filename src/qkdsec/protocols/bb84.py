@@ -260,14 +260,12 @@ _BASIS = (
 
 
 def _overlaps() -> np.ndarray:
-    """P[theta, theta', b, a'] = |<b|_theta |a'>_theta'|^2, unsnapped.
+    """P[theta, theta', b, a'] = |<b|_theta |a'>_theta'|^2, exactly.
 
     The odds of outcome b when a state prepared as a' in basis theta' is
-    measured in basis theta.  An entry that is 0 in exact arithmetic may
-    come out as float dust far below 1e-28, which every caller drops.
+    measured in basis theta: 1 or 0 in the same basis, 1/2 across bases.
     """
-    basis = np.array(_BASIS)  # [theta, a, qubit]
-    return np.abs(np.einsum("tbi,uai->tuba", basis.conj(), basis)) ** 2
+    return np.where(np.eye(2, dtype=bool)[:, :, None, None], np.eye(2), 0.5)
 
 
 def _amplitudes(comps) -> np.ndarray:

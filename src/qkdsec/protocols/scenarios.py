@@ -348,9 +348,6 @@ def _block_weights(n: int):
     """
     # p(b | prepared a' in basis th', measured in basis th)
     overlap = bb84._overlaps()  # [th, th', b, a']
-    overlap[overlap < 1e-28] = 0.0
-    overlap[np.abs(overlap - 1.0) < 1e-15] = 1.0
-    overlap[np.abs(overlap - 0.5) < 1e-15] = 0.5
     # one position's weights over its cell (a1, b1, a2, b2), a1 the high
     # bit, indexed by the position's (theta1, theta2)
     a1, b1, a2, b2 = _digits(2, 4).T
@@ -440,7 +437,9 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
     one outcome table (:func:`_outcome_table`, :func:`_round_blocks`) and
     reduced with ``np.bincount`` in order of first occurrence; the sums run
     sequentially (``np.cumsum``), in the order of the scalar enumeration, so
-    every value is the same float.
+    every value is the same float.  The weights leave out the uniform
+    sample-subset choice: the three totals are divided by C(n, t) once, at
+    the end, so rounds with dyadic odds (p in {0, 1}) give exact values.
 
     Requires h_rows = 0 (no syndrome phase) to keep the enumeration small.
     """
@@ -484,10 +483,11 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
         errors.append(masses[ka != kb])
         terms.append(_matched_terms(cells, masses, evis * 4 + fa * 2 + fb, share, options))
     found, ideal_only = zip(*terms)
+    c = math.comb(params.n_qubits, params.t)
     return {
-        "distance": 0.5 * _running_sum(found + ideal_only),
-        "p_abort": _running_sum(aborts),
-        "eps_cor": _running_sum(errors),
+        "distance": 0.5 * _running_sum(found + ideal_only) / c,
+        "p_abort": _running_sum(aborts) / c,
+        "eps_cor": _running_sum(errors) / c,
     }
 
 
@@ -498,14 +498,13 @@ def _outcome_table(p: float):
     measure in X (p / 2); one of zero weight is left out.
     ``odds[c, theta, a, 2m + b]`` is the probability that component c gives
     Eve outcome m and Bob bit b when Alice sends a in basis theta: a pass
-    puts 1 in slot a, and a measurement multiplies its two overlaps, a
-    factor below 1e-28 dropped and nothing snapped.  ``records[c, 2m + b]``
+    puts 1 in slot a, and a measurement multiplies its two overlaps, each
+    exactly 0, 1/2 or 1.  ``records[c, 2m + b]``
     is Eve's record: 0 for a pass, 1 + 2 * basis + m for a measurement.
     """
     if not 0.0 <= p <= 1.0:
         raise bb84.InvalidParams(f"intercept probability {p} outside [0, 1]")
     overlap = bb84._overlaps()  # [th, th', b, a']
-    overlap[overlap < 1e-28] = 0.0
     # [basis, theta, a, m, b]: p(m | a measured in basis) * p(b | m resent)
     measured = (overlap.transpose(0, 1, 3, 2)[..., None]
                 * overlap.transpose(1, 0, 3, 2)[:, :, None]).reshape(2, 2, 2, 4)
@@ -522,7 +521,8 @@ def _round_blocks(params: QkdParams, fam: HashFamily, table, tamper):
     Rows follow the scalar enumeration: Alice's bits, then the attack
     component of each position, then each position's (record, b) outcome,
     then the tamper branch, each in product order with position 0 the
-    slowest; each weight is multiplied in that order.  A row expands into
+    slowest; each weight is multiplied in that order, from 4^-n, without
+    the 1 / C(n, t) of the subset choice.  A row expands into
     the positive slots of its ``_outcome_table`` entry, and a tampered row
     into the positive (tag, verdict) weights of its target message, each by
     a row-major ``np.nonzero``.  A cell packs the Eve-visible record within
@@ -536,7 +536,7 @@ def _round_blocks(params: QkdParams, fam: HashFamily, table, tamper):
     comp_w, odds, records = table
     # (a, labels) rows and their weights, base weight times each component's
     labels = _digits(len(comp_w), n)
-    lw = np.full(len(labels), 0.25 ** n / math.comb(n, t))
+    lw = np.full(len(labels), 0.25 ** n)
     for i in range(n):
         lw = lw * comp_w[labels[:, i]]
     a_rows = np.repeat(_digits(2, n), len(labels), axis=0)

@@ -18,7 +18,6 @@ function of its inputs.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -41,7 +40,6 @@ __all__ = [
     "AlphabetMismatch",
     "RegisterMismatch",
     "NotFinite",
-    "MalformedFixture",
     "DensityOperator",
     "ClassicalDistribution",
     "Register",
@@ -53,7 +51,6 @@ __all__ = [
     "make_density",
     "make_povm",
     "make_channel",
-    "validate",
     "tensor_product",
     "partial_trace",
     "apply_channel",
@@ -63,23 +60,14 @@ __all__ = [
     "make_classical_cq_columns",
     "branch_order",
     "flatten_cq",
-    "cq_from_density",
     "tensor_cq",
     "random_density",
     "random_channel",
     "stinespring",
-    "identity_channel",
     "depolarizing_channel",
     "maximally_mixed",
     "pure_state",
     "basis_povm",
-    "write_rows",
-    "read_rows",
-    "open_fixture",
-    "save_matrix",
-    "load_matrix",
-    "save_cq_fixture",
-    "load_cq_fixture",
 ]
 
 
@@ -125,10 +113,6 @@ class AlphabetMismatch(StateError):
 
 class RegisterMismatch(StateError):
     pass
-
-
-class MalformedFixture(StateError):
-    """A text fixture line that does not parse; the message names file and line."""
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -201,16 +185,6 @@ def _wrap(matrix: np.ndarray, dims: tuple[int, ...], trace_mass: float) -> Densi
     return DensityOperator(dims=dims, matrix=_frozen(matrix), trace_mass=trace_mass)
 
 
-def validate(state: DensityOperator) -> DensityOperator:
-    """Re-run the construction invariants; idempotent on valid states."""
-    out = make_density(state.matrix, state.dims)
-    if abs(out.trace_mass - state.trace_mass) > tol.TRACE_TOL:
-        raise BadTrace(
-            f"stored trace_mass {state.trace_mass!r} differs from trace "
-            f"{out.trace_mass!r} by more than {tol.TRACE_TOL:.0e}")
-    return out
-
-
 def tensor_product(a: DensityOperator, b: DensityOperator, *,
                    max_dim: int = tol.DIM_CAP) -> DensityOperator:
     total = a.dim * b.dim
@@ -278,10 +252,6 @@ def make_channel(kraus_ops: Sequence, out_dims=None) -> KrausChannel:
     if int(np.prod(out_dims)) != out_dim:
         raise DimMismatch(f"out_dims {out_dims} inconsistent with operator rows {out_dim}")
     return KrausChannel(tuple(_frozen(o) for o in ops), out_dims)
-
-
-def identity_channel(dim: int = 2) -> KrausChannel:
-    return make_channel([np.eye(dim)])
 
 
 def depolarizing_channel(q: float, *, keep_environment: bool = False) -> KrausChannel:
@@ -503,9 +473,6 @@ class CQState:
     @property
     def quantum_dim(self) -> int:
         return int(np.prod(self.quantum_dims)) if self.quantum_dims else 1
-
-    def register_names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.registers)
 
     @cached_property
     def branches(self) -> tuple[CQBranch, ...]:
@@ -788,47 +755,6 @@ def flatten_cq(c: CQState) -> DensityOperator:
     return _wrap(matrix, dims if dims else (1,), min(c.trace_mass, 1.0))
 
 
-def cq_from_density(rho: DensityOperator, registers) -> CQState:
-    """Split the leading factors of a density operator back into classical registers.
-
-    Off-diagonal classical blocks must vanish within the Hermitian tolerance;
-    this inverts :func:`flatten_cq`.
-    """
-    regs = _registers(registers)
-    reg_dims = tuple(len(r.alphabet) for r in regs)
-    k = len(reg_dims)
-    if rho.dims[:k] != reg_dims:
-        raise RegisterMismatch(
-            f"leading factors {rho.dims[:k]} do not match register sizes {reg_dims}")
-    qdims = rho.dims[k:]
-    qdim = int(np.prod(qdims)) if qdims else 1
-    cdim = int(np.prod(reg_dims)) if reg_dims else 1
-    blocks = rho.matrix.reshape(cdim, qdim, cdim, qdim)
-    off = 0.0
-    branches = []
-    for i in range(cdim):
-        for j in range(cdim):
-            if i == j:
-                continue
-            off = max(off, float(np.abs(blocks[i, :, j, :]).max()))
-    if off > 10 * tol.HERMITIAN_TOL:
-        raise RegisterMismatch(
-            f"state is not classical on the named registers (coherence {off:.3e})")
-    for i in range(cdim):
-        block = blocks[i, :, i, :]
-        weight = float(np.trace(block).real)
-        if weight <= tol.PROB_TOL:
-            continue
-        assignment = []
-        rem = i
-        for d in reversed(reg_dims):
-            assignment.append(rem % d)
-            rem //= d
-        assignment = tuple(regs[j].alphabet[v] for j, v in enumerate(reversed(assignment)))
-        branches.append((assignment, weight, block / weight))
-    return make_cq(regs, branches, qdims)
-
-
 def tensor_cq(a: CQState, b: CQState) -> CQState:
     """Parallel composition of cq states; register names get 1./2. prefixes."""
     regs = tuple(Register(f"1.{r.name}", r.alphabet) for r in a.registers) + \
@@ -947,117 +873,3 @@ def random_channel(seed: int, in_dim: int, kraus: int = 2) -> KrausChannel:
     ops = [v[j * in_dim:(j + 1) * in_dim, :] for j in range(kraus)]
     return make_channel(ops)
 
-
-# --- text fixtures --------------------------------------------------------------
-
-def write_rows(fh, matrix) -> None:
-    """Write a matrix one row per line, each entry as ``re,im``."""
-    for row in matrix:
-        fh.write(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")
-
-
-def open_fixture(path) -> io.StringIO:
-    """The text of a fixture file, read as UTF-8 with universal newlines.
-
-    Bytes that are not UTF-8 raise :class:`MalformedFixture` naming ``path``
-    and the line they are on.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return io.StringIO(data.decode("utf-8"), newline=None)
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedFixture(f"{path}, line {line}: not UTF-8 text") from None
-
-
-def read_rows(fh, path, first_line: int, count: int, width: int) -> np.ndarray:
-    """Read ``count`` rows of ``width`` ``re,im`` entries, as :func:`write_rows` writes.
-
-    ``first_line`` is the file line number of the first row; a short row, a
-    missing line or an entry that is not two comma-separated numbers raises
-    :class:`MalformedFixture` naming ``path`` and the line.
-    """
-    rows = []
-    for line in range(first_line, first_line + count):
-        parts = fh.readline().split()
-        if len(parts) != width:
-            raise MalformedFixture(
-                f"{path}, line {line}: expected {width} entries, got {len(parts)}")
-        row = []
-        for entry in parts:
-            try:
-                re, im = entry.split(",")
-                row.append(complex(float(re), float(im)))
-            except ValueError:
-                raise MalformedFixture(
-                    f"{path}, line {line}: entry {entry!r} is not 're,im'") from None
-        rows.append(row)
-    return np.array(rows, dtype=complex)
-
-
-def save_matrix(path, state: DensityOperator) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dims " + " ".join(str(d) for d in state.dims) + "\n")
-        write_rows(fh, state.matrix)
-
-
-def load_matrix(path) -> DensityOperator:
-    with open_fixture(path) as fh:
-        header = fh.readline().split()
-        try:
-            if not header or header[0] != "dims":
-                raise ValueError
-            dims = tuple(int(x) for x in header[1:])
-        except ValueError:
-            raise DimMismatch(
-                f"{path}, line 1: first line must be 'dims d1 d2 ...'") from None
-        d = int(np.prod(dims))
-        return make_density(read_rows(fh, path, 2, d, d), dims)
-
-
-def save_cq_fixture(path, c: CQState) -> None:
-    """One branch per line: ``assignment | weight | matrix-file``."""
-    import os
-
-    base = os.path.dirname(os.path.abspath(path))
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, b in enumerate(c.branches):
-            name = f"branch{i}.mat"
-            save_matrix(os.path.join(base, name),
-                        _wrap(b.factor @ b.factor.conj().T,
-                              c.quantum_dims if c.quantum_dims else (1,), 1.0))
-            assignment = ",".join(str(v) for v in b.assignment)
-            fh.write(f"{assignment} | {b.weight:.17g} | {name}\n")
-
-
-def load_cq_fixture(path) -> CQState:
-    import os
-
-    base = os.path.dirname(os.path.abspath(path))
-    rows = []
-    with open_fixture(path) as fh:
-        for number, line in enumerate(fh, 1):
-            fields = [p.strip() for p in line.split("|")]
-            if fields == [""]:
-                continue
-            try:
-                assignment, weight, name = fields
-                weight = float(weight)
-            except ValueError:
-                raise MalformedFixture(
-                    f"{path}, line {number}: expected 'assignment | weight | "
-                    f"matrix-file'") from None
-            assignment = tuple(assignment.split(","))
-            if rows and len(assignment) != len(rows[0][0]):
-                raise RegisterMismatch(
-                    f"{path}, line {number}: {len(assignment)} registers, the first "
-                    f"branch has {len(rows[0][0])}")
-            rows.append((assignment, weight, load_matrix(os.path.join(base, name))))
-    if not rows:
-        raise RegisterMismatch(f"{path}: no branches")
-    width = len(rows[0][0])
-    alphabets = [tuple(sorted({r[0][i] for r in rows})) for i in range(width)]
-    regs = [Register(f"r{i}", alphabets[i]) for i in range(width)]
-    qdims = rows[0][2].dims
-    return make_cq(regs, [(a, w, m.matrix) for a, w, m in rows], qdims)

@@ -2,12 +2,16 @@
 
 import numpy as np
 
-from qkdsec.qstate import write_rows
-
 
 def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator for (seed, stream); streams are independent jumps."""
     return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
+
+
+def write_rows(fh, matrix) -> None:
+    """Write a matrix one row per line, each entry as ``re,im``."""
+    for row in matrix:
+        fh.write(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")
 
 
 def save_channel(path, channel) -> None:

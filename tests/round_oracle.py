@@ -27,6 +27,12 @@ def _ir_classical_components(p: float):
     return comps
 
 
+def _snapped_overlap(u, v) -> float:
+    """|<u|v>|^2 snapped to the nearest of its exact values 0, 1/2 and 1."""
+    value = float(np.abs(np.vdot(u, v)) ** 2)
+    return min((0.0, 0.5, 1.0), key=lambda exact: abs(exact - value))
+
+
 def _classical_position_model(comp_label: str, theta: int, a: int):
     """Distribution of (record, b) for classical attacks on one position."""
     psis = bb84._BASIS
@@ -36,11 +42,11 @@ def _classical_position_model(comp_label: str, theta: int, a: int):
         return out
     meas = 0 if comp_label == "Z" else 1
     for m in range(2):
-        p_m = float(np.abs(np.vdot(psis[meas][m], psis[theta][a])) ** 2)
+        p_m = _snapped_overlap(psis[meas][m], psis[theta][a])
         if p_m < 1e-28:
             continue
         for b in range(2):
-            p_b = float(np.abs(np.vdot(psis[theta][b], psis[meas][m])) ** 2)
+            p_b = _snapped_overlap(psis[theta][b], psis[meas][m])
             if p_b < 1e-28:
                 continue
             key = ((comp_label, m), b)
@@ -65,7 +71,8 @@ def authenticated_round_distance(params, fam, attack_spec) -> dict:
         rest = [i for i in range(n) if i not in subset]
         for theta in product(range(2), repeat=n):
             for a in product(range(2), repeat=n):
-                base_w = 0.25 ** n / len(subsets)
+                # the uniform subset choice is divided out once, at the end
+                base_w = 0.25 ** n
                 for labels in product(range(len(comps)), repeat=n):
                     lw = base_w
                     for i in range(n):
@@ -158,7 +165,8 @@ def authenticated_round_distance(params, fam, attack_spec) -> dict:
         for kpair in options:
             if (evis, kpair) not in seen:
                 dist += mass / nk
-    return {"distance": 0.5 * dist, "p_abort": p_abort, "eps_cor": eps_cor}
+    c = len(subsets)
+    return {"distance": 0.5 * dist / c, "p_abort": p_abort / c, "eps_cor": eps_cor / c}
 
 
 def _encode_msg1(theta, s_idx, a_s) -> int:

@@ -259,6 +259,13 @@ def test_malformed_custom_channel_exits_1(tmp_path, capsys):
     assert f"{chan}, line 3:" in err and "Traceback" not in err
 
 
+def test_empty_attack_flag_exits_1(capsys):
+    # an empty --attack is an attack spec, not an absent flag
+    assert main(["qkd", "run", "--attack", "", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown attack spec ''\n"
+
+
 @pytest.mark.parametrize("flag", ["--config", "--attack"])
 def test_directory_as_input_file_exits_1(tmp_path, capsys, flag):
     value = str(tmp_path) if flag == "--config" else f"custom:{tmp_path}"

@@ -9,6 +9,7 @@ from qkdsec.harness import (
     READS,
     SCENARIOS,
     BadValue,
+    MalformedFixture,
     MissingSeed,
     ReportRow,
     UnknownKey,
@@ -252,10 +253,9 @@ def test_channel_fixture_roundtrip(tmp_path):
     ("env 1 kraus 2\n1,0 0,0\n0,0 1,0\n0,0 0,0\n0,0 0\n", 5),      # no comma
     ("env 1 kraus 1\n1,0\n0,0 1,0\n", 2),                           # short row
     ("env 1 kraus 2\n1,0 0,0\n0,0 1,0\n", 4),                       # missing rows
-], ids=["non-numeric", "no-comma", "short-row", "missing-row"])
+    ("env 1 kraus 1\n1,0 0,0,1\n0,0 1,0\n", 2),                      # three parts
+], ids=["non-numeric", "no-comma", "short-row", "missing-row", "three-parts"])
 def test_load_channel_names_malformed_line(tmp_path, text, line):
-    from qkdsec.qstate import MalformedFixture
-
     path = tmp_path / "bad.chan"
     path.write_text(text)
     with pytest.raises(MalformedFixture, match=f"bad.chan, line {line}:"):

@@ -111,43 +111,3 @@ def test_load_channel_fails_by_name(tmp_path, content):
     path = tmp_path / "fuzz.chan"
     _write(path, content)
     _fails_by_name(lambda: load_channel(path))
-
-
-_matrix_header = st.one_of(
-    st.lists(_numbers, max_size=3).map(lambda ds: " ".join(["dims", *ds])),
-    st.sampled_from(["dims 1", "dims 2", "dims 2 1", "dims", "dims 0", "dims -1"]),
-    st.text(max_size=16),
-)
-
-
-@FUZZ
-@given(st.one_of(_file_text(_matrix_header), st.binary(max_size=60)))
-@example(b"\x80")  # not UTF-8
-def test_load_matrix_fails_by_name(tmp_path, content):
-    path = tmp_path / "fuzz.mat"
-    _write(path, content)
-    _fails_by_name(lambda: qs.load_matrix(path))
-
-
-_matrix_files = {"one.mat": "dims 1\n1,0\n", "two.mat": "dims 2\n0.5,0 0,0\n0,0 0.5,0\n",
-                 "bad.mat": "dims 2\n1,0\n"}
-_cq_lines = st.one_of(
-    st.tuples(st.lists(st.sampled_from(["0", "1", "a", ""]), min_size=1, max_size=3)
-              .map(",".join), _numbers, st.sampled_from(sorted(_matrix_files)))
-    .map(" | ".join),
-    st.text(max_size=20).filter(lambda s: s.count("|") != 2),
-)
-
-
-@FUZZ
-@given(st.one_of(st.lists(_cq_lines, max_size=5).map(lambda ls: "\n".join(ls) + "\n"),
-                 st.binary(max_size=60)))
-@example(b"0 | 1 | one.mat\n\xff")  # not UTF-8
-@example("0,0 | 0 | one.mat\n0 | 0 | one.mat\n")  # branches with different widths
-def test_load_cq_fixture_fails_by_name(tmp_path, content):
-    for name, text in _matrix_files.items():
-        (tmp_path / name).write_text(text)
-    path = tmp_path / "fuzz.cq"
-    _write(path, content)
-    _fails_by_name(lambda: qs.load_cq_fixture(path))
-

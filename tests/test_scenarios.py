@@ -177,6 +177,45 @@ def test_outcome_table_matches_the_position_model(p):
                 assert odds[c, theta, a].tolist() == want.tolist(), (label, theta, a)
 
 
+def test_overlaps_are_exact():
+    # same basis: 1 or 0; across bases: 1/2, with no float dust
+    overlap = bb84._overlaps()
+    for th, thp, b, ap in np.ndindex(overlap.shape):
+        want = (1.0 if b == ap else 0.0) if th == thp else 0.5
+        assert overlap[th, thp, b, ap] == want
+
+
+_DYADIC_SPECS = [{"p": p, **({"tamper": tamper} if tamper else {})}
+                 for p in (0.0, 1.0) for tamper in (None, "msg1", "msg2")]
+
+
+@pytest.mark.parametrize("n, t", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_authenticated_round_exact_with_dyadic_odds(n, t):
+    # at p in {0, 1} every weight is a dyadic rational and only the subset
+    # choice divides by C(n, t): each value is a probability, and C(n, t)
+    # times it is a dyadic rational with a small denominator
+    c = math.comb(n, t)
+    for seed in range(1, 6):
+        params = bb84.default_params(n_qubits=n, t=t, q_tol=0.25, out_len=1,
+                                     h_rows=0, seed=seed)
+        for bits in (1, 2):
+            fam = affine_family(bits)
+            for spec in _DYADIC_SPECS:
+                got = scenarios.authenticated_round_distance(params, fam, spec)
+                for name, value in got.items():
+                    where = (seed, bits, spec, name)
+                    assert 0.0 <= value <= 1.0, where
+                    assert (value * c * 2.0 ** 32).is_integer(), where
+
+
+def test_authenticated_round_abort_probability_is_exact():
+    # the exact value is 25/64
+    params = bb84.default_params(n_qubits=4, t=2, q_tol=0.25, out_len=1, h_rows=0, seed=5)
+    got = scenarios.authenticated_round_distance(params, affine_family(2),
+                                                 {"p": 1, "tamper": "msg2"})
+    assert got["p_abort"] == 0.390625
+
+
 @pytest.mark.parametrize("p", [1.5, -0.5, math.nan, math.inf])
 def test_authenticated_round_rejects_bad_probability(round_params, p):
     with pytest.raises(bb84.InvalidParams, match="intercept probability"):
