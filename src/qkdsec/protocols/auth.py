@@ -8,19 +8,24 @@ interrupt switch whenever the substituted string differs from what it sent.
 
 Because tags are uniform over the key, the evaluated states branch over the
 observed tag, with acceptance probabilities obtained by exhaustive key
-counting; nothing is sampled.  The evaluators read the acceptances of all
-tags at once from the joint tag-count table of the sent and the forged
-message and its row sums, read-only int arrays built once per message pair
-and cached, and build the classical states from alphabet-index columns with
-``make_classical_cq_columns``.  The supremum over all substitution
-rules is one array reduction per forged message: the joint tag counts of
-the sent and the forged message over every key, maximised per observed
-tag.
+counting; nothing is sampled.  Each system keeps a cache that is freed
+with it.  The real system reads the acceptances of all tags in one
+gather from a per-message table, keyed by the sent message x:
+``table[x2, y, y2]`` is the probability that the forged (x2, y2) verifies
+given the observed tag y, built once from the joint tag counts of x and
+every message.  The ideal system's state depends only on x and on which
+observed tags are forwarded unchanged, so it is built once per
+``(x, kept-tag pattern)``.  Both build their classical states from
+alphabet-index columns with ``make_classical_cq_columns``.  The supremum
+over all substitution rules is one array reduction per forged message: the
+joint tag counts of the sent and the forged message over every key,
+maximised per observed tag.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -79,18 +84,38 @@ def _pair_counts(fam: HashFamily, x: int, x2: int) -> tuple[np.ndarray, np.ndarr
     return counts, sums
 
 
-def _check_forged(order: int, pairs) -> None:
-    # a negative message or tag would read the tables from their ends
-    messages, tags = zip(*pairs)
-    if min(messages) < 0 or max(messages) >= order or min(tags) < 0 or max(tags) >= order:
-        bad = next(p for p in pairs if not (0 <= p[0] < order and 0 <= p[1] < order))
+def _forged_indices(order: int, pairs):
+    """(messages, tags) of the forged pairs as lists of ints, or None when a
+    pair is not two integers in range(order)."""
+    try:
+        x2 = [index(m) for m, _ in pairs]
+        y2 = [index(t) for _, t in pairs]
+    except (TypeError, ValueError):
+        return None
+    if 0 <= min(x2) and max(x2) < order and 0 <= min(y2) and max(y2) < order:
+        return x2, y2
+    return None
+
+
+def _check_forged(order: int, pairs) -> tuple[list[int], list[int]]:
+    """The forged messages and tags as ints, each in range(order).
+
+    Every value passes through ``operator.index``, so ints, numpy integers
+    and bools are read as their integer values; any other value, or one
+    outside the space (a negative one would read the tables from their
+    ends), raises :class:`LengthOverflow` naming the first such pair.
+    """
+    checked = _forged_indices(order, pairs)
+    if checked is None:
+        bad = next(p for p in pairs if _forged_indices(order, [p]) is None)
         raise LengthOverflow(f"forged pair {bad!r} outside the message and tag "
                              f"space range({order})")
+    return checked
 
 
 def accept_probability(fam: HashFamily, x: int, y: int, x2: int, y2: int) -> float:
     """Pr over keys consistent with (x, y) that the forged (x2, y2) verifies."""
-    _check_forged(fam.tag_space, [(x2, y2)])
+    (x2,), (y2,) = _check_forged(fam.tag_space, [(x2, y2)])
     if x2 == x:
         return 1.0 if y2 == y else 0.0
     counts, sums = _pair_counts(fam, x, x2)
@@ -103,65 +128,87 @@ def build_auth_systems(fam: HashFamily):
     Messages range over ``range(fam.tag_space)``.  The distinguisher picks
     the transmitted message via ``inputs=(("message", x),)`` and tampers
     through a substitution rule named ``auth`` mapping the observed (x, y)
-    to the injected (x', y').  The joint message/tag space must stay at desk
+    to the injected (x', y').  Forged messages and tags must be integers in
+    the same range (ints, numpy integers or bools), else both systems raise
+    :class:`LengthOverflow`.  The joint message/tag space must stay at desk
     scale (<= 2^10).
+
+    Each system keeps one cache in this closure, freed with the systems.
+    The real one keeps, per sent message x, the acceptance table
+    ``table[x2, y, y2]`` (at most 32^3 floats): the identity on x2 = x,
+    since resending x verifies exactly when the tag is kept, and
+    ``counts / sums`` of x and x2 otherwise; the forged pairs of all tags
+    are read from it in one gather.  The ideal one keeps its state per
+    ``(x, kept)``, where ``kept`` marks the observed tags that the rule
+    forwards unchanged, the only thing its state depends on besides x.
     """
     order = fam.tag_space
     message_space = tuple(range(order))
     if len(message_space) * order > 1024:
         raise LengthOverflow("joint message/tag space above the 2^10 desk-scale cap")
-    b_alphabet = tuple(message_space) + ("reject",)
     registers = [
-        Register("B_out", b_alphabet),
-        Register("E_msg", tuple(message_space)),
-        Register("E_tag", tuple(range(order))),
+        Register("B_out", message_space + ("reject",)),
+        Register("E_msg", message_space),
+        Register("E_tag", message_space),
     ]
-    # alphabet indices of the B_out values (-1 outside it) and the messages
-    b_index = {value: i for i, value in enumerate(b_alphabet)}
-    msg_index = {value: i for i, value in enumerate(message_space)}
-    reject = b_index["reject"]
+    # a message's B_out alphabet index is the message itself
+    reject = order
     tags = np.arange(order)
     tag_rows = np.repeat(tags, 2)
     p_tag = 1.0 / order
+    tables: dict[int, np.ndarray] = {}
+    ideal_states: dict[tuple[int, bytes], CQState] = {}
 
     def _common(attack: AttackStrategy):
         x = attack.input("message", message_space[0])
         if x not in message_space:
             raise LengthOverflow(f"message {x!r} outside the configured space")
+        x = message_space.index(x)
         rule = attack.tamper_rule("auth")
         rule = rule if rule is not None else (lambda pair: pair)
-        return x, [rule((x, y)) for y in range(order)]
+        x2, y2 = _check_forged(order, [rule((x, y)) for y in range(order)])
+        return x, np.array(x2), np.array(y2)
+
+    def _acceptance(x: int) -> np.ndarray:
+        table = tables.get(x)
+        if table is None:
+            dx = fam.digest_all_keys(x)
+            table = np.empty((order, order, order))
+            # a tag that x never takes has no consistent key: its rows are
+            # nan, which the state check refuses if an attack reads them
+            with np.errstate(invalid="ignore"):
+                for m in message_space:
+                    counts = _count_pairs(fam, dx, m)
+                    table[m] = counts / counts.sum(axis=1)[:, None]
+            table[x] = np.eye(order)
+            table.setflags(write=False)
+            tables[x] = table
+        return table
 
     def real_evaluator(attack: AttackStrategy) -> CQState:
-        x, forged = _common(attack)
-        _check_forged(order, forged)
-        x2 = [m for m, _ in forged]
-        y2 = np.array([t for _, t in forged])
-        # resending x verifies exactly when the tag is kept
-        accept = (y2 == tags).astype(float)
-        for m in set(x2) - {x}:
-            rows = np.array([y for y in range(order) if x2[y] == m])
-            counts, sums = _pair_counts(fam, x, m)
-            accept[rows] = counts[rows, y2[rows]] / sums[rows]
-        # per tag, the accepted branch and then the rejected one, each kept
-        # when its probability is positive
+        x, x2, y2 = _common(attack)
+        accept = _acceptance(x)[x2, tags, y2]
+        # per tag, the accepted branch and then the rejected one; the state
+        # drops those of zero weight
         out = np.empty(2 * order, dtype=np.int64)
-        out[0::2] = [b_index.get(m, -1) for m in x2]
+        out[0::2] = x2
         out[1::2] = reject
         weights = np.empty(2 * order)
         weights[0::2] = p_tag * accept
         weights[1::2] = p_tag * (1.0 - accept)
-        keep = weights > 0.0
         return make_classical_cq_columns(
-            registers, [out[keep], np.full(len(tag_rows), msg_index[x])[keep],
-                        tag_rows[keep]], weights[keep])
+            registers, [out, np.full(2 * order, x), tag_rows], weights)
 
     def ideal_evaluator(attack: AttackStrategy) -> CQState:
-        x, forged = _common(attack)
-        kept = np.array([(m, t) == (x, y) for y, (m, t) in enumerate(forged)])
-        return make_classical_cq_columns(
-            registers, [np.where(kept, b_index[x], reject), np.full(order, msg_index[x]),
-                        tags], np.full(order, p_tag))
+        x, x2, y2 = _common(attack)
+        kept = (x2 == x) & (y2 == tags)
+        key = (x, kept.tobytes())
+        state = ideal_states.get(key)
+        if state is None:
+            state = ideal_states[key] = make_classical_cq_columns(
+                registers, [np.where(kept, x, reject), np.full(order, x), tags],
+                np.full(order, p_tag))
+        return state
 
     real = SystemGraph(name=f"auth-real-b{fam.block_bits}", evaluator=real_evaluator)
     ideal = SystemGraph(name=f"auth-ideal-b{fam.block_bits}", evaluator=ideal_evaluator)

@@ -1,7 +1,12 @@
+import gc
+import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkdsec.acframework import advantage_over_family
 from qkdsec.protocols import auth, hashing
@@ -97,14 +102,84 @@ def test_accept_probability_refuses_forgery_outside_space(x2, y2):
         auth.accept_probability(affine_family(3), 0, 0, x2, y2)
 
 
-def test_real_evaluator_refuses_forged_tag_outside_space():
+_OUTSIDE = {
+    "tag-minus-1": (1, -1),
+    "tag-8": (1, 8),
+    "message-minus-1": (-1, 0),
+    "message-2-70": (2**70, 0),
+    "float-message": (1.5, 0),
+    "float-tag": (1, 2.5),
+    "str-message": ("1", 0),
+}
+
+
+@pytest.mark.parametrize("system", ["real", "ideal"])
+@pytest.mark.parametrize("pair", list(_OUTSIDE.values()), ids=list(_OUTSIDE))
+def test_auth_systems_refuse_forged_pair_outside_space(pair, system):
     from qkdsec.acframework import AttackStrategy, evaluate
 
     attack = AttackStrategy(name="wrap", inputs=(("message", 0),),
-                            tamper=(("auth", lambda pair: (1, -1)),))
-    real, _ = auth.build_auth_systems(affine_family(3))
-    with pytest.raises(auth.LengthOverflow, match=r"forged pair \(1, -1\) outside"):
-        evaluate(real, attack)
+                            tamper=(("auth", lambda observed: pair),))
+    real, ideal = auth.build_auth_systems(affine_family(3))
+    with pytest.raises(auth.LengthOverflow,
+                       match=rf"forged pair {re.escape(repr(pair))} outside"):
+        evaluate(real if system == "real" else ideal, attack)
+
+
+_forged_values = st.one_of(
+    st.integers(min_value=-2, max_value=9),
+    st.integers(min_value=-2, max_value=9).map(np.int64),
+    st.booleans(),
+    st.sampled_from([2**70, -2**70, 1.0, 1.5, float("nan"), "1", b"1", None, 1j]),
+)
+_forged_pairs = st.one_of(st.tuples(_forged_values, _forged_values),
+                          st.tuples(_forged_values, _forged_values),
+                          st.tuples(_forged_values), st.tuples(*[_forged_values] * 3),
+                          _forged_values)
+
+
+def _index_pair(pair):
+    # the oracle: two ints, numpy integers or bools, each in range(8)
+    ok = isinstance(pair, tuple) and len(pair) == 2 and all(
+        isinstance(v, (int, np.integer)) and 0 <= v < 8 for v in pair)
+    return (int(pair[0]), int(pair[1])) if ok else None
+
+
+def _evaluate_or_refuse(system, attack):
+    from qkdsec.acframework import evaluate
+
+    try:
+        return evaluate(system, attack)
+    except auth.LengthOverflow:
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=7), st.lists(_forged_pairs, min_size=8, max_size=8))
+@example(1, [(True, 0)] * 8)
+@example(0, [(np.int64(1), np.int64(0)), (True, False)] * 4)
+def test_auth_systems_agree_on_forged_pairs(message, forged):
+    # for any forged values, both systems return a state or both refuse the
+    # attack by name, and an accepted value acts as the integer it equals
+    from qkdsec.acframework import AttackStrategy, evaluate
+
+    real, ideal = auth.build_auth_systems(affine_family(3))
+
+    def attack(pairs):
+        return AttackStrategy(name="fuzz", inputs=(("message", message),),
+                              tamper=(("auth", lambda observed: pairs[observed[1]]),))
+
+    got = [_evaluate_or_refuse(system, attack(forged)) for system in (real, ideal)]
+    ints = [_index_pair(pair) for pair in forged]
+    if None in ints:
+        assert got == [None, None]
+        return
+    for state, system in zip(got, (real, ideal)):
+        want = evaluate(system, attack(ints))
+        assert state.registers == want.registers
+        assert np.array_equal(state.codes, want.codes)
+        assert np.array_equal(state.weights, want.weights)
+        assert state.trace_mass == want.trace_mass
 
 
 def test_identity_attack_advantage_zero():
@@ -344,17 +419,55 @@ def _assert_same_state(got, want):
     assert not any(b.factor.flags.writeable for b in got.branches)
 
 
+def _subset_rules(order):
+    # rules that keep some observed tags and forge the others: the ideal
+    # states must be told apart by the whole kept pattern, not its size
+    return (
+        ("even-kept", lambda pair: pair if pair[1] % 2 == 0 else (pair[0] ^ 1, pair[1])),
+        ("low-kept", lambda pair: pair if pair[1] < order // 2 else (pair[0], pair[1] ^ 1)),
+        ("odd-kept", lambda pair: pair if pair[1] % 2 else (0, 0)),
+        ("every-third-kept", lambda pair: pair if pair[1] % 3 == 0 else (pair[1], pair[0])),
+    )
+
+
+def _auth_strategies(fam, message):
+    from qkdsec.acframework import AttackStrategy
+
+    subset = tuple(AttackStrategy(name=name, inputs=(("message", message),),
+                                  tamper=(("auth", rule),))
+                   for name, rule in _subset_rules(fam.tag_space))
+    return auth.substitution_family(fam, message=message).strategies + subset
+
+
 @pytest.mark.parametrize("bits", [3, 4, 5])
 def test_auth_states_match_make_cq_path(bits):
     from qkdsec.acframework import evaluate
 
     fam = affine_family(bits)
     real, ideal = auth.build_auth_systems(fam)
-    for message in (0, 1, fam.tag_space - 1):
-        for strategy in auth.substitution_family(fam, message=message).strategies:
+    # the messages take turns through one pair of systems, so each one's
+    # cached entries are read between another message's
+    per_message = [_auth_strategies(fam, message) for message in (0, 1, fam.tag_space - 1)]
+    for turn in zip(*per_message):
+        for strategy in turn:
             want_real, want_ideal = _make_cq_auth_states(fam, strategy)
             _assert_same_state(evaluate(real, strategy), want_real)
             _assert_same_state(evaluate(ideal, strategy), want_ideal)
+
+
+def test_cached_ideal_state_dies_with_its_systems():
+    from qkdsec.acframework import evaluate
+
+    fam = affine_family(3)
+    real, ideal = auth.build_auth_systems(fam)
+    strategies = _auth_strategies(fam, 2)
+    for strategy in strategies:
+        evaluate(real, strategy)
+    ref = weakref.ref(evaluate(ideal, strategies[-1]))
+    assert evaluate(ideal, strategies[-1]) is ref()
+    del real, ideal
+    gc.collect()
+    assert ref() is None
 
 
 def _clmul(a: int, b: int, bits: int, modulus: int) -> int:
