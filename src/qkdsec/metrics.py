@@ -21,10 +21,12 @@ from . import tolerances as tol
 from .linalg import hermitian_eig, trace_norm_of_factored_sum
 from .qstate import (
     AlphabetMismatch,
+    BadTrace,
     CQState,
     ClassicalDistribution,
     DensityOperator,
     DimMismatch,
+    NotFinite,
     Povm,
     RegisterMismatch,
     apply_channel,
@@ -96,6 +98,8 @@ class Coupling:
         n = len(self.alphabet)
         if j.shape != (n, n):
             raise AlphabetMismatch(f"joint must be {n}x{n}, got {j.shape}")
+        if not np.isfinite(j).all():
+            raise NotFinite("joint has a NaN or infinite entry")
         if j.size and float(j.min()) < -tol.PROB_TOL:
             raise AlphabetMismatch(f"negative joint entry {float(j.min()):.3e}")
         object.__setattr__(self, "joint", j)
@@ -289,13 +293,19 @@ def maximal_coupling(p: ClassicalDistribution, q: ClassicalDistribution) -> Coup
 
 
 def couple_measurements(r: DensityOperator, s: DensityOperator, povm: Povm) -> Coupling:
-    """Maximal coupling of the outcome distributions of one POVM on two states."""
-    pw = [max(float(np.trace(e @ r.matrix).real), 0.0) for e in povm.elements]
-    qw = [max(float(np.trace(e @ s.matrix).real), 0.0) for e in povm.elements]
-    pw = np.array(pw) / sum(pw)
-    qw = np.array(qw) / sum(qw)
-    return maximal_coupling(ClassicalDistribution(povm.labels, pw),
-                            ClassicalDistribution(povm.labels, qw))
+    """Maximal coupling of the outcome distributions of one POVM on two states.
+
+    Each distribution is normalised by its state's outcome mass;
+    :class:`BadTrace` is raised when that mass is zero.
+    """
+    dists = []
+    for state in (r, s):
+        w = [max(float(np.trace(e @ state.matrix).real), 0.0) for e in povm.elements]
+        total = sum(w)
+        if total <= 0.0:
+            raise BadTrace("a state with zero outcome mass has no outcome distribution")
+        dists.append(ClassicalDistribution(povm.labels, np.array(w) / total))
+    return maximal_coupling(*dists)
 
 
 # --- guessing probability and entropies ----------------------------------------
@@ -699,7 +709,7 @@ def property_suite(seed: int, trials: int | None = None) -> list[PropertyResult]
 
     Each entry of :data:`_PROPERTIES` runs its default count of trials, or
     ``trials`` when that is fewer, and a property's row keeps its largest
-    violation over them.
+    violation over them; a NaN violation is kept and fails the row.
     """
     if trials is not None and trials < 1:
         raise InvalidTrials(f"trials = {trials} must be at least 1")
@@ -707,9 +717,9 @@ def property_suite(seed: int, trials: int | None = None) -> list[PropertyResult]
     results = []
     for count, trial, checks in _PROPERTIES:
         n = count if trials is None else min(trials, count)
-        worst = [0.0] * len(checks)
+        worst = np.zeros(len(checks))
         for _ in range(n):
-            worst = [max(w, v) for w, v in zip(worst, trial(rng))]
-        results += [PropertyResult(name, n, w, w <= bound)
+            worst = np.maximum(worst, trial(rng))
+        results += [PropertyResult(name, n, float(w), bool(w <= bound))
                     for (name, bound), w in zip(checks, worst)]
     return results

@@ -21,10 +21,15 @@ gather of the live columns plus one ``np.bincount`` over cell ids.  Both
 read the single-qubit odds from ``bb84._overlaps()``; the round's come as
 one dense outcome table per intercept probability (``_outcome_table``),
 whose positive slots each row expands into with one ``np.nonzero``.
-Masses are ``np.bincount`` sums in order of first occurrence and totals add
-sequentially (``np.cumsum``) in the order of the scalar enumerations these
-replace; every ideal share is 0, 1 or one over the power-of-two key count,
-so every value is the same float.
+Every ideal share is 0, 1 or one over the power-of-two key count.  The
+swap's weights are dyadic and leave out the uniform choice of the two
+sample subsets, so every term and partial sum is held exactly, in any
+order, and the total is divided by the subset pairs once: the value is the
+exact distance, correctly rounded.  The round's odds are not dyadic at a
+fractional intercept probability, so its masses are ``np.bincount`` sums in
+order of first occurrence and its totals add sequentially (``np.cumsum``)
+in the order of the scalar enumeration they replace, which makes every
+value the same float.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ import numpy as np
 
 from ..acframework import EpsilonLedger, LedgerEntry, ScheduleMismatch, serial_compose
 from ..metrics import BoundReport
-from ..qstate import Register, basis_povm, make_cq, make_povm, measure_povm
 from . import bb84
 from .bb84 import QkdParams, QkdRun, _digits, qkd_run
 from .auth import _pair_counts
@@ -162,14 +166,18 @@ def swap_crossing_advantage(params: QkdParams) -> float:
 
     The ideal side uniformises the surviving keys per instance; abort
     patterns are matched per instance through the simulators' switches.
+    The masses leave out the uniform choice of the two sample subsets, so
+    every term and partial sum is a dyadic rational that a float holds
+    exactly; the total is divided by the C(n, t)^2 subset pairs once, at
+    the end, and the value is the rational distance correctly rounded.
     """
     codes = _SwapCodes(params)
-    found, ideal_only = zip(*(
-        _matched_terms(ids, masses, codes.label[ids], codes.share.__getitem__, codes.options)
-        for ids, masses in _swap_blocks(params, codes)))
-    # one running sum over the real branches and then the ideal-only ones,
-    # in dict order, so the total is the float a scalar loop adds up
-    return 0.5 * _running_sum(found + ideal_only)
+    total = 0.0
+    for ids, masses in _swap_blocks(params, codes):
+        found, ideal_only = _matched_terms(ids, masses, codes.label[ids],
+                                           codes.share.__getitem__, codes.options)
+        total += float(found.sum()) + float(ideal_only.sum())
+    return 0.5 * total / codes.group.shape[0]
 
 
 def _running_sum(parts) -> float:
@@ -191,8 +199,9 @@ class _SwapCodes:
     The cells do not depend on the bases, so they are numbered here and not
     in each (theta1, theta2) block: ``group[s1 * subsets + s2, m]`` (int32)
     is the id of joint assignment m's cell under subset pair (s1, s2).  Ids
-    number the distinct real cells in code order, then the ideal cells that
-    no assignment reaches; ``codes`` holds each id's code.  Per real cell
+    number the distinct real cells in code order, so a block's ascending ids
+    are its cells in code order, then the ideal cells that no assignment
+    reaches; ``codes`` holds each id's code.  Per real cell
     id, ``label`` numbers its label (subset pair, evis and pass flags); per
     id, ``share`` is its ideal weight factor; and :meth:`options` gives a
     label's ideal cells as ids.
@@ -323,8 +332,8 @@ def _matched_terms(cells, masses, labels, share, options):
 
     Each label (Eve's view and the abort pattern) keeps its real mass on the
     ideal side, spread over its ideal cells by ``share``.  ``cells`` are the
-    block's distinct real cells (codes or ids) in order of first occurrence,
-    with their ``masses`` and ``labels``; ``options`` maps each label's first
+    block's distinct real cells (codes or ids), in any order, with their
+    ``masses`` and ``labels``; ``options`` maps each label's first
     cell to its ideal cells, padded with -1.  Returns the term of each real
     cell in cell order, and the ideal mass of each ideal cell that the real
     run never produced, in label order.
@@ -361,26 +370,21 @@ def _block_weights(n: int):
 
 
 def _swap_blocks(params: QkdParams, codes: _SwapCodes):
-    """Yield each (theta1, theta2) block's cell ids of positive mass and masses.
+    """Yield each (theta1, theta2) block's cell ids of positive mass, in
+    ascending order, and their masses.
 
-    Ids run in order of first occurrence over the block's cells, subset
-    pair by subset pair and within one over the 16^n joint assignments of
-    (a1, b1, a2, b2); a mass adds its cell's weights in that order.  The
-    cells are numbered once (``_SwapCodes``), so a block is one gather of
-    its live columns and one ``np.bincount``; ``np.minimum.at`` finds each
-    id's first position.
+    A mass adds its cell's weights over the subset pairs and the 16^n joint
+    assignments of (a1, b1, a2, b2), without the 1 / C(n, t)^2 of the subset
+    choice, so it is exact in any order.  The cells are numbered once
+    (``_SwapCodes``), so a block is one gather of its live columns and one
+    ``np.bincount``.
     """
     pairs, ids = codes.group.shape[0], len(codes.share)
-    position = np.arange(codes.group.size)
     for w in _block_weights(params.n_qubits):
-        share = w / pairs
-        live = np.flatnonzero(share > 0.0)
+        live = np.flatnonzero(w > 0.0)
         g = np.take(codes.group, live, axis=1).ravel()
-        masses = np.bincount(g, weights=np.tile(share[live], pairs), minlength=ids)
-        first = np.full(ids, g.size)
-        np.minimum.at(first, g, position[:g.size])
-        seen = np.flatnonzero(first < g.size)
-        seen = seen[np.argsort(first[seen])]
+        masses = np.bincount(g, weights=np.tile(w[live], pairs), minlength=ids)
+        seen = np.flatnonzero(masses)
         yield seen, masses[seen]
 
 
@@ -679,43 +683,25 @@ def locking_demo(m: int) -> LockingReport:
     The state carries a basis bit K1 and an m-bit string K2 encoded in m
     qubits using basis K1.  Before K1 is revealed a computational-basis
     measurement yields Y; after the reveal, measuring in basis K1 recovers
-    K2 perfectly.  Reports the mutual informations (in bits).
+    K2 perfectly.  Reports the mutual informations (in bits).  The
+    encodings are pure, so each outcome's Born probability is the squared
+    overlap of an encoding with a basis vector.
     """
     if not 1 <= m <= 3:
         raise ValueError(f"m = {m} outside the supported range [1, 3]")
     dim = 2 ** m
-    regs = [Register("k1", (0, 1)), Register("k2", tuple(range(dim)))]
-    branches = []
-    for k1 in range(2):
-        for k2 in range(dim):
-            vec = _encode(k1, k2, m)
-            branches.append(((k1, k2), 1.0 / (2 * dim), np.outer(vec, vec.conj())))
-    state = make_cq(regs, branches, (dim,))
+    # enc[k1, k2]: the encoding of k2 in basis k1
+    enc = np.array([[_encode(k1, k2, m) for k2 in range(dim)] for k1 in range(2)])
+    # p(k1, k2, y) of a computational-basis outcome y, with uniform keys
+    pre = np.abs(enc) ** 2 / (2 * dim)
+    pre_key = _mutual_information(pre.reshape(2 * dim, dim))
+    pre_k2 = _mutual_information(pre.sum(axis=0))
 
-    _, post = measure_povm(basis_povm(dim), state)
-    joint = {}
-    for b in post.branches:
-        k1, k2, y = b.assignment
-        joint[(k1, k2, y)] = joint.get((k1, k2, y), 0.0) + b.weight
-    pre_key = _mutual_information(joint, lambda k: (k[0], k[1]), lambda k: k[2])
-    pre_k2 = _mutual_information(joint, lambda k: k[1], lambda k: k[2])
-
-    # after the reveal: measure each branch in its own encoding basis
-    post_joint = {}
-    for k1 in range(2):
-        basis_vecs = [_encode(k1, y, m) for y in range(dim)]
-        povm = make_povm(tuple(range(dim)),
-                         [np.outer(v, v.conj()) for v in basis_vecs], (dim,))
-        sub = make_cq(regs, [(b.assignment, b.weight, b.factor)
-                             for b in state.branches if b.assignment[0] == k1],
-                      (dim,))
-        _, measured = measure_povm(povm, sub)
-        for b in measured.branches:
-            _, k2, y = b.assignment
-            post_joint[(k2, (k1, y))] = post_joint.get((k2, (k1, y)), 0.0) + b.weight
-    total = sum(post_joint.values())
-    post_joint = {k: v / total for k, v in post_joint.items()}
-    post_info = _mutual_information(post_joint, lambda k: k[0], lambda k: k[1])
+    # after the reveal: outcome y of measuring in basis k1, [k1, k2, y];
+    # dividing by the total makes the exact reveal give exactly m bits
+    post = np.abs(enc.conj() @ enc.transpose(0, 2, 1)) ** 2
+    post = post / post.sum()
+    post_info = _mutual_information(post.transpose(1, 0, 2).reshape(dim, 2 * dim))
     return LockingReport(m, pre_key, pre_k2, post_info)
 
 
@@ -727,18 +713,8 @@ def _encode(basis: int, value: int, m: int) -> np.ndarray:
     return vec
 
 
-def _mutual_information(joint: dict, left, right) -> float:
-    px: dict = {}
-    py: dict = {}
-    pxy: dict = {}
-    for key, p in joint.items():
-        if p <= 0.0:
-            continue
-        x, y = left(key), right(key)
-        px[x] = px.get(x, 0.0) + p
-        py[y] = py.get(y, 0.0) + p
-        pxy[(x, y)] = pxy.get((x, y), 0.0) + p
-    info = 0.0
-    for (x, y), p in pxy.items():
-        info += p * math.log2(p / (px[x] * py[y]))
-    return info
+def _mutual_information(joint: np.ndarray) -> float:
+    """I(X; Y) in bits of the joint distribution ``joint[x, y]``."""
+    marginals = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    live = joint > 0.0
+    return float((joint[live] * np.log2(joint[live] / marginals[live])).sum())

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .linalg import hermitian_eig, psd_factor, psd_sqrt
+from .linalg import hermitian_eig, psd_factor
 
 __all__ = [
     "StateError",
@@ -54,7 +54,6 @@ __all__ = [
     "tensor_product",
     "partial_trace",
     "apply_channel",
-    "measure_povm",
     "make_cq",
     "make_classical_cq",
     "make_classical_cq_columns",
@@ -314,6 +313,8 @@ class ClassicalDistribution:
         p = np.asarray(self.probs, dtype=float)
         if len(self.alphabet) != p.shape[0]:
             raise AlphabetMismatch("one probability per symbol required")
+        if not np.isfinite(p).all():
+            raise NotFinite("distribution has a NaN or infinite probability")
         if p.size and float(p.min()) < -tol.PROB_TOL:
             raise BadTrace(f"negative probability {float(p.min()):.3e}")
         total = float(p.sum())
@@ -344,6 +345,8 @@ def make_povm(labels, elements, dims=None) -> Povm:
     ops = tuple(np.array(e, dtype=complex) for e in elements)
     if len(labels) != len(ops):
         raise AlphabetMismatch("one label per element required")
+    if not ops:
+        raise DimMismatch("a POVM needs at least one element")
     d = ops[0].shape[0]
     if dims is None:
         dims = (d,)
@@ -770,70 +773,6 @@ def tensor_cq(a: CQState, b: CQState) -> CQState:
         factors = [_frozen(np.kron(x.factor, y.factor))
                    for x in a.branches for y in b.branches]
     return _cq_state(regs, codes, weights, factors, a.quantum_dims + b.quantum_dims)
-
-
-def measure_povm(p: Povm, s, factors=None):
-    """Born-rule measurement; returns the outcome distribution and post-state.
-
-    ``s`` is a :class:`CQState`, or a :class:`DensityOperator`, which is
-    measured as the cq state of one branch with no registers.  ``factors``
-    selects which quantum factors the POVM acts on (default all).  The
-    post-measurement state is a cq state whose new last ``outcome`` register
-    records the result; branch operators are the standard
-    sqrt(Gamma) rho sqrt(Gamma) updates.  :class:`BadTrace` is raised when
-    the outcome probabilities do not sum to the state's trace mass.
-    """
-    n = len(s.quantum_dims if isinstance(s, CQState) else s.dims)
-    if factors is None:
-        factors = range(n)
-    factors = tuple(sorted(set(int(f) for f in factors)))
-    if any(f < 0 or f >= n for f in factors):
-        raise DimMismatch(f"factor indices {list(factors)} out of range for {n} factors")
-    if not isinstance(s, CQState):
-        s = make_cq((), [((), 1.0, s.matrix)], s.dims)
-    sel_dims = tuple(s.quantum_dims[f] for f in factors)
-    if int(np.prod(sel_dims)) != p.dim:
-        raise DimMismatch(
-            f"POVM dimension {p.dim} does not match selected factors {sel_dims}")
-    probs = {label: 0.0 for label in p.labels}
-    branches = []
-    roots = {label: _lift(psd_sqrt(e), s.quantum_dims, factors)
-             for label, e in zip(p.labels, p.elements)}
-    lifted = {label: _lift(e, s.quantum_dims, factors)
-              for label, e in zip(p.labels, p.elements)}
-    for b in s.branches:
-        op = b.operator()
-        for label in p.labels:
-            prob = float(np.trace(lifted[label] @ op).real)
-            if prob <= tol.PROB_TOL:
-                continue
-            probs[label] += prob
-            post = roots[label] @ op @ roots[label].conj().T
-            branches.append((b.assignment + (label,), prob, post / prob))
-    total = sum(probs.values())
-    if s.trace_mass > tol.PROB_TOL and abs(total - s.trace_mass) > 100 * tol.TRACE_TOL:
-        raise BadTrace(f"measurement probabilities sum to {total!r}")
-    norm = total if total > 0 else 1.0
-    dist = ClassicalDistribution(tuple(p.labels),
-                                 np.array([probs[l] for l in p.labels]) / norm)
-    regs = list(s.registers) + [Register("outcome", tuple(p.labels))]
-    return dist, make_cq(regs, branches, s.quantum_dims)
-
-
-def _lift(op: np.ndarray, dims: tuple[int, ...], factors: tuple[int, ...]) -> np.ndarray:
-    n = len(dims)
-    sel = list(factors)
-    rest = [i for i in range(n) if i not in sel]
-    sel_dim = int(np.prod([dims[i] for i in sel]))
-    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(op.reshape(sel_dim, sel_dim), np.eye(rest_dim))
-    # big acts on (sel factors..., rest factors...); permute back to original order.
-    order = sel + rest
-    perm = np.argsort(order)
-    tensor = big.reshape(tuple(dims[i] for i in order) * 2)
-    tensor = np.transpose(tensor, tuple(perm) + tuple(len(order) + p for p in perm))
-    d = int(np.prod(dims))
-    return tensor.reshape(d, d)
 
 
 # --- constructors and generators ----------------------------------------------

@@ -3,9 +3,11 @@
 Two parallel BB84 runs in which Bob of each run measures the state the
 other Alice prepared.  Every (a, b) word of each run is enumerated with
 dict-keyed tables and every weight is added one at a time, in the order
-of the 16^n joint cells of (a1, b1, a2, b2), so the crossing advantage
-adds the same terms in the same order as the array-valued
-``scenarios.swap_crossing_advantage``.  Slow, and kept only to check it.
+of the 16^n joint cells of (a1, b1, a2, b2).  The weights leave out the
+1 / C(n, t)^2 of the subset choice, so every term is a dyadic rational and
+the crossing advantage, divided by C(n, t)^2 once, is the same float as the
+array-valued ``scenarios.swap_crossing_advantage``.  Slow, and kept only to
+check it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ def swap_joint_state(params):
 
     Eve keeps nothing, so the state is classical.  ``real`` maps (Eve-visible
     label, key-pair-pair) to its branch weight, and ``group_mass`` maps each
-    label to its total mass.
+    label to its total mass.  The weights leave out the uniform choice of the
+    two sample subsets: they sum to C(n, t)^2.
     """
     n, t = params.n_qubits, params.t
     subsets = list(combinations(range(n), t))
@@ -62,8 +65,7 @@ def swap_joint_state(params):
                 w = (w[:, None] * local[None, :]).reshape(-1)
             for s1 in range(c):
                 for s2 in range(c):
-                    share = w / (c * c)
-                    for cell, mass in _grouped(share, keys_cache[(s1, s2)]):
+                    for cell, mass in _grouped(w, keys_cache[(s1, s2)]):
                         label = (th1, th2, s1, s2) + cell[2:]
                         kpair = cell[:2]
                         real[(label, kpair)] = real.get((label, kpair), 0.0) + mass
@@ -74,6 +76,7 @@ def swap_joint_state(params):
 def swap_crossing_advantage(params) -> float:
     """Distance of the swap attack's joint state from two ideal keys."""
     nk = params.key_size
+    c = len(list(combinations(range(params.n_qubits), params.t)))
     real, group_mass = swap_joint_state(params)
     dist = 0.0
     seen = set()
@@ -99,7 +102,7 @@ def swap_crossing_advantage(params) -> float:
                 share1 = 1.0 if o1 == ("abort", "abort") else 1.0 / nk
                 share2 = 1.0 if o2 == ("abort", "abort") else 1.0 / nk
                 dist += mass * share1 * share2
-    return 0.5 * dist
+    return 0.5 * dist / (c * c)
 
 
 def _member_tables(params):

@@ -798,14 +798,18 @@ def test_uncertified_attacks_evaluate_every_row(monkeypatch, build):
 
 
 @pytest.mark.parametrize("out_len", [1, 2, 3])
-@pytest.mark.parametrize("width", [5, 6, 7])
+@pytest.mark.parametrize("width", [5, 6, 7, 8])
 def test_engine_matches_classical_closed_forms(width, out_len):
-    # past the dense oracle's reach: the closed forms use no quantum state
+    # past the dense oracle's reach: the closed forms use no quantum state.
+    # At width 8 a row's 4^8 entries exceed _BATCH_ENTRIES, so _contract
+    # fixes a leading position's sector; steal-replace, at 0.7-1.9 s per run
+    # there, stays at widths 5 to 7
     n = width + 2
     params = bb84.default_params(n_qubits=n, t=2, q_tol=0.25, out_len=out_len, h_rows=2,
                                  seed=width * 10 + out_len)
     cases = [(bb84.intercept_resend(n, p), intercept_resend_labels(p)) for p in (0.37, 0.5, 1.0)]
-    cases.append((bb84.steal_replace_attack(n), STEAL_REPLACE_LABELS))
+    if width < 8:
+        cases.append((bb84.steal_replace_attack(n), STEAL_REPLACE_LABELS))
     for attack, labels in cases:
         run = bb84.qkd_run(params, attack)
         got = (run.p_abort, run.eps_cor, run.eps_sec, run.advantage)

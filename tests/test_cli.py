@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qkdsec.cli import main
@@ -284,6 +286,17 @@ def test_violated_bound_exits_2(tmp_path, monkeypatch):
     rc = main(["metrics", "check", "--seed", "1", "--out",
                str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+def test_nan_violation_fails_its_row(tmp_path, monkeypatch):
+    # a NaN violation is not read as a pass, whichever trial gives it
+    import qkdsec.metrics as mt
+    draws = iter([(0.0,), (math.nan,), (0.0,)])
+    monkeypatch.setattr(mt, "_PROPERTIES",
+                        ((3, lambda rng: next(draws), (("made-up", 1e-9),)),))
+    out = tmp_path / "x.csv"
+    assert main(["metrics", "check", "--seed", "1", "--out", str(out)]) == 2
+    assert out.read_text().splitlines()[1] == "made-up,3,nan,false"
 
 
 @pytest.mark.parametrize("subcommand,argv,line", [

@@ -149,6 +149,20 @@ def test_couple_measurements():
         assert 1.0 - cp.pr_equal <= mt.trace_distance(a, b) + 1e-9
 
 
+def test_couple_measurements_rejects_zero_trace():
+    # a valid subnormalised state with no outcome mass has no distribution
+    empty, z0 = qs.make_density(np.zeros((2, 2))), qs.pure_state([1, 0])
+    for r, s in ((empty, z0), (z0, empty)):
+        with pytest.raises(qs.BadTrace):
+            mt.couple_measurements(r, s, qs.basis_povm(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coupling_rejects_non_finite(bad):
+    with pytest.raises(qs.NotFinite):
+        mt.Coupling((0, 1), np.full((2, 2), bad))
+
+
 def _key_state(branches, dim_e):
     nk = len(branches)
     return qs.make_cq([("K", tuple(range(nk)))],

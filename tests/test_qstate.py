@@ -1,5 +1,4 @@
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +49,12 @@ def test_make_povm_rejects_non_finite(bad):
         qs.make_povm((0, 1), [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
 
 
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_classical_distribution_rejects_non_finite(bad):
+    with pytest.raises(qs.NotFinite):
+        qs.ClassicalDistribution((0, 1), [bad, bad])
+
+
 _OVER = [[1.5, 0.0], [0.0, 0.0]]      # eigenvalues [0, 1.5]
 _UNDER = [[-0.5, 0.0], [0.0, 0.0]]    # eigenvalues [-0.5, 0]
 _SKEW = [[0.0, 1.0], [0.0, 0.0]]
@@ -64,9 +69,10 @@ _WIDE = np.eye(3)
     ([np.eye(2), _WIDE, _UNDER], qs.DimMismatch, "share one shape"),
     ([_OVER, [[np.nan, 0.0], [0.0, 0.0]]], qs.NotPSD, "outside"),
     ([np.eye(2), [[np.inf, 0.0], [0.0, 0.0]], _OVER], qs.NotFinite, "NaN or infinite"),
+    ([], qs.DimMismatch, "at least one element"),
 ], ids=["range-before-hermitian", "hermitian-before-range", "first-range-failure",
         "range-before-shape", "shape-before-range", "range-before-finite",
-        "finite-before-range"])
+        "finite-before-range", "empty"])
 def test_make_povm_reports_elements_in_input_order(elements, error, message):
     # the range check is one stacked call, yet the first element in input
     # order that fails any check names the error
@@ -350,8 +356,7 @@ def test_constructors_keep_branch_order():
     pairs = [(k, e) for e in (10, 2) for k in (0, 1)]
     quantum = qs.make_cq(regs, [(a, 0.25, np.eye(2) / 2) for a in pairs], (2,))
     classical = qs.make_classical_cq(regs, [(a, 0.25) for a in pairs])
-    _, measured = qs.measure_povm(qs.basis_povm(2), quantum)
-    states = [quantum, classical, qs.tensor_cq(classical, quantum), measured,
+    states = [quantum, classical, qs.tensor_cq(classical, quantum),
               mt.uniform_key_twin(classical), mt.uniform_key_twin(quantum)]
     for state in states:
         keys = [qs.branch_order(b.assignment) for b in state.branches]
@@ -438,55 +443,6 @@ def test_channel_preserves_trace_randomised():
         out = qs.apply_channel(ch, state, 0)
         assert abs(out.trace_mass - state.trace_mass) <= 1e-10
         assert abs(float(np.trace(out.matrix).real) - state.trace_mass) <= 1e-10
-
-
-def test_measure_povm_examples():
-    dist, post = qs.measure_povm(qs.basis_povm(2), qs.maximally_mixed(2))
-    assert dist.prob(0) == pytest.approx(0.5, abs=1e-12)
-    only = qs.make_povm(("all",), [np.eye(3)], (3,))
-    dist, _ = qs.measure_povm(only, qs.maximally_mixed(3))
-    assert dist.prob("all") == pytest.approx(1.0, abs=1e-12)
-    plus = qs.pure_state([1, 1])
-    dist, post = qs.measure_povm(qs.basis_povm(2), plus)
-    assert dist.prob(0) == pytest.approx(0.5, abs=1e-12)
-    assert [r.name for r in post.registers] == ["outcome"]
-    with pytest.raises(qs.DimMismatch):
-        qs.measure_povm(qs.basis_povm(3), plus)
-
-
-def test_measure_density_matches_one_branch_cq():
-    # a density is measured as the cq state of one branch with no registers
-    rng = np.random.default_rng(17)
-    for trial in range(30):
-        dims = ((2,), (3,), (2, 2))[trial % 3]
-        dim = int(np.prod(dims))
-        rho = qs.make_density(
-            qs.random_density(int(rng.integers(0, 2 ** 31)), dim,
-                              int(rng.integers(1, dim + 1))).matrix, dims)
-        factors = (trial % 2,) if len(dims) == 2 else None
-        povm = qs.basis_povm(2 if factors else dim)
-        one_branch = qs.make_cq((), [((), 1.0, rho.matrix)], rho.dims)
-        dist, post = qs.measure_povm(povm, rho, factors)
-        cq_dist, cq_post = qs.measure_povm(povm, one_branch, factors)
-        assert np.abs(dist.probs - cq_dist.probs).max() <= 1e-15
-        assert mt.cq_trace_distance(post, cq_post) <= 1e-15
-
-
-@pytest.mark.parametrize("factors", [(5,), (-1,)])
-def test_measure_povm_rejects_out_of_range_factors(factors):
-    rho = qs.make_density(np.eye(4) / 4, (2, 2))
-    one_branch = qs.make_cq((), [((), 1.0, rho.matrix)], rho.dims)
-    for state in (rho, one_branch):
-        with pytest.raises(qs.DimMismatch, match=r"out of range for 2 factors"):
-            qs.measure_povm(qs.basis_povm(2), state, factors)
-
-
-def test_measure_povm_checks_trace_mass():
-    state = qs.make_cq([("K", (0, 1))], [((0,), 0.5, np.eye(2) / 2),
-                                         ((1,), 0.5, np.diag([1.0, 0.0]))], (2,))
-    qs.measure_povm(qs.basis_povm(2), state)
-    with pytest.raises(qs.BadTrace):
-        qs.measure_povm(qs.basis_povm(2), replace(state, trace_mass=0.75))
 
 
 def test_hermitian_eig_exported():

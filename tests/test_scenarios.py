@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -337,9 +338,11 @@ def test_swap_marginal_equals_steal_replace():
     # fresh random BB84 state, i.e. exactly the steal-and-replace channel
     params = bb84.default_params(n_qubits=2, t=1, q_tol=0.25, out_len=1, h_rows=0)
     real, _ = swap_oracle.swap_joint_state(params)
+    # the oracle's weights leave out the uniform choice of two sample subsets
+    pairs = math.comb(2, 1) ** 2
     marginal = {}
     for (_, (kp1, _kp2)), w in real.items():
-        marginal[kp1] = marginal.get(kp1, 0.0) + w
+        marginal[kp1] = marginal.get(kp1, 0.0) + w / pairs
     steal = bb84.qkd_run(params, bb84.steal_replace_attack(2))
     keys = set(marginal) | set(steal.key_joint)
     for key in keys:
@@ -350,31 +353,39 @@ def test_swap_marginal_equals_steal_replace():
 @pytest.mark.parametrize("n, t, h_rows, out_len, q_tol", [
     (2, 1, 0, 1, 0.25), (3, 1, 0, 1, 0.25), (3, 1, 1, 1, 0.25), (3, 2, 0, 1, 0.5)])
 def test_swap_joint_state_matches_scalar_oracle(n, t, h_rows, out_len, q_tol):
-    # the advantage sums the same terms in the same order as the pure-Python
-    # enumeration, so it is the same float
+    # every term is exact and the total is divided once, so the advantage is
+    # the same float as the pure-Python enumeration's
     params = bb84.default_params(n_qubits=n, t=t, q_tol=q_tol, out_len=out_len,
                                  h_rows=h_rows, seed=5)
     assert scenarios.swap_crossing_advantage(params) == \
         swap_oracle.swap_crossing_advantage(params)
 
 
+@pytest.mark.parametrize("n, t, h_rows, out_len, seed, exact", [
+    (3, 1, 1, 1, 6, Fraction(251, 576)), (3, 2, 0, 1, 1, Fraction(385, 1536)),
+    (3, 1, 0, 2, 3, Fraction(923, 1536))])
+def test_swap_crossing_is_the_rounded_rational(n, t, h_rows, out_len, seed, exact):
+    # every term is dyadic and the subset pairs divide the total once, so the
+    # advantage is the exact distance correctly rounded
+    params = bb84.default_params(n_qubits=n, t=t, q_tol=0.25, out_len=out_len,
+                                 h_rows=h_rows, seed=seed)
+    assert scenarios.swap_crossing_advantage(params) == float(exact)
+
+
 def _blocks_by_unique(params, cells):
     """Each block's cells and masses from an ``np.unique`` of its cell codes."""
     pairs = cells.shape[0]
     for w in scenarios._block_weights(params.n_qubits):
-        share = w / pairs
-        live = np.flatnonzero(share > 0.0)
+        live = np.flatnonzero(w > 0.0)
         block = cells[:, live].ravel()
-        _, first, inverse = np.unique(block, return_index=True, return_inverse=True)
-        sums = np.bincount(inverse, weights=np.tile(share[live], pairs))
-        order = np.argsort(first)
-        yield block[first[order]], sums[order]
+        unique, inverse = np.unique(block, return_inverse=True)
+        yield unique, np.bincount(inverse, weights=np.tile(w[live], pairs))
 
 
 @pytest.mark.parametrize("n, t, h_rows", [(2, 1, 0), (3, 1, 1), (3, 2, 0)])
 def test_swap_blocks_match_per_block_unique(n, t, h_rows):
-    # the cells are numbered once per run; every block's cells, in order of
-    # first occurrence, and their masses are those of a per-block np.unique
+    # the cells are numbered once per run; every block's cells, in ascending
+    # order, and their masses are those of a per-block np.unique
     params = bb84.default_params(n_qubits=n, t=t, q_tol=0.25, out_len=1,
                                  h_rows=h_rows, seed=5)
     codes = scenarios._SwapCodes(params)
