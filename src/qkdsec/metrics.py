@@ -159,9 +159,7 @@ def _merged(r: CQState, s: CQState):
             any(a.name != b.name for a, b in zip(r.registers, s.registers)):
         raise RegisterMismatch("states must share registers and quantum dims")
     for a, b in zip(r.registers, s.registers):
-        # equal alphabets whose values print differently (1 and True) rank apart
-        if a is not b and (a.alphabet != b.alphabet or
-                           not np.array_equal(a._ranks, b._ranks)):
+        if a is not b and a.alphabet != b.alphabet:
             raise RegisterMismatch(f"register {a.name} alphabets differ")
     both = np.concatenate((r.codes, s.codes))
     both.sort()
@@ -172,15 +170,16 @@ def _merged(r: CQState, s: CQState):
 
 
 def _aligned_items(r: CQState, s: CQState):
-    """``(assignment, branch of r, branch of s)`` in code order; ``None`` where absent."""
+    """``(code, assignment, branch of r, branch of s)`` in code order; ``None``
+    where absent."""
     codes, at_r, at_s = _merged(r, s)
     left, right = [None] * len(codes), [None] * len(codes)
     for i, b in zip(at_r.tolist(), r.branches):
         left[i] = b
     for i, b in zip(at_s.tolist(), s.branches):
         right[i] = b
-    for a, b in zip(left, right):
-        yield (a or b).assignment, a, b
+    for code, a, b in zip(codes.tolist(), left, right):
+        yield code, (a or b).assignment, a, b
 
 
 def _branch_gaps(pairs) -> np.ndarray:
@@ -245,10 +244,8 @@ def optimal_cq_povm(r: CQState, s: CQState) -> Povm:
     labels = []
     elements = []
     covered = np.zeros((total_dim, total_dim), dtype=complex)
-    for key, a, b in _aligned_items(r, s):
-        idx = 0
-        for reg, value in zip(r.registers, key):
-            idx = idx * len(reg.alphabet) + reg.index(value)
+    # a code is its classical cell's index in the flattened space
+    for idx, key, a, b in _aligned_items(r, s):
         ma = a.operator() if a is not None else np.zeros((qdim, qdim), dtype=complex)
         mb = b.operator() if b is not None else np.zeros((qdim, qdim), dtype=complex)
         w, v = hermitian_eig(ma - mb)

@@ -114,7 +114,14 @@ def _check_forged(order: int, pairs) -> tuple[list[int], list[int]]:
 
 
 def accept_probability(fam: HashFamily, x: int, y: int, x2: int, y2: int) -> float:
-    """Pr over keys consistent with (x, y) that the forged (x2, y2) verifies."""
+    """Pr over keys consistent with (x, y) that the forged (x2, y2) verifies.
+
+    The observed (x, y) must pass the forged pair's check too."""
+    observed = _forged_indices(fam.tag_space, [(x, y)])
+    if observed is None:
+        raise LengthOverflow(f"observed pair {(x, y)!r} outside the message and tag "
+                             f"space range({fam.tag_space})")
+    (x,), (y,) = observed
     (x2,), (y2,) = _check_forged(fam.tag_space, [(x2, y2)])
     if x2 == x:
         return 1.0 if y2 == y else 0.0

@@ -7,10 +7,10 @@ quantum parts are kept in factored form ``F F^dagger`` — pure branches are a
 single column, mixed branches several — which keeps every downstream distance
 computation a small Gram-matrix eigenproblem.  A state holds its branches as
 columns: an integer code per assignment, sorted, so that branches are in
-:func:`branch_order` (their values as strings, equal strings in alphabet
-order), a weight array and the factors.  :func:`make_classical_cq` builds a
-state with no quantum part from scalar weights, and
-:func:`make_classical_cq_columns` from alphabet-index columns.
+alphabet order (first register most significant), a weight array and the
+factors.  :func:`make_classical_cq` builds a state with no quantum part from
+scalar weights, and :func:`make_classical_cq_columns` from alphabet-index
+columns.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -57,7 +57,6 @@ __all__ = [
     "make_cq",
     "make_classical_cq",
     "make_classical_cq_columns",
-    "branch_order",
     "flatten_cq",
     "tensor_cq",
     "random_density",
@@ -311,7 +310,7 @@ class ClassicalDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if len(self.alphabet) != p.shape[0]:
+        if p.ndim != 1 or len(self.alphabet) != p.shape[0]:
             raise AlphabetMismatch("one probability per symbol required")
         if not np.isfinite(p).all():
             raise NotFinite("distribution has a NaN or infinite probability")
@@ -353,25 +352,21 @@ def make_povm(labels, elements, dims=None) -> Povm:
     dims = tuple(int(x) for x in dims)
     if int(np.prod(dims)) != d:
         raise DimMismatch("prod(dims) does not match element size")
-    # errors come in input order: the range check runs, in one stacked
-    # call, on the elements before the first that fails the other checks
-    checked, error = len(ops), None
-    for i, op in enumerate(ops):
-        error = _povm_element_error(op, d)
-        if error is not None:
-            checked = i
-            break
-    if checked:
-        w = hermitian_eig(np.stack(ops[:checked]))[0]
-        low, high = w.min(axis=1), w.max(axis=1)
-        outside = np.flatnonzero((low < -tol.POVM_ELEM_TOL) | (high > 1.0 + tol.POVM_ELEM_TOL))
-        if outside.size:
-            j = outside[0]
-            raise NotPSD(
-                f"POVM element eigenvalues [{low[j]:.3e}, {high[j]:.3e}] "
-                "outside [0, 1]")
-    if error is not None:
-        raise error
+    # one pass of the entrywise checks, then one stacked range spectrum
+    for op in ops:
+        if op.shape != (d, d):
+            raise DimMismatch("POVM elements must share one shape")
+        if not np.isfinite(op).all():
+            raise NotFinite("POVM element has a NaN or infinite entry")
+        herm = float(np.abs(op - op.conj().T).max())
+        if herm > tol.HERMITIAN_TOL:
+            raise NotHermitian(f"POVM element not Hermitian (defect {herm:.3e})")
+    w = hermitian_eig(np.stack(ops))[0]
+    low, high = w.min(axis=1), w.max(axis=1)
+    outside = np.flatnonzero((low < -tol.POVM_ELEM_TOL) | (high > 1.0 + tol.POVM_ELEM_TOL))
+    if outside.size:
+        j = outside[0]
+        raise NotPSD(f"POVM element eigenvalues [{low[j]:.3e}, {high[j]:.3e}] outside [0, 1]")
     total = np.zeros((d, d), dtype=complex)
     for op in ops:
         total += op
@@ -379,19 +374,6 @@ def make_povm(labels, elements, dims=None) -> Povm:
     if defect > tol.POVM_SUM_TOL:
         raise BadTrace(f"POVM elements sum to identity defect {defect:.3e}")
     return Povm(labels, tuple(_frozen(o) for o in ops), dims)
-
-
-def _povm_element_error(op: np.ndarray, d: int) -> StateError | None:
-    """The error of the first shape, finiteness or Hermiticity check that a
-    POVM element fails, or None."""
-    if op.shape != (d, d):
-        return DimMismatch("POVM elements must share one shape")
-    if not np.isfinite(op).all():
-        return NotFinite("POVM element has a NaN or infinite entry")
-    herm = float(np.abs(op - op.conj().T).max())
-    if herm > tol.HERMITIAN_TOL:
-        return NotHermitian(f"POVM element not Hermitian (defect {herm:.3e})")
-    return None
 
 
 def basis_povm(dim: int = 2) -> Povm:
@@ -403,34 +385,26 @@ def basis_povm(dim: int = 2) -> Povm:
 
 @dataclass(frozen=True)
 class Register:
-    """A named classical register over a finite alphabet.
+    """A named classical register over a finite alphabet of distinct values.
 
-    Cached on first use: ``_by_rank``, the alphabet values sorted by
-    ``(str(value), position)``; ``_ranks``, each position's rank in that
-    order; and ``_positions``, each value's first position.
+    ``_positions`` maps each value to its alphabet position.  An alphabet
+    that repeats a value, such as ``('a', 'a')`` or ``(1, True)`` (equal in
+    Python), raises :class:`AlphabetMismatch`.
     """
 
     name: str
     alphabet: tuple
 
+    def __post_init__(self):
+        if len(self._positions) != len(self.alphabet):
+            raise AlphabetMismatch(f"alphabet of register {self.name} repeats a value")
+
     def index(self, value) -> int:
         return self.alphabet.index(value)
 
     @cached_property
-    def _ranks(self) -> np.ndarray:
-        alphabet = self.alphabet
-        order = sorted(range(len(alphabet)), key=lambda i: (str(alphabet[i]), i))
-        ranks = np.empty(len(alphabet), dtype=np.int64)
-        ranks[order] = np.arange(len(alphabet))
-        return _frozen(ranks)
-
-    @cached_property
-    def _by_rank(self) -> tuple:
-        return tuple(self.alphabet[i] for i in np.argsort(self._ranks).tolist())
-
-    @cached_property
     def _positions(self) -> dict:
-        return {value: i for i, value in reversed(tuple(enumerate(self.alphabet)))}
+        return {value: i for i, value in enumerate(self.alphabet)}
 
 
 @dataclass(frozen=True)
@@ -455,15 +429,13 @@ class CQState:
     """A classical-quantum state stored as read-only columns, one entry per branch.
 
     ``codes`` number the assignments: the mixed-radix number, first register
-    most significant, of each value's rank in its alphabet sorted by
-    ``(str(value), position)``.  They are sorted and distinct, so branches
-    are in :func:`branch_order`, and values with equal strings in alphabet
-    order.  ``weights`` are the branch weights.  ``factors`` are the
-    branches' unit-trace factors, or ``None`` when every branch has the
-    shared read-only unit column of a classical state.  ``branches`` is a
-    view derived from the columns on first use and cached: one
-    :class:`CQBranch` per code, with the alphabet values and a ``float``
-    weight.
+    most significant, of each value's position in its alphabet.  They are
+    sorted and distinct, so branches are in alphabet order.  ``weights`` are
+    the branch weights.  ``factors`` are the branches' unit-trace factors,
+    or ``None`` when every branch has the shared read-only unit column of a
+    classical state.  ``branches`` is a view derived from the columns on
+    first use and cached: one :class:`CQBranch` per code, with the alphabet
+    values and a ``float`` weight.
     """
 
     registers: tuple[Register, ...]
@@ -482,8 +454,8 @@ class CQState:
         columns = []
         codes = self.codes
         for reg in reversed(self.registers):
-            codes, ranks = codes // len(reg.alphabet), codes % len(reg.alphabet)
-            columns.append(map(reg._by_rank.__getitem__, ranks.tolist()))
+            codes, positions = codes // len(reg.alphabet), codes % len(reg.alphabet)
+            columns.append(map(reg.alphabet.__getitem__, positions.tolist()))
         assignments = zip(*reversed(columns)) if columns else [()] * len(codes)
         factors = self.factors
         if factors is None:
@@ -496,35 +468,31 @@ def _factors(ops, qdim: int):
 
     A scalar or square op is a density matrix, which must be Hermitian; a
     vector or any other ``qdim x k`` matrix is a factor.  One pass checks
-    each op's shape, finiteness and Hermiticity in input order and stops at
-    the first failure; one stacked :func:`psd_factor` then factors the
-    density matrices before it.  The first error in input order is raised: a
-    density matrix that is not PSD before the failing op, else that op's.
-    A part of zero trace becomes one zero column.
+    each op's shape, finiteness and Hermiticity and raises at the first
+    failure; one stacked :func:`psd_factor` then factors the density
+    matrices and raises :class:`NotPSD` for the first that is not PSD.  A
+    part of zero trace becomes one zero column.
     """
-    parts, traces, density, error = [], [], [], None
+    parts, traces, density = [], [], []
     for op in ops:
         arr = np.array(op, dtype=complex)
         square = arr.ndim == 0 or (arr.ndim == 2 and arr.shape[0] == arr.shape[1])
         if arr.ndim < 2:
             arr = arr.reshape(-1, 1)
         if arr.ndim > 2 or arr.shape[0] != qdim:
-            error = DimMismatch(
+            raise DimMismatch(
                 f"branch operator of shape {arr.shape} is not a matrix on dimension {qdim}")
-            break
         # a NaN or infinite entry anywhere makes the squared norm non-finite;
         # checked first, so that no arithmetic below meets such an entry
         trace = float(np.vdot(arr, arr).real)
         if not math.isfinite(trace):
-            error = NotFinite(f"branch operator is not finite (squared norm {trace})")
-            break
+            raise NotFinite(f"branch operator is not finite (squared norm {trace})")
         if square:
             herm = float(np.abs(arr - arr.conj().T).max())
             if herm > tol.HERMITIAN_TOL:
-                error = NotHermitian(
+                raise NotHermitian(
                     f"branch operator is not Hermitian: max |M - M^dagger| = {herm:.3e} "
                     f"exceeds {tol.HERMITIAN_TOL:.0e}")
-                break
             density.append(len(parts))
             arr = 0.5 * (arr + arr.conj().T)
         parts.append(arr)
@@ -536,8 +504,6 @@ def _factors(ops, qdim: int):
             raise NotPSD(f"branch operator has eigenvalue {float(wmin[below.argmax()]):.3e}")
         for i, f in zip(density, factored):
             parts[i], traces[i] = f, float(np.vdot(f, f).real)
-    if error is not None:
-        raise error
     return ([arr / np.sqrt(trace) if trace > 0.0 else np.zeros((qdim, 1), dtype=complex)
              for arr, trace in zip(parts, traces)], traces)
 
@@ -547,15 +513,6 @@ def _unit_column(value: float) -> np.ndarray:
     # the normalised 1x1 factor of a unit scalar branch, shared read-only
     # by every branch of a classical state
     return _frozen(np.full((1, 1), value, dtype=complex))
-
-
-def branch_order(assignment) -> tuple:
-    """Sort key of cq branches: the assignment's values as strings.
-
-    Values with equal strings, such as ``1`` and ``"1"``, are further
-    ordered by their alphabet positions (see :class:`CQState`).
-    """
-    return tuple(map(str, assignment))
 
 
 def _registers(registers) -> tuple[Register, ...]:
@@ -571,46 +528,43 @@ def _code_dtype(regs):
 def _encode(regs, branches):
     """Alphabet-index columns and raw weights of ``(assignment, weight, ...)`` rows.
 
-    Encoding stops at the first assignment with the wrong number of values
-    (:class:`RegisterMismatch`) or a value outside its register's alphabet
-    (:class:`AlphabetMismatch`); that error is returned, not raised, so that
-    the checks of the rows before it come first.
+    The first assignment with the wrong number of values raises
+    :class:`RegisterMismatch`, or with a value outside its register's
+    alphabet :class:`AlphabetMismatch`.
     """
     width = len(regs)
     positions = [r._positions for r in regs]
-    rows, weights, error = [], [], None
+    rows, weights = [], []
     for branch in branches:
         assignment = branch[0]
         if type(assignment) is not tuple:
             assignment = tuple(assignment) if isinstance(assignment, (tuple, list)) \
                 else (assignment,)
         if len(assignment) != width:
-            error = RegisterMismatch(
+            raise RegisterMismatch(
                 f"assignment {assignment} has {len(assignment)} values for "
                 f"{width} registers")
-            break
         try:
             rows.append(tuple(map(dict.__getitem__, positions, assignment)))
         except KeyError:
             reg, value = next((r, v) for r, p, v in zip(regs, positions, assignment)
                               if v not in p)
-            error = AlphabetMismatch(f"value {value!r} not in alphabet of register {reg.name}")
-            break
+            raise AlphabetMismatch(
+                f"value {value!r} not in alphabet of register {reg.name}") from None
         weights.append(branch[1])
-    columns = np.array(rows, dtype=np.int64).reshape(len(rows), width).T
-    return columns, weights, error
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width).T, weights
 
 
-def _validated(regs, columns, weights, error=None):
-    """Codes and float weights of the rows before the first one failing a check.
+def _validated(regs, columns, weights):
+    """``(codes, order, weights)`` of checked rows: codes and float weights in
+    input order, and the argsort ``order`` of the codes.
 
     ``columns`` holds one alphabet-index column per register, each as long
-    as ``weights``; row ``i`` is entry ``i`` of each.  In input order, a row
-    fails when an index lies outside its register's alphabet (negative ones
-    included), its assignment repeats an earlier row's, or its weight is not
-    finite or below ``-PROB_TOL``.  Returns ``(codes, weights, error)``:
-    ``error`` is the first failing row's exception, else the given ``error``,
-    which belongs to the row after the last.
+    as ``weights``; row ``i`` is entry ``i`` of each.  One kind of check at
+    a time runs over all rows and raises for the first row that fails it:
+    an index outside its register's alphabet (negative ones included), then
+    an assignment that another row repeats, then a weight that is not
+    finite or below ``-PROB_TOL``.
     """
     w = np.asarray(weights, dtype=float)
     try:
@@ -625,53 +579,54 @@ def _validated(regs, columns, weights, error=None):
         if idx.size:
             raise AlphabetMismatch(f"alphabet indices must be integers, got {idx.dtype}")
         idx = idx.astype(np.int64)
-    stop = len(w)
     sizes = [len(r.alphabet) for r in regs]
     outside = (idx < 0) | (idx >= np.array(sizes)[:, None])
     if outside.any():
-        stop = int(np.argmax(outside.any(axis=0)))
-        r = int(np.argmax(outside[:, stop]))
-        error = AlphabetMismatch(
-            f"index {int(idx[r, stop])} outside the {sizes[r]} values of register "
+        row = int(np.argmax(outside.any(axis=0)))
+        r = int(np.argmax(outside[:, row]))
+        raise AlphabetMismatch(
+            f"index {int(idx[r, row])} outside the {sizes[r]} values of register "
             f"{regs[r].name}")
-        idx, w = idx[:, :stop], w[:stop]
     dtype = _code_dtype(regs)
-    codes = np.zeros(stop, dtype=dtype)
-    for reg, size, col in zip(regs, sizes, idx):
+    codes = np.zeros(len(w), dtype=dtype)
+    for size, col in zip(sizes, idx):
         codes *= size
-        codes += reg._ranks[col].astype(dtype, copy=False)
-    ordered = np.sort(codes)
+        codes += col.astype(dtype, copy=False)
+    order = codes.argsort()
+    ordered = codes[order]
+    repeats = ordered[1:] == ordered[:-1]
+    if repeats.any():
+        row = int(order[repeats.argmax()])
+        assignment = tuple(r.alphabet[i] for r, i in zip(regs, idx[:, row].tolist()))
+        raise DuplicateAssignment(f"assignment {assignment} appears twice")
     fine = (w >= -tol.PROB_TOL) & (w < math.inf)
-    if (ordered[1:] == ordered[:-1]).any() or not fine.all():
-        # the first failing row, each row's repeat checked before its weight
-        seen = set()
-        for stop, (code, weight) in enumerate(zip(codes.tolist(), w.tolist())):
-            if code in seen:
-                assignment = tuple(r.alphabet[i] for r, i in zip(regs, idx[:, stop].tolist()))
-                error = DuplicateAssignment(f"assignment {assignment} appears twice")
-                break
-            if not math.isfinite(weight):
-                error = NotFinite(f"branch weight {weight} is not finite")
-                break
-            if weight < -tol.PROB_TOL:
-                error = BadTrace(f"negative branch weight {weight}")
-                break
-            seen.add(code)
-        return codes[:stop], w[:stop], error
-    return codes, w, error
+    if not fine.all():
+        weight = float(w[fine.argmin()])
+        if not math.isfinite(weight):
+            raise NotFinite(f"branch weight {weight} is not finite")
+        raise BadTrace(f"negative branch weight {weight}")
+    return codes, order, w
 
 
-def _cq_state(regs, codes, weights, factors, qdims) -> CQState:
-    """The state of branches given in input order: mass added in that order
-    (a running sum), then the columns sorted by code."""
+def _mass(weights) -> float:
+    """The weights added in input order (a running sum), at most 1 within
+    ``TRACE_TOL``."""
     mass = float(np.add.accumulate(weights)[-1]) if len(weights) else 0.0
     if mass > 1.0 + tol.TRACE_TOL:
         raise BadTrace(f"branch weights sum to {mass!r} > 1")
-    order = codes.argsort()
+    return mass
+
+
+def _cq_state(regs, codes, order, weights, factors, qdims) -> CQState:
+    """The state of the rows of positive weight, given in input order with
+    ``order`` sorting their codes: their :func:`_mass`, and their columns in
+    code order.  ``factors`` maps a row to its factor, or is ``None``."""
+    keep = weights > 0.0
+    rows = order[keep[order]]
     if factors is not None:
-        factors = tuple(map(factors.__getitem__, order.tolist()))
-    return CQState(regs, _frozen(codes[order]), _frozen(weights[order]), factors, qdims,
-                   trace_mass=mass)
+        factors = tuple(map(factors.__getitem__, rows.tolist()))
+    return CQState(regs, _frozen(codes[rows]), _frozen(weights[rows]), factors, qdims,
+                   trace_mass=_mass(weights[keep]))
 
 
 def make_cq(registers, branches, quantum_dims=()) -> CQState:
@@ -684,24 +639,19 @@ def make_cq(registers, branches, quantum_dims=()) -> CQState:
     ``HERMITIAN_TOL``, else :class:`NotHermitian` is raised.  A vector, or
     any other ``qdim x k`` matrix, is a factor ``F`` of the operator
     ``F F^dagger``.  The branch weight is ``weight`` times the operator's
-    trace; branches of zero weight are dropped.  Errors come in input order:
-    a branch's assignment and weight are checked before its ``op``.
+    trace; branches of zero weight are dropped.  The assignments and weights
+    are checked before the ops, whose checks are :func:`_factors`'.
     """
     regs = _registers(registers)
     qdims = tuple(int(d) for d in quantum_dims)
     qdim = int(np.prod(qdims)) if qdims else 1
     rows = [(assignment, weight, op) for assignment, weight, op in branches]
-    columns, weights, error = _encode(regs, rows)
-    codes, weights, error = _validated(regs, columns, weights, error)
-    # the rows before the first failed check, in input order
-    live = np.flatnonzero(weights > 0.0)
-    factors, traces = _factors([rows[i][2] for i in live.tolist()], qdim)
-    if error is not None:
-        raise error
-    effective = weights[live] * np.array(traces, dtype=float)
-    kept = effective > 0.0
-    factors = [_frozen(f) for f, k in zip(factors, kept.tolist()) if k]
-    return _cq_state(regs, codes[live[kept]], effective[kept], factors, qdims)
+    codes, order, weights = _validated(regs, *_encode(regs, rows))
+    live = np.flatnonzero(weights > 0.0).tolist()
+    factors, traces = _factors([rows[i][2] for i in live], qdim)
+    weights[live] *= traces
+    factors = dict(zip(live, map(_frozen, factors)))
+    return _cq_state(regs, codes, order, weights, factors, qdims)
 
 
 def make_classical_cq_columns(registers, columns, weights) -> CQState:
@@ -716,14 +666,7 @@ def make_classical_cq_columns(registers, columns, weights) -> CQState:
     has the shared read-only unit factor.
     """
     regs = _registers(registers)
-    return _classical_cq(regs, *_validated(regs, columns, weights))
-
-
-def _classical_cq(regs, codes, weights, error) -> CQState:
-    if error is not None:
-        raise error
-    keep = weights > 0.0
-    return _cq_state(regs, codes[keep], weights[keep], None, ())
+    return _cq_state(regs, *_validated(regs, columns, weights), None, ())
 
 
 def make_classical_cq(registers, branches) -> CQState:
@@ -735,8 +678,7 @@ def make_classical_cq(registers, branches) -> CQState:
     """
     regs = _registers(registers)
     pairs = [(assignment, weight) for assignment, weight in branches]
-    columns, weights, error = _encode(regs, pairs)
-    return _classical_cq(regs, *_validated(regs, columns, weights, error))
+    return _cq_state(regs, *_validated(regs, *_encode(regs, pairs)), None, ())
 
 
 def flatten_cq(c: CQState) -> DensityOperator:
@@ -748,13 +690,10 @@ def flatten_cq(c: CQState) -> DensityOperator:
         raise DimensionCap(f"flattened dimension {total} exceeds cap {tol.DIM_CAP}")
     qdim = c.quantum_dim
     matrix = np.zeros((total, total), dtype=complex)
-    for b in c.branches:
-        idx = 0
-        for reg, value in zip(c.registers, b.assignment):
-            idx = idx * len(reg.alphabet) + reg.index(value)
-        op = b.operator()
-        lo = idx * qdim
-        matrix[lo:lo + qdim, lo:lo + qdim] += op
+    # a branch's code is its classical basis index
+    for code, b in zip(c.codes.tolist(), c.branches):
+        lo = code * qdim
+        matrix[lo:lo + qdim, lo:lo + qdim] += b.operator()
     return _wrap(matrix, dims if dims else (1,), min(c.trace_mass, 1.0))
 
 
@@ -762,17 +701,18 @@ def tensor_cq(a: CQState, b: CQState) -> CQState:
     """Parallel composition of cq states; register names get 1./2. prefixes."""
     regs = tuple(Register(f"1.{r.name}", r.alphabet) for r in a.registers) + \
         tuple(Register(f"2.{r.name}", r.alphabet) for r in b.registers)
-    # a's code is the high part of the product's code; the factors are
-    # already unit-trace canonical
+    # a's code is the high part of the product's code, so the codes come out
+    # sorted; the factors are already unit-trace canonical
     dtype = _code_dtype(regs)
     span = math.prod(len(r.alphabet) for r in b.registers)
     codes = np.add.outer(a.codes.astype(dtype) * span, b.codes.astype(dtype)).ravel()
     weights = np.multiply.outer(a.weights, b.weights).ravel()
     factors = None
     if a.factors is not None or b.factors is not None:
-        factors = [_frozen(np.kron(x.factor, y.factor))
-                   for x in a.branches for y in b.branches]
-    return _cq_state(regs, codes, weights, factors, a.quantum_dims + b.quantum_dims)
+        factors = tuple(_frozen(np.kron(x.factor, y.factor))
+                        for x in a.branches for y in b.branches)
+    return CQState(regs, _frozen(codes), _frozen(weights), factors,
+                   a.quantum_dims + b.quantum_dims, trace_mass=_mass(weights))
 
 
 # --- constructors and generators ----------------------------------------------

@@ -2,13 +2,12 @@
 
 This is how cq states were built and compared before they were stored as
 code and weight columns: one checked branch at a time, the trace mass added
-in input order, the branches sorted by their values as strings (equal
-strings by alphabet position, which the column codes define), and the
-distance summed branch by branch over the sorted union of both states'
-assignments, each term :func:`branch_gap`.  Each branch is factored, and
-each gap's trace norm taken, by its own 2-D linalg call, where the library
-stacks them.  Slow, and kept only to check the column and stacked paths bit
-for bit.
+in input order, the branches sorted by their values' alphabet positions
+(first register first), and the distance summed branch by branch over the
+sorted union of both states' assignments, each term :func:`branch_gap`.
+Each branch is factored, and each gap's trace norm taken, by its own 2-D
+linalg call, where the library stacks them.  Slow, and kept only to check
+the column and stacked paths bit for bit.
 """
 
 from __future__ import annotations
@@ -63,8 +62,7 @@ def branch_gap(a, b) -> float:
 
 def _sort_key(registers):
     def key(assignment):
-        return (qs.branch_order(assignment),
-                tuple(reg.index(v) for reg, v in zip(registers, assignment)))
+        return tuple(reg.index(v) for reg, v in zip(registers, assignment))
     return key
 
 

@@ -102,6 +102,15 @@ def test_accept_probability_refuses_forgery_outside_space(x2, y2):
         auth.accept_probability(affine_family(3), 0, 0, x2, y2)
 
 
+@pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (9, 0), (0, 8)],
+                         ids=["message-minus-1", "tag-minus-1", "message-9", "tag-8"])
+def test_accept_probability_refuses_observed_pair_outside_space(x, y):
+    # the observed pair passes the forged pair's check: a negative value
+    # would read the tables from their ends, a large one past them
+    with pytest.raises(auth.LengthOverflow, match=r"observed pair .* outside .* range\(8\)"):
+        auth.accept_probability(affine_family(3), x, y, 1, 0)
+
+
 _OUTSIDE = {
     "tag-minus-1": (1, -1),
     "tag-8": (1, 8),

@@ -55,6 +55,12 @@ def test_classical_distribution_rejects_non_finite(bad):
         qs.ClassicalDistribution((0, 1), [bad, bad])
 
 
+@pytest.mark.parametrize("probs", [1.0, [[1.0]]], ids=["scalar", "matrix"])
+def test_classical_distribution_needs_one_probability_per_symbol(probs):
+    with pytest.raises(qs.AlphabetMismatch, match="one probability per symbol required"):
+        qs.ClassicalDistribution(("a",), probs)
+
+
 _OVER = [[1.5, 0.0], [0.0, 0.0]]      # eigenvalues [0, 1.5]
 _UNDER = [[-0.5, 0.0], [0.0, 0.0]]    # eigenvalues [-0.5, 0]
 _SKEW = [[0.0, 1.0], [0.0, 0.0]]
@@ -62,20 +68,16 @@ _WIDE = np.eye(3)
 
 
 @pytest.mark.parametrize("elements, error, message", [
-    ([_OVER, _SKEW], qs.NotPSD, r"\[0.000e\+00, 1.500e\+00\]"),
     ([_SKEW, _OVER], qs.NotHermitian, "not Hermitian"),
     ([_UNDER, _OVER], qs.NotPSD, r"\[-5.000e-01, 0.000e\+00\]"),
-    ([np.eye(2), _OVER, _WIDE], qs.NotPSD, r"\[0.000e\+00, 1.500e\+00\]"),
     ([np.eye(2), _WIDE, _UNDER], qs.DimMismatch, "share one shape"),
-    ([_OVER, [[np.nan, 0.0], [0.0, 0.0]]], qs.NotPSD, "outside"),
     ([np.eye(2), [[np.inf, 0.0], [0.0, 0.0]], _OVER], qs.NotFinite, "NaN or infinite"),
     ([], qs.DimMismatch, "at least one element"),
-], ids=["range-before-hermitian", "hermitian-before-range", "first-range-failure",
-        "range-before-shape", "shape-before-range", "range-before-finite",
+], ids=["hermitian-before-range", "first-range-failure", "shape-before-range",
         "finite-before-range", "empty"])
 def test_make_povm_reports_elements_in_input_order(elements, error, message):
-    # the range check is one stacked call, yet the first element in input
-    # order that fails any check names the error
+    # the shape, finiteness and Hermiticity of every element are checked
+    # before the one stacked range spectrum, which names its first failure
     with pytest.raises(error, match=message):
         qs.make_povm(range(len(elements)), elements, (2,))
 
@@ -172,9 +174,9 @@ def test_make_cq_op_contract():
 
 
 def test_make_cq_errors_keep_input_order():
-    # the ops' shapes and Hermiticity are checked in one pass and their
-    # spectra in one stacked call, yet the first failing row in input order
-    # raises, with the message a row-at-a-time build gives
+    # the ops' shapes and Hermiticity are checked in one pass, then their
+    # spectra in one stacked call whose first failure raises, with the
+    # message a row-at-a-time build gives
     regs = [("K", (0, 1, 2))]
     not_psd = [[1.0, 0.0], [0.0, -0.5]]
     less_psd = [[1.0, 0.0], [0.0, -0.25]]
@@ -184,11 +186,8 @@ def test_make_cq_errors_keep_input_order():
     hermitian_message = ("branch operator is not Hermitian: max |M - M^dagger| = 2.000e-01 "
                          "exceeds 1e-10")
     cases = [
-        ([((0,), 0.3, not_psd), ((1,), 0.3, not_hermitian)], qs.NotPSD, psd_message),
         ([((0,), 0.3, not_hermitian), ((1,), 0.3, not_psd)], qs.NotHermitian,
          hermitian_message),
-        ([((0,), 0.3, not_psd), ((1,), 0.3, fine), ((0,), 0.3, fine)], qs.NotPSD,
-         psd_message),
         ([((0,), 0.3, fine), ((1,), 0.3, not_psd), ((2,), 0.3, less_psd)], qs.NotPSD,
          psd_message),
         # a row of zero weight is dropped before its op is read
@@ -251,18 +250,85 @@ def test_make_classical_cq_matches_make_cq():
         qs.make_classical_cq_columns(regs, [[0.0], [1.0]], [0.25])
     with pytest.raises(qs.RegisterMismatch):
         qs.make_classical_cq_columns(regs, [[0, 1], [0]], [0.25, 0.25])
-    # errors come in input order, as make_cq's do, and a row's repeat before
-    # its weight
-    with pytest.raises(qs.NotFinite):
-        qs.make_classical_cq_columns(regs, [[0, -1], [0, 1]], [np.nan, 0.25])
-    with pytest.raises(qs.AlphabetMismatch):
-        qs.make_classical_cq_columns(regs, [[-1, 0], [0, 1]], [0.25, np.nan])
+    # a row's repeat is checked before its weight
     with pytest.raises(qs.DuplicateAssignment, match=r"assignment \(0, 'p'\) appears twice"):
         qs.make_classical_cq_columns(regs, [[0, 1, 0], [0, 1, 0]], [0.25, 0.25, np.nan])
-    with pytest.raises(qs.NotFinite):
-        qs.make_classical_cq_columns(regs, [[0, 1, 0], [0, 1, 0]], [0.25, np.nan, 0.25])
     with pytest.raises(qs.DuplicateAssignment, match=r"assignment \(1, 'q'\) appears twice"):
         qs.make_cq(regs, [((1, "q"), 0.25, 1.0), ((0, "p"), 0.25, 1.0), ((1, "q"), 0.0, 1.0)])
+
+
+_X, _Y = (0, 1, 2, 3, 4), ("p", "q")
+_WORDS = [(0, "p"), (1, "q"), (2, "p"), (3, "q"), (4, "p")]
+# (field of the row it changes: 0 assignment, 1 weight, 2 op; new value,
+# error, message); each is the only fault of its input
+_ROW_FAULTS = [
+    (0, (0,), qs.RegisterMismatch, "assignment (0,) has 1 values for 2 registers"),
+    (0, (7, "p"), qs.AlphabetMismatch, "value 7 not in alphabet of register x"),
+    (0, (1, "q"), qs.DuplicateAssignment, "assignment (1, 'q') appears twice"),
+    (1, np.nan, qs.NotFinite, "branch weight nan is not finite"),
+    (1, -np.inf, qs.NotFinite, "branch weight -inf is not finite"),
+    (1, -0.25, qs.BadTrace, "negative branch weight -0.25"),
+    (1, 0.75, qs.BadTrace, "branch weights sum to 1.25 > 1"),
+    (2, [[1.0, 0.0]], qs.DimMismatch,
+     "branch operator of shape (1, 2) is not a matrix on dimension 2"),
+    (2, [[np.nan, 0.0], [0.0, 0.5]], qs.NotFinite,
+     "branch operator is not finite (squared norm nan)"),
+    (2, [[0.5, 0.3], [0.1, 0.5]], qs.NotHermitian,
+     "branch operator is not Hermitian: max |M - M^dagger| = 2.000e-01 exceeds 1e-10"),
+    (2, [[1.0, 0.0], [0.0, -0.5]], qs.NotPSD, "branch operator has eigenvalue -5.000e-01"),
+]
+_ELEMENT_FAULTS = [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], qs.DimMismatch, "POVM elements must share one shape"),
+    ([[np.nan, 0.0], [0.0, 0.0]], qs.NotFinite, "POVM element has a NaN or infinite entry"),
+    (_SKEW, qs.NotHermitian, "POVM element not Hermitian (defect 1.000e+00)"),
+    (_OVER, qs.NotPSD, "POVM element eigenvalues [0.000e+00, 1.500e+00] outside [0, 1]"),
+]
+
+
+def _raises_exactly(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+@pytest.mark.parametrize("row", [0, 2, 4], ids=["first", "middle", "last"])
+def test_single_fault_names_its_error_in_any_row(row):
+    # the checks run one kind at a time over all rows, so a lone fault is
+    # named with the same error and message wherever its row is
+    regs = [("x", _X), ("y", _Y)]
+    for field, value, error, message in _ROW_FAULTS:
+        rows = [[a, 0.125, np.diag([1.0, 0.0])] for a in _WORDS]
+        rows[row][field] = value
+        _raises_exactly(lambda: qs.make_cq(regs, rows, (2,)), error, message)
+        if field == 2:
+            continue
+        pairs = [(a, w) for a, w, _ in rows]
+        _raises_exactly(lambda: qs.make_classical_cq(regs, pairs), error, message)
+        if len(rows[row][0]) == 2 and rows[row][0][0] in _X:
+            columns = [[_X.index(a[0]) for a, _ in pairs], [_Y.index(a[1]) for a, _ in pairs]]
+            _raises_exactly(
+                lambda: qs.make_classical_cq_columns(regs, columns, [w for _, w in pairs]),
+                error, message)
+    for index in (5, -1):
+        columns = [list(range(5)), [0, 1, 0, 1, 0]]
+        columns[0][row] = index
+        _raises_exactly(lambda: qs.make_classical_cq_columns(regs, columns, [0.125] * 5),
+                        qs.AlphabetMismatch, f"index {index} outside the 5 values of register x")
+    for value, error, message in _ELEMENT_FAULTS:
+        elements = [np.eye(2) / 5] * 5
+        elements[row] = value
+        _raises_exactly(lambda: qs.make_povm(range(5), elements, (2,)), error, message)
+
+
+@pytest.mark.parametrize("alphabet", [("a", "a"), (1, True), (0, 1, 0.0)],
+                         ids=["same", "one-and-true", "zero-and-float-zero"])
+def test_register_refuses_a_repeated_value(alphabet):
+    # equal values would give one assignment two branches: a state with
+    # mass 1/2 on each would read as far from all mass on the one value
+    with pytest.raises(qs.AlphabetMismatch, match="alphabet of register x repeats a value"):
+        qs.Register("x", alphabet)
+    with pytest.raises(qs.AlphabetMismatch, match="repeats a value"):
+        qs.make_classical_cq_columns([("x", alphabet)], [[0, 1]], [0.5, 0.5])
 
 
 def _as_columns(registers, branches):
@@ -279,16 +345,16 @@ def _as_columns(registers, branches):
     return columns, [w for _, w in branches]
 
 
-def test_branch_order_key():
-    assert qs.branch_order((10, "a", 2)) == ("10", "a", "2")
-    state = qs.make_classical_cq([("x", (2, 10, "b"))], [((2,), 0.25), ((10,), 0.25),
-                                                        (("b",), 0.25)])
-    assert [b.assignment for b in state.branches] == [(10,), (2,), ("b",)]
+def test_branches_in_alphabet_order():
+    # alphabet positions order the branches, not the values' strings
+    state = qs.make_classical_cq([("x", (2, 10, "b"))], [(("b",), 0.25), ((10,), 0.25),
+                                                        ((2,), 0.25)])
+    assert [b.assignment for b in state.branches] == [(2,), (10,), ("b",)]
 
 
 def test_equal_strings_order_by_alphabet_position():
-    # 1 and "1" (and 2 and "2") print alike, so their alphabet positions
-    # order them: permuted inputs give one branch order and one distance
+    # 1 and "1" (and 2 and "2") print alike; their alphabet positions order
+    # them: permuted inputs give one branch order and one distance
     regs = [("x", ("1", 1, "a")), ("y", (2, "2"))]
     words = [(x, y) for x in ("1", 1, "a") for y in (2, "2")]
     real = [0.1, 0.2, 0.3, 0.05, 0.15, 0.2]
@@ -343,7 +409,8 @@ def test_codes_beyond_int64():
     r = qs.make_classical_cq(regs, [(a, 0.1) for a in words[:8]])
     s = qs.make_cq(regs, [(a, 0.1, 1.0) for a in words[2:]])
     assert r.codes.dtype == object
-    assert [b.assignment for b in r.branches] == sorted(words[:8], key=qs.branch_order)
+    # every alphabet is range(10), so alphabet order is numeric order
+    assert [b.assignment for b in r.branches] == sorted(words[:8])
     assert mt.cq_trace_distance(r, s) == oracle_distance(r, s)
     assert len(qs.tensor_cq(r, s).branches) == 8 * 7
     with pytest.raises(qs.DuplicateAssignment):
@@ -359,7 +426,8 @@ def test_constructors_keep_branch_order():
     states = [quantum, classical, qs.tensor_cq(classical, quantum),
               mt.uniform_key_twin(classical), mt.uniform_key_twin(quantum)]
     for state in states:
-        keys = [qs.branch_order(b.assignment) for b in state.branches]
+        keys = [tuple(map(qs.Register.index, state.registers, b.assignment))
+                for b in state.branches]
         assert len(keys) > 1
         assert keys == sorted(keys)
 
