@@ -49,7 +49,7 @@ class LengthOverflow(ValueError):
 
 def auth_tag(fam: HashFamily, key: tuple[int, int], x) -> tuple:
     """Transmit pair (message, tag)."""
-    blocks = (x,) if isinstance(x, int) else tuple(x)
+    blocks = fam.blocks(x)
     if len(blocks) > fam.max_blocks:
         raise LengthOverflow(
             f"{len(blocks)} blocks exceed the family cap {fam.max_blocks}")
@@ -59,7 +59,7 @@ def auth_tag(fam: HashFamily, key: tuple[int, int], x) -> tuple:
 def auth_verify(fam: HashFamily, key: tuple[int, int], pair: tuple):
     """Return the message when the tag checks out, else None (the error)."""
     x, y = pair
-    blocks = (x,) if isinstance(x, int) else tuple(x)
+    blocks = fam.blocks(x)
     if len(blocks) > fam.max_blocks:
         raise LengthOverflow(
             f"{len(blocks)} blocks exceed the family cap {fam.max_blocks}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "GF2m",
     "HashFamily",
     "affine_family",
+    "NotAFieldElement",
     "TagOutOfRange",
     "verify_asu2",
     "toeplitz_matrix",
@@ -76,6 +78,10 @@ def _field(bits: int) -> GF2m:
     return GF2m(bits)
 
 
+class NotAFieldElement(ValueError):
+    """A message block or key part that is not an integer in ``range(2^b)``."""
+
+
 @dataclass(frozen=True)
 class HashFamily:
     """Keyed hash family producing ``block_bits`` tags.
@@ -108,10 +114,34 @@ class HashFamily:
         order = self.field.order
         return ((a, c) for a in range(order) for c in range(order))
 
+    def _element(self, value, what: str) -> int:
+        """``value`` as an int in range(2^b), read through ``operator.index``."""
+        try:
+            x = index(value)
+        except TypeError:
+            x = None
+        if x not in range(self.field.order):
+            raise NotAFieldElement(
+                f"{what} {value!r} is not an integer in range({self.field.order})")
+        return x
+
+    def blocks(self, message) -> tuple[int, ...]:
+        """The blocks of a message given as one integer or a block sequence.
+
+        Ints, numpy integers and bools are read as their integer values; any
+        other block, or one outside the field (a negative one would read the
+        tables from their ends), raises :class:`NotAFieldElement`.
+        """
+        try:
+            blocks = (index(message),)
+        except TypeError:
+            blocks = tuple(message) if np.iterable(message) else (message,)
+        return tuple(self._element(x, "message block") for x in blocks)
+
     def digest(self, key: tuple[int, int], message) -> int:
         """Tag of a message given as one int or a block sequence."""
-        a, c = key
-        blocks = (message,) if isinstance(message, int) else tuple(message)
+        a, c = (self._element(part, "key part") for part in key)
+        blocks = self.blocks(message)
         if len(blocks) > self.max_blocks:
             raise ValueError(
                 f"message has {len(blocks)} blocks, family caps at {self.max_blocks}")
@@ -125,7 +155,7 @@ class HashFamily:
         """Tags for every key, ordered like :meth:`keys`; vectorised."""
         gf = self.field
         order = gf.order
-        blocks = (message,) if isinstance(message, int) else tuple(message)
+        blocks = self.blocks(message)
         acc = np.zeros(order, dtype=np.int64)  # indexed by a
         power = np.ones(order, dtype=np.int64)
         a_vals = np.arange(order)
@@ -181,7 +211,8 @@ def verify_asu2(fam: HashFamily, messages=None):
     Checks, over the uniform key, (1) Pr[h(x) = y] = 2^-b for all x, y and
     (2) Pr[h(x) = y and h(x') = y'] <= epsilon * 2^-b for all x != x', y, y'.
     Returns ``(max_pair_probability, epsilon * 2^-b, uniform_ok)``.
-    A tag outside ``range(2^b)`` raises ``TagOutOfRange``.
+    A message block outside ``range(2^b)`` raises ``NotAFieldElement``, a
+    tag outside it ``TagOutOfRange``.
     """
     order = fam.tag_space
     if messages is None:

@@ -15,12 +15,16 @@ integer codes, block by block (a (theta1, theta2) block of the 16^n joint
 assignments of both swapped runs; a (sample subset, bases) block of a
 round, with keys from one T-matrix product and tag acceptance from one
 count table per (target, forged) message), and both reduce a block with
-``_matched_terms``.  The swap's cells do not depend on the bases, so they
-are numbered once per run (``_SwapCodes``) and each of its blocks is one
-gather of the live columns plus one ``np.bincount`` over cell ids.  Both
-read the single-qubit odds from ``bb84._overlaps()``; the round's come as
-one dense outcome table per intercept probability (``_outcome_table``),
-whose positive slots each row expands into with one ``np.nonzero``.
+``_matched_terms``.  A label (Eve's view and the abort pattern) spreads its
+mass evenly over its ideal cells, and a real cell is one of them exactly
+when its ideal share is positive, so the ideal cells a block misses are
+counted per label, never listed.  The swap's cells do not depend on the
+bases, so they are numbered once per run (``_SwapCodes``) and each of its
+blocks is one gather of the live columns plus one ``np.bincount`` over cell
+ids.  Both read the single-qubit odds from ``bb84._overlaps()``; the
+round's come as one dense outcome table per intercept probability
+(``_outcome_table``), whose positive slots each row expands into with one
+``np.nonzero``.
 Every ideal share is 0, 1 or one over the power-of-two key count.  The
 swap's weights are dyadic and leave out the uniform choice of the two
 sample subsets, so every term and partial sum is held exactly, in any
@@ -166,16 +170,18 @@ def swap_crossing_advantage(params: QkdParams) -> float:
 
     The ideal side uniformises the surviving keys per instance; abort
     patterns are matched per instance through the simulators' switches.
-    The masses leave out the uniform choice of the two sample subsets, so
-    every term and partial sum is a dyadic rational that a float holds
-    exactly; the total is divided by the C(n, t)^2 subset pairs once, at
-    the end, and the value is the rational distance correctly rounded.
+    Each block's terms come from ``_matched_terms`` over the labels that
+    ``_SwapCodes`` numbers once per run.  The masses leave out the uniform
+    choice of the two sample subsets, so every term and partial sum is a
+    dyadic rational that a float holds exactly; the total is divided by the
+    C(n, t)^2 subset pairs once, at the end, and the value is the rational
+    distance correctly rounded.
     """
     codes = _SwapCodes(params)
     total = 0.0
     for ids, masses in _swap_blocks(params, codes):
-        found, ideal_only = _matched_terms(ids, masses, codes.label[ids],
-                                           codes.share.__getitem__, codes.options)
+        found, ideal_only = _matched_terms(masses, codes.label[ids], codes.share[ids],
+                                           codes.label_share)
         total += float(found.sum()) + float(ideal_only.sum())
     return 0.5 * total / codes.group.shape[0]
 
@@ -200,11 +206,10 @@ class _SwapCodes:
     in each (theta1, theta2) block: ``group[s1 * subsets + s2, m]`` (int32)
     is the id of joint assignment m's cell under subset pair (s1, s2).  Ids
     number the distinct real cells in code order, so a block's ascending ids
-    are its cells in code order, then the ideal cells that no assignment
-    reaches; ``codes`` holds each id's code.  Per real cell
-    id, ``label`` numbers its label (subset pair, evis and pass flags); per
-    id, ``share`` is its ideal weight factor; and :meth:`options` gives a
-    label's ideal cells as ids.
+    are its cells in code order; ``codes`` holds each id's code.  Per id,
+    ``label`` numbers its label (subset pair, evis and pass flags) and
+    ``share`` is its ideal weight factor; per label, ``label_share`` is the
+    factor of each of its ideal cells (``_labels``).
     """
 
     def __init__(self, params: QkdParams):
@@ -213,19 +218,11 @@ class _SwapCodes:
         self.evis_size = 4 ** params.t << params.h_rows
         self.size = (nk + 1) ** 2 * self.evis_size
         cells = self._cell_codes(params)
-        real, group = np.unique(cells.ravel(), return_inverse=True)
+        self.codes, group = np.unique(cells.ravel(), return_inverse=True)
         self.group = group.astype(np.int32).reshape(cells.shape)
-        _, at, self.label = np.unique(self._label_codes(real), return_index=True,
-                                      return_inverse=True)
-        # each label's ideal cells; those no assignment reaches get the ids
-        # after the real cells
-        ideal = self._option_codes(real[at])
-        pos = np.searchsorted(real, ideal).clip(max=len(real) - 1)
-        unreached = (ideal >= 0) & (real[pos] != ideal)
-        extra, extra_id = np.unique(ideal[unreached], return_inverse=True)
-        pos[unreached] = len(real) + extra_id
-        self._ideal = np.where(ideal >= 0, pos, -1)
-        self.codes = np.concatenate([real, extra])
+        labels, ideal_share = self._labels(self.codes)
+        _, at, self.label = np.unique(labels, return_index=True, return_inverse=True)
+        self.label_share = ideal_share[at]
         self.share = self._share_codes(self.codes)
 
     def _cell_codes(self, params: QkdParams) -> np.ndarray:
@@ -263,10 +260,6 @@ class _SwapCodes:
         return self._join(np.arange(subsets ** 2)[:, None],
                           np.repeat(first, subsets, axis=0), np.tile(second, (subsets, 1)))
 
-    def options(self, ids: np.ndarray) -> np.ndarray:
-        """Per real cell id, the ids of its label's ideal cells (padded with -1)."""
-        return self._ideal[self.label[ids]]
-
     def _join(self, pair, code1, code2):
         return (pair * self.size + code1) * self.size + code2
 
@@ -275,12 +268,17 @@ class _SwapCodes:
         pair, first = np.divmod(cells // self.size, self.size)
         return pair, first, cells % self.size
 
-    def _label_codes(self, cells: np.ndarray) -> np.ndarray:
-        """Label code of cells: subset pair, evis and pass flags."""
-        pair, first, second = self._split(cells)
-        lab1 = first % self.evis_size * 2 + (first // self.evis_size != self.abort)
-        lab2 = second % self.evis_size * 2 + (second // self.evis_size != self.abort)
-        return (pair * 2 * self.evis_size + lab1) * 2 * self.evis_size + lab2
+    def _labels(self, cells: np.ndarray):
+        """Label code of cells (subset pair, evis and pass flags) and the
+        share of each of the label's ideal cells: the product over the
+        instances of one over the key count when it passed, one otherwise."""
+        pair, *codes = self._split(cells)
+        label, share = pair, 1.0
+        for code in codes:
+            passed = code // self.evis_size != self.abort
+            label = (label * self.evis_size + code % self.evis_size) * 2 + passed
+            share = share * np.where(passed, 1.0 / self.nk, 1.0)
+        return label, share
 
     def _share_codes(self, cells: np.ndarray) -> np.ndarray:
         """Ideal weight factor of cells, the product of the instances'."""
@@ -288,34 +286,16 @@ class _SwapCodes:
         return (_key_share(first // self.evis_size, self.nk)
                 * _key_share(second // self.evis_size, self.nk))
 
-    def _option_codes(self, cells: np.ndarray) -> np.ndarray:
-        """Per cell, the ideal cells of its label: per instance each (k, k)
-        when it passed, else the abort alone (padded with -1)."""
-        pair, *codes = self._split(cells)
-        k = np.arange(self.nk)
-        per_instance = []
-        for code in codes:
-            keys, evis = np.divmod(code, self.evis_size)
-            passing = (k * (self.nk + 2) * self.evis_size)[None, :] + evis[:, None]
-            aborting = np.where(k == 0, self.abort * self.evis_size + evis[:, None], -1)
-            per_instance.append(np.where((keys != self.abort)[:, None], passing, aborting))
-        opt1, opt2 = per_instance
-        joined = self._join(pair[:, None, None], opt1[:, :, None], opt2[:, None, :])
-        valid = (opt1 >= 0)[:, :, None] & (opt2 >= 0)[:, None, :]
-        return np.where(valid, joined, -1).reshape(len(cells), -1)
 
+def _first_seen(keys: np.ndarray):
+    """Number the distinct keys in order of first occurrence.
 
-def _sums_by_first_seen(keys: np.ndarray, weights: np.ndarray):
-    """Add the weights of each key in input order.
-
-    Returns the positions of the distinct keys' first occurrences, in
-    order of first occurrence, their sums in that order, and the sum of
-    every input's key.
+    Returns the positions of their first occurrences, in that order, and
+    each input's number.
     """
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    sums = np.bincount(inverse, weights=weights)
     order = np.argsort(first)
-    return first[order], sums[order], sums[inverse]
+    return first[order], np.argsort(order)[inverse]
 
 
 def _key_share(kpair: np.ndarray, nk: int) -> np.ndarray:
@@ -327,25 +307,24 @@ def _key_share(kpair: np.ndarray, nk: int) -> np.ndarray:
     return np.where(fa & fb, 1.0, np.where(fa | fb | (ka == kb), 1.0 / nk, 0.0))
 
 
-def _matched_terms(cells, masses, labels, share, options):
+def _matched_terms(masses, labels, share, label_share):
     """|real - ideal| terms of one block against the matched ideal resource.
 
     Each label (Eve's view and the abort pattern) keeps its real mass on the
-    ideal side, spread over its ideal cells by ``share``.  ``cells`` are the
-    block's distinct real cells (codes or ids), in any order, with their
-    ``masses`` and ``labels``; ``options`` maps each label's first
-    cell to its ideal cells, padded with -1.  Returns the term of each real
-    cell in cell order, and the ideal mass of each ideal cell that the real
-    run never produced, in label order.
+    ideal side, spread evenly over its ideal cells: ``label_share[l]`` of it
+    on each of the 1 / ``label_share[l]`` cells of label l.  The block's
+    distinct real cells come with their ``masses``, ``labels`` (numbers
+    indexing ``label_share``) and ideal ``share``; a real cell is one of its
+    label's ideal cells exactly when its share is positive.  Returns the term
+    of each real cell in input order, and the ideal mass of each ideal cell
+    that the block never reached, in label order; a label the block does
+    not reach has no mass and adds none.
     """
-    at, label_mass, mass_of_label = _sums_by_first_seen(labels, masses)
-    ideal = options(cells[at])
-    # a binary search, not np.isin, which imports numpy.ma on first use
-    ordered = np.sort(cells)
-    found = ordered[np.searchsorted(ordered, ideal).clip(max=len(ordered) - 1)] == ideal
-    missing = (ideal >= 0) & ~found
-    return (np.abs(masses - mass_of_label * share(cells)),
-            label_mass[np.nonzero(missing)[0]] * share(ideal[missing]))
+    label_mass = np.bincount(labels, weights=masses, minlength=len(label_share))
+    reached = np.bincount(labels[share > 0.0], minlength=len(label_share))
+    missed = np.where(label_mass > 0.0, (1.0 / label_share).astype(np.int64) - reached, 0)
+    return (np.abs(masses - label_mass[labels] * share),
+            np.repeat(label_mass * label_share, missed))
 
 
 def _block_weights(n: int):
@@ -455,37 +434,27 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
         raise ScheduleMismatch(f"unknown tamper target {tamper!r}")
     nk = params.key_size
     pairs = (nk + 1) ** 2
-    k = np.arange(nk)
 
     # Ideal: key resource with one delivery switch per party, pressed as the
     # simulator's internal run aborted, so each Eve-visible group keeps its
-    # real abort pattern and the delivered keys are one shared uniform value.
-    # (A both-or-neither resource cannot track the interruption asymmetry
-    # any two-message flow necessarily has.)
-    def share(cells):
-        return _key_share(cells % pairs, nk)
-
-    def options(cells):
-        # both abort, an abort beside each key, or each shared key; a
-        # both-abort label's options are its own cell, so never missing
-        evis, kpair = np.divmod(cells, pairs)
-        ka, kb = np.divmod(kpair, nk + 1)
-        ka = np.where((ka == nk)[:, None], nk, k)
-        kb = np.where((kb == nk)[:, None], nk, k)
-        return evis[:, None] * pairs + ka * (nk + 1) + kb
-
+    # real abort pattern and the delivered keys are one shared uniform value:
+    # a label's ideal cells are both aborts, an abort beside each key, or
+    # each shared key.  (A both-or-neither resource cannot track the
+    # interruption asymmetry any two-message flow necessarily has.)
     aborts, errors, terms = [], [], []
     for keys, weights in _round_blocks(params, fam, table, tamper):
         # real branches: (Eve-visible record, key pair) cells in order of
         # first occurrence; an aborted key is nk
-        at, masses, _ = _sums_by_first_seen(keys, weights)
-        cells = keys[at]
-        evis, kpair = np.divmod(cells, pairs)
+        at, number = _first_seen(keys)
+        masses = np.bincount(number, weights=weights)
+        evis, kpair = np.divmod(keys[at], pairs)
         ka, kb = np.divmod(kpair, nk + 1)
         fa, fb = ka == nk, kb == nk
         aborts.append(masses[fa & fb])
         errors.append(masses[ka != kb])
-        terms.append(_matched_terms(cells, masses, evis * 4 + fa * 2 + fb, share, options))
+        first, labels = _first_seen(evis * 4 + fa * 2 + fb)
+        label_share = np.where(fa & fb, 1.0, 1.0 / nk)[first]
+        terms.append(_matched_terms(masses, labels, _key_share(kpair, nk), label_share))
     found, ideal_only = zip(*terms)
     c = math.comb(params.n_qubits, params.t)
     return {

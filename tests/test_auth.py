@@ -111,6 +111,54 @@ def test_accept_probability_refuses_observed_pair_outside_space(x, y):
         auth.accept_probability(affine_family(3), x, y, 1, 0)
 
 
+@pytest.mark.parametrize("message, bad", [(-1, "-1"), (8, "8"), (3.0, "3.0"), ("a", "'a'"),
+                                          ((1, -1), "-1")],
+                         ids=["minus-1", "8", "float", "str", "block-minus-1"])
+def test_digest_refuses_a_block_outside_the_field(message, bad):
+    # -1 would read the tables from their ends and tag like 7; 8 would raise
+    # a bare IndexError
+    fam = affine_family(3, max_blocks=2)
+    pattern = rf"message block {bad} is not an integer in range\(8\)"
+    with pytest.raises(hashing.NotAFieldElement, match=pattern):
+        fam.digest((1, 0), message)
+    with pytest.raises(hashing.NotAFieldElement, match=pattern):
+        fam.digest_all_keys(message)
+
+
+@pytest.mark.parametrize("key, bad", [((1, 9), "9"), ((8, 0), "8"), ((-1, 0), "-1"),
+                                      ((1, 2.0), "2.0")],
+                         ids=["offset-9", "multiplier-8", "multiplier-minus-1", "float"])
+def test_digest_refuses_a_key_part_outside_the_field(key, bad):
+    # an offset of 9 would give tag 8, outside the tag space
+    with pytest.raises(hashing.NotAFieldElement,
+                       match=rf"key part {bad} is not an integer in range\(8\)"):
+        affine_family(3).digest(key, 3)
+
+
+def test_digest_reads_integer_like_blocks_and_key_parts():
+    # numpy integers and bools are read as their integer values
+    fam = affine_family(3, max_blocks=2)
+    assert fam.digest((np.int64(5), np.uint8(2)), np.int64(3)) == fam.digest((5, 2), 3)
+    assert fam.digest((5, 2), True) == fam.digest((5, 2), 1)
+    assert fam.digest((5, 2), np.array([3, 1])) == fam.digest((5, 2), (3, 1))
+    assert np.array_equal(fam.digest_all_keys(np.int64(3)), fam.digest_all_keys(3))
+    assert np.array_equal(fam.digest_all_keys(True), fam.digest_all_keys(1))
+    assert auth.auth_verify(fam, (5, 2), auth.auth_tag(fam, (5, 2), np.int64(6))) == 6
+
+
+def test_auth_verify_refuses_a_negative_message():
+    # the tables read from their ends once verified -1 against tag 7
+    fam = affine_family(3)
+    with pytest.raises(hashing.NotAFieldElement, match=r"message block -1"):
+        auth.auth_verify(fam, (1, 0), (-1, 7))
+
+
+def test_asu2_refuses_a_message_outside_the_field():
+    # message -1 tagged like 7 and read as a false violation of the bound
+    with pytest.raises(hashing.NotAFieldElement, match=r"message block -1"):
+        verify_asu2(affine_family(3), messages=[0, 7, -1])
+
+
 _OUTSIDE = {
     "tag-minus-1": (1, -1),
     "tag-8": (1, 8),

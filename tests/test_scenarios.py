@@ -363,7 +363,8 @@ def test_swap_joint_state_matches_scalar_oracle(n, t, h_rows, out_len, q_tol):
 
 @pytest.mark.parametrize("n, t, h_rows, out_len, seed, exact", [
     (3, 1, 1, 1, 6, Fraction(251, 576)), (3, 2, 0, 1, 1, Fraction(385, 1536)),
-    (3, 1, 0, 2, 3, Fraction(923, 1536))])
+    (3, 1, 0, 2, 3, Fraction(923, 1536)), (4, 1, 1, 1, 5, Fraction(225, 512)),
+    (4, 2, 1, 1, 5, Fraction(779, 3072))])
 def test_swap_crossing_is_the_rounded_rational(n, t, h_rows, out_len, seed, exact):
     # every term is dyadic and the subset pairs divide the total once, so the
     # advantage is the exact distance correctly rounded
@@ -400,22 +401,27 @@ def test_swap_blocks_match_per_block_unique(n, t, h_rows):
 
 
 def test_matched_terms_on_hand_built_block():
-    # cell = label * 9 + ka * 3 + kb over two keys; key 2 is an abort
-    def share(cells):
-        ka, kb = np.divmod(cells % 9, 3)
-        return np.where(ka == kb, np.where(ka == 2, 1.0, 0.5), 0.0)
-
-    def options(cells):
-        label, kpair = np.divmod(cells, 9)
-        keys = label[:, None] * 9 + np.array([0, 4])
-        aborts = np.stack([cells, np.full_like(cells, -1)], axis=1)
-        return np.where((kpair == 8)[:, None], aborts, keys)
-
-    # label 0 passes with keys (0, 0) and the mismatch (0, 1); label 1 aborts
-    cells = np.array([0, 1, 17])
+    # two keys: a passing label's ideal cells are (0, 0) and (1, 1), each
+    # with half its mass; an abort label's one cell takes all of it.  Label 0
+    # passes with keys (0, 0) and the mismatch (0, 1); label 1 aborts
     masses = np.array([0.375, 0.125, 0.25])
-    found, ideal_only = scenarios._matched_terms(cells, masses, cells // 9, share, options)
-    # the mismatch lies outside its label's options and keeps its full mass
+    found, ideal_only = scenarios._matched_terms(
+        masses, np.array([0, 0, 1]), np.array([0.5, 0.0, 1.0]), np.array([0.5, 1.0]))
+    # the mismatch lies outside its label's ideal cells and keeps its full mass
     assert found.tolist() == [0.375 - 0.5 * 0.5, 0.125, 0.0]
     # the missing key pair (1, 1) of label 0 is ideal-only; the abort adds none
     assert ideal_only.tolist() == [0.5 * 0.5]
+
+
+@pytest.mark.parametrize("labels, share, label_share, ideal_only", [
+    # a passing label that reaches none of its ideal cells: both are ideal-only
+    ([0], [0.0], [0.5], [0.25, 0.25]),
+    # a both-abort label is its own ideal cell, and label 0, which the block
+    # does not reach, has no mass: neither adds a term
+    ([1], [1.0], [0.5, 1.0], []),
+], ids=["passing-unreached", "abort-only"])
+def test_matched_terms_on_one_label(labels, share, label_share, ideal_only):
+    found, got = scenarios._matched_terms(
+        np.array([0.5]), np.array(labels), np.array(share), np.array(label_share))
+    assert found.tolist() == [0.5 - 0.5 * share[0]]
+    assert got.tolist() == ideal_only
