@@ -21,7 +21,6 @@ from . import tolerances as tol
 from .linalg import hermitian_eig, trace_norm_of_factored_sum
 from .qstate import (
     AlphabetMismatch,
-    BadTrace,
     CQState,
     ClassicalDistribution,
     DensityOperator,
@@ -48,15 +47,10 @@ __all__ = [
     "trace_distance",
     "cq_trace_distance",
     "helstrom_povm",
-    "distinguishing_advantage",
-    "guessing_probability",
-    "optimal_cq_povm",
     "maximal_coupling",
-    "couple_measurements",
     "pguess_exact",
     "von_neumann_entropy",
     "conditional_entropy",
-    "relative_entropy",
     "binary_entropy",
     "entropy_bounds",
     "secrecy_distance",
@@ -145,14 +139,6 @@ def helstrom_povm(r: DensityOperator, s: DensityOperator) -> Povm:
     return make_povm((0, 1), [gamma, np.eye(r.dim) - gamma], r.dims)
 
 
-def distinguishing_advantage(r: DensityOperator, s: DensityOperator) -> float:
-    return trace_distance(r, s)
-
-
-def guessing_probability(r: DensityOperator, s: DensityOperator) -> float:
-    return 0.5 + 0.5 * trace_distance(r, s)
-
-
 def _merged(r: CQState, s: CQState):
     """Both states' codes merged in order, and each state's positions in them."""
     if len(r.registers) != len(s.registers) or r.quantum_dims != s.quantum_dims or \
@@ -167,19 +153,6 @@ def _merged(r: CQState, s: CQState):
     np.not_equal(both[1:], both[:-1], out=first[1:])
     codes = both[first]
     return codes, codes.searchsorted(r.codes), codes.searchsorted(s.codes)
-
-
-def _aligned_items(r: CQState, s: CQState):
-    """``(code, assignment, branch of r, branch of s)`` in code order; ``None``
-    where absent."""
-    codes, at_r, at_s = _merged(r, s)
-    left, right = [None] * len(codes), [None] * len(codes)
-    for i, b in zip(at_r.tolist(), r.branches):
-        left[i] = b
-    for i, b in zip(at_s.tolist(), s.branches):
-        right[i] = b
-    for code, a, b in zip(codes.tolist(), left, right):
-        yield code, (a or b).assignment, a, b
 
 
 def _branch_gaps(pairs) -> np.ndarray:
@@ -228,45 +201,6 @@ def cq_trace_distance(r: CQState, s: CQState) -> float:
     return 0.5 * float(np.add.accumulate(gaps)[-1]) if len(gaps) else 0.0
 
 
-def optimal_cq_povm(r: CQState, s: CQState) -> Povm:
-    """Measurement achieving the trace distance while reading classical registers.
-
-    Elements are labelled ``(assignment, sign)`` and act on the flattened
-    space; per classical branch they are the Helstrom projectors of the
-    weighted difference of the branch operators.
-    """
-    reg_dims = tuple(len(reg.alphabet) for reg in r.registers)
-    cdim = int(np.prod(reg_dims)) if reg_dims else 1
-    qdim = r.quantum_dim
-    total_dim = cdim * qdim
-    if total_dim > tol.DIM_CAP:
-        raise DimMismatch("flattened POVM would exceed the dimension cap")
-    labels = []
-    elements = []
-    covered = np.zeros((total_dim, total_dim), dtype=complex)
-    # a code is its classical cell's index in the flattened space
-    for idx, key, a, b in _aligned_items(r, s):
-        ma = a.operator() if a is not None else np.zeros((qdim, qdim), dtype=complex)
-        mb = b.operator() if b is not None else np.zeros((qdim, qdim), dtype=complex)
-        w, v = hermitian_eig(ma - mb)
-        keep = w >= 0.0
-        plus = v[:, keep] @ v[:, keep].conj().T
-        plus = 0.5 * (plus + plus.conj().T)
-        for sign, block in (("+", plus), ("-", np.eye(qdim) - plus)):
-            big = np.zeros((total_dim, total_dim), dtype=complex)
-            big[idx * qdim:(idx + 1) * qdim, idx * qdim:(idx + 1) * qdim] = block
-            labels.append((key, sign))
-            elements.append(big)
-            covered += big
-    # Classical cells with no branch on either side still need their identity share.
-    gap = np.eye(total_dim) - covered
-    if float(np.abs(gap).max()) > tol.POVM_SUM_TOL:
-        labels.append((("rest",), "+"))
-        elements.append(gap)
-    dims = reg_dims + r.quantum_dims if (reg_dims or r.quantum_dims) else (1,)
-    return make_povm(tuple(labels), elements, dims)
-
-
 def maximal_coupling(p: ClassicalDistribution, q: ClassicalDistribution) -> Coupling:
     """Coupling with Pr[Z = Z~] = 1 - D(P, Q), marginals exact.
 
@@ -287,22 +221,6 @@ def maximal_coupling(p: ClassicalDistribution, q: ClassicalDistribution) -> Coup
         # equal distributions: the construction degenerates to the diagonal
         joint = np.diag(p.probs)
     return Coupling(p.alphabet, joint)
-
-
-def couple_measurements(r: DensityOperator, s: DensityOperator, povm: Povm) -> Coupling:
-    """Maximal coupling of the outcome distributions of one POVM on two states.
-
-    Each distribution is normalised by its state's outcome mass;
-    :class:`BadTrace` is raised when that mass is zero.
-    """
-    dists = []
-    for state in (r, s):
-        w = [max(float(np.trace(e @ state.matrix).real), 0.0) for e in povm.elements]
-        total = sum(w)
-        if total <= 0.0:
-            raise BadTrace("a state with zero outcome mass has no outcome distribution")
-        dists.append(ClassicalDistribution(povm.labels, np.array(w) / total))
-    return maximal_coupling(*dists)
 
 
 # --- guessing probability and entropies ----------------------------------------
@@ -409,26 +327,6 @@ def conditional_entropy(c: CQState, key_register=0) -> float:
     sides = [np.hstack([b.factor * math.sqrt(b.weight) for b in per_key.values()])
              for per_key in _split_key(c, ki).values()]
     return joint - _gram_entropy(sides, [1.0] * len(sides))
-
-
-def relative_entropy(r: DensityOperator, s: DensityOperator) -> float:
-    """S(rho || sigma) in bits; +inf when support(rho) escapes support(sigma)."""
-    if r.dims != s.dims:
-        raise DimMismatch(f"dims {r.dims} vs {s.dims}")
-    wr, vr = hermitian_eig(r.matrix)
-    ws, vs = hermitian_eig(s.matrix)
-    wr = np.clip(wr, 0.0, None)
-    ws = np.clip(ws, 0.0, None)
-    overlap = np.abs(vr.conj().T @ vs) ** 2
-    support_r = wr > tol.ENTROPY_EIG_CUTOFF
-    null_s = ws <= tol.ENTROPY_EIG_CUTOFF
-    if np.any(overlap[np.ix_(support_r, null_s)] > 1e-9):
-        return math.inf
-    term1 = float((wr[support_r] * np.log2(wr[support_r])).sum())
-    logs = np.where(ws > tol.ENTROPY_EIG_CUTOFF, np.log2(np.maximum(ws, 1e-300)), 0.0)
-    term2 = float((wr[support_r, None] * overlap[support_r][:, ~null_s]
-                   * logs[None, ~null_s]).sum())
-    return term1 - term2
 
 
 def uniform_key_twin(c: CQState, key_register=0) -> CQState:

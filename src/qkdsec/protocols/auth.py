@@ -35,8 +35,7 @@ from .hashing import HashFamily
 
 __all__ = [
     "LengthOverflow",
-    "auth_tag",
-    "auth_verify",
+    "accept_probability",
     "build_auth_systems",
     "substitution_family",
     "exhaustive_substitution_advantage",
@@ -45,25 +44,6 @@ __all__ = [
 
 class LengthOverflow(ValueError):
     pass
-
-
-def auth_tag(fam: HashFamily, key: tuple[int, int], x) -> tuple:
-    """Transmit pair (message, tag)."""
-    blocks = fam.blocks(x)
-    if len(blocks) > fam.max_blocks:
-        raise LengthOverflow(
-            f"{len(blocks)} blocks exceed the family cap {fam.max_blocks}")
-    return (x, fam.digest(key, x))
-
-
-def auth_verify(fam: HashFamily, key: tuple[int, int], pair: tuple):
-    """Return the message when the tag checks out, else None (the error)."""
-    x, y = pair
-    blocks = fam.blocks(x)
-    if len(blocks) > fam.max_blocks:
-        raise LengthOverflow(
-            f"{len(blocks)} blocks exceed the family cap {fam.max_blocks}")
-    return x if fam.digest(key, x) == y else None
 
 
 def _count_pairs(fam: HashFamily, dx: np.ndarray, x2) -> np.ndarray:

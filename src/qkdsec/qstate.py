@@ -65,7 +65,6 @@ __all__ = [
     "depolarizing_channel",
     "maximally_mixed",
     "pure_state",
-    "basis_povm",
 ]
 
 
@@ -374,11 +373,6 @@ def make_povm(labels, elements, dims=None) -> Povm:
     if defect > tol.POVM_SUM_TOL:
         raise BadTrace(f"POVM elements sum to identity defect {defect:.3e}")
     return Povm(labels, tuple(_frozen(o) for o in ops), dims)
-
-
-def basis_povm(dim: int = 2) -> Povm:
-    eye = np.eye(dim, dtype=complex)
-    return make_povm(tuple(range(dim)), [np.outer(eye[i], eye[i]) for i in range(dim)], (dim,))
 
 
 # --- classical-quantum states -------------------------------------------------

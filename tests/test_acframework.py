@@ -3,7 +3,6 @@ import pytest
 
 from qkdsec import acframework as ac
 from qkdsec import qstate as qs
-from qkdsec.metrics import cq_trace_distance
 from qkdsec.protocols import auth, otp
 from qkdsec.protocols.hashing import affine_family
 
@@ -35,53 +34,10 @@ def bit_family(noises=(0.0,)) -> ac.AttackFamily:
     return ac.AttackFamily(name="bits", strategies=tuple(strategies))
 
 
-def test_attach_identity_converter_is_noop():
-    sys0 = noisy_bit_system(0.1, "noisy")
-    ident = ac.Converter(name="id")
-    wrapped = ac.attach_converter(sys0, ident, "E")
-    for strat in bit_family().strategies:
-        a = ac.evaluate(sys0, strat)
-        b = ac.evaluate(wrapped, strat)
-        assert cq_trace_distance(a, b) == 0.0
-
-
-def test_attach_order_associativity():
-    sys0 = noisy_bit_system(0.2, "noisy")
-
-    def bump(delta):
-        def attack_map(attack):
-            extra = attack.input("noise", 0.0) + delta
-            inputs = tuple((k, v) for k, v in attack.inputs if k != "noise")
-            return ac.AttackStrategy(name=attack.name, inputs=inputs + (("noise", extra),))
-        return ac.Converter(name=f"bump{delta}", attack_map=attack_map)
-
-    alpha, beta = bump(0.05), bump(0.1)
-    nested = ac.attach_converter(ac.attach_converter(sys0, beta, "E"), alpha, "E")
-    combined_map = lambda a: beta.attack_map(alpha.attack_map(a))
-    fused = ac.attach_converter(
-        sys0, ac.Converter(name="ab", attack_map=combined_map), "E")
-    for strat in bit_family((0.0, 0.3)).strategies:
-        assert cq_trace_distance(ac.evaluate(nested, strat),
-                                 ac.evaluate(fused, strat)) == 0.0
-
-
-def test_filter_blocks_attack_inputs():
-    sys0 = noisy_bit_system(0.0, "clean")
-    filt = ac.Converter(name="filter",
-                        attack_map=lambda _: ac.identity_strategy())
-    filtered = ac.attach_converter(sys0, filt, "E")
-    states = [ac.evaluate(filtered, s) for s in bit_family((0.0, 0.5)).strategies]
-    for state in states[1:]:
-        assert cq_trace_distance(states[0], state) == 0.0
-
-
-def test_attach_arity_mismatch():
-    sys0 = noisy_bit_system(0.0, "clean")
-    conv = ac.Converter(name="only-a", attaches_to=frozenset({"A"}))
-    with pytest.raises(ac.ArityMismatch):
-        ac.attach_converter(sys0, conv, "E")
-    with pytest.raises(ac.ArityMismatch):
-        ac.attach_converter(sys0, conv, "Z")
+def parallel(s1: ac.SystemGraph, s2: ac.SystemGraph) -> ac.SystemGraph:
+    """Both systems side by side; each strategy drives both independently."""
+    return ac.SystemGraph(f"({s1.name} || {s2.name})",
+                          lambda s: qs.tensor_cq(s1.evaluator(s), s2.evaluator(s)))
 
 
 def test_parallel_composition_with_trivial_resource():
@@ -89,7 +45,7 @@ def test_parallel_composition_with_trivial_resource():
     trivial = ac.SystemGraph(
         name="trivial",
         evaluator=lambda attack: qs.make_cq([("T", ("ok",))], [(("ok",), 1.0, 1.0)], ()))
-    combined = ac.compose_parallel(sys0, trivial)
+    combined = parallel(sys0, trivial)
     for strat in bit_family().strategies:
         joint = ac.evaluate(combined, strat)
         alone = ac.evaluate(sys0, strat)
@@ -97,18 +53,6 @@ def test_parallel_composition_with_trivial_resource():
         got = {b.assignment[:2]: b.weight for b in joint.branches}
         want = {b.assignment: b.weight for b in alone.branches}
         assert got == want
-
-
-def test_parallel_factorisation_of_product_attacks():
-    s1 = noisy_bit_system(0.1, "one")
-    s2 = noisy_bit_system(0.3, "two")
-    combined = ac.compose_parallel(s1, s2)
-    left = ac.AttackStrategy(name="l", inputs=(("bit", 1),))
-    right = ac.AttackStrategy(name="r", inputs=(("bit", 0),))
-    prod = ac.ProductAttack("l||r", left, right)
-    joint = ac.evaluate(combined, prod)
-    manual = qs.tensor_cq(ac.evaluate(s1, left), ac.evaluate(s2, right))
-    assert cq_trace_distance(joint, manual) == 0.0
 
 
 def test_advantage_pseudo_metric_axioms():
@@ -140,9 +84,10 @@ def test_advantage_monotone_under_shared_converter():
         return qs.make_cq([("B_out", (0, 1)), ("E_out", ("-",))],
                           [(k, v, 1.0) for k, v in sorted(rows.items(), key=str)], ())
 
-    gamma = ac.Converter(name="coarse", state_map=coarsen)
-    wrapped = ac.advantage_over_family(
-        ac.attach_converter(a, gamma, "E"), ac.attach_converter(b, gamma, "E"), fam)[0]
+    def coarsened(sys):
+        return ac.SystemGraph(f"coarse[{sys.name}]", lambda s: coarsen(sys.evaluator(s)))
+
+    wrapped = ac.advantage_over_family(coarsened(a), coarsened(b), fam)[0]
     assert wrapped <= base + 1e-9
 
 
@@ -152,10 +97,7 @@ def test_composed_advantage_bounded_by_component_sum():
     a2, b2 = noisy_bit_system(0.1, "a2"), noisy_bit_system(0.25, "b2")
     d1 = ac.advantage_over_family(a1, b1, fam)[0]
     d2 = ac.advantage_over_family(a2, b2, fam)[0]
-    pair_strats = tuple(ac.ProductAttack(f"{s.name}^2", s, s) for s in fam.strategies)
-    pair_fam = ac.AttackFamily(name="pairs", strategies=pair_strats)
-    composite = ac.advantage_over_family(
-        ac.compose_parallel(a1, a2), ac.compose_parallel(b1, b2), pair_fam)[0]
+    composite = ac.advantage_over_family(parallel(a1, a2), parallel(b1, b2), fam)[0]
     assert composite <= d1 + d2 + 1e-9
 
 
@@ -197,33 +139,42 @@ def test_schedule_mismatch_on_quantum_slots():
         ac.evaluate(sys0, attack)
 
 
+def _weighted(weights):
+    chan = qs.make_channel([np.eye(2)], out_dims=(2, 1))
+    return tuple(ac.MixtureComponent(label, w, chan)
+                 for label, w in zip(("pass", "Z", "X"), weights))
+
+
+@pytest.mark.parametrize("weights, bad", [((1.5, -0.25, -0.25), "Z"),
+                                          ((np.nan, 0.25, 0.25), "pass"),
+                                          ((0.5, 0.25, np.inf), "X")],
+                         ids=["negative", "nan", "inf"])
+def test_position_attack_refuses_bad_weights(weights, bad):
+    # negative weights can sum to 1, and a NaN sum passes |sum - 1| > tol
+    with pytest.raises(ac.ScheduleMismatch, match=rf"component '{bad}' has weight"):
+        ac.PositionAttack(_weighted(weights))
+
+
+def test_position_attack_keeps_zero_weights():
+    assert ac.PositionAttack(_weighted((1.0, 0.0, 0.0))).components[2].weight == 0.0
+
+
 def test_epsilon_ledger_arithmetic():
     ledger = ac.EpsilonLedger()
     assert ledger.total == 0.0
     ledger = ac.serial_compose(ledger, ac.LedgerEntry("qkd", 0.25),
                                ac.LedgerEntry("otp", 0.0, "asserted"))
     assert ledger.total == 0.25
-    ledger = ac.parallel_compose(ledger, ac.LedgerEntry("qkd2", 0.25))
+    ledger = ac.serial_compose(ledger, ac.LedgerEntry("qkd2", 0.25))
     assert ledger.total == 0.5
-    assert [e.mode for e in ledger.entries] == ["serial", "serial", "parallel"]
+    assert [e.protocol for e in ledger.entries] == ["qkd", "otp", "qkd2"]
     assert abs(ledger.total - sum(e.epsilon for e in ledger.entries)) <= 1e-12
-
-
-def test_security_check_on_perfect_construction():
-    real = noisy_bit_system(0.0, "real")
-    ideal = noisy_bit_system(0.0, "ideal")
-    filt = ac.Converter(name="filter",
-                        attack_map=lambda _: ac.identity_strategy())
-    sim = ac.Converter(name="sim")
-    availability, security = ac.security_check(
-        real, ideal, filt, filt, sim, bit_family((0.0, 0.1)), eps=0.0)
-    assert availability.holds and availability.left_value == 0.0
-    assert security.holds and security.left_value == 0.0
 
 
 def test_always_abort_protocol_secure_but_unavailable():
     # an always-aborting key protocol satisfies the simulator condition with
-    # advantage zero, yet fails availability against a key-producing filter
+    # advantage zero, yet fails availability: with Eve idle, the ideal key
+    # resource produces a key
     key_regs = [("A_out", (0, 1, "abort")), ("B_out", (0, 1, "abort"))]
 
     def aborting(attack):
@@ -236,18 +187,16 @@ def test_always_abort_protocol_secure_but_unavailable():
 
     real = ac.SystemGraph(name="always-abort", evaluator=aborting)
     ideal = ac.SystemGraph(name="ideal-key", evaluator=ideal_key)
-    press_always = ac.Converter(
-        name="sim-press",
-        attack_map=lambda a: ac.AttackStrategy(name=a.name, switches=(("key", 1),)))
-    keep_filter = ac.Converter(
-        name="filter-produce",
-        attack_map=lambda _: ac.identity_strategy())
+    # the simulator presses the abort switch whatever Eve does
+    simulated = ac.SystemGraph(
+        name="sim-press[ideal-key]",
+        evaluator=lambda a: ideal_key(ac.AttackStrategy(name=a.name, switches=(("key", 1),))))
     fam = ac.AttackFamily(name="idle", strategies=(ac.identity_strategy(),))
 
-    availability, security = ac.security_check(
-        real, ideal, keep_filter, keep_filter, press_always, fam, eps=0.0)
-    assert security.holds and security.left_value == 0.0
-    assert not availability.holds and availability.left_value == 1.0
+    idle = ac.identity_strategy()
+    availability = ac.state_distance(ac.evaluate(real, idle), ac.evaluate(ideal, idle))
+    assert ac.advantage_over_family(real, simulated, fam) == (0.0, "identity")
+    assert availability == 1.0
 
 
 def test_ideal_key_resource_switch_semantics():

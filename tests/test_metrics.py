@@ -63,16 +63,6 @@ def test_helstrom_povm_examples():
         assert abs(achieved - mt.trace_distance(a, b)) <= 1e-9
 
 
-def test_guessing_probability_identities():
-    a = qs.random_density(3, 4, 2)
-    b = qs.random_density(4, 4, 4)
-    assert mt.guessing_probability(a, a) == pytest.approx(0.5, abs=1e-12)
-    assert mt.distinguishing_advantage(a, b) == pytest.approx(
-        mt.trace_distance(a, b), abs=1e-15)
-    z0, z1 = qs.pure_state([1, 0]), qs.pure_state([0, 1])
-    assert mt.guessing_probability(z0, z1) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_random_povms_never_beat_helstrom():
     rng = np.random.default_rng(17)
     a = qs.random_density(100, 4, 2)
@@ -87,33 +77,7 @@ def test_random_povms_never_beat_helstrom():
         assert guess <= bound + 1e-9
 
 
-def test_optimal_cq_povm_block_equality():
-    rng = np.random.default_rng(23)
-    for trial in range(50):
-        nk = int(rng.integers(2, 4))
-        dim_e = int(rng.integers(1, 4))
-
-        def rand_cq():
-            w = rng.random(nk)
-            w /= w.sum()
-            rows = [((k,), float(w[k]),
-                     qs.random_density(int(rng.integers(0, 2 ** 31)), dim_e,
-                                       int(rng.integers(1, dim_e + 1))).matrix)
-                    for k in range(nk)]
-            return qs.make_cq([("k", tuple(range(nk)))], rows, (dim_e,))
-
-        a, b = rand_cq(), rand_cq()
-        povm = mt.optimal_cq_povm(a, b)
-        fa, fb = qs.flatten_cq(a), qs.flatten_cq(b)
-        pa = np.array([max(float(np.trace(e @ fa.matrix).real), 0.0)
-                       for e in povm.elements])
-        pb = np.array([max(float(np.trace(e @ fb.matrix).real), 0.0)
-                       for e in povm.elements])
-        tv = 0.5 * np.abs(pa - pb).sum()
-        assert abs(tv - mt.trace_distance(fa, fb)) <= 1e-9
-
-
-def test_optimal_cq_povm_classical_case():
+def test_cq_trace_distance_classical_case():
     env = np.eye(2) / 2
     a = qs.make_cq([("k", (0, 1))], [((0,), 0.7, env), ((1,), 0.3, env)], (2,))
     b = qs.make_cq([("k", (0, 1))], [((0,), 0.5, env), ((1,), 0.5, env)], (2,))
@@ -132,29 +96,6 @@ def test_maximal_coupling_examples():
     assert cp.pr_equal == pytest.approx(0.75, abs=1e-15)
     assert np.abs(cp.marginal_left() - [0.5, 0.5]).max() <= 1e-15
     assert np.abs(cp.marginal_right() - [0.75, 0.25]).max() <= 1e-15
-
-
-def test_couple_measurements():
-    z0, plus = qs.pure_state([1, 0]), qs.pure_state([1, 1])
-    cp = mt.couple_measurements(z0, plus, qs.basis_povm(2))
-    pr_neq = 1.0 - cp.pr_equal
-    assert pr_neq == pytest.approx(0.5, abs=1e-12)
-    assert pr_neq <= mt.trace_distance(z0, plus) + 1e-9
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        d = int(rng.integers(2, 5))
-        a = qs.random_density(int(rng.integers(0, 2 ** 31)), d, d)
-        b = qs.random_density(int(rng.integers(0, 2 ** 31)), d, d)
-        cp = mt.couple_measurements(a, b, qs.basis_povm(d))
-        assert 1.0 - cp.pr_equal <= mt.trace_distance(a, b) + 1e-9
-
-
-def test_couple_measurements_rejects_zero_trace():
-    # a valid subnormalised state with no outcome mass has no distribution
-    empty, z0 = qs.make_density(np.zeros((2, 2))), qs.pure_state([1, 0])
-    for r, s in ((empty, z0), (z0, empty)):
-        with pytest.raises(qs.BadTrace):
-            mt.couple_measurements(r, s, qs.basis_povm(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -211,25 +152,23 @@ def test_pguess_bound_audit():
 def test_entropies():
     assert mt.von_neumann_entropy(qs.maximally_mixed(4)) == pytest.approx(2.0, abs=1e-10)
     assert mt.von_neumann_entropy(qs.pure_state([1, 1])) <= 1e-9
-    rho = qs.random_density(50, 4, 2)
-    assert mt.relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-9)
-    assert mt.relative_entropy(qs.pure_state([1, 0]), qs.pure_state([0, 1])) == math.inf
     env = qs.random_density(51, 3, 2).matrix
     product = _key_state([(0.25, env)] * 4, 3)
     assert mt.conditional_entropy(product) == pytest.approx(2.0, abs=1e-9)
 
 
-def test_relative_entropy_identity_check():
-    # S(rho_KE || tau (x) rho_E) = log|K| - S(K|E), both sides computed
+def test_conditional_entropy_identity_check():
+    # S(K|E) = S(KE) - S(E), the right side from the flattened state and its
+    # partial trace over the key
     rng = np.random.default_rng(61)
     for _ in range(20):
         state = _key_state(
             [(0.5, qs.random_density(int(rng.integers(0, 2 ** 31)), 2, 2).matrix),
              (0.5, qs.random_density(int(rng.integers(0, 2 ** 31)), 2, 2).matrix)], 2)
-        twin = mt.uniform_key_twin(state)
-        direct = mt.relative_entropy(qs.flatten_cq(state), qs.flatten_cq(twin))
-        identity = 1.0 - mt.conditional_entropy(state)
-        assert direct == pytest.approx(identity, abs=1e-8)
+        joint = qs.flatten_cq(state)
+        direct = (mt.von_neumann_entropy(joint)
+                  - mt.von_neumann_entropy(qs.partial_trace(joint, keep=[1])))
+        assert mt.conditional_entropy(state) == pytest.approx(direct, abs=1e-8)
 
 
 def test_entropy_bounds_examples():
@@ -366,7 +305,6 @@ def test_trace_distance_range_property(seed, dim):
     b = qs.random_density(seed + 1, dim, 1 + (seed + 1) % dim)
     d = mt.trace_distance(a, b)
     assert -1e-12 <= d <= 1.0 + 1e-12
-    assert mt.guessing_probability(a, b) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("trials", [0, -2])
