@@ -144,6 +144,16 @@ def test_digest_reads_integer_like_blocks_and_key_parts():
     assert np.array_equal(fam.digest_all_keys(True), fam.digest_all_keys(1))
 
 
+def test_auth_verify_refuses_a_negative_message():
+    # verifying a pair recomputes the message's tag: the tables read from
+    # their ends once verified -1 against tag 7
+    fam = affine_family(3)
+    with pytest.raises(hashing.NotAFieldElement, match=r"message block -1"):
+        fam.digest((1, 0), -1)
+    with pytest.raises(auth.LengthOverflow, match=r"forged pair \(-1, 7\) outside"):
+        auth.accept_probability(fam, 0, 0, -1, 7)
+
+
 def test_asu2_refuses_a_message_outside_the_field():
     # message -1 tagged like 7 and read as a false violation of the bound
     with pytest.raises(hashing.NotAFieldElement, match=r"message block -1"):
