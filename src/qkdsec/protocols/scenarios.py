@@ -10,30 +10,27 @@ the joint state of both runs at once.
 
 Two examples compare a real run with an ideal key resource whose simulator
 presses each party's switch as its own run aborted: the swap crossing and
-an authenticated round of key expansion.  Each enumerates its real cells as
-integer codes, block by block (a (theta1, theta2) block of the 16^n joint
-assignments of both swapped runs; a (sample subset, bases) block of a
-round, with keys from one T-matrix product and tag acceptance from one
-count table per (target, forged) message), and both reduce a block with
-``_matched_terms``.  A label (Eve's view and the abort pattern) spreads its
-mass evenly over its ideal cells, and a real cell is one of them exactly
-when its ideal share is positive, so the ideal cells a block misses are
-counted per label, never listed.  The swap's cells do not depend on the
-bases, so they are numbered once per run (``_SwapCodes``) and each of its
-blocks is one gather of the live columns plus one ``np.bincount`` over cell
-ids.  Both read the single-qubit odds from ``bb84._overlaps()``; the
-round's come as one dense outcome table per intercept probability
-(``_outcome_table``), whose positive slots each row expands into with one
-``np.nonzero``.
-Every ideal share is 0, 1 or one over the power-of-two key count.  The
-swap's weights are dyadic and leave out the uniform choice of the two
+an authenticated round of key expansion.  A label (Eve's view and the abort
+pattern) spreads its mass evenly over its ideal cells, each of which takes
+0, 1 or one over the power-of-two key count.  Both read the single-qubit
+odds from ``bb84._overlaps()``.
+
+The swap enumerates its real cells as integer codes, one (theta1, theta2)
+block of the 16^n joint assignments of both swapped runs at a time, and
+reduces a block with ``_matched_terms``: a real cell is one of its label's
+ideal cells exactly when its ideal share is positive, so the ideal cells a
+block misses are counted per label, never listed.  The cells do not depend
+on the bases, so they are numbered once per run (``_SwapCodes``) and each
+block is one gather of the live columns plus one ``np.bincount`` over cell
+ids.  The weights are dyadic and leave out the uniform choice of the two
 sample subsets, so every term and partial sum is held exactly, in any
 order, and the total is divided by the subset pairs once: the value is the
-exact distance, correctly rounded.  The round's odds are not dyadic at a
-fractional intercept probability, so its masses are ``np.bincount`` sums in
-order of first occurrence and its totals add sequentially (``np.cumsum``)
-in the order of the scalar enumeration they replace, which makes every
-value the same float.
+exact distance correctly rounded.
+
+The round factors each (sample subset, bases) block into a sample side,
+which sets the abort pattern, and a rest side, which sets the key pair;
+its odds come from one outcome table per intercept probability
+(``_outcome_table``), dyadic and so exact at p in {0, 1/2, 1}.
 """
 
 from __future__ import annotations
@@ -186,12 +183,6 @@ def swap_crossing_advantage(params: QkdParams) -> float:
     return 0.5 * total / codes.group.shape[0]
 
 
-def _running_sum(parts) -> float:
-    """Sum of the concatenated parts, added one at a time from the first."""
-    terms = np.concatenate(parts)
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
-
-
 class _SwapCodes:
     """The swap enumeration's cells, numbered once per run.
 
@@ -285,17 +276,6 @@ class _SwapCodes:
         _, first, second = self._split(cells)
         return (_key_share(first // self.evis_size, self.nk)
                 * _key_share(second // self.evis_size, self.nk))
-
-
-def _first_seen(keys: np.ndarray):
-    """Number the distinct keys in order of first occurrence.
-
-    Returns the positions of their first occurrences, in that order, and
-    each input's number.
-    """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
 
 
 def _key_share(kpair: np.ndarray, nk: int) -> np.ndarray:
@@ -412,56 +392,86 @@ def authenticated_round_distance(params: QkdParams, fam: HashFamily,
     msg2 = (Bob's sample values) back.  ``attack_spec`` is a dict with keys
     ``p`` (classical intercept-resend probability, in [0, 1]) and optional
     ``tamper`` in {"msg1", "msg2"} flipping the last payload bit of that
-    message.  Tag registers of untampered messages are identical on both
-    sides and are omitted; the tampered message branches over its observed
-    tag with exact acceptance counting over the hash keys.
+    message; any other key is refused.  Tag registers of untampered
+    messages are identical on both sides and are omitted; the tampered
+    message branches over its observed tag with exact acceptance counting
+    over the hash keys.
 
-    Each (sample subset, bases) block is enumerated as integer codes from
-    one outcome table (:func:`_outcome_table`, :func:`_round_blocks`) and
-    reduced with ``np.bincount`` in order of first occurrence; the sums run
-    sequentially (``np.cumsum``), in the order of the scalar enumeration, so
-    every value is the same float.  The weights leave out the uniform
-    sample-subset choice: the three totals are divided by C(n, t) once, at
-    the end, so rounds with dyadic odds (p in {0, 1}) give exact values.
+    Within a (sample subset, bases) block the abort pattern depends only on
+    the sample side (sample values and tamper branch), the key pair only on
+    the rest positions' bits, and Eve's record is the pair of both sides'
+    records.  The ideal key resource has one delivery switch per party,
+    pressed as the simulator's run aborted, so each label (record and abort
+    pattern) keeps its real mass and the delivered keys are one shared
+    uniform value; a both-or-neither resource cannot track the interruption
+    asymmetry any two-message flow has.  The distance adds over labels, so
+    a block contributes
+    P(pass, pass) * D_joint + P(pass, abort) * D_A + P(abort, pass) * D_B,
+    with the rest sums of :func:`_rest_terms`, once per tuple of rest
+    bases.  The three totals are divided by C(n, t) once, at the end, so
+    rounds with dyadic odds (p in {0, 1/2, 1}) give exact values.
 
     Requires h_rows = 0 (no syndrome phase) to keep the enumeration small.
     """
     if params.h_rows != 0:
         raise ScheduleMismatch("authenticated rounds are modelled without syndromes")
-    table = _outcome_table(float(attack_spec.get("p", 0.0)))
+    for key in attack_spec:
+        if key not in ("p", "tamper"):
+            raise ScheduleMismatch(f"unknown attack_spec key {key!r}")
+    comp_w, odds, records = _outcome_table(float(attack_spec.get("p", 0.0)))
     tamper = attack_spec.get("tamper")
     if tamper not in (None, "msg1", "msg2"):
         raise ScheduleMismatch(f"unknown tamper target {tamper!r}")
-    nk = params.key_size
-    pairs = (nk + 1) ** 2
-
-    # Ideal: key resource with one delivery switch per party, pressed as the
-    # simulator's internal run aborted, so each Eve-visible group keeps its
-    # real abort pattern and the delivered keys are one shared uniform value:
-    # a label's ideal cells are both aborts, an abort beside each key, or
-    # each shared key.  (A both-or-neither resource cannot track the
-    # interruption asymmetry any two-message flow necessarily has.)
-    aborts, errors, terms = [], [], []
-    for keys, weights in _round_blocks(params, fam, table, tamper):
-        # real branches: (Eve-visible record, key pair) cells in order of
-        # first occurrence; an aborted key is nk
-        at, number = _first_seen(keys)
-        masses = np.bincount(number, weights=weights)
-        evis, kpair = np.divmod(keys[at], pairs)
-        ka, kb = np.divmod(kpair, nk + 1)
-        fa, fb = ka == nk, kb == nk
-        aborts.append(masses[fa & fb])
-        errors.append(masses[ka != kb])
-        first, labels = _first_seen(evis * 4 + fa * 2 + fb)
-        label_share = np.where(fa & fb, 1.0, 1.0 / nk)[first]
-        terms.append(_matched_terms(masses, labels, _key_share(kpair, nk), label_share))
-    found, ideal_only = zip(*terms)
-    c = math.comb(params.n_qubits, params.t)
-    return {
-        "distance": 0.5 * _running_sum(found + ideal_only) / c,
-        "p_abort": _running_sum(aborts) / c,
-        "eps_cor": _running_sum(errors) / c,
-    }
+    n, t = params.n_qubits, params.t
+    order = fam.tag_space
+    # one position's p(record, a, b) per basis, Alice's bit uniform
+    position = np.zeros((2, 5, 2, 2))
+    for c, slot in np.ndindex(records.shape):
+        position[:, records[c, slot], :, slot & 1] += 0.5 * comp_w[c] * odds[c, :, :, slot]
+    pair = position.sum(axis=1)
+    # a party passes when the other's sample values (first sample position
+    # in the high bit) differ from its own in at most q_tol * t places; the
+    # forged payload flips the lowest bit, the last announced value
+    values = np.arange(1 << t)
+    errors = _digits(2, t).sum(axis=1)[values[:, None] ^ values]
+    passed = (errors <= params.q_tol * t) * 1.0
+    forged_passes = (errors[:, values ^ 1] <= params.q_tol * t) * 1.0
+    accept, rest_terms = {}, {}
+    distance = p_abort = eps_cor = 0.0
+    for s_idx, subset in enumerate(combinations(range(n), t)):
+        rest = [i for i in range(n) if i not in subset]
+        # theta_code packs the bases with position 0 in the high bit
+        for theta_code, theta in enumerate(product(range(2), repeat=n)):
+            sample = np.ones((1, 1))  # p(Alice's values, Bob's values)
+            for i in subset:
+                sample = (sample[:, None, :, None]
+                          * pair[theta[i]][None, :, None, :]).reshape(2 * len(sample), -1)
+            alice = bob = passed
+            if tamper is not None:
+                # a rejected forgery aborts the receiver
+                msg1 = ((s_idx << n | theta_code) << t) + values
+                target = ((msg1 if tamper == "msg1" else values) % order).tolist()
+                for x in set(target) - accept.keys():
+                    counts, sums = _pair_counts(fam, x, x ^ 1)
+                    accept[x] = float((counts.diagonal() / sums).sum()) / order
+                acc = np.array([accept[x] for x in target])
+                if tamper == "msg1":
+                    bob = forged_passes * acc[:, None]
+                else:
+                    alice = forged_passes * acc
+            pp, pa, ap, aa = (float((sample * wa * wb).sum())
+                              for wa in (alice, 1.0 - alice) for wb in (bob, 1.0 - bob))
+            bases = tuple(theta[i] for i in rest)
+            if bases not in rest_terms:
+                rest_terms[bases] = _rest_terms(params, position, bases)
+            d_joint, d_a, d_b, mass, unequal = rest_terms[bases]
+            distance += pp * d_joint + pa * d_a + ap * d_b
+            p_abort += aa * mass
+            eps_cor += pp * unequal + (pa + ap) * mass
+    # each basis string has weight 2^-n, an exact scaling; only the
+    # division by C(n, t) rounds
+    c = math.comb(n, t) * 2 ** n
+    return {"distance": 0.5 * distance / c, "p_abort": p_abort / c, "eps_cor": eps_cor / c}
 
 
 def _outcome_table(p: float):
@@ -488,82 +498,32 @@ def _outcome_table(p: float):
     return np.array([1.0 - p, p / 2.0, p / 2.0])[keep], odds[keep], records[keep]
 
 
-def _round_blocks(params: QkdParams, fam: HashFamily, table, tamper):
-    """Yield the (cell codes, weights) of each (sample subset, bases) block.
+def _rest_terms(params: QkdParams, position, bases):
+    """(D_joint, D_A, D_B, mass, mass with K_A != K_B) of a rest side.
 
-    Rows follow the scalar enumeration: Alice's bits, then the attack
-    component of each position, then each position's (record, b) outcome,
-    then the tamper branch, each in product order with position 0 the
-    slowest; each weight is multiplied in that order, from 4^-n, without
-    the 1 / C(n, t) of the subset choice.  A row expands into
-    the positive slots of its ``_outcome_table`` entry, and a tampered row
-    into the positive (tag, verdict) weights of its target message, each by
-    a row-major ``np.nonzero``.  A cell packs the Eve-visible record within
-    the block (records, sample values and the observed tag of a tampered
-    message) and the key pair ``ka * (nk + 1) + kb``.  Bases and sample
-    subset are part of the record, so no cell occurs in two blocks.
+    ``q[record, ka, kb]`` is built position by position: T is linear, so
+    each position appends its record digit and XORs its column of T into a
+    party's key when that party's bit is set.  Each D is a dense
+    |real - ideal| sum against the uniform shared key, over (record, ka, kb)
+    when both pass, (record, ka) when only Alice does and (record, kb) when
+    only Bob does.
     """
-    n, t = params.n_qubits, params.t
     nk = params.key_size
-    order = fam.tag_space
-    comp_w, odds, records = table
-    # (a, labels) rows and their weights, base weight times each component's
-    labels = _digits(len(comp_w), n)
-    lw = np.full(len(labels), 0.25 ** n)
-    for i in range(n):
-        lw = lw * comp_w[labels[:, i]]
-    a_rows = np.repeat(_digits(2, n), len(labels), axis=0)
-    comp_rows = np.tile(labels, (2 ** n, 1))
-    lw = np.tile(lw, 2 ** n)
-
-    def outcomes(theta):
-        src, w = np.arange(len(lw)), lw
-        rec, b = np.zeros(len(lw), np.int64), np.zeros((len(lw), 0), np.int64)
-        for i in range(n):
-            comp, a = comp_rows[src, i], a_rows[src, i]
-            rep, slot = np.nonzero(odds[comp, theta[i], a] > 0.0)
-            comp, a = comp[rep], a[rep]
-            src, w = src[rep], w[rep] * odds[comp, theta[i], a, slot]
-            rec = rec[rep] * 5 + records[comp, slot]
-            b = np.column_stack([b[rep], slot & 1])
-        live = w > 0.0
-        return a_rows[src[live]], b[live], rec[live], w[live]
-
-    # per target message x, the (accepted, rejected) weights of each tag
-    # y at columns (2y, 2y + 1); a row is NaN until x first appears
-    branch_w = np.full((order, 2 * order), np.nan) if tamper else None
-    thr = params.q_tol * t
-    place = 1 << np.arange(t - 1, -1, -1)
-    for s_idx, subset in enumerate(combinations(range(n), t)):
-        rest = [i for i in range(n) if i not in subset]
-        # theta_code packs the bases with position 0 in the high bit
-        for theta_code, theta in enumerate(product(range(2), repeat=n)):
-            a, b, rec, w = outcomes(theta)
-            _, key_a, key_b = bb84._key_tables(params, a[:, rest], b[:, rest])
-            a_s, b_s = a[:, subset] @ place, b[:, subset] @ place
-            mism = a[:, subset] != b[:, subset]
-            err = mism.sum(axis=1)
-            # a party's key under the other's untouched sample announcement
-            ka, kb = np.where(err > thr, nk, key_a), np.where(err > thr, nk, key_b)
-            evis = (rec << 2 * t) + (a_s << t) + b_s
-            if tamper is not None:
-                # the forged payload flips the lowest bit, which encodes the
-                # last announced sample value; a reject aborts the receiver
-                msg1 = ((s_idx << n | theta_code) << t) + a_s
-                target = (msg1 if tamper == "msg1" else b_s) % order
-                for x in set(target[np.isnan(branch_w[target, 0])].tolist()):
-                    counts, sums = _pair_counts(fam, x, x ^ 1)
-                    acc = counts.diagonal() / sums
-                    branch_w[x] = (1.0 / order) * np.stack([acc, 1.0 - acc], axis=1).ravel()
-                rep, col = np.nonzero(branch_w[target] > 0.0)
-                flipped = (err + 1 - 2 * mism[:, -1]) > thr
-                key = key_b if tamper == "msg1" else key_a
-                hit = np.where((col & 1) | flipped[rep], nk, key[rep])
-                ka, kb = (ka[rep], hit) if tamper == "msg1" else (hit, kb[rep])
-                evis, w = evis[rep] * order + (col >> 1), w[rep] * branch_w[target[rep], col]
-                live = w > 0.0
-                ka, kb, evis, w = ka[live], kb[live], evis[live], w[live]
-            yield (evis * (nk + 1) + ka) * (nk + 1) + kb, w
+    columns = (1 << np.arange(params.out_len)) @ np.array(params.t_matrix)
+    keys = np.arange(nk)
+    q = np.zeros((1, nk, nk))
+    q[0, 0, 0] = 1.0
+    for th, col in zip(bases, columns):
+        q = sum(position[th, :, a, b][None, :, None, None]
+                * q[:, keys ^ (a * col)][:, None, :, keys ^ (b * col)]
+                for a in range(2) for b in range(2)).reshape(-1, nk, nk)
+    mass = q.sum(axis=(1, 2))
+    share = mass[:, None] / nk
+    same = np.eye(nk, dtype=bool)
+    return (float(np.abs(q - same * share[:, :, None]).sum()),
+            float(np.abs(q.sum(axis=2) - share).sum()),
+            float(np.abs(q.sum(axis=1) - share).sum()),
+            float(mass.sum()), float(q[:, ~same].sum()))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """Pure-Python enumeration of one authenticated QKD round.
 
 Every (sample subset, bases, Alice's bits, attack labels, per-position
-outcome, tamper branch) is visited one at a time with dict-keyed records,
-and every weight is added in that order, so the oracle gives the same
-floats as the array-valued ``scenarios.authenticated_round_distance``.
-Slow, and kept only to check it.
+outcome, tamper branch) is visited one at a time with dict-keyed records.
+Every weight is held as a ``Fraction``: the exact rational of the float
+component weights, overlaps (each exactly 0, 1/2 or 1) and acceptance
+probabilities the round uses, so the oracle returns the exact distance
+that ``scenarios.authenticated_round_distance`` approximates.  Slow, and
+kept only to check it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -55,7 +58,8 @@ def _classical_position_model(comp_label: str, theta: int, a: int):
 
 
 def authenticated_round_distance(params, fam, attack_spec) -> dict:
-    """Return ``{"distance", "p_abort", "eps_cor"}`` like the scenario function."""
+    """Return ``{"distance", "p_abort", "eps_cor"}`` like the scenario
+    function, as exact ``Fraction`` values."""
     n, t = params.n_qubits, params.t
     nk = params.key_size
     t_mat = np.array(params.t_matrix, dtype=np.uint8)
@@ -72,11 +76,11 @@ def authenticated_round_distance(params, fam, attack_spec) -> dict:
         for theta in product(range(2), repeat=n):
             for a in product(range(2), repeat=n):
                 # the uniform subset choice is divided out once, at the end
-                base_w = 0.25 ** n
+                base_w = Fraction(1, 4 ** n)
                 for labels in product(range(len(comps)), repeat=n):
                     lw = base_w
                     for i in range(n):
-                        lw *= comps[labels[i]][1]
+                        lw *= Fraction(comps[labels[i]][1])
                     pos_models = [
                         _classical_position_model(comps[labels[i]][0], theta[i], a[i])
                         for i in range(n)]
@@ -84,7 +88,7 @@ def authenticated_round_distance(params, fam, attack_spec) -> dict:
                         w = lw
                         records, b = [], []
                         for (rec, bit), pw in outcome:
-                            w *= pw
+                            w *= Fraction(pw)
                             records.append(rec)
                             b.append(bit)
                         if w <= 0.0:
@@ -122,10 +126,10 @@ def authenticated_round_distance(params, fam, attack_spec) -> dict:
                                     _hash_key(t_mat, [a[i] for i in rest])
                             key = ((theta, tuple(records), s_idx, a_s, b_s, evis_extra),
                                    (ka, kb))
-                            real[key] = real.get(key, 0.0) + ww
+                            real[key] = real.get(key, 0) + ww
 
-    p_abort = 0.0
-    eps_cor = 0.0
+    p_abort = Fraction(0)
+    eps_cor = Fraction(0)
     for (evis, kpair), value in real.items():
         ka, kb = kpair
         if ka == "abort" and kb == "abort":
@@ -137,9 +141,9 @@ def authenticated_round_distance(params, fam, attack_spec) -> dict:
     for (evis, kpair), value in real.items():
         fa = kpair[0] == "abort"
         fb = kpair[1] == "abort"
-        sector[(evis, fa, fb)] = sector.get((evis, fa, fb), 0.0) + value
+        sector[(evis, fa, fb)] = sector.get((evis, fa, fb), 0) + value
 
-    dist = 0.0
+    dist = Fraction(0)
     seen = set()
     for (evis, kpair), value in real.items():
         ka, kb = kpair
@@ -150,7 +154,7 @@ def authenticated_round_distance(params, fam, attack_spec) -> dict:
         elif fa or fb:
             ideal = mass / nk
         else:
-            ideal = mass / nk if ka == kb else 0.0
+            ideal = mass / nk if ka == kb else 0
         dist += abs(value - ideal)
         seen.add((evis, kpair))
     for (evis, fa, fb), mass in sector.items():
@@ -166,7 +170,7 @@ def authenticated_round_distance(params, fam, attack_spec) -> dict:
             if (evis, kpair) not in seen:
                 dist += mass / nk
     c = len(subsets)
-    return {"distance": 0.5 * dist / c, "p_abort": p_abort / c, "eps_cor": eps_cor / c}
+    return {"distance": dist / (2 * c), "p_abort": p_abort / c, "eps_cor": eps_cor / c}
 
 
 def _encode_msg1(theta, s_idx, a_s) -> int:
@@ -195,15 +199,15 @@ def _tamper_branches(fam, tamper, msg1, msg2, order):
     msg1 %= order
     msg2 %= order
     if tamper is None:
-        yield ((), 1.0, "same", "same")
+        yield ((), Fraction(1), "same", "same")
         return
     # substitution rule: flip the low payload bit, keep the observed tag
     target = msg1 if tamper == "msg1" else msg2
     forged = target ^ 1
     for y in range(order):
-        p_tag = 1.0 / order
-        acc = accept_probability(fam, target, y, forged, y)
-        for weight, verdict in ((acc, "forged"), (1.0 - acc, None)):
+        p_tag = Fraction(1, order)
+        acc = Fraction(accept_probability(fam, target, y, forged, y))
+        for weight, verdict in ((acc, "forged"), (1 - acc, None)):
             if weight <= 0.0:
                 continue
             record = ((tamper, y, forged),)

@@ -132,12 +132,22 @@ _KEY_EXPANSION_SPECS = [{"p": 0.0}, {"p": 1.0}, {"p": 0.0, "tamper": "msg2"},
 @pytest.mark.parametrize("spec", _KEY_EXPANSION_SPECS + [
     {"p": 0.5, "tamper": "msg1"}, {"p": 0.5, "tamper": "msg2"}])
 def test_authenticated_round_matches_scalar_oracle(round_params, bits, spec):
-    # the same floats as the scalar enumeration: every sum adds the same
-    # terms in the same order
     fam = affine_family(bits)
     got = scenarios.authenticated_round_distance(round_params, fam, spec)
-    assert got == round_oracle.authenticated_round_distance(round_params, fam, spec)
+    _assert_matches_exact(got, round_oracle.authenticated_round_distance(round_params, fam, spec),
+                          spec["p"])
     assert all(type(value) is float for value in got.values())
+
+
+def _assert_matches_exact(got, exact, p):
+    # dyadic odds give the exact rational correctly rounded; at other
+    # intercept probabilities each value lies within 1e-15 of it
+    assert got.keys() == exact.keys()
+    for name, value in exact.items():
+        if p in (0.0, 0.5, 1.0):
+            assert got[name] == float(value), name
+        else:
+            assert abs(got[name] - value) <= 1e-15, (name, float(got[name] - value))
 
 
 # fractional-p tampering takes the oracle 17 s per case at b = 4, so those
@@ -154,8 +164,9 @@ _N3_CASES = [
 def test_authenticated_round_matches_scalar_oracle_n3(t, out_len, spec, bits):
     params = bb84.default_params(n_qubits=3, t=t, q_tol=0.25, out_len=out_len, h_rows=0)
     fam = affine_family(bits)
-    assert scenarios.authenticated_round_distance(params, fam, spec) == \
-        round_oracle.authenticated_round_distance(params, fam, spec)
+    _assert_matches_exact(scenarios.authenticated_round_distance(params, fam, spec),
+                          round_oracle.authenticated_round_distance(params, fam, spec),
+                          spec["p"])
 
 
 @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
@@ -210,17 +221,26 @@ def test_authenticated_round_exact_with_dyadic_odds(n, t):
 
 
 def test_authenticated_round_abort_probability_is_exact():
-    # the exact value is 25/64
+    # the exact values at n = 4: a p_abort of 25/64 under either tamper
     params = bb84.default_params(n_qubits=4, t=2, q_tol=0.25, out_len=1, h_rows=0, seed=5)
-    got = scenarios.authenticated_round_distance(params, affine_family(2),
-                                                 {"p": 1, "tamper": "msg2"})
-    assert got["p_abort"] == 0.390625
+    tampered = {"distance": 39 / 512, "p_abort": 25 / 64, "eps_cor": 39 / 64}
+    for spec, want in (({"p": 1, "tamper": "msg2"}, tampered),
+                       ({"p": 1, "tamper": "msg1"}, tampered),
+                       ({"p": 1}, {"distance": 9 / 32, "p_abort": 7 / 16, "eps_cor": 27 / 128})):
+        assert scenarios.authenticated_round_distance(params, affine_family(2), spec) == want, spec
 
 
 @pytest.mark.parametrize("p", [1.5, -0.5, math.nan, math.inf])
 def test_authenticated_round_rejects_bad_probability(round_params, p):
     with pytest.raises(bb84.InvalidParams, match="intercept probability"):
         scenarios.authenticated_round_distance(round_params, affine_family(3), {"p": p})
+
+
+@pytest.mark.parametrize("spec, key", [({"P": 1.0}, "P"), ({"p": 1.0, "tampr": "msg1"}, "tampr")])
+def test_authenticated_round_refuses_unknown_spec_keys(round_params, spec, key):
+    # a misspelt key would otherwise run the honest round or drop the tamper
+    with pytest.raises(acframework.ScheduleMismatch, match=f"unknown attack_spec key '{key}'"):
+        scenarios.authenticated_round_distance(round_params, affine_family(3), spec)
 
 
 def test_key_expansion_ledger_arithmetic(round_params):
