@@ -15,17 +15,19 @@ pattern) spreads its mass evenly over its ideal cells, each of which takes
 0, 1 or one over the power-of-two key count.  Both read the single-qubit
 odds from ``bb84._overlaps()``.
 
-The swap enumerates its real cells as integer codes, one (theta1, theta2)
-block of the 16^n joint assignments of both swapped runs at a time, and
-reduces a block with ``_matched_terms``: a real cell is one of its label's
-ideal cells exactly when its ideal share is positive, so the ideal cells a
-block misses are counted per label, never listed.  The cells do not depend
-on the bases, so they are numbered once per run (``_SwapCodes``) and each
-block is one gather of the live columns plus one ``np.bincount`` over cell
-ids.  The weights are dyadic and leave out the uniform choice of the two
-sample subsets, so every term and partial sum is held exactly, in any
-order, and the total is divided by the subset pairs once: the value is the
-exact distance correctly rounded.
+In the swap, Bob of each run measures the qubits that the other run's
+Alice prepared, so given the bases the bits split into two independent
+chains: X = (Alice 1, Bob 2) and Y = (Alice 2, Bob 1).  Each chain is a
+product over positions whose odds depend on the bases only through the
+mask e = theta1 ^ theta2, so the 4^n basis pairs fall into 2^n masks of
+2^n pairs with equal terms.  One table per ordered pair of sample subsets
+(``_chain_table``, one ``np.bincount`` over the 4^n words of a chain)
+serves as X of one subset pair and as Y of its mirror, and each label
+adds one dense |real - ideal| sum over the keys of the runs that pass.
+The weights are dyadic and leave out the uniform choice of the two sample
+subsets, so every term and partial sum is held exactly, in any order; the
+total is divided by 2^n exactly and by the subset pairs once, so the value
+is the exact distance correctly rounded.
 
 The round factors each (sample subset, bases) block into a sample side,
 which sets the abort pattern, and a rest side, which sets the key pair;
@@ -42,6 +44,7 @@ from itertools import combinations, product
 import numpy as np
 
 from ..acframework import EpsilonLedger, LedgerEntry, ScheduleMismatch, serial_compose
+from ..linalg import coset_leader_table
 from ..metrics import BoundReport
 from . import bb84
 from .bb84 import QkdParams, QkdRun, _digits, qkd_run
@@ -49,7 +52,6 @@ from .auth import _pair_counts
 from .hashing import HashFamily
 
 __all__ = [
-    "KeyBudgetExhausted",
     "NegativeRounds",
     "leaked_key_scenario",
     "qkd_otp_scenario",
@@ -62,10 +64,6 @@ __all__ = [
     "locking_demo",
     "LockingReport",
 ]
-
-
-class KeyBudgetExhausted(ValueError):
-    pass
 
 
 class NegativeRounds(ValueError):
@@ -167,184 +165,82 @@ def swap_crossing_advantage(params: QkdParams) -> float:
 
     The ideal side uniformises the surviving keys per instance; abort
     patterns are matched per instance through the simulators' switches.
-    Each block's terms come from ``_matched_terms`` over the labels that
-    ``_SwapCodes`` numbers once per run.  The masses leave out the uniform
-    choice of the two sample subsets, so every term and partial sum is a
-    dyadic rational that a float holds exactly; the total is divided by the
-    C(n, t)^2 subset pairs once, at the end, and the value is the rational
-    distance correctly rounded.
+    Bob of each run measures the qubits the other run's Alice prepared, so
+    given the bases the bits split into two independent chains, X = (Alice
+    1, Bob 2) and Y = (Alice 2, Bob 1), whose odds depend on the bases only
+    through the mask e = theta1 ^ theta2 (``_chain_table``).  The label
+    (bases, subset pair and both chains' visible words) splits its real
+    mass X * Y over the key pairs, and adds one dense |real - ideal| sum
+    over the keys of the runs that pass.  The 2^n basis pairs of one mask
+    give equal sums, so each mask is counted once with weight 2^-n.  Every
+    term and partial sum is a dyadic rational that a float holds exactly;
+    the total is divided by 2^n exactly and by the C(n, t)^2 subset pairs
+    once, at the end, so the value is the rational distance correctly
+    rounded.
     """
-    codes = _SwapCodes(params)
+    n, t, rows = params.n_qubits, params.t, params.h_rows
+    subsets = list(combinations(range(n), t))
+    bits = _digits(2, n)
+    a, b = np.repeat(bits, 1 << n, axis=0), np.tile(bits, (1 << n, 1))
+    # p(a, b) of a chain word under mask e: Alice's bit uniform, the other
+    # Bob's outcome from the overlap of the two bases
+    weights = (0.5 * bb84._overlaps()[0])[bits[:, None, :], b, a].prod(axis=2)
+    tables = {pair: _chain_table(params, weights, a, b, *pair)
+              for pair in product(subsets, repeat=2)}
+    # a visible word is (Alice's sample << t | Bob's sample) << rows | syndrome;
+    # run 1 compares X's Alice with Y's Bob, run 2 X's Bob with Y's Alice
+    visible = np.arange(4 ** t << rows)
+    alice, bob = visible >> (t + rows), visible >> rows & ((1 << t) - 1)
+    syn = visible & ((1 << rows) - 1)
+    errors = _digits(2, t).sum(axis=1)
+    pass1 = errors[alice[:, None] ^ bob] <= params.q_tol * t  # [vx, vy]
+    pass2 = errors[bob[:, None] ^ alice] <= params.q_tol * t
+    # the keys that a pass pattern compares with the shared uniform key: both
+    # runs' pairs, flattened so that the ideal pairs are the diagonal, or the
+    # passing run's pair with the aborted run's keys summed out
+    patterns = [(np.nonzero(pass1 & pass2), lambda k: k.reshape(*k.shape[:2], -1)),
+                (np.nonzero(pass1 & ~pass2), lambda k: k.sum(axis=3)),
+                (np.nonzero(~pass1 & pass2), lambda k: k.sum(axis=2))]
     total = 0.0
-    for ids, masses in _swap_blocks(params, codes):
-        found, ideal_only = _matched_terms(masses, codes.label[ids], codes.share[ids],
-                                           codes.label_share)
-        total += float(found.sum()) + float(ideal_only.sum())
-    return 0.5 * total / codes.group.shape[0]
+    for s1, s2 in product(subsets, repeat=2):
+        for (vx, vy), keys in patterns:
+            # over [e, label]: x[ka1, kb2] and y[kb1, ka2], each Bob corrected
+            # against the syndrome in the other chain's visible word
+            u = keys(tables[s1, s2][:, vx, syn[vy]])
+            v = keys(tables[s2, s1][:, vy, syn[vx]].swapaxes(2, 3))
+            share = (u.sum(axis=2) * v.sum(axis=2))[..., None, None] / u.shape[2]
+            total += float(np.abs(u[..., :, None] * v[..., None, :]
+                                  - np.eye(u.shape[2]) * share).sum())
+    return 0.5 * total / 2 ** n / len(subsets) ** 2
 
 
-class _SwapCodes:
-    """The swap enumeration's cells, numbered once per run.
+def _chain_table(params: QkdParams, weights, a, b, s_a, s_b) -> np.ndarray:
+    """One swap chain's masses, indexed [e, visible, syndrome, K_A, K_B].
 
-    One instance's view of an (a, b) word is the code
-    ``(ka * (nk + 1) + kb) * evis_size + evis``: ``evis`` packs Alice's and
-    Bob's sample bits (first sample position in the high bit) and the
-    syndrome, and an aborted word has ka = kb = nk.  A cell joins the subset
-    pair ``s1 * subsets + s2`` and both instances' codes (``_join``,
-    ``_cell_codes``).
-
-    The cells do not depend on the bases, so they are numbered here and not
-    in each (theta1, theta2) block: ``group[s1 * subsets + s2, m]`` (int32)
-    is the id of joint assignment m's cell under subset pair (s1, s2).  Ids
-    number the distinct real cells in code order, so a block's ascending ids
-    are its cells in code order; ``codes`` holds each id's code.  Per id,
-    ``label`` numbers its label (subset pair, evis and pass flags) and
-    ``share`` is its ideal weight factor; per label, ``label_share`` is the
-    factor of each of its ideal cells (``_labels``).
+    The chain pairs one run's Alice bits ``a`` (sample subset ``s_a``) with
+    the other run's Bob bits ``b`` (subset ``s_b``), word by word, with mass
+    ``weights[e]`` under basis mask e.  ``visible`` packs a[s_a] and b[s_b]
+    (first sample position in the high bit) and the syndrome of a's rest;
+    K_A is a's key and K_B is b's corrected key against each syndrome that
+    b's own Alice may announce.
     """
-
-    def __init__(self, params: QkdParams):
-        self.nk = nk = params.key_size
-        self.abort = nk * (nk + 2)  # key index of (nk, nk)
-        self.evis_size = 4 ** params.t << params.h_rows
-        self.size = (nk + 1) ** 2 * self.evis_size
-        cells = self._cell_codes(params)
-        self.codes, group = np.unique(cells.ravel(), return_inverse=True)
-        self.group = group.astype(np.int32).reshape(cells.shape)
-        labels, ideal_share = self._labels(self.codes)
-        _, at, self.label = np.unique(labels, return_index=True, return_inverse=True)
-        self.label_share = ideal_share[at]
-        self.share = self._share_codes(self.codes)
-
-    def _cell_codes(self, params: QkdParams) -> np.ndarray:
-        """Row s1 * subsets + s2: every joint assignment's cell code under
-        subset pair (s1, s2)."""
-        n, t, rows, nk = params.n_qubits, params.t, params.h_rows, self.nk
-        bits = _digits(2, n)
-        a, b = np.repeat(bits, 1 << n, axis=0), np.tile(bits, (1 << n, 1))
-
-        def high_first(x):
-            return x @ (1 << np.arange(x.shape[1] - 1, -1, -1))
-
-        # tables[s] maps word (A << n) | B (position 0 in the high bit) to its
-        # code under sample subset s
-        tables = []
-        for subset in combinations(range(n), t):
-            rest = [i for i in range(n) if i not in subset]
-            syn, ka, kb = bb84._key_tables(params, a[:, rest], b[:, rest])
-            passed = ~((a[:, subset] != b[:, subset]).sum(axis=1) > params.q_tol * t)
-            ka, kb = np.where(passed, ka, nk), np.where(passed, kb, nk)
-            evis = (high_first(a[:, subset]) << t | high_first(b[:, subset])) << rows | syn
-            tables.append((ka * (nk + 1) + kb) * self.evis_size + evis)
-        tables = np.array(tables)
-        subsets = len(tables)
-
-        # joint assignment m holds position i's cell (a1, b1, a2, b2) in bits
-        # 4(n-1-i) and up
-        nibbles = _digits(16, n)
-        place = 1 << np.arange(n - 1, -1, -1)
-
-        def word(a_bit, b_bit):
-            return (((nibbles >> a_bit) & 1) @ place) << n | (((nibbles >> b_bit) & 1) @ place)
-
-        first, second = tables[:, word(3, 2)], tables[:, word(1, 0)]
-        return self._join(np.arange(subsets ** 2)[:, None],
-                          np.repeat(first, subsets, axis=0), np.tile(second, (subsets, 1)))
-
-    def _join(self, pair, code1, code2):
-        return (pair * self.size + code1) * self.size + code2
-
-    def _split(self, cells: np.ndarray):
-        """(subset pair, first code, second code) of cells."""
-        pair, first = np.divmod(cells // self.size, self.size)
-        return pair, first, cells % self.size
-
-    def _labels(self, cells: np.ndarray):
-        """Label code of cells (subset pair, evis and pass flags) and the
-        share of each of the label's ideal cells: the product over the
-        instances of one over the key count when it passed, one otherwise."""
-        pair, *codes = self._split(cells)
-        label, share = pair, 1.0
-        for code in codes:
-            passed = code // self.evis_size != self.abort
-            label = (label * self.evis_size + code % self.evis_size) * 2 + passed
-            share = share * np.where(passed, 1.0 / self.nk, 1.0)
-        return label, share
-
-    def _share_codes(self, cells: np.ndarray) -> np.ndarray:
-        """Ideal weight factor of cells, the product of the instances'."""
-        _, first, second = self._split(cells)
-        return (_key_share(first // self.evis_size, self.nk)
-                * _key_share(second // self.evis_size, self.nk))
-
-
-def _key_share(kpair: np.ndarray, nk: int) -> np.ndarray:
-    """Ideal weight factor of key pairs ``ka * (nk + 1) + kb`` (an abort is
-    nk): one on a double abort, the shared uniform key's on an abort beside
-    a key or on equal keys, zero otherwise."""
-    ka, kb = np.divmod(kpair, nk + 1)
-    fa, fb = ka == nk, kb == nk
-    return np.where(fa & fb, 1.0, np.where(fa | fb | (ka == kb), 1.0 / nk, 0.0))
-
-
-def _matched_terms(masses, labels, share, label_share):
-    """|real - ideal| terms of one block against the matched ideal resource.
-
-    Each label (Eve's view and the abort pattern) keeps its real mass on the
-    ideal side, spread evenly over its ideal cells: ``label_share[l]`` of it
-    on each of the 1 / ``label_share[l]`` cells of label l.  The block's
-    distinct real cells come with their ``masses``, ``labels`` (numbers
-    indexing ``label_share``) and ideal ``share``; a real cell is one of its
-    label's ideal cells exactly when its share is positive.  Returns the term
-    of each real cell in input order, and the ideal mass of each ideal cell
-    that the block never reached, in label order; a label the block does
-    not reach has no mass and adds none.
-    """
-    label_mass = np.bincount(labels, weights=masses, minlength=len(label_share))
-    reached = np.bincount(labels[share > 0.0], minlength=len(label_share))
-    missed = np.where(label_mass > 0.0, (1.0 / label_share).astype(np.int64) - reached, 0)
-    return (np.abs(masses - label_mass[labels] * share),
-            np.repeat(label_mass * label_share, missed))
-
-
-def _block_weights(n: int):
-    """Yield each (theta1, theta2) block's weights, in product order.
-
-    A block's weight of joint assignment m is the product over positions of
-    that position's weight of its cell (a1, b1, a2, b2), multiplied from
-    position 0 on.
-    """
-    # p(b | prepared a' in basis th', measured in basis th)
-    overlap = bb84._overlaps()  # [th, th', b, a']
-    # one position's weights over its cell (a1, b1, a2, b2), a1 the high
-    # bit, indexed by the position's (theta1, theta2)
-    a1, b1, a2, b2 = _digits(2, 4).T
-    local = 0.0625 * overlap[:, :, b1, a2] * overlap.transpose(1, 0, 2, 3)[:, :, b2, a1]
-    for th1 in product(range(2), repeat=n):
-        for th2 in product(range(2), repeat=n):
-            w = np.ones(1)
-            for i in range(n):
-                w = (w[:, None] * local[th1[i], th2[i]][None, :]).reshape(-1)
-            yield w
-
-
-def _swap_blocks(params: QkdParams, codes: _SwapCodes):
-    """Yield each (theta1, theta2) block's cell ids of positive mass, in
-    ascending order, and their masses.
-
-    A mass adds its cell's weights over the subset pairs and the 16^n joint
-    assignments of (a1, b1, a2, b2), without the 1 / C(n, t)^2 of the subset
-    choice, so it is exact in any order.  The cells are numbered once
-    (``_SwapCodes``), so a block is one gather of its live columns and one
-    ``np.bincount``.
-    """
-    pairs, ids = codes.group.shape[0], len(codes.share)
-    for w in _block_weights(params.n_qubits):
-        live = np.flatnonzero(w > 0.0)
-        g = np.take(codes.group, live, axis=1).ravel()
-        masses = np.bincount(g, weights=np.tile(w[live], pairs), minlength=ids)
-        seen = np.flatnonzero(masses)
-        yield seen, masses[seen]
+    n, t, rows, nk = params.n_qubits, params.t, params.h_rows, params.key_size
+    rest_a, rest_b = ([i for i in range(n) if i not in s] for s in (s_a, s_b))
+    b_rest = b[:, rest_b]
+    syn, ka, _ = bb84._key_tables(params, a[:, rest_a], b_rest)
+    # each syndrome's coset leader is a word that announces it
+    h = np.array(params.h_matrix, dtype=np.int64).reshape(rows, params.width)
+    leaders = coset_leader_table(h)[:, None] >> np.arange(params.width) & 1
+    kb = np.array([bb84._key_tables(params, np.broadcast_to(x, b_rest.shape), b_rest)[2]
+                   for x in leaders])  # [syndrome, word]
+    place = 1 << np.arange(t - 1, -1, -1)
+    visible = ((a[:, list(s_a)] @ place) << t | b[:, list(s_b)] @ place) << rows | syn
+    cells = ((visible << rows | np.arange(1 << rows)[:, None]) * nk + ka) * nk + kb
+    size = (4 ** t << 2 * rows) * nk * nk
+    ids = np.arange(len(weights))[:, None, None] * size + cells
+    masses = np.bincount(ids.ravel(), np.broadcast_to(weights[:, None], ids.shape).ravel(),
+                         minlength=len(weights) * size)
+    return masses.reshape(len(weights), 4 ** t << rows, 1 << rows, nk, nk)
 
 
 def parallel_qkd_scenario(params: QkdParams):
@@ -531,44 +427,29 @@ class KeyExpansionResult:
     ledger: EpsilonLedger
     report: BoundReport
     rows: tuple
-    pool_bits: int
-    output_bits: int
 
 
-def key_expansion(rounds: int, fam: HashFamily, params: QkdParams,
-                  initial_pool_bits: int | None = None) -> KeyExpansionResult:
-    """Iterated authentication + QKD with pooled key accounting.
+def key_expansion(rounds: int, fam: HashFamily, params: QkdParams) -> KeyExpansionResult:
+    """Iterated authentication + QKD.
 
-    Each round consumes two authentication keys (2 * 2b bits) from the key
-    pool and adds the round's output on success.  The ledger adds, per
-    round, the asserted authentication failure (two parallel instances of
-    the epsilon-almost-strongly-universal bound) and the measured QKD
-    failure (eps_cor + eps_sec over the round's quantum attack family).
+    Each round authenticates its two messages with fresh keys.  The ledger
+    adds, per round, the asserted authentication failure (two parallel
+    instances of the epsilon-almost-strongly-universal bound) and the
+    measured QKD failure (eps_cor + eps_sec over the round's quantum attack
+    family).
     The measured composite advantage over the round-attack family must stay
     within the ledger total.
     """
     if rounds < 0:
         raise NegativeRounds(f"rounds = {rounds} must be >= 0")
-    per_round_auth = 2 * 2 * fam.block_bits
-    if initial_pool_bits is None:
-        initial_pool_bits = rounds * per_round_auth
-    pool = initial_pool_bits
     ledger = EpsilonLedger()
     if rounds == 0:
-        return KeyExpansionResult(ledger, BoundReport("key-expansion", 0.0, 0.0),
-                                  (), pool, pool)
+        return KeyExpansionResult(ledger, BoundReport("key-expansion", 0.0, 0.0), ())
 
     quantum_family = [bb84.identity_attack(), bb84.intercept_resend(params.n_qubits, 1.0)]
     eps_qkd = max(qkd_run(params, a).decomposition_bound for a in quantum_family)
     eps_auth = 2.0 * fam.epsilon
 
-    output = pool
-    for _ in range(rounds):
-        if output < per_round_auth:
-            raise KeyBudgetExhausted(
-                f"pool holds {output} bits, round needs {per_round_auth}")
-        output -= per_round_auth
-        output += params.out_len
     ledger = serial_compose(ledger, *(LedgerEntry("authentication", eps_auth, "asserted"),
                                       LedgerEntry("qkd", eps_qkd, "measured")) * rounds)
 
@@ -589,7 +470,7 @@ def key_expansion(rounds: int, fam: HashFamily, params: QkdParams,
             rows.append((name, distance))
             worst = max(worst, distance)
     report = BoundReport(f"key-expansion-{rounds}rounds", worst, ledger.total)
-    return KeyExpansionResult(ledger, report, tuple(rows), initial_pool_bits, output)
+    return KeyExpansionResult(ledger, report, tuple(rows))
 
 
 # --- information locking demo ----------------------------------------------------------

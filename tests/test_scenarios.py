@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -301,12 +302,6 @@ def test_key_expansion_builds_ledger_in_one_call(round_params, monkeypatch):
     assert ledger.total == want.total
 
 
-def test_key_expansion_budget(round_params):
-    fam = affine_family(4)
-    with pytest.raises(scenarios.KeyBudgetExhausted):
-        scenarios.key_expansion(2, fam, round_params, initial_pool_bits=16)
-
-
 @pytest.mark.parametrize("rounds", [-1, -3])
 def test_key_expansion_rejects_negative_rounds(round_params, monkeypatch, rounds):
     # rejected before any work
@@ -384,7 +379,9 @@ def test_swap_joint_state_matches_scalar_oracle(n, t, h_rows, out_len, q_tol):
 @pytest.mark.parametrize("n, t, h_rows, out_len, seed, exact", [
     (3, 1, 1, 1, 6, Fraction(251, 576)), (3, 2, 0, 1, 1, Fraction(385, 1536)),
     (3, 1, 0, 2, 3, Fraction(923, 1536)), (4, 1, 1, 1, 5, Fraction(225, 512)),
-    (4, 2, 1, 1, 5, Fraction(779, 3072))])
+    (4, 2, 1, 1, 5, Fraction(779, 3072)), (4, 3, 0, 1, 5, Fraction(2189, 16384)),
+    (4, 1, 0, 3, 5, Fraction(343, 512)), (4, 2, 0, 2, 5, Fraction(8201, 24576)),
+    (4, 1, 2, 1, 5, Fraction(111, 256))])
 def test_swap_crossing_is_the_rounded_rational(n, t, h_rows, out_len, seed, exact):
     # every term is dyadic and the subset pairs divide the total once, so the
     # advantage is the exact distance correctly rounded
@@ -393,55 +390,18 @@ def test_swap_crossing_is_the_rounded_rational(n, t, h_rows, out_len, seed, exac
     assert scenarios.swap_crossing_advantage(params) == float(exact)
 
 
-def _blocks_by_unique(params, cells):
-    """Each block's cells and masses from an ``np.unique`` of its cell codes."""
-    pairs = cells.shape[0]
-    for w in scenarios._block_weights(params.n_qubits):
-        live = np.flatnonzero(w > 0.0)
-        block = cells[:, live].ravel()
-        unique, inverse = np.unique(block, return_inverse=True)
-        yield unique, np.bincount(inverse, weights=np.tile(w[live], pairs))
+@pytest.mark.parametrize("n", [2, 3])
+def test_swap_masses_depend_on_the_bases_only_through_their_xor(n):
+    # flipping both runs' bases at the same positions leaves every labelled
+    # mass unchanged, so the swap counts each mask theta1 ^ theta2 once
+    params = bb84.default_params(n_qubits=n, t=1, q_tol=0.25, out_len=1, h_rows=0, seed=5)
+    real, group_mass = swap_oracle.swap_joint_state(params)
 
+    def flipped(label, f):
+        th1, th2 = label[:2]
+        return (tuple(x ^ y for x, y in zip(th1, f)),
+                tuple(x ^ y for x, y in zip(th2, f))) + label[2:]
 
-@pytest.mark.parametrize("n, t, h_rows", [(2, 1, 0), (3, 1, 1), (3, 2, 0)])
-def test_swap_blocks_match_per_block_unique(n, t, h_rows):
-    # the cells are numbered once per run; every block's cells, in ascending
-    # order, and their masses are those of a per-block np.unique
-    params = bb84.default_params(n_qubits=n, t=t, q_tol=0.25, out_len=1,
-                                 h_rows=h_rows, seed=5)
-    codes = scenarios._SwapCodes(params)
-    cells = codes._cell_codes(params)
-    assert np.array_equal(codes.codes[codes.group], cells)
-    blocks = list(scenarios._swap_blocks(params, codes))
-    expected = list(_blocks_by_unique(params, cells))
-    assert len(blocks) == len(expected) == 4 ** n
-    for (ids, masses), (block_cells, sums) in zip(blocks, expected):
-        assert np.array_equal(codes.codes[ids], block_cells)
-        assert np.array_equal(masses, sums)
-
-
-def test_matched_terms_on_hand_built_block():
-    # two keys: a passing label's ideal cells are (0, 0) and (1, 1), each
-    # with half its mass; an abort label's one cell takes all of it.  Label 0
-    # passes with keys (0, 0) and the mismatch (0, 1); label 1 aborts
-    masses = np.array([0.375, 0.125, 0.25])
-    found, ideal_only = scenarios._matched_terms(
-        masses, np.array([0, 0, 1]), np.array([0.5, 0.0, 1.0]), np.array([0.5, 1.0]))
-    # the mismatch lies outside its label's ideal cells and keeps its full mass
-    assert found.tolist() == [0.375 - 0.5 * 0.5, 0.125, 0.0]
-    # the missing key pair (1, 1) of label 0 is ideal-only; the abort adds none
-    assert ideal_only.tolist() == [0.5 * 0.5]
-
-
-@pytest.mark.parametrize("labels, share, label_share, ideal_only", [
-    # a passing label that reaches none of its ideal cells: both are ideal-only
-    ([0], [0.0], [0.5], [0.25, 0.25]),
-    # a both-abort label is its own ideal cell, and label 0, which the block
-    # does not reach, has no mass: neither adds a term
-    ([1], [1.0], [0.5, 1.0], []),
-], ids=["passing-unreached", "abort-only"])
-def test_matched_terms_on_one_label(labels, share, label_share, ideal_only):
-    found, got = scenarios._matched_terms(
-        np.array([0.5]), np.array(labels), np.array(share), np.array(label_share))
-    assert found.tolist() == [0.5 - 0.5 * share[0]]
-    assert got.tolist() == ideal_only
+    for f in itertools.product(range(2), repeat=n):
+        assert {(flipped(label, f), kpair): mass for (label, kpair), mass in real.items()} == real
+        assert {flipped(label, f): mass for label, mass in group_mass.items()} == group_mass
