@@ -8,14 +8,16 @@ interrupt switch whenever the substituted string differs from what it sent.
 
 Because tags are uniform over the key, the evaluated states branch over the
 observed tag, with acceptance probabilities obtained by exhaustive key
-counting; nothing is sampled.  Each system keeps a cache that is freed
-with it.  The real system reads the acceptances of all tags in one
-gather from a per-message table, keyed by the sent message x:
-``table[x2, y, y2]`` is the probability that the forged (x2, y2) verifies
-given the observed tag y, built once from the joint tag counts of x and
-every message.  The ideal system's state depends only on x and on which
-observed tags are forwarded unchanged, so it is built once per
-``(x, kept-tag pattern)``.  Both build their classical states from
+counting; nothing is sampled.  The forged pairs of an attack are derived
+once: the real and the ideal system share the last attack's checked
+``(x, x2, y2)``.  Each system keeps a cache that is freed with it.  The
+real system reads the acceptances of all tags in one gather from a
+per-message table, keyed by the sent message x: ``table[x2, y, y2]`` is
+the probability that the forged (x2, y2) verifies given the observed tag
+y, built once from the joint tag counts of x and every message.  The
+ideal system's state depends only on x and on which observed tags are
+forwarded unchanged, so it is built once per ``(x, kept-tag pattern)``.
+Both build their classical states from
 alphabet-index columns with ``make_classical_cq_columns``.  The supremum
 over all substitution rules is one array reduction per forged message: the
 joint tag counts of the sent and the forged message over every key,
@@ -31,7 +33,7 @@ import numpy as np
 
 from ..acframework import AttackFamily, AttackStrategy, SystemGraph, identity_strategy
 from ..qstate import CQState, Register, make_classical_cq_columns
-from .hashing import HashFamily
+from .hashing import HashFamily, _digest_row
 
 __all__ = [
     "LengthOverflow",
@@ -47,9 +49,10 @@ class LengthOverflow(ValueError):
 
 
 def _count_pairs(fam: HashFamily, dx: np.ndarray, x2) -> np.ndarray:
-    """counts[y, y2] = #keys with h(x) = y and h(x2) = y2, given dx = h(x)."""
+    """counts[y, y2] = #keys with h(x) = y and h(x2) = y2, given
+    ``dx = hashing._digest_row(fam, x)``."""
     order = fam.tag_space
-    dx2 = fam.digest_all_keys(x2)
+    dx2 = _digest_row(fam, x2)
     return np.bincount(dx * order + dx2, minlength=order * order).reshape(order, order)
 
 
@@ -57,7 +60,7 @@ def _count_pairs(fam: HashFamily, dx: np.ndarray, x2) -> np.ndarray:
 def _pair_counts(fam: HashFamily, x: int, x2: int) -> tuple[np.ndarray, np.ndarray]:
     """(counts, row sums) of x and x2 as read-only int arrays: counts[y, y2] as
     in :func:`_count_pairs` and sums[y] = #keys with h(x) = y."""
-    counts = _count_pairs(fam, fam.digest_all_keys(x), x2)
+    counts = _count_pairs(fam, _digest_row(fam, x), x2)
     counts.setflags(write=False)
     sums = counts.sum(axis=1)
     sums.setflags(write=False)
@@ -115,12 +118,17 @@ def build_auth_systems(fam: HashFamily):
     Messages range over ``range(fam.tag_space)``.  The distinguisher picks
     the transmitted message via ``inputs=(("message", x),)`` and tampers
     through a substitution rule named ``auth`` mapping the observed (x, y)
-    to the injected (x', y').  Forged messages and tags must be integers in
-    the same range (ints, numpy integers or bools), else both systems raise
-    :class:`LengthOverflow`.  The joint message/tag space must stay at desk
-    scale (<= 2^10).
+    to the injected (x', y').  The sent message, the forged messages and
+    the forged tags must be integers in the same range (ints, numpy
+    integers or bools, read through ``operator.index``), else both systems
+    raise :class:`LengthOverflow`.  The joint message/tag space must stay
+    at desk scale (<= 2^10).
 
-    Each system keeps one cache in this closure, freed with the systems.
+    Both systems read an attack's ``(x, x2, y2)``, the rule applied to every
+    observed tag and checked, from a one-entry memo keyed by the identity
+    of the last attack, so evaluating one attack on both runs its rule once
+    per tag; an attack that fails the check is not memoised.  Each system
+    also keeps one cache in this closure, freed with the systems.
     The real one keeps, per sent message x, the acceptance table
     ``table[x2, y, y2]`` (at most 32^3 floats): the identity on x2 = x,
     since resending x verifies exactly when the tag is kept, and
@@ -133,11 +141,11 @@ def build_auth_systems(fam: HashFamily):
     message_space = tuple(range(order))
     if len(message_space) * order > 1024:
         raise LengthOverflow("joint message/tag space above the 2^10 desk-scale cap")
-    registers = [
+    registers = (
         Register("B_out", message_space + ("reject",)),
         Register("E_msg", message_space),
         Register("E_tag", message_space),
-    ]
+    )
     # a message's B_out alphabet index is the message itself
     reject = order
     tags = np.arange(order)
@@ -145,21 +153,29 @@ def build_auth_systems(fam: HashFamily):
     p_tag = 1.0 / order
     tables: dict[int, np.ndarray] = {}
     ideal_states: dict[tuple[int, bytes], CQState] = {}
+    # the last attack and its (x, x2, y2), shared by both evaluators
+    last: list = [None, None]
 
     def _common(attack: AttackStrategy):
-        x = attack.input("message", message_space[0])
-        if x not in message_space:
-            raise LengthOverflow(f"message {x!r} outside the configured space")
-        x = message_space.index(x)
+        if last[0] is attack:
+            return last[1]
+        sent = attack.input("message", 0)
+        try:
+            x = index(sent)
+        except TypeError:
+            x = None
+        if x not in range(order):
+            raise LengthOverflow(f"message {sent!r} outside the configured space")
         rule = attack.tamper_rule("auth")
         rule = rule if rule is not None else (lambda pair: pair)
         x2, y2 = _check_forged(order, [rule((x, y)) for y in range(order)])
-        return x, np.array(x2), np.array(y2)
+        last[:] = attack, (x, np.array(x2), np.array(y2))
+        return last[1]
 
     def _acceptance(x: int) -> np.ndarray:
         table = tables.get(x)
         if table is None:
-            dx = fam.digest_all_keys(x)
+            dx = _digest_row(fam, x)
             table = np.empty((order, order, order))
             # a tag that x never takes has no consistent key: its rows are
             # nan, which the state check refuses if an attack reads them
@@ -245,7 +261,7 @@ def exhaustive_substitution_advantage(fam: HashFamily, message: int = 0) -> floa
     leaving the pair alone contributes zero).
     """
     order = fam.tag_space
-    dx = fam.digest_all_keys(message)
+    dx = _digest_row(fam, message)
     # keys consistent with each observed tag: the row sums of every table
     consistent = np.bincount(dx, minlength=order)
     # all forgeries of one observed tag share its denominator, so the best

@@ -181,17 +181,23 @@ class TagOutOfRange(ValueError):
 _ASU2_BINS = 1 << 14
 
 
+def _digest_row(fam: HashFamily, message) -> np.ndarray:
+    """The message's tag under every key, ordered like :meth:`HashFamily.keys`;
+    a tag outside ``range(tag_space)`` raises :class:`TagOutOfRange`."""
+    order = fam.tag_space
+    tags = np.asarray(fam.digest_all_keys(message)).reshape(fam.key_count)
+    if tags.min() < 0 or tags.max() >= order:
+        outside = tags[(tags < 0) | (tags >= order)]
+        raise TagOutOfRange(f"message {message!r} has tag {outside[0]}, "
+                            f"outside range({order})")
+    return tags
+
+
 def _digest_table(fam: HashFamily, messages) -> np.ndarray:
     """Tags of every message under every key, one ``uint8`` row per message."""
-    order = fam.tag_space
     table = np.empty((len(messages), fam.key_count), dtype=np.uint8)
     for row, message in zip(table, messages):
-        tags = np.asarray(fam.digest_all_keys(message)).reshape(fam.key_count)
-        outside = (tags < 0) | (tags >= order)
-        if outside.any():
-            raise TagOutOfRange(f"message {message!r} has tag {tags[outside][0]}, "
-                                f"outside range({order})")
-        row[:] = tags
+        row[:] = _digest_row(fam, message)
     return table
 
 

@@ -558,7 +558,10 @@ def _validated(regs, columns, weights):
     a time runs over all rows and raises for the first row that fails it:
     an index outside its register's alphabet (negative ones included), then
     an assignment that another row repeats, then a weight that is not
-    finite or below ``-PROB_TOL``.
+    finite or below ``-PROB_TOL``.  While the codes fit an int64 they and
+    the range check are one ``np.ravel_multi_index`` call; the
+    per-register check and mixed-radix loop run when it refuses an index
+    (to name it) and for Python int codes.
     """
     w = np.asarray(weights, dtype=float)
     try:
@@ -574,18 +577,27 @@ def _validated(regs, columns, weights):
             raise AlphabetMismatch(f"alphabet indices must be integers, got {idx.dtype}")
         idx = idx.astype(np.int64)
     sizes = [len(r.alphabet) for r in regs]
-    outside = (idx < 0) | (idx >= np.array(sizes)[:, None])
-    if outside.any():
-        row = int(np.argmax(outside.any(axis=0)))
-        r = int(np.argmax(outside[:, row]))
-        raise AlphabetMismatch(
-            f"index {int(idx[r, row])} outside the {sizes[r]} values of register "
-            f"{regs[r].name}")
     dtype = _code_dtype(regs)
-    codes = np.zeros(len(w), dtype=dtype)
-    for size, col in zip(sizes, idx):
-        codes *= size
-        codes += col.astype(dtype, copy=False)
+    codes = None
+    if regs and dtype is np.int64:
+        # the codes and the range check in one call, which raises ValueError
+        # for an index outside its alphabet; the check below then names it
+        try:
+            codes = np.ravel_multi_index(idx, sizes)
+        except ValueError:
+            pass
+    if codes is None:
+        outside = (idx < 0) | (idx >= np.array(sizes)[:, None])
+        if outside.any():
+            row = int(np.argmax(outside.any(axis=0)))
+            r = int(np.argmax(outside[:, row]))
+            raise AlphabetMismatch(
+                f"index {int(idx[r, row])} outside the {sizes[r]} values of register "
+                f"{regs[r].name}")
+        codes = np.zeros(len(w), dtype=dtype)
+        for size, col in zip(sizes, idx):
+            codes *= size
+            codes += col.astype(dtype, copy=False)
     order = codes.argsort()
     ordered = codes[order]
     repeats = ordered[1:] == ordered[:-1]

@@ -12,6 +12,7 @@ check it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -20,13 +21,15 @@ from qkdsec.linalg import coset_leader_table
 from qkdsec.protocols import bb84
 
 
+@lru_cache(maxsize=None)
 def swap_joint_state(params):
     """Return ``(real, group_mass)``: the joint classical state of both runs.
 
     Eve keeps nothing, so the state is classical.  ``real`` maps (Eve-visible
     label, key-pair-pair) to its branch weight, and ``group_mass`` maps each
     label to its total mass.  The weights leave out the uniform choice of the
-    two sample subsets: they sum to C(n, t)^2.
+    two sample subsets: they sum to C(n, t)^2.  One call per parameter set
+    is cached, its dicts shared by every caller, which must not change them.
     """
     n, t = params.n_qubits, params.t
     subsets = list(combinations(range(n), t))

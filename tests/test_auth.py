@@ -548,3 +548,136 @@ def test_gf2m_table_matches_scalar_multiply(bits):
             for a in range(field.order)]
     assert field.mul_table.dtype == np.int64
     assert field.mul_table.tolist() == want
+
+
+@pytest.mark.parametrize("system", ["real", "ideal"])
+@pytest.mark.parametrize("message", [2.0, 1 + 0j, np.float64(1.0), "1", None, -1, 8, 2**70],
+                         ids=["float", "complex", "numpy-float", "str", "none", "minus-1", "8",
+                              "2-70"])
+def test_auth_systems_refuse_a_message_that_is_not_an_integer_in_range(message, system):
+    # the sent message is read through operator.index, as the forged pairs
+    # are: 2.0 and 1+0j are not the messages 2 and 1
+    from qkdsec.acframework import AttackStrategy, evaluate
+
+    real, ideal = auth.build_auth_systems(affine_family(3))
+    attack = AttackStrategy(name="sent", inputs=(("message", message),))
+    with pytest.raises(auth.LengthOverflow,
+                       match=rf"message {re.escape(repr(message))} outside"):
+        evaluate(real if system == "real" else ideal, attack)
+
+
+@pytest.mark.parametrize("message, value", [(np.int64(2), 2), (np.uint8(7), 7), (True, 1),
+                                            (False, 0)])
+def test_auth_systems_read_integer_like_messages(message, value):
+    from qkdsec.acframework import AttackStrategy, evaluate
+
+    fam = affine_family(3)
+    real, ideal = auth.build_auth_systems(fam)
+    rule = (("auth", lambda pair: (pair[0] ^ 1, pair[1])),)
+    for system in (real, ideal):
+        got = evaluate(system, AttackStrategy(name="a", inputs=(("message", message),),
+                                              tamper=rule))
+        want = evaluate(system, AttackStrategy(name="b", inputs=(("message", value),),
+                                               tamper=rule))
+        _assert_same_state(got, want)
+
+
+def test_forged_pairs_are_derived_once_per_strategy():
+    # both systems share the last attack's checked forged pairs, so a
+    # counting rule runs once per observed tag per strategy
+    from collections import Counter
+
+    from qkdsec.acframework import AttackFamily, AttackStrategy, identity_strategy
+
+    fam = affine_family(3)
+    calls = Counter()
+
+    def counting(name, target):
+        def rule(pair):
+            calls[name, pair] += 1
+            return target
+        return rule
+
+    strategies = (identity_strategy(inputs=(("message", 2),)),) + tuple(
+        AttackStrategy(name=f"const{i}", inputs=(("message", 2),),
+                       tamper=(("auth", counting(f"const{i}", (i, 0))),))
+        for i in range(4))
+    value, name = advantage_over_family(*auth.build_auth_systems(fam),
+                                        AttackFamily(name="counted", strategies=strategies))
+    assert calls == {(f"const{i}", (2, y)): 1 for i in range(4) for y in range(8)}
+    assert (value, name) == (0.125, "const0")
+
+
+def _state_key(state):
+    return state.codes.tolist(), state.weights.tolist(), state.trace_mass
+
+
+def test_alternating_strategies_across_system_pairs_match_fresh_systems():
+    # one pair's memo must never serve another attack, or another pair's
+    from qkdsec.acframework import evaluate, state_distance
+
+    fam = affine_family(3)
+    first, second = auth.build_auth_systems(fam), auth.build_auth_systems(fam)
+    strategies = _auth_strategies(fam, 1) + _auth_strategies(fam, 6)
+    for s, t in zip(strategies, strategies[1:] + strategies[:1]):
+        fresh = {u: [_state_key(evaluate(system, u)) for system in auth.build_auth_systems(fam)]
+                 for u in (s, t)}
+        got = {s: [None, None], t: [None, None]}
+        for (real, ideal), (u, side) in zip((first, second, first, second, second, first),
+                                            ((s, 0), (t, 0), (t, 1), (s, 1), (t, 0), (s, 0))):
+            got[u][side] = _state_key(evaluate((real, ideal)[side], u))
+        assert got[s] == fresh[s] and got[t] == fresh[t]
+        assert state_distance(evaluate(first[0], s), evaluate(second[1], s)) == \
+            state_distance(*(evaluate(system, s) for system in auth.build_auth_systems(fam)))
+
+
+def _literal_pair_counts(fam, x, x2):
+    # the count over every key, one key at a time
+    order = fam.tag_space
+    counts = np.zeros((order, order), dtype=np.int64)
+    for y, y2 in zip(fam.digest_all_keys(x).tolist(), fam.digest_all_keys(x2).tolist()):
+        counts[y, y2] += 1
+    return counts
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
+def test_pair_counts_match_the_count_over_all_keys(bits):
+    fam = affine_family(bits)
+    order = fam.tag_space
+    # the affine family's digests are the literal ones
+    assert fam.digest_all_keys(order - 1).tolist() == \
+        [fam.digest(key, order - 1) for key in fam.keys()]
+    messages = sorted({0, 1, order // 2, order - 1})
+    for x in messages:
+        dx = hashing._digest_row(fam, x)
+        for x2 in messages:
+            want = _literal_pair_counts(fam, x, x2)
+            got = auth._count_pairs(fam, dx, x2)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            # resending x verifies exactly when the tag is kept
+            for y, y2 in np.ndindex(order, order):
+                accept = float(y2 == y) if x2 == x else float(want[y, y2]) / float(want[y].sum())
+                assert auth.accept_probability(fam, x, y, x2, y2) == accept
+
+
+@pytest.mark.parametrize("fam", [_TableFamily(4), _EditedFamily(4, message=1, key=5),
+                                 _ShiftFamily(4)], ids=["table", "edited", "shift"])
+def test_pair_counts_match_the_count_over_all_keys_off_the_affine_family(fam):
+    for x, x2 in [(1, 0), (0, 1), (1, 1), (3, 9)]:
+        got = auth._count_pairs(fam, hashing._digest_row(fam, x), x2)
+        assert np.array_equal(got, _literal_pair_counts(fam, x, x2))
+    assert auth.exhaustive_substitution_advantage(fam, message=1) == \
+        _scalar_supremum(fam, 1)
+
+
+@pytest.mark.parametrize("tag", [8, -1, 256], ids=["8", "minus-1", "256"])
+def test_pair_counts_refuse_a_tag_outside_the_tag_space(tag):
+    # as in verify_asu2: a tag of 8 would be counted in the next observed
+    # tag's bins, and -1 or 256 would fail inside numpy or past the table
+    fam = _EditedFamily(3, message=2, key=0, tag=tag)
+    assert affine_family(3).digest_all_keys(2)[0] == 0
+    match = rf"message 2 has tag {tag}, outside range\(8\)"
+    with pytest.raises(TagOutOfRange, match=match):
+        auth.exhaustive_substitution_advantage(fam, message=1)
+    with pytest.raises(TagOutOfRange, match=match):
+        auth.accept_probability(fam, 2, 0, 1, 0)

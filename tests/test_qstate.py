@@ -582,3 +582,86 @@ def test_random_density_always_valid(seed, dim):
     # the construction invariants hold again on the state's own matrix
     again = qs.make_density(state.matrix, state.dims)
     assert abs(again.trace_mass - state.trace_mass) <= TRACE_TOL
+
+
+def _loop_codes(sizes, columns):
+    # the mixed-radix codes one register at a time, as Python ints
+    codes = [0] * (len(columns[0]) if len(columns) else 0)
+    for size, column in zip(sizes, columns):
+        codes = [code * size + int(i) for code, i in zip(codes, column)]
+    return codes
+
+
+_CODE_REGS = [("b", tuple(range(5))), ("m", ("p", "q", "r")), ("t", tuple(range(7)))]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, np.int64])
+@pytest.mark.parametrize("rows", [0, 1, 9, 40])
+def test_validated_codes_match_the_per_register_loop(dtype, rows):
+    regs = qs._registers(_CODE_REGS)
+    sizes = [len(r.alphabet) for r in regs]
+    rng = np.random.default_rng([rows, np.dtype(dtype).itemsize])
+    words = rng.permutation(np.prod(sizes))[:rows]
+    columns = np.array(np.unravel_index(words, sizes), dtype=dtype).reshape(3, rows)
+    codes, order, weights = qs._validated(regs, columns, np.full(rows, 1.0 / 64))
+    want = _loop_codes(sizes, columns)
+    assert codes.dtype == np.int64 and codes.tolist() == want
+    assert order.tolist() == sorted(range(rows), key=want.__getitem__)
+    assert weights.tolist() == [1.0 / 64] * rows
+
+
+def test_validated_codes_with_no_registers():
+    codes, order, _ = qs._validated((), [], [0.5])
+    assert codes.dtype == np.int64 and codes.tolist() == [0] and order.tolist() == [0]
+    codes, _, _ = qs._validated((), np.empty((0, 0), dtype=np.uint8), [])
+    assert codes.tolist() == []
+    with pytest.raises(qs.DuplicateAssignment, match=r"assignment \(\) appears twice"):
+        qs._validated((), [], [0.25, 0.25])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, np.int64])
+def test_validated_names_the_first_index_outside_its_alphabet(dtype):
+    regs = qs._registers(_CODE_REGS)
+    columns = np.array([[0, 1, 4, 2], [0, 2, 1, 0], [6, 0, 3, 5]], dtype=dtype)
+    weights = [0.25] * 4
+    bad = [(1, 2, 3, "m")]  # the alphabet size itself
+    if np.dtype(dtype).kind == "i":
+        bad.append((0, 2, -1, "b"))
+    if dtype == np.uint64:
+        bad.append((2, 0, 2**64 - 1, "t"))
+    for r, row, value, name in bad:
+        faulty = columns.copy()
+        faulty[r, row] = value
+        # a later fault in an earlier register does not change the one named
+        faulty[0, 3] = 5
+        size = len(regs[r].alphabet)
+        with pytest.raises(qs.AlphabetMismatch) as caught:
+            qs._validated(regs, faulty, weights)
+        assert str(caught.value) == f"index {value} outside the {size} values of register {name}"
+    with pytest.raises(qs.AlphabetMismatch, match="alphabet indices must be integers, got bool"):
+        qs._validated(regs, columns.astype(bool), weights)
+    repeated = columns.copy()
+    repeated[:, 3] = repeated[:, 1]
+    with pytest.raises(qs.DuplicateAssignment, match=r"assignment \(1, 'r', 0\) appears twice"):
+        qs._validated(regs, repeated, weights)
+
+
+@pytest.mark.parametrize("sizes, dtype", [([2] * 62, np.int64), ([2] * 63, object),
+                                          ([2] * 62 + [1] * 8, np.int64)],
+                         ids=["product-2-62", "product-2-63", "70-registers"])
+def test_validated_codes_beyond_int64_are_python_ints(sizes, dtype):
+    # 2^63 assignments do not fit an int64 code; numpy's index arrays stop
+    # at 64 dimensions, so 70 registers of product 2^62 take the loop
+    registers = len(sizes)
+    regs = tuple(qs.Register(f"r{i}", tuple(range(size))) for i, size in enumerate(sizes))
+    rng = np.random.default_rng(registers)
+    columns = rng.integers(0, 2, size=(registers, 6)) * (np.array(sizes)[:, None] - 1)
+    codes, order, _ = qs._validated(regs, columns, [0.125] * 6)
+    want = _loop_codes(sizes, columns)
+    assert codes.dtype == dtype and codes.tolist() == want
+    assert order.tolist() == sorted(range(6), key=want.__getitem__)
+    columns[registers - 1, 2] = sizes[-1]
+    with pytest.raises(qs.AlphabetMismatch,
+                       match=rf"index {sizes[-1]} outside the {sizes[-1]} values of register "
+                             rf"r{registers - 1}$"):
+        qs._validated(regs, columns, [0.125] * 6)
